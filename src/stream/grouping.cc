@@ -13,6 +13,7 @@ GroupingRouter::GroupingRouter(Grouping grouping,
   if (grouping_.type == GroupingType::kFields) {
     assert(!grouping_.fields.empty() && "fields grouping requires keys");
   }
+  key_indices_.assign(grouping_.fields.size(), -1);
 }
 
 void GroupingRouter::Route(const Tuple& tuple, std::vector<std::size_t>& out) {
@@ -24,11 +25,20 @@ void GroupingRouter::Route(const Tuple& tuple, std::vector<std::size_t>& out) {
       return;
     }
     case GroupingType::kFields: {
+      if (tuple.schema() != key_schema_) {
+        key_schema_ = tuple.schema();
+        for (std::size_t k = 0; k < grouping_.fields.size(); ++k) {
+          key_indices_[k] = key_schema_ == nullptr
+                                ? -1
+                                : key_schema_->IndexOf(grouping_.fields[k]);
+        }
+      }
       std::uint64_t h = 0x9E3779B97F4A7C15ull;
-      for (const std::string& field : grouping_.fields) {
-        const Value* v = tuple.GetByName(field);
-        const std::uint64_t fh =
-            v == nullptr ? HashValue(Value{}) : HashValue(*v);
+      for (const int index : key_indices_) {
+        const std::size_t i = static_cast<std::size_t>(index);
+        const std::uint64_t fh = index < 0 || i >= tuple.size()
+                                     ? kNullValueHash
+                                     : HashValue(tuple.Get(i));
         h = MixHash64(h ^ fh);
       }
       out.push_back(static_cast<std::size_t>(h % num_consumer_tasks_));

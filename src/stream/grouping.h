@@ -50,7 +50,9 @@ class GroupingRouter {
   /// For kFields the route is a pure function of the key fields, which is
   /// the property making vector writes conflict-free in the MFStorage
   /// bolt. Missing key fields hash as null (route to a stable task) so a
-  /// malformed tuple cannot crash the pipeline.
+  /// malformed tuple cannot crash the pipeline. The key fields' positions
+  /// are resolved once per schema and cached, so the steady state does
+  /// no name lookup.
   void Route(const Tuple& tuple, std::vector<std::size_t>& out);
 
   std::size_t num_consumer_tasks() const { return num_consumer_tasks_; }
@@ -60,6 +62,10 @@ class GroupingRouter {
   Grouping grouping_;
   std::size_t num_consumer_tasks_;
   std::size_t round_robin_ = 0;
+  // kFields: positions of grouping_.fields in `key_schema_` (-1 where the
+  // schema lacks the field). Null schema resolves every key as missing.
+  const Schema* key_schema_ = nullptr;
+  std::vector<int> key_indices_;
 };
 
 }  // namespace rtrec::stream
