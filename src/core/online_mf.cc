@@ -63,11 +63,6 @@ void ResolveUpdateStep(const MfModelConfig& config, double confidence,
   }
 }
 
-void OnlineMf::ResolveStep(double confidence, double* rating,
-                           double* learning_rate) const {
-  ResolveUpdateStep(config_, confidence, rating, learning_rate);
-}
-
 double OnlineMf::ApplySgdStep(FactorEntry& user, FactorEntry& video,
                               double rating, double learning_rate,
                               double lambda, double global_mean) {
@@ -89,58 +84,63 @@ double OnlineMf::ApplySgdStep(FactorEntry& user, FactorEntry& video,
   return error;
 }
 
-OnlineMf::UpdateResult OnlineMf::Update(const UserAction& action) {
+OnlineMf::UpdateResult OnlineMf::ComputeStep(
+    FactorStore& store, const MfModelConfig& config, MfValidationHook* hook,
+    const UserAction& action, FactorEntry* user, FactorEntry* video) {
+  assert(store.num_factors() == config.num_factors);
   UpdateResult result;
-  result.confidence = ActionConfidence(action, config_.feedback);
+  result.confidence = ActionConfidence(action, config.feedback);
 
   double rating = 0.0;
   double eta = 0.0;
-  ResolveStep(result.confidence, &rating, &eta);
+  ResolveUpdateStep(config, result.confidence, &rating, &eta);
   result.rating = rating;
   result.learning_rate = eta;
+  const double mean = config.use_global_mean ? store.GlobalMean() : 0.0;
   if (rating <= 0.0) {
     // Impression records (r_ui = 0) do not influence the model
     // (Section 3.3) — but they are the negatives of progressive
     // validation, so a hooked model still scores them (read-only: ids
     // are not initialized by a mere impression).
-    if (hook_ != nullptr) {
-      StatusOr<FactorEntry> user = store_->GetUser(action.user);
-      StatusOr<FactorEntry> video = store_->GetVideo(action.video);
+    if (hook != nullptr) {
+      StatusOr<FactorEntry> u = store.GetUser(action.user);
+      StatusOr<FactorEntry> v = store.GetVideo(action.video);
       const FactorEntry user_entry =
-          user.ok() ? std::move(user).value()
-                    : store_->MakeInitialEntry(action.user, /*is_user=*/true);
+          u.ok() ? std::move(u).value()
+                 : store.MakeInitialEntry(action.user, /*is_user=*/true);
       const FactorEntry video_entry =
-          video.ok()
-              ? std::move(video).value()
-              : store_->MakeInitialEntry(action.video, /*is_user=*/false);
-      const double mean =
-          config_.use_global_mean ? store_->GlobalMean() : 0.0;
-      hook_->OnMfSample(MakeSample(action, user_entry, video_entry,
-                                   /*rating=*/0.0, result.confidence, mean));
+          v.ok() ? std::move(v).value()
+                 : store.MakeInitialEntry(action.video, /*is_user=*/false);
+      hook->OnMfSample(MakeSample(action, user_entry, video_entry,
+                                  /*rating=*/0.0, result.confidence, mean));
     }
     return result;
   }
 
-  // Read-compute-write, as the ComputeMF → MFStorage bolts do. New ids are
-  // initialized on first touch (Algorithm 1 lines 3–8).
-  FactorEntry user = store_->GetOrInitUser(action.user);
-  FactorEntry video = store_->GetOrInitVideo(action.video);
-
-  const double mean =
-      config_.use_global_mean ? store_->GlobalMean() : 0.0;
-  if (hook_ != nullptr) {
+  *user = store.GetOrInitUser(action.user);
+  *video = store.GetOrInitVideo(action.video);
+  if (hook != nullptr) {
     // Progressive validation (predict-then-train): sample before the
     // step below mutates the entries.
-    hook_->OnMfSample(
-        MakeSample(action, user, video, rating, result.confidence, mean));
+    hook->OnMfSample(
+        MakeSample(action, *user, *video, rating, result.confidence, mean));
   }
-  result.error =
-      ApplySgdStep(user, video, rating, eta, config_.lambda, mean);
+  result.error = ApplySgdStep(*user, *video, rating, eta, config.lambda, mean);
   result.updated = true;
+  store.ObserveRating(rating);
+  return result;
+}
 
-  store_->PutUser(action.user, std::move(user));
-  store_->PutVideo(action.video, std::move(video));
-  store_->ObserveRating(rating);
+OnlineMf::UpdateResult OnlineMf::Update(const UserAction& action) {
+  // Read-compute-write, as the ComputeMF → MFStorage bolts do.
+  FactorEntry user;
+  FactorEntry video;
+  const UpdateResult result =
+      ComputeStep(*store_, config_, hook_, action, &user, &video);
+  if (result.updated) {
+    store_->PutUser(action.user, std::move(user));
+    store_->PutVideo(action.video, std::move(video));
+  }
   return result;
 }
 

@@ -9,8 +9,8 @@
 namespace rtrec {
 
 /// Resolves (rating, learning rate) for an action of confidence `w`
-/// under `config`'s policy — the pure part of Algorithm 1's step, shared
-/// by OnlineMf and the ComputeMF bolts. Rating 0 means "do not update".
+/// under `config`'s policy — the pure part of Algorithm 1's step.
+/// Rating 0 means "do not update".
 void ResolveUpdateStep(const MfModelConfig& config, double confidence,
                        double* rating, double* learning_rate);
 
@@ -94,11 +94,19 @@ class OnlineMf {
   double PredictWithEntries(const FactorEntry& user,
                             const FactorEntry& video) const;
 
-  /// Resolves (rating, learning rate) for an action of confidence `w`
-  /// under the configured policy. Rating 0 means "do not update".
-  /// Exposed for the ComputeMF bolt and tests.
-  void ResolveStep(double confidence, double* rating,
-                   double* learning_rate) const;
+  /// The read-compute half of Algorithm 1's step, shared by Update and
+  /// the ComputeMF bolt: resolves (r_ui, η_ui) for the action, reads both
+  /// entries from `store` (initializing new ids, lines 3–8), hands `hook`
+  /// (may be null) its pre-step sample, applies the SGD step to `*user`
+  /// and `*video`, and folds r_ui into μ. Writing the entries back is the
+  /// caller's: Update puts them itself, the topology ships them to
+  /// MFStorage. An action without positive preference leaves the model
+  /// and `*user`/`*video` untouched and returns `updated == false`.
+  static UpdateResult ComputeStep(FactorStore& store,
+                                  const MfModelConfig& config,
+                                  MfValidationHook* hook,
+                                  const UserAction& action, FactorEntry* user,
+                                  FactorEntry* video);
 
   /// One in-place SGD step (the update block of Algorithm 1) on caller-
   /// provided entries: computes e_ui against `global_mean` and applies

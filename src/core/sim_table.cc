@@ -24,35 +24,44 @@ SimTableUpdater::SimTableUpdater(FactorStore* factors, HistoryStore* history,
   assert(config_.Validate().ok());
 }
 
-std::size_t SimTableUpdater::OnAction(const UserAction& action) {
-  const double confidence = ActionConfidence(action, feedback_);
-  if (confidence < config_.min_confidence) {
-    return 0;  // Impressions / weak signals do not imply co-interest.
+std::vector<VideoId> ReadPartnersThenAppend(HistoryStore& history,
+                                            const UserAction& action,
+                                            double confidence,
+                                            const SimilarityConfig& config) {
+  std::vector<VideoId> partners;
+  if (confidence >= config.min_confidence) {
+    for (const HistoryEntry& entry :
+         history.GetRecent(action.user, config.max_pairs_per_action)) {
+      if (entry.video != action.video) partners.push_back(entry.video);
+    }
   }
-
-  // Partners first, then append — the action's own video must not pair
-  // with itself via the just-written history entry.
-  const std::vector<HistoryEntry> partners =
-      history_->GetRecent(action.user, config_.max_pairs_per_action);
-  history_->Append(action.user,
+  if (confidence > 0.0) {
+    history.Append(action.user,
                    HistoryEntry{action.video, confidence, action.time});
-
-  std::size_t refreshed = 0;
-  for (const HistoryEntry& partner : partners) {
-    if (partner.video == action.video) continue;
-    RefreshPair(action.video, partner.video, action.time);
-    ++refreshed;
   }
-  return refreshed;
+  return partners;
+}
+
+double PairSimilarity(FactorStore& factors, const VideoTypeResolver& types,
+                      const SimilarityConfig& config, VideoId a, VideoId b) {
+  const FactorEntry ya = factors.GetOrInitVideo(a);
+  const FactorEntry yb = factors.GetOrInitVideo(b);
+  const double s1 = CfSimilarity(ya.vec, yb.vec);
+  const double s2 = TypeSimilarity(types(a), types(b));
+  return FuseSimilarity(s1, s2, config.beta);
+}
+
+std::size_t SimTableUpdater::OnAction(const UserAction& action) {
+  const std::vector<VideoId> partners = ReadPartnersThenAppend(
+      *history_, action, ActionConfidence(action, feedback_), config_);
+  for (const VideoId partner : partners) {
+    RefreshPair(action.video, partner, action.time);
+  }
+  return partners.size();
 }
 
 double SimTableUpdater::RefreshPair(VideoId a, VideoId b, Timestamp now) {
-  // Eq. 9 on the *current* latent vectors: the tables track the model.
-  const FactorEntry ya = factors_->GetOrInitVideo(a);
-  const FactorEntry yb = factors_->GetOrInitVideo(b);
-  const double s1 = CfSimilarity(ya.vec, yb.vec);
-  const double s2 = TypeSimilarity(type_resolver_(a), type_resolver_(b));
-  const double fused = FuseSimilarity(s1, s2, config_.beta);
+  const double fused = PairSimilarity(*factors_, type_resolver_, config_, a, b);
   table_->Update(a, b, fused, now);
   return fused;
 }

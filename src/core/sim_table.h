@@ -2,6 +2,7 @@
 #define RTREC_CORE_SIM_TABLE_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "core/action.h"
 #include "core/model_config.h"
@@ -12,17 +13,33 @@
 
 namespace rtrec {
 
+/// The co-watch partners of an action of `confidence` (Section 4.2), and
+/// the history write that goes with them. An action at or above
+/// `config.min_confidence` pairs with the user's most recent videos, read
+/// *before* the action is appended, so its own video never pairs with
+/// itself through the entry just written. Every action with positive
+/// confidence is then appended, whether or not it pairs; impressions are
+/// not history. Shared by SimTableUpdater::OnAction and the UserHistory
+/// bolt, so the engine and the topology keep the same history.
+std::vector<VideoId> ReadPartnersThenAppend(HistoryStore& history,
+                                            const UserAction& action,
+                                            double confidence,
+                                            const SimilarityConfig& config);
+
+/// Fused similarity of a video pair: s1 = y_aᵀy_b on the *current* MF
+/// vectors (Eq. 9, so the tables track the model), s2 from the
+/// fine-grained types (Eq. 10), blended with β (Eq. 12). Shared by
+/// SimTableUpdater::RefreshPair and the ItemPairSim bolt.
+double PairSimilarity(FactorStore& factors, const VideoTypeResolver& types,
+                      const SimilarityConfig& config, VideoId a, VideoId b);
+
 /// Incremental maintenance of the similar-video tables (Section 4.2) —
-/// the logic of the GetItemPairs → ItemPairSim → ResultStorage bolts
-/// (Fig. 2), callable directly for single-process training.
-///
-/// On each sufficiently-confident user action on video i:
-///  1. Fetch the user's recent history (the videos the user interacted
-///     with before) — these are the co-watch partners j of i.
-///  2. For every pair (i, j): compute s1 = y_iᵀy_j from the current MF
-///     vectors (Eq. 9) and s2 from the fine-grained types (Eq. 10), fuse
-///     with β (Eq. 12), and write the pair into the SimTableStore stamped
-///     with the action time (restarting its decay clock, Eq. 11).
+/// the logic of the UserHistory → GetItemPairs → ItemPairSim →
+/// ResultStorage bolts (Fig. 2), callable directly for single-process
+/// training. On each action it takes the co-watch partners
+/// (ReadPartnersThenAppend), computes each pair's PairSimilarity and
+/// writes it into the SimTableStore stamped with the action time
+/// (restarting its decay clock, Eq. 11).
 class SimTableUpdater {
  public:
   /// All dependencies are shared, not owned, and must outlive the updater.

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "core/recommender.h"
+#include "core/sim_table.h"
 #include "demographic/group_checkpoint.h"
 #include "stream/topology.h"
 
@@ -20,6 +24,25 @@ UserAction Play(UserId u, VideoId v, Timestamp t) {
   a.view_fraction = 1.0;
   a.time = t;
   return a;
+}
+
+UserAction Impress(UserId u, VideoId v, Timestamp t) {
+  UserAction a;
+  a.user = u;
+  a.video = v;
+  a.type = ActionType::kImpress;
+  a.time = t;
+  return a;
+}
+
+/// Every directed (video, neighbour) entry of a similar-video table.
+std::set<std::pair<VideoId, VideoId>> TablePairs(const SimTableStore& table) {
+  std::set<std::pair<VideoId, VideoId>> pairs;
+  table.ForEachList([&pairs](VideoId video,
+                             std::span<const SimilarVideo> list) {
+    for (const SimilarVideo& entry : list) pairs.emplace(video, entry.video);
+  });
+  return pairs;
 }
 
 class DemographicTopologyTest : public ::testing::Test {
@@ -190,6 +213,127 @@ TEST_F(DemographicTopologyTest, ParallelismPreservesPerGroupCounts) {
   // Every action trained its group's model exactly once.
   EXPECT_EQ(a->factors->RatingCount() + b->factors->RatingCount(), total);
   EXPECT_EQ(a->factors->RatingCount(), total / 2);
+}
+
+// The demographic counterpart of the pipeline test of the same name: a
+// log pushed all at once must form, within each group, exactly the pairs
+// and histories a per-group SimTableUpdater forms, on every run.
+TEST_F(DemographicTopologyTest, PairsMatchTheEngineWhenALogArrivesAtOnce) {
+  std::vector<UserAction> actions;
+  for (const UserId u : {1, 2, 3, 4, 5, 11, 12, 13, 14, 15, 100}) {
+    for (int k = 0; k < 12; ++k) {
+      actions.push_back(Play(u, static_cast<VideoId>((u * 7 + k * 3) % 50),
+                             static_cast<Timestamp>(u * 100 + k)));
+    }
+    actions.push_back(Impress(u, 99, static_cast<Timestamp>(u * 100 + 50)));
+  }
+  DemographicPipelineDeps deps = Deps();
+  // Type similarity only: every formed pair stays in the table whatever
+  // the (thread-timed) vectors, so the tables' pair sets are comparable.
+  deps.sim_config.beta = 1.0;
+
+  GroupStoreRegistry::Options options;
+  options.num_factors = 8;
+  GroupStoreRegistry engine_stores(options);
+  std::int64_t engine_pairs = 0;
+  for (const UserAction& a : actions) {
+    GroupStores& stores = engine_stores.GetOrCreate(grouper_.GroupOf(a.user));
+    SimTableUpdater updater(stores.factors.get(), stores.history.get(),
+                            stores.sim_table.get(), deps.type_resolver,
+                            deps.sim_config, deps.model_config.feedback);
+    engine_pairs += static_cast<std::int64_t>(updater.OnAction(a));
+  }
+  ASSERT_GT(engine_pairs, 0);
+
+  PipelineParallelism wide;  // One spout task keeps each user's order.
+  wide.user_history = 3;
+  wide.get_item_pairs = 3;
+  wide.item_pair_sim = 3;
+  wide.result_storage = 3;
+  for (int run = 0; run < 20; ++run) {
+    registry_ = std::make_unique<GroupStoreRegistry>(options);
+    deps.stores = registry_.get();
+    MetricsRegistry metrics;
+    auto spec = BuildDemographicTopology(
+        std::make_shared<VectorActionSource>(actions), deps, wide);
+    ASSERT_TRUE(spec.ok());
+    stream::TopologyOptions topology_options;
+    topology_options.metrics = &metrics;
+    auto topo =
+        stream::Topology::Create(std::move(spec).value(), topology_options);
+    ASSERT_TRUE(topo.ok());
+    ASSERT_TRUE((*topo)->Start().ok());
+    ASSERT_TRUE((*topo)->Join().ok());
+    EXPECT_EQ(metrics.GetCounter("get_item_pairs.emitted")->value(),
+              engine_pairs)
+        << "run " << run;
+    for (const GroupId group : {group_a_, group_b_, kGlobalGroup}) {
+      const GroupStores* engine = engine_stores.Find(group);
+      const GroupStores* topology = registry_->Find(group);
+      ASSERT_NE(engine, nullptr);
+      ASSERT_NE(topology, nullptr);
+      EXPECT_EQ(TablePairs(*topology->sim_table), TablePairs(*engine->sim_table))
+          << "run " << run << " group " << group;
+      for (const UserAction& a : actions) {
+        if (grouper_.GroupOf(a.user) != group) continue;
+        EXPECT_EQ(topology->history->Get(a.user).size(),
+                  engine->history->Get(a.user).size())
+            << "run " << run << " user " << a.user;
+      }
+    }
+  }
+}
+
+// Two groups co-watch the same pair within the cache TTL on one
+// ItemPairSim task. Each group's table must hold the similarity of its
+// own video vectors: a cache keyed by the pair alone would serve the
+// second group the first group's value.
+TEST_F(DemographicTopologyTest, PairCacheKeepsGroupsApart) {
+  std::vector<UserAction> actions;
+  for (int round = 0; round < 20; ++round) {
+    const Timestamp t = round * 100;
+    actions.push_back(Play(1, 10, t));       // Group A.
+    actions.push_back(Play(1, 11, t + 1));
+    actions.push_back(Play(11, 10, t + 2));  // Group B.
+    actions.push_back(Play(11, 11, t + 3));
+  }
+  DemographicPipelineDeps deps = Deps();
+  deps.sim_config.pair_cache_ttl_millis = 1e9;
+  // Steps far below float resolution leave every video vector at its
+  // group's initial value, so the expected similarity is known.
+  deps.model_config.eta0 = 1e-12;
+  deps.model_config.alpha = 0.0;
+  PipelineParallelism parallelism;
+  parallelism.item_pair_sim = 1;
+  MetricsRegistry metrics;
+  auto spec = BuildDemographicTopology(
+      std::make_shared<VectorActionSource>(std::move(actions)), deps,
+      parallelism);
+  ASSERT_TRUE(spec.ok());
+  stream::TopologyOptions options;
+  options.metrics = &metrics;
+  auto topo = stream::Topology::Create(std::move(spec).value(), options);
+  ASSERT_TRUE(topo.ok());
+  ASSERT_TRUE((*topo)->Start().ok());
+  ASSERT_TRUE((*topo)->Join().ok());
+  EXPECT_GT(metrics.GetCounter("item_pair_sim.cache_hits")->value(), 0);
+
+  double sims[2] = {0.0, 0.0};
+  for (int i = 0; i < 2; ++i) {
+    GroupStores* stores = registry_->Find(i == 0 ? group_a_ : group_b_);
+    ASSERT_NE(stores, nullptr);
+    const double own = PairSimilarity(*stores->factors, deps.type_resolver,
+                                      deps.sim_config, 10, 11);
+    stores->sim_table->ForEachList(
+        [&sims, i](VideoId video, std::span<const SimilarVideo> list) {
+          if (video != 10) return;
+          for (const SimilarVideo& entry : list) {
+            if (entry.video == 11) sims[i] = entry.similarity;
+          }
+        });
+    EXPECT_NEAR(sims[i], own, 1e-9) << "group " << i;
+  }
+  EXPECT_GT(std::abs(sims[0] - sims[1]), 1e-6);  // The groups do differ.
 }
 
 TEST_F(DemographicTopologyTest, GroupServerServesFromGroupStores) {

@@ -23,6 +23,15 @@ UserAction Play(UserId u, VideoId v, Timestamp t) {
   return a;
 }
 
+UserAction Click(UserId u, VideoId v, Timestamp t) {
+  UserAction a;
+  a.user = u;
+  a.video = v;
+  a.type = ActionType::kClick;
+  a.time = t;
+  return a;
+}
+
 UserAction Impress(UserId u, VideoId v, Timestamp t) {
   UserAction a;
   a.user = u;
@@ -105,7 +114,8 @@ TEST(ActionTupleTest, RoundTrip) {
 }
 
 TEST(ActionTupleTest, RejectsBadActionCode) {
-  stream::Tuple bad(pipeline_schema::Action(), std::int64_t{1},
+  stream::Tuple bad(pipeline_schema::Action(),
+                    static_cast<std::int64_t>(kGlobalGroup), std::int64_t{1},
                     std::int64_t{2}, std::int64_t{99}, 0.0, std::int64_t{0});
   EXPECT_FALSE(TupleToAction(bad).ok());
 }
@@ -229,6 +239,50 @@ TEST_F(PipelineTopologyTest, PairsMatchTheEngineWhenALogArrivesAtOnce) {
     EXPECT_EQ(metrics.GetCounter("result_storage.processed")->value(),
               engine_pairs)
         << "run " << run;
+  }
+}
+
+// An action too weak to pair (a click, weight 1.0, under min_confidence
+// 2.0) is still history, in the engine as in the topology: a later play
+// pairs with it either way, and both keep the same per-user history.
+TEST_F(PipelineTopologyTest, WeakActionsJoinTheHistoryLikeTheEngine) {
+  std::vector<UserAction> actions;
+  for (UserId u = 1; u <= 10; ++u) {
+    const Timestamp t = static_cast<Timestamp>(u * 100);
+    actions.push_back(Click(u, u, t));
+    actions.push_back(Click(u, u + 1, t + 1));
+    actions.push_back(Play(u, u + 2, t + 2));
+    actions.push_back(Click(u, u + 3, t + 3));
+    actions.push_back(Play(u, u + 4, t + 4));
+  }
+  PipelineDeps deps = Deps();
+  deps.sim_config.min_confidence = 2.0;
+
+  FactorStore factors(FactorStore::Options{});
+  HistoryStore history;
+  SimTableStore table;
+  SimTableUpdater updater(&factors, &history, &table, deps.type_resolver,
+                          deps.sim_config, deps.model_config.feedback);
+  std::int64_t engine_pairs = 0;
+  for (const UserAction& a : actions) {
+    engine_pairs += static_cast<std::int64_t>(updater.OnAction(a));
+  }
+  EXPECT_EQ(engine_pairs, 10 * (2 + 4));
+
+  MetricsRegistry metrics;
+  auto spec = BuildRecommendationTopology(
+      std::make_shared<VectorActionSource>(actions), deps);
+  ASSERT_TRUE(spec.ok());
+  stream::TopologyOptions options;
+  options.metrics = &metrics;
+  auto topo = stream::Topology::Create(std::move(spec).value(), options);
+  ASSERT_TRUE(topo.ok());
+  ASSERT_TRUE((*topo)->Start().ok());
+  ASSERT_TRUE((*topo)->Join().ok());
+  EXPECT_EQ(metrics.GetCounter("get_item_pairs.emitted")->value(),
+            engine_pairs);
+  for (UserId u = 1; u <= 10; ++u) {
+    EXPECT_EQ(history_->Get(u).size(), history.Get(u).size()) << "user " << u;
   }
 }
 
