@@ -70,18 +70,16 @@ FaultInjector& FaultInjector::Instance() {
 }
 
 void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
+  // Re-arming installs a fresh state rather than rewriting the spec a
+  // concurrent Hit may be reading.
+  auto state = std::make_shared<PointState>();
+  state->spec = std::move(spec);
   std::unique_lock lock(mu_);
-  auto it = points_.find(point);
-  if (it == points_.end()) {
-    auto state = std::make_unique<PointState>();
-    state->spec = std::move(spec);
-    points_.emplace(point, std::move(state));
+  auto [it, inserted] = points_.try_emplace(point, state);
+  if (inserted) {
     armed_points_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    it->second->spec = std::move(spec);
-    it->second->hits.store(0, std::memory_order_relaxed);
-    it->second->injected.store(0, std::memory_order_relaxed);
-    it->second->spent.store(false, std::memory_order_relaxed);
+    it->second = std::move(state);
   }
 }
 
@@ -104,16 +102,15 @@ void FaultInjector::SetMetrics(MetricsRegistry* metrics) {
 }
 
 Status FaultInjector::Hit(std::string_view point) {
-  PointState* state = nullptr;
+  std::shared_ptr<PointState> state;
   {
     std::shared_lock lock(mu_);
     auto it = points_.find(point);
     if (it == points_.end()) return Status::OK();
-    state = it->second.get();
+    state = it->second;
   }
-  // The state pointer stays valid only while the point is armed; tests
-  // must not Disarm concurrently with in-flight Hits on the same point
-  // and expect the spec change to be atomic — see the header contract.
+  // Holding a reference keeps the state alive through a concurrent
+  // Disarm or re-Arm, which then takes effect from the next Hit.
   std::uint64_t hit =
       state->hits.fetch_add(1, std::memory_order_relaxed) + 1;
   const FaultSpec& spec = state->spec;

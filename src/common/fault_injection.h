@@ -121,8 +121,8 @@ class FaultInjector {
   static std::atomic<int> armed_points_;
 
   mutable std::shared_mutex mu_;
-  // Heap-allocated states so Hit can hold them across the shared lock.
-  std::map<std::string, std::unique_ptr<PointState>, std::less<>> points_;
+  // Shared so an in-flight Hit keeps its state alive after Disarm.
+  std::map<std::string, std::shared_ptr<PointState>, std::less<>> points_;
   std::atomic<MetricsRegistry*> metrics_{nullptr};
 };
 

@@ -138,8 +138,8 @@ OnlineMf::UpdateResult OnlineMf::Update(const UserAction& action) {
   const UpdateResult result =
       ComputeStep(*store_, config_, hook_, action, &user, &video);
   if (result.updated) {
-    store_->PutUser(action.user, std::move(user));
-    store_->PutVideo(action.video, std::move(video));
+    store_->PutUser(action.user, user.vec, user.bias);
+    store_->PutVideo(action.video, video.vec, video.bias);
   }
   return result;
 }

@@ -2,6 +2,7 @@
 #define RTREC_CORE_SIM_TABLE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/action.h"
@@ -20,11 +21,12 @@ namespace rtrec {
 /// itself through the entry just written. Every action with positive
 /// confidence is then appended, whether or not it pairs; impressions are
 /// not history. Shared by SimTableUpdater::OnAction and the UserHistory
-/// bolt, so the engine and the topology keep the same history.
-std::vector<VideoId> ReadPartnersThenAppend(HistoryStore& history,
-                                            const UserAction& action,
-                                            double confidence,
-                                            const SimilarityConfig& config);
+/// bolt, so the engine and the topology keep the same history. The
+/// partners are appended to `partners`, the id vector the UserHistory
+/// bolt ships, under a single history lock.
+void ReadPartnersThenAppend(HistoryStore& history, const UserAction& action,
+                            double confidence, const SimilarityConfig& config,
+                            std::vector<std::int64_t>& partners);
 
 /// Fused similarity of a video pair: s1 = y_aᵀy_b on the *current* MF
 /// vectors (Eq. 9, so the tables track the model), s2 from the

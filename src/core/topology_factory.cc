@@ -220,12 +220,14 @@ class MfStorageBolt : public stream::Bolt {
         bias == nullptr) {
       return;
     }
-    FactorEntry entry{*vec, static_cast<float>(*bias)};
+    // Written straight from the tuple's vector: no copy.
     FactorStore& factors = *stores_of_(group).factors;
     if (is_user) {
-      factors.PutUser(static_cast<UserId>(*id), std::move(entry));
+      factors.PutUser(static_cast<UserId>(*id), *vec,
+                      static_cast<float>(*bias));
     } else {
-      factors.PutVideo(static_cast<VideoId>(*id), std::move(entry));
+      factors.PutVideo(static_cast<VideoId>(*id), *vec,
+                       static_cast<float>(*bias));
     }
   }
 
@@ -251,16 +253,16 @@ class UserHistoryBolt : public stream::Bolt {
     GroupId group = 0;
     UserAction action;
     if (!ReadAction(tuple, &group, &action)) return;
-    const std::vector<VideoId> partners = ReadPartnersThenAppend(
-        *stores_of_(group).history, action,
-        ActionConfidence(action, feedback_), config_);
+    std::vector<std::int64_t> partners;
+    ReadPartnersThenAppend(*stores_of_(group).history, action,
+                           ActionConfidence(action, feedback_), config_,
+                           partners);
     collector.EmitTo(
         "partners",
         stream::Tuple(pipeline_schema::Partners(), GroupField(group),
                       static_cast<std::int64_t>(action.user),
                       static_cast<std::int64_t>(action.video), action.time,
-                      std::vector<std::int64_t>(partners.begin(),
-                                                partners.end())));
+                      std::move(partners)));
   }
 
  private:

@@ -57,12 +57,26 @@ StatusOr<std::vector<ScoredVideo>> DemographicFilter::Recommend(
   StatusOr<std::vector<ScoredVideo>> primary = primary_->Recommend(request);
   if (!primary.ok()) return primary.status();
 
+  // The hot list never carries a request seed: a page must not repeat
+  // the video the user is on (RecommendationService::FallbackRecommend
+  // applies the same rule). Seeds are dropped before the blend, from a
+  // list fetched long enough to still offer n videos.
+  const std::vector<VideoId>& seeds = request.seed_videos;
+  const auto hottest = [&](GroupId g) {
+    std::vector<ScoredVideo> hot =
+        tracker_->Hottest(g, n + seeds.size(), request.now);
+    std::erase_if(hot, [&seeds](const ScoredVideo& v) {
+      return std::find(seeds.begin(), seeds.end(), v.video) != seeds.end();
+    });
+    if (hot.size() > n) hot.resize(n);
+    return hot;
+  };
   GroupId group = grouper_->GroupOf(request.user);
-  std::vector<ScoredVideo> hot = tracker_->Hottest(group, n, request.now);
+  std::vector<ScoredVideo> hot = hottest(group);
   if (hot.empty() && group != kGlobalGroup) {
     // The group has no traffic yet — fall back to global popularity, the
     // rule the paper applies to new unregistered users.
-    hot = tracker_->Hottest(kGlobalGroup, n, request.now);
+    hot = hottest(kGlobalGroup);
   }
 
   if (primary->size() < options_.min_primary_results) {

@@ -259,9 +259,9 @@ void ApplyRawEntry(FactorStore* factors, bool is_user, RawFactorEntry& e,
   DequantizeVector(file_precision, e.data.data(), entry.vec.size(), e.scale,
                    entry.vec.data());
   if (is_user) {
-    factors->PutUser(e.id, std::move(entry));
+    factors->PutUser(e.id, entry.vec, entry.bias);
   } else {
-    factors->PutVideo(e.id, std::move(entry));
+    factors->PutVideo(e.id, entry.vec, entry.bias);
   }
 }
 
@@ -521,10 +521,10 @@ Status LoadCheckpoint(const std::string& path, FactorStore* factors,
   // Phase 2: everything verified — apply the staged state.
   if (factors != nullptr) {
     for (auto& [id, entry] : factor_staging.users) {
-      factors->PutUser(id, std::move(entry));
+      factors->PutUser(id, entry.vec, entry.bias);
     }
     for (auto& [id, entry] : factor_staging.videos) {
-      factors->PutVideo(id, std::move(entry));
+      factors->PutVideo(id, entry.vec, entry.bias);
     }
     for (auto& entry : factor_staging.raw_users) {
       ApplyRawEntry(factors, /*is_user=*/true, entry,

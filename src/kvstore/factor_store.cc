@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 #include <mutex>
 #include <utility>
@@ -10,13 +11,11 @@
 
 namespace rtrec {
 
-template <typename Id>
-void FactorStore::InitTable(Table<Id>& table, std::size_t num_shards) {
+void FactorStore::InitTable(Table& table, std::size_t num_shards) {
   const std::size_t n = std::bit_ceil(std::max<std::size_t>(1, num_shards));
   table.stripes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    table.stripes.push_back(
-        std::make_unique<typename Table<Id>::Stripe>());
+    table.stripes.push_back(std::make_unique<Stripe>());
   }
   table.mask = n - 1;
 }
@@ -42,35 +41,51 @@ FactorStore::FactorStore(Options options) : options_(std::move(options)) {
   }
 }
 
-FactorStore::PackedFactorEntry FactorStore::Pack(
-    const FactorEntry& entry) const {
-  PackedFactorEntry packed;
-  packed.bias = entry.bias;
-  packed.data = std::make_unique<std::byte[]>(payload_bytes_);
-  const std::size_t f = static_cast<std::size_t>(options_.num_factors);
-  if (entry.vec.size() == f) {
-    QuantizeVector(options_.precision, entry.vec.data(), f,
-                   packed.data.get(), &packed.scale);
-  } else {
-    // Off-size vectors are truncated / zero-padded to num_factors so the
-    // payload width stays fixed (every write path produces num_factors;
-    // this is belt-and-braces for hand-built entries).
-    std::vector<float> fixed(f, 0.0f);
-    std::memcpy(fixed.data(), entry.vec.data(),
-                std::min(entry.vec.size(), f) * sizeof(float));
-    QuantizeVector(options_.precision, fixed.data(), f, packed.data.get(),
-                   &packed.scale);
+void FactorStore::PackInto(std::span<const float> vec, float bias,
+                           PackedFactorEntry& packed) const {
+  if (packed.data == nullptr) {
+    packed.data = std::make_unique<std::byte[]>(payload_bytes_);
   }
-  return packed;
+  packed.bias = bias;
+  const std::size_t f = static_cast<std::size_t>(options_.num_factors);
+  if (vec.size() == f) {
+    QuantizeVector(options_.precision, vec.data(), f, packed.data.get(),
+                   &packed.scale);
+    return;
+  }
+  // Off-size vectors are truncated / zero-padded to num_factors so the
+  // payload width stays fixed (every write path produces num_factors;
+  // this is belt-and-braces for hand-built entries).
+  std::vector<float> fixed(f, 0.0f);
+  std::memcpy(fixed.data(), vec.data(),
+              std::min(vec.size(), f) * sizeof(float));
+  QuantizeVector(options_.precision, fixed.data(), f, packed.data.get(),
+                 &packed.scale);
+}
+
+void FactorStore::UnpackInto(const PackedFactorEntry& packed,
+                             float* vec) const {
+  DequantizeVector(options_.precision, packed.data.get(),
+                   static_cast<std::size_t>(options_.num_factors),
+                   packed.scale, vec);
 }
 
 FactorEntry FactorStore::Unpack(const PackedFactorEntry& packed) const {
   FactorEntry entry;
   entry.bias = packed.bias;
   entry.vec.resize(static_cast<std::size_t>(options_.num_factors));
-  DequantizeVector(options_.precision, packed.data.get(), entry.vec.size(),
-                   packed.scale, entry.vec.data());
+  UnpackInto(packed, entry.vec.data());
   return entry;
+}
+
+void FactorStore::StorePacked(float bias, float scale, const std::byte* data,
+                              PackedFactorEntry& packed) const {
+  if (packed.data == nullptr) {
+    packed.data = std::make_unique<std::byte[]>(payload_bytes_);
+  }
+  packed.bias = bias;
+  packed.scale = scale;
+  std::memcpy(packed.data.get(), data, payload_bytes_);
 }
 
 FactorEntry FactorStore::MakeInitialEntry(std::uint64_t id,
@@ -89,38 +104,41 @@ FactorEntry FactorStore::MakeInitialEntry(std::uint64_t id,
   return entry;
 }
 
-FactorEntry FactorStore::GetOrInitUser(UserId u) {
-  auto& stripe = users_.StripeFor(u);
-  {
-    std::shared_lock lock(stripe.mu);
-    auto it = stripe.map.find(u);
-    if (it != stripe.map.end()) return Unpack(it->second);
+const FactorStore::PackedFactorEntry& FactorStore::FindOrInit(
+    Stripe& stripe, std::uint64_t id, bool is_user) {
+  auto [it, inserted] = stripe.map.try_emplace(id);
+  if (inserted) {
+    const FactorEntry initial = MakeInitialEntry(id, is_user);
+    PackInto(initial.vec, initial.bias, it->second);
+    if (!is_user) BumpVideoVersion(id);
   }
-  std::unique_lock lock(stripe.mu);
-  auto [it, inserted] = stripe.map.try_emplace(u);
-  if (inserted) it->second = Pack(MakeInitialEntry(u, /*is_user=*/true));
-  return Unpack(it->second);
+  return it->second;
+}
+
+FactorEntry FactorStore::GetOrInitUser(UserId u) {
+  Stripe& stripe = users_.StripeFor(u);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  return Unpack(FindOrInit(stripe, u, /*is_user=*/true));
 }
 
 FactorEntry FactorStore::GetOrInitVideo(VideoId i) {
-  auto& stripe = videos_.StripeFor(i);
-  {
-    std::shared_lock lock(stripe.mu);
-    auto it = stripe.map.find(i);
-    if (it != stripe.map.end()) return Unpack(it->second);
-  }
-  std::unique_lock lock(stripe.mu);
-  auto [it, inserted] = stripe.map.try_emplace(i);
-  if (inserted) {
-    it->second = Pack(MakeInitialEntry(i, /*is_user=*/false));
-    BumpVideoVersion(i);
-  }
-  return Unpack(it->second);
+  Stripe& stripe = videos_.StripeFor(i);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  return Unpack(FindOrInit(stripe, i, /*is_user=*/false));
+}
+
+float FactorStore::GetOrInitVideo(VideoId i, std::span<float> vec) {
+  assert(vec.size() == static_cast<std::size_t>(options_.num_factors));
+  Stripe& stripe = videos_.StripeFor(i);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  const PackedFactorEntry& packed = FindOrInit(stripe, i, /*is_user=*/false);
+  UnpackInto(packed, vec.data());
+  return packed.bias;
 }
 
 StatusOr<FactorEntry> FactorStore::GetUser(UserId u) const {
   const auto& stripe = users_.StripeFor(u);
-  std::shared_lock lock(stripe.mu);
+  std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.map.find(u);
   if (it == stripe.map.end()) return Status::NotFound("user");
   return Unpack(it->second);
@@ -128,7 +146,7 @@ StatusOr<FactorEntry> FactorStore::GetUser(UserId u) const {
 
 StatusOr<FactorEntry> FactorStore::GetVideo(VideoId i) const {
   const auto& stripe = videos_.StripeFor(i);
-  std::shared_lock lock(stripe.mu);
+  std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.map.find(i);
   if (it == stripe.map.end()) return Status::NotFound("video");
   return Unpack(it->second);
@@ -161,7 +179,7 @@ std::vector<FactorStore::VideoBatchEntry> FactorStore::GetVideos(
   for (std::size_t i = 0; i < order.size();) {
     const std::size_t stripe_index = order[i].first;
     const auto& stripe = *videos_.stripes[stripe_index];
-    std::shared_lock lock(stripe.mu);
+    std::lock_guard<std::mutex> lock(stripe.mu);
     ++stripe_batches;
     for (; i < order.size() && order[i].first == stripe_index; ++i) {
       const std::size_t pos = order[i].second;
@@ -184,43 +202,19 @@ std::vector<FactorStore::VideoBatchEntry> FactorStore::GetVideos(
   return results;
 }
 
-void FactorStore::PutUser(UserId u, FactorEntry entry) {
-  PackedFactorEntry packed = Pack(entry);
-  auto& stripe = users_.StripeFor(u);
-  std::unique_lock lock(stripe.mu);
-  stripe.map[u] = std::move(packed);
+void FactorStore::PutUser(UserId u, std::span<const float> vec, float bias) {
+  Stripe& stripe = users_.StripeFor(u);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  PackInto(vec, bias, stripe.map[u]);
 }
 
-void FactorStore::PutVideo(VideoId i, FactorEntry entry) {
-  PackedFactorEntry packed = Pack(entry);
-  auto& stripe = videos_.StripeFor(i);
-  std::unique_lock lock(stripe.mu);
-  stripe.map[i] = std::move(packed);
+void FactorStore::PutVideo(VideoId i, std::span<const float> vec,
+                           float bias) {
+  Stripe& stripe = videos_.StripeFor(i);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  PackInto(vec, bias, stripe.map[i]);
   // Bumped under the stripe lock, so a GetVideos snapshot can never pair
   // the new entry with the old version (or vice versa).
-  BumpVideoVersion(i);
-}
-
-void FactorStore::UpdateUser(UserId u,
-                             const std::function<void(FactorEntry&)>& fn) {
-  auto& stripe = users_.StripeFor(u);
-  std::unique_lock lock(stripe.mu);
-  auto [it, inserted] = stripe.map.try_emplace(u);
-  FactorEntry entry = inserted ? MakeInitialEntry(u, /*is_user=*/true)
-                               : Unpack(it->second);
-  fn(entry);
-  it->second = Pack(entry);
-}
-
-void FactorStore::UpdateVideo(VideoId i,
-                              const std::function<void(FactorEntry&)>& fn) {
-  auto& stripe = videos_.StripeFor(i);
-  std::unique_lock lock(stripe.mu);
-  auto [it, inserted] = stripe.map.try_emplace(i);
-  FactorEntry entry = inserted ? MakeInitialEntry(i, /*is_user=*/false)
-                               : Unpack(it->second);
-  fn(entry);
-  it->second = Pack(entry);
   BumpVideoVersion(i);
 }
 
@@ -254,7 +248,7 @@ std::uint64_t FactorStore::RatingCount() const {
 std::size_t FactorStore::NumUsers() const {
   std::size_t total = 0;
   for (const auto& stripe : users_.stripes) {
-    std::shared_lock lock(stripe->mu);
+    std::lock_guard<std::mutex> lock(stripe->mu);
     total += stripe->map.size();
   }
   return total;
@@ -263,7 +257,7 @@ std::size_t FactorStore::NumUsers() const {
 std::size_t FactorStore::NumVideos() const {
   std::size_t total = 0;
   for (const auto& stripe : videos_.stripes) {
-    std::shared_lock lock(stripe->mu);
+    std::lock_guard<std::mutex> lock(stripe->mu);
     total += stripe->map.size();
   }
   return total;
@@ -272,7 +266,7 @@ std::size_t FactorStore::NumVideos() const {
 void FactorStore::ForEachVideo(
     const std::function<void(VideoId, const FactorEntry&)>& fn) const {
   for (const auto& stripe : videos_.stripes) {
-    std::shared_lock lock(stripe->mu);
+    std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [id, entry] : stripe->map) fn(id, Unpack(entry));
   }
 }
@@ -280,7 +274,7 @@ void FactorStore::ForEachVideo(
 void FactorStore::ForEachUser(
     const std::function<void(UserId, const FactorEntry&)>& fn) const {
   for (const auto& stripe : users_.stripes) {
-    std::shared_lock lock(stripe->mu);
+    std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [id, entry] : stripe->map) fn(id, Unpack(entry));
   }
 }
@@ -288,7 +282,7 @@ void FactorStore::ForEachUser(
 void FactorStore::ForEachUserPacked(
     const std::function<void(UserId, const PackedView&)>& fn) const {
   for (const auto& stripe : users_.stripes) {
-    std::shared_lock lock(stripe->mu);
+    std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [id, entry] : stripe->map) {
       fn(id, PackedView{entry.bias, entry.scale, entry.data.get(),
                         payload_bytes_});
@@ -299,7 +293,7 @@ void FactorStore::ForEachUserPacked(
 void FactorStore::ForEachVideoPacked(
     const std::function<void(VideoId, const PackedView&)>& fn) const {
   for (const auto& stripe : videos_.stripes) {
-    std::shared_lock lock(stripe->mu);
+    std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [id, entry] : stripe->map) {
       fn(id, PackedView{entry.bias, entry.scale, entry.data.get(),
                         payload_bytes_});
@@ -310,28 +304,18 @@ void FactorStore::ForEachVideoPacked(
 bool FactorStore::PutUserPacked(UserId u, float bias, float scale,
                                 const std::byte* data, std::size_t size) {
   if (size != payload_bytes_) return false;
-  PackedFactorEntry packed;
-  packed.bias = bias;
-  packed.scale = scale;
-  packed.data = std::make_unique<std::byte[]>(payload_bytes_);
-  std::memcpy(packed.data.get(), data, payload_bytes_);
-  auto& stripe = users_.StripeFor(u);
-  std::unique_lock lock(stripe.mu);
-  stripe.map[u] = std::move(packed);
+  Stripe& stripe = users_.StripeFor(u);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  StorePacked(bias, scale, data, stripe.map[u]);
   return true;
 }
 
 bool FactorStore::PutVideoPacked(VideoId i, float bias, float scale,
                                  const std::byte* data, std::size_t size) {
   if (size != payload_bytes_) return false;
-  PackedFactorEntry packed;
-  packed.bias = bias;
-  packed.scale = scale;
-  packed.data = std::make_unique<std::byte[]>(payload_bytes_);
-  std::memcpy(packed.data.get(), data, payload_bytes_);
-  auto& stripe = videos_.StripeFor(i);
-  std::unique_lock lock(stripe.mu);
-  stripe.map[i] = std::move(packed);
+  Stripe& stripe = videos_.StripeFor(i);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  StorePacked(bias, scale, data, stripe.map[i]);
   BumpVideoVersion(i);
   return true;
 }

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -30,8 +29,10 @@ struct FactorEntry {
 /// Stores the matrix-factorization state: one FactorEntry per user and per
 /// video, plus the running global average rating μ. This is the typed view
 /// over the paper's distributed KV store that the ComputeMF / MFStorage
-/// bolts read and write. Hash-sharded with striped reader-writer locks;
-/// operations on distinct keys proceed in parallel.
+/// bolts read and write. Hash-sharded with one mutex per stripe;
+/// operations on distinct keys proceed in parallel. A critical section is
+/// one hash lookup plus a (de)quantize of num_factors floats, too short
+/// for a reader-writer lock's extra atomics to pay for themselves.
 ///
 /// Entries are stored packed: vectors are quantized on write to
 /// `Options::precision` (float32 / float16 / int8) and dequantized on
@@ -45,6 +46,10 @@ struct FactorEntry {
 /// deterministic per-id stream, so "new users and items can be easily
 /// added" (Section 3.3) and initialization is reproducible regardless of
 /// arrival order.
+///
+/// Writes to an existing entry quantize into its payload in place, and
+/// GetOrInitVideo has a variant that dequantizes into a caller's buffer,
+/// so the steady-state update path allocates nothing here.
 class FactorStore {
  public:
   struct Options {
@@ -96,6 +101,11 @@ class FactorStore {
   /// Returns the video entry, creating and initializing it if absent.
   FactorEntry GetOrInitVideo(VideoId i);
 
+  /// GetOrInitVideo into a caller's buffer: writes the vector into `vec`
+  /// (exactly num_factors floats) and returns the bias. Same values as
+  /// GetOrInitVideo(i), without allocating for an existing id.
+  float GetOrInitVideo(VideoId i, std::span<float> vec);
+
   /// Returns the user entry, or NotFound without creating it.
   StatusOr<FactorEntry> GetUser(UserId u) const;
 
@@ -119,7 +129,7 @@ class FactorStore {
   std::vector<VideoBatchEntry> GetVideos(std::span<const VideoId> ids) const;
 
   /// Monotone per-video write version, bumped whenever the video's entry
-  /// is (re)written (PutVideo / UpdateVideo / first GetOrInitVideo).
+  /// is (re)written (PutVideo / PutVideoPacked / first GetOrInitVideo).
   /// Versions are tracked in hashed buckets, so two videos may share a
   /// version stream — a collision only causes a spurious cache
   /// invalidation, never a stale hit. Lock-free read; serving caches
@@ -129,22 +139,14 @@ class FactorStore {
   }
 
   /// Overwrites the user entry (MFStorage bolt write path). The vector
-  /// is quantized to the store's precision; reads return the quantized
-  /// value, and vectors longer/shorter than num_factors are
-  /// truncated/zero-padded to exactly num_factors.
-  void PutUser(UserId u, FactorEntry entry);
+  /// is quantized to the store's precision, into the existing payload
+  /// when the id is already stored; reads return the quantized value,
+  /// and vectors longer/shorter than num_factors are truncated/zero-
+  /// padded to exactly num_factors.
+  void PutUser(UserId u, std::span<const float> vec, float bias);
 
   /// Overwrites the video entry (MFStorage bolt write path).
-  void PutVideo(VideoId i, FactorEntry entry);
-
-  /// Atomically read-modify-writes the user entry under its stripe lock,
-  /// initializing it first if absent. Used by the single-process training
-  /// path where per-key atomicity substitutes for fields grouping. The
-  /// callback sees the dequantized entry; the result is requantized.
-  void UpdateUser(UserId u, const std::function<void(FactorEntry&)>& fn);
-
-  /// Atomically read-modify-writes the video entry (see UpdateUser).
-  void UpdateVideo(VideoId i, const std::function<void(FactorEntry&)>& fn);
+  void PutVideo(VideoId i, std::span<const float> vec, float bias);
 
   /// Folds one observed rating into the running global mean μ.
   void ObserveRating(double rating);
@@ -220,28 +222,40 @@ class FactorStore {
     float scale = 0.0f;
   };
 
-  PackedFactorEntry Pack(const FactorEntry& entry) const;
-  FactorEntry Unpack(const PackedFactorEntry& packed) const;
+  struct Stripe {
+    mutable std::mutex mu;
+    std::unordered_map<std::uint64_t, PackedFactorEntry> map;
+  };
 
-  template <typename Id>
+  /// One id space (users or videos) split over lock stripes.
   struct Table {
-    struct Stripe {
-      mutable std::shared_mutex mu;
-      std::unordered_map<Id, PackedFactorEntry> map;
-    };
     std::vector<std::unique_ptr<Stripe>> stripes;
     std::size_t mask = 0;
 
-    Stripe& StripeFor(Id id) {
+    Stripe& StripeFor(std::uint64_t id) {
       return *stripes[MixHash64(id) & mask];
     }
-    const Stripe& StripeFor(Id id) const {
+    const Stripe& StripeFor(std::uint64_t id) const {
       return *stripes[MixHash64(id) & mask];
     }
   };
 
-  template <typename Id>
-  void InitTable(Table<Id>& table, std::size_t num_shards);
+  static void InitTable(Table& table, std::size_t num_shards);
+
+  /// Quantizes `vec` into `packed`'s payload, allocating the payload only
+  /// for a new entry.
+  void PackInto(std::span<const float> vec, float bias,
+                PackedFactorEntry& packed) const;
+  /// Installs a raw payload of payload_bytes_ into `packed` (same reuse).
+  void StorePacked(float bias, float scale, const std::byte* data,
+                   PackedFactorEntry& packed) const;
+  void UnpackInto(const PackedFactorEntry& packed, float* vec) const;
+  FactorEntry Unpack(const PackedFactorEntry& packed) const;
+
+  /// The stored entry for `id`, created from MakeInitialEntry if absent
+  /// (bumping the version of a new video). Caller holds `stripe.mu`.
+  const PackedFactorEntry& FindOrInit(Stripe& stripe, std::uint64_t id,
+                                      bool is_user);
 
   static constexpr std::size_t kVersionBuckets = 4096;  // Power of two.
   static std::size_t VersionBucket(VideoId i) {
@@ -254,8 +268,8 @@ class FactorStore {
   Options options_;
   /// num_factors * FactorWidthBytes(precision), cached at construction.
   std::size_t payload_bytes_ = 0;
-  Table<UserId> users_;
-  Table<VideoId> videos_;
+  Table users_;
+  Table videos_;
 
   // Hashed per-video write versions backing serving-cache invalidation.
   std::array<std::atomic<std::uint64_t>, kVersionBuckets> video_versions_{};

@@ -20,6 +20,11 @@ HistoryStore::HistoryStore(Options options) : options_(options) {
 void HistoryStore::Append(UserId user, HistoryEntry entry) {
   Stripe& stripe = StripeFor(user);
   std::lock_guard<std::mutex> lock(stripe.mu);
+  AppendLocked(stripe, user, entry);
+}
+
+void HistoryStore::AppendLocked(Stripe& stripe, UserId user,
+                                const HistoryEntry& entry) {
   std::deque<HistoryEntry>& history = stripe.map[user];
   // Keep videos distinct: refresh an existing entry by moving it to the
   // back (most recent position).
@@ -31,6 +36,28 @@ void HistoryStore::Append(UserId user, HistoryEntry entry) {
   while (history.size() > options_.max_entries_per_user) {
     history.pop_front();
   }
+}
+
+void HistoryStore::ReadRecentThenAppend(UserId user, std::size_t limit,
+                                        const HistoryEntry& entry,
+                                        bool append,
+                                        std::vector<std::int64_t>& recent) {
+  Stripe& stripe = StripeFor(user);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (limit > 0) {
+    auto it = stripe.map.find(user);
+    if (it != stripe.map.end()) {
+      const std::deque<HistoryEntry>& history = it->second;
+      const std::size_t n = std::min(limit, history.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        const VideoId video = history[history.size() - 1 - i].video;
+        if (video != entry.video) {
+          recent.push_back(static_cast<std::int64_t>(video));
+        }
+      }
+    }
+  }
+  if (append) AppendLocked(stripe, user, entry);
 }
 
 std::vector<HistoryEntry> HistoryStore::Get(UserId user) const {

@@ -2,6 +2,7 @@
 #define RTREC_KVSTORE_HISTORY_STORE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -53,6 +54,15 @@ class HistoryStore {
   /// Most recent at most `limit` entries for `user`, newest first.
   std::vector<HistoryEntry> GetRecent(UserId user, std::size_t limit) const;
 
+  /// GetRecent followed by Append under one stripe lock: appends to
+  /// `recent` the videos of `user`'s most recent at most `limit` entries,
+  /// newest first, leaving out `entry.video`; then, if `append`, appends
+  /// `entry` (Append's refresh and eviction rules). The UserHistory bolt
+  /// fills its partners tuple's vector this way, without a copy.
+  void ReadRecentThenAppend(UserId user, std::size_t limit,
+                            const HistoryEntry& entry, bool append,
+                            std::vector<std::int64_t>& recent);
+
   /// Number of users with any history.
   std::size_t NumUsers() const;
 
@@ -72,6 +82,9 @@ class HistoryStore {
     mutable std::mutex mu;
     std::unordered_map<UserId, std::deque<HistoryEntry>> map;
   };
+
+  /// Append's body; caller holds the stripe lock.
+  void AppendLocked(Stripe& stripe, UserId user, const HistoryEntry& entry);
 
   Stripe& StripeFor(UserId u) { return *stripes_[MixHash64(u) & mask_]; }
   const Stripe& StripeFor(UserId u) const {

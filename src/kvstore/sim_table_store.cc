@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 
 namespace rtrec {
 
@@ -72,6 +73,23 @@ double SimTableStore::Decay(double sim, Timestamp update_time,
   return sim * std::exp2(-dt / options_.xi_millis);
 }
 
+bool SimTableStore::Prunable(const SimilarVideo& entry, Timestamp now) const {
+  // 2^-y >= 1 - y·ln2 for all y (convexity), so a positive similarity
+  // whose linear lower bound already clears the threshold, by a relative
+  // margin that absorbs exp2's and this expression's rounding, survives
+  // without evaluating exp2. Every other entry takes the exact decay, so
+  // the decision always equals Decay(...) < prune_threshold.
+  const double dt = static_cast<double>(now - entry.update_time);
+  if (entry.similarity > 0.0 && dt > 0.0) {
+    const double lower =
+        entry.similarity * (1.0 - dt / options_.xi_millis * std::numbers::ln2);
+    const double threshold = options_.prune_threshold;
+    if (lower >= threshold + std::abs(threshold) * 1e-9) return false;
+  }
+  return Decay(entry.similarity, entry.update_time, now) <
+         options_.prune_threshold;
+}
+
 void SimTableStore::Update(VideoId a, VideoId b, double sim, Timestamp now) {
   if (a == b) return;
   UpdateOneDirection(a, b, sim, now);
@@ -93,8 +111,7 @@ void SimTableStore::UpdateOneDirection(VideoId from, VideoId to, double sim,
       entries[i].update_time = now;
       replaced = true;
       ++i;
-    } else if (Decay(entries[i].similarity, entries[i].update_time, now) <
-               options_.prune_threshold) {
+    } else if (Prunable(entries[i], now)) {
       entries[i] = entries[list.size - 1];
       --list.size;
     } else {

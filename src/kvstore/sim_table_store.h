@@ -130,6 +130,9 @@ class SimTableStore {
   void UpdateOneDirection(VideoId from, VideoId to, double sim,
                           Timestamp now);
   double Decay(double sim, Timestamp update_time, Timestamp now) const;
+  /// Decay(entry, now) < prune_threshold, skipping exp2 where a lower
+  /// bound on the decay already decides it.
+  bool Prunable(const SimilarVideo& entry, Timestamp now) const;
 
   Stripe& StripeFor(VideoId v) { return *stripes_[MixHash64(v) & mask_]; }
   const Stripe& StripeFor(VideoId v) const {

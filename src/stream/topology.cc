@@ -52,6 +52,14 @@ void StoreMax(std::atomic<std::int64_t>& slot, std::int64_t value) {
 /// per task) and no synchronization is needed on the emit path. Emitted
 /// and dropped counts are tallied here and reach the component's
 /// counters only through Publish().
+///
+/// Envelopes wait in one outbox per destination queue and go out with
+/// one RingQueue::PushBatch per outbox: when it reaches `flush_size`,
+/// and whenever the task loop calls Flush (after each drained input
+/// batch, after every spout Next, before a restart backoff and before
+/// EOS). Ack counts, fault points and queue-wait stamps are still taken
+/// at emit time, and one outbox per queue keeps this task's tuples in
+/// emit order on every queue.
 class Topology::TaskCollector : public OutputCollector {
  public:
   /// For spout tasks, `acker_owner` identifies the spout in the tracker;
@@ -63,14 +71,33 @@ class Topology::TaskCollector : public OutputCollector {
   TaskCollector(ComponentRuntime* component, std::vector<StreamEdges> streams,
                 AckTracker* acker, std::uint64_t acker_owner,
                 const std::uint64_t* current_root, Tracer* tracer,
-                const TraceContext* current_trace)
+                const TraceContext* current_trace, std::size_t flush_size)
       : component_(component),
         streams_(std::move(streams)),
         acker_(acker),
         acker_owner_(acker_owner),
         current_root_(current_root),
         tracer_(tracer),
-        current_trace_(current_trace) {}
+        current_trace_(current_trace),
+        flush_size_(std::max<std::size_t>(1, flush_size)) {
+    // One outbox per distinct consumer queue, shared by every edge that
+    // reaches it.
+    for (StreamEdges& stream : streams_) {
+      for (EdgeRuntime& edge : stream.edges) {
+        for (TaskQueue* queue : edge.consumer_queues) {
+          auto it = std::find_if(
+              outboxes_.begin(), outboxes_.end(),
+              [queue](const Outbox& box) { return box.queue == queue; });
+          if (it == outboxes_.end()) {
+            it = outboxes_.insert(outboxes_.end(), Outbox{queue, {}});
+            it->pending.reserve(flush_size_);
+          }
+          edge.outbox_of_task.push_back(
+              static_cast<std::size_t>(it - outboxes_.begin()));
+        }
+      }
+    }
+  }
 
   std::uint64_t EmitTo(const std::string& stream, Tuple tuple) override {
     std::vector<EdgeRuntime>* edges = nullptr;
@@ -90,7 +117,7 @@ class Topology::TaskCollector : public OutputCollector {
       for (EdgeRuntime& edge : *edges) {
         edge.router.Route(tuple, scratch_);
         for (std::size_t consumer_task : scratch_) {
-          destinations_.push_back(edge.consumer_queues[consumer_task]);
+          destinations_.push_back(edge.outbox_of_task[consumer_task]);
         }
       }
     }
@@ -146,9 +173,9 @@ class Topology::TaskCollector : public OutputCollector {
         continue;
       }
       // The last destination takes the tuple itself; fan-out copies go
-      // to the others. Push blocks when the consumer is saturated:
-      // backpressure.
-      Envelope envelope;
+      // to the others.
+      Outbox& outbox = outboxes_[destinations_[d]];
+      Envelope& envelope = outbox.pending.emplace_back();
       if (d == last) {
         envelope.tuple = std::move(tuple);
       } else {
@@ -157,9 +184,17 @@ class Topology::TaskCollector : public OutputCollector {
       envelope.root = root;
       envelope.trace = trace;
       envelope.enqueue_us = enqueue_us;
-      destinations_[d]->Push(std::move(envelope));
+      if (outbox.pending.size() >= flush_size_) FlushOutbox(outbox);
     }
     return root;
+  }
+
+  /// Pushes every buffered envelope to its queue. PushBatch blocks while
+  /// a consumer is saturated: backpressure.
+  void Flush() {
+    for (Outbox& outbox : outboxes_) {
+      if (!outbox.pending.empty()) FlushOutbox(outbox);
+    }
   }
 
   /// Counts a tuple the task loop dropped (a crashed or degraded task).
@@ -182,6 +217,17 @@ class Topology::TaskCollector : public OutputCollector {
   void set_acker_owner(std::uint64_t owner) { acker_owner_ = owner; }
 
  private:
+  // Envelopes emitted to one consumer queue and not yet pushed.
+  struct Outbox {
+    TaskQueue* queue = nullptr;
+    std::vector<Envelope> pending;
+  };
+
+  static void FlushOutbox(Outbox& outbox) {
+    outbox.queue->PushBatch(outbox.pending);
+    outbox.pending.clear();
+  }
+
   ComponentRuntime* component_;
   // A component emits on a handful of streams, so a linear scan beats
   // hashing the stream name.
@@ -193,8 +239,11 @@ class Topology::TaskCollector : public OutputCollector {
   const TraceContext* current_trace_;
   // Task-local (collectors are task-owned), so Tick() needs no sync.
   concurrent::LatencyStats queue_stamp_{nullptr, kQueueWaitSampleEveryN};
+  const std::size_t flush_size_;
+  std::vector<Outbox> outboxes_;
   std::vector<std::size_t> scratch_;
-  std::vector<TaskQueue*> destinations_;
+  // Outbox indices of the current emission's destinations.
+  std::vector<std::size_t> destinations_;
   std::int64_t unpublished_emitted_ = 0;
   std::int64_t unpublished_dropped_ = 0;
 };
@@ -426,7 +475,8 @@ void Topology::RunSpoutTask(std::size_t component_index,
 
   TaskCollector collector(&rt, EdgesFrom(rt), acker_.get(),
                           /*acker_owner=*/0, /*current_root=*/nullptr,
-                          options_.tracer, /*current_trace=*/nullptr);
+                          options_.tracer, /*current_trace=*/nullptr,
+                          resolved_drain_batch_);
 
   TaskContext context;
   context.component = rt.spec.name;
@@ -503,6 +553,9 @@ void Topology::RunSpoutTask(std::size_t component_index,
                           << " crashed in Next";
       }
     }
+    // Whatever this Next emitted goes out before the next call, which may
+    // block on the spout's source.
+    collector.Flush();
     if (call_ok) {
       consecutive_failures = 0;
       backoff_ms = options_.restart_backoff_initial_ms;
@@ -556,7 +609,7 @@ void Topology::RunBoltTask(std::size_t component_index,
   TraceContext current_trace;
   TaskCollector collector(&rt, EdgesFrom(rt), acker_.get(),
                           /*acker_owner=*/0, &current_root, options_.tracer,
-                          &current_trace);
+                          &current_trace, resolved_drain_batch_);
 
   // Per-task trace histogram pointers, resolved once: the per-tuple cost
   // of tracing on this path is a branch for unsampled tuples and three
@@ -620,6 +673,7 @@ void Topology::RunBoltTask(std::size_t component_index,
   std::int64_t unpublished_processed = 0;
   std::int64_t published_depth = 0;
   const auto publish = [&] {
+    collector.Flush();
     collector.Publish();
     if (unpublished_processed != 0) {
       rt.processed->Increment(unpublished_processed);
@@ -708,6 +762,7 @@ void Topology::RunBoltTask(std::size_t component_index,
               } catch (...) {
               }
             }
+            collector.Flush();  // Nothing waits out the backoff.
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(backoff_ms));
             backoff_ms =

@@ -144,6 +144,9 @@ class Topology {
   struct EdgeRuntime {
     GroupingRouter router;
     std::vector<TaskQueue*> consumer_queues;
+    // Per consumer task, the index of the producer TaskCollector's outbox
+    // for that task's queue (filled by the collector).
+    std::vector<std::size_t> outbox_of_task;
 
     EdgeRuntime(Grouping grouping, std::vector<TaskQueue*> queues)
         : router(std::move(grouping), queues.size()),

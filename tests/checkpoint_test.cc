@@ -31,9 +31,8 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, FactorRoundTrip) {
   FactorStore source(FactorOptions());
   for (UserId u = 1; u <= 20; ++u) {
-    source.UpdateUser(u, [u](FactorEntry& e) {
-      e.bias = static_cast<float>(u) * 0.1f;
-    });
+    source.PutUser(u, source.GetOrInitUser(u).vec,
+                   static_cast<float>(u) * 0.1f);
   }
   for (VideoId v = 1; v <= 30; ++v) source.GetOrInitVideo(v);
   source.ObserveRating(1.0);
@@ -179,9 +178,8 @@ TEST_F(CheckpointTest, BitFlipMidFileRejectedWithLiveStoresUntouched) {
   // corruption sits in a later section than the one being applied.
   FactorStore source(FactorOptions());
   for (UserId u = 1; u <= 10; ++u) {
-    source.UpdateUser(u, [u](FactorEntry& e) {
-      e.bias = static_cast<float>(u) * 0.5f;
-    });
+    source.PutUser(u, source.GetOrInitUser(u).vec,
+                   static_cast<float>(u) * 0.5f);
   }
   SimTableStore sims;
   sims.Update(1, 2, 0.7, 1000);
@@ -205,7 +203,7 @@ TEST_F(CheckpointTest, BitFlipMidFileRejectedWithLiveStoresUntouched) {
 
   // Targets that already hold live serving state.
   FactorStore live(FactorOptions());
-  live.UpdateUser(42, [](FactorEntry& e) { e.bias = 9.0f; });
+  live.PutUser(42, live.GetOrInitUser(42).vec, 9.0f);
   live.ObserveRating(2.0);
   SimTableStore live_sims;
   live_sims.Update(7, 8, 0.9, 500);

@@ -188,6 +188,130 @@ TEST(MpscRingTest, MultiProducerExactAccountingAndPerProducerFifo) {
   for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
 }
 
+// --- Batch push (both rings) ----------------------------------------------
+
+// Pushes batches of varying size and pops in varying amounts, so the
+// ring's indices wrap many times with batches straddling the wrap. A
+// batch larger than the free space goes in as its longest fitting
+// prefix.
+template <typename Ring>
+void BatchPushWrapsInFifoOrder() {
+  Ring ring(8);
+  std::int64_t next_push = 0;
+  std::int64_t next_pop = 0;
+  std::vector<std::int64_t> batch;
+  std::vector<std::int64_t> out;
+  for (int round = 0; round < 500; ++round) {
+    const std::size_t want = 1 + static_cast<std::size_t>(round % 11);
+    batch.clear();
+    for (std::size_t i = 0; i < want; ++i) batch.push_back(next_push + i);
+    const std::size_t free = ring.capacity() - ring.SizeApprox();
+    const std::size_t pushed = ring.TryPushBatch(batch);
+    ASSERT_EQ(pushed, std::min(want, free));
+    next_push += static_cast<std::int64_t>(pushed);
+    out.clear();
+    ring.TryPopBatch(out, 1 + static_cast<std::size_t>(round % 7));
+    for (const std::int64_t v : out) ASSERT_EQ(v, next_pop++);
+  }
+  out.clear();
+  ring.TryPopBatch(out, ring.capacity());
+  for (const std::int64_t v : out) ASSERT_EQ(v, next_pop++);
+  EXPECT_EQ(next_pop, next_push);
+  EXPECT_GT(next_push, 4 * static_cast<std::int64_t>(ring.capacity()));
+
+  // A full ring takes nothing and leaves the batch untouched.
+  std::vector<std::int64_t> fill(ring.capacity(), 7);
+  ASSERT_EQ(ring.TryPushBatch(fill), ring.capacity());
+  std::vector<std::int64_t> rejected = {42};
+  EXPECT_EQ(ring.TryPushBatch(rejected), 0u);
+  EXPECT_EQ(rejected.front(), 42);
+}
+
+TEST(SpscRingTest, BatchPushWrapsInFifoOrder) {
+  BatchPushWrapsInFifoOrder<SpscRing<std::int64_t>>();
+}
+
+TEST(MpscRingTest, BatchPushWrapsInFifoOrder) {
+  BatchPushWrapsInFifoOrder<MpscRing<std::int64_t>>();
+}
+
+// A batch several times the ring's capacity completes once the consumer
+// drains, on either ring, in order.
+TEST(RingQueueTest, PushBatchLargerThanCapacityCompletesAsConsumerDrains) {
+  for (const bool single_producer : {true, false}) {
+    RingQueue<std::int64_t>::Options options;
+    options.capacity = 4;
+    options.single_producer = single_producer;
+    RingQueue<std::int64_t> queue(options);
+    std::vector<std::int64_t> items(100);
+    std::iota(items.begin(), items.end(), 0);
+    std::atomic<bool> done{false};
+    std::thread producer([&] {
+      EXPECT_TRUE(queue.PushBatch(items));
+      done.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(done.load());  // Blocked on the full ring.
+    std::vector<std::int64_t> out;
+    while (out.size() < 100) queue.PopBatch(out, 3);
+    producer.join();
+    EXPECT_TRUE(done.load());
+    std::vector<std::int64_t> want(100);
+    std::iota(want.begin(), want.end(), 0);
+    EXPECT_EQ(out, want) << "single_producer=" << single_producer;
+  }
+}
+
+TEST(RingQueueTest, PushBatchOnClosedQueueFails) {
+  RingQueue<int> queue(4);
+  queue.Close();
+  std::vector<int> items = {1, 2};
+  EXPECT_FALSE(queue.PushBatch(items));
+  EXPECT_FALSE(queue.Pop().has_value());
+}
+
+// Several producers push batches of varying size through the blocking
+// MPSC queue: nothing lost, nothing duplicated, each producer's items in
+// order. A small ring forces partial claims and parking on both sides.
+TEST(RingQueueTest, MpscBatchSoakKeepsPerProducerFifo) {
+  constexpr int kProducers = 4;
+  constexpr std::int64_t kPerProducer = 20000;
+  RingQueue<std::int64_t>::Options options;
+  options.capacity = 16;
+  RingQueue<std::int64_t> queue(options);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, p] {
+      std::vector<std::int64_t> batch;
+      std::size_t size = 1;
+      for (std::int64_t i = 0; i < kPerProducer;) {
+        batch.clear();
+        for (std::size_t k = 0; k < size && i < kPerProducer; ++k, ++i) {
+          batch.push_back(p * kPerProducer + i);
+        }
+        ASSERT_TRUE(queue.PushBatch(batch));
+        size = size % 37 + 1;  // 1..37: below and above the capacity.
+      }
+    });
+  }
+  std::vector<std::int64_t> next_seq(kProducers, 0);
+  std::int64_t received = 0;
+  std::vector<std::int64_t> batch;
+  while (received < kProducers * kPerProducer) {
+    batch.clear();
+    ASSERT_GT(queue.PopBatch(batch, 32), 0u);
+    for (const std::int64_t v : batch) {
+      const int p = static_cast<int>(v / kPerProducer);
+      ASSERT_EQ(v % kPerProducer, next_seq[p]);
+      ++next_seq[p];
+      ++received;
+    }
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(queue.SizeApprox(), 0u);
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next_seq[p], kPerProducer);
+}
+
 // --- RingQueue (blocking wrapper) ------------------------------------------
 
 TEST(RingQueueTest, PushPopAndDrainAfterClose) {

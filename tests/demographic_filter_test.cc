@@ -156,6 +156,38 @@ TEST_F(DemographicFilterTest, WarmUserKeepsPrimaryOrderWithHotTail) {
   EXPECT_EQ((*recs)[8].video, 55u);  // Hot video injected.
 }
 
+TEST_F(DemographicFilterTest, HotBlendNeverEchoesTheSeed) {
+  // The user is watching video 55, which is also the group's hottest
+  // video. The blend must not hand it back; the next hot video takes
+  // its slot.
+  FakePrimary primary(Videos({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  tracker_->Record(group_, 55, 5.0, 0);
+  tracker_->Record(group_, 56, 3.0, 0);
+  tracker_->Record(group_, 57, 2.0, 0);
+  DemographicFilter::Options options;
+  options.blend_ratio = 0.2;
+  options.top_n = 10;
+  DemographicFilter filter = MakeFilter(&primary, options);
+  RecRequest request;
+  request.user = 1;
+  request.now = 0;
+  request.seed_videos = {55};
+  auto recs = filter.Recommend(request);
+  ASSERT_TRUE(recs.ok());
+  ASSERT_EQ(recs->size(), 10u);
+  for (const ScoredVideo& v : *recs) EXPECT_NE(v.video, 55u);
+  EXPECT_EQ((*recs)[8].video, 56u);
+  EXPECT_EQ((*recs)[9].video, 57u);
+
+  // Cold start fills the whole page from the hot list, seed still out.
+  FakePrimary empty({});
+  DemographicFilter cold = MakeFilter(&empty, options);
+  auto cold_recs = cold.Recommend(request);
+  ASSERT_TRUE(cold_recs.ok());
+  ASSERT_EQ(cold_recs->size(), 2u);
+  EXPECT_EQ((*cold_recs)[0].video, 56u);
+}
+
 TEST_F(DemographicFilterTest, ObserveFeedsPrimaryAndTrackers) {
   FakePrimary primary({});
   DemographicFilter filter = MakeFilter(&primary);

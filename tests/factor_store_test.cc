@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -76,7 +77,7 @@ TEST(FactorStoreTest, PutOverwritesEntry) {
   FactorEntry entry;
   entry.vec.assign(8, 1.5f);
   entry.bias = 2.0f;
-  store.PutUser(9, entry);
+  store.PutUser(9, entry.vec, entry.bias);
   auto got = store.GetUser(9);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->vec, entry.vec);
@@ -85,10 +86,11 @@ TEST(FactorStoreTest, PutOverwritesEntry) {
 
 TEST(FactorStoreTest, UpdateAppliesInPlace) {
   FactorStore store(SmallOptions());
-  store.UpdateVideo(3, [](FactorEntry& e) { e.bias = 7.0f; });
+  const std::vector<float> initial = store.GetOrInitVideo(3).vec;
+  store.PutVideo(3, initial, 7.0f);
   EXPECT_EQ(store.GetVideo(3)->bias, 7.0f);
-  // Update initializes when absent: the vector exists.
-  EXPECT_EQ(store.GetVideo(3)->vec.size(), 8u);
+  EXPECT_EQ(store.GetVideo(3)->vec, initial);
+  EXPECT_EQ(store.NumVideos(), 1u);
 }
 
 TEST(FactorStoreTest, CountsUsersAndVideos) {
@@ -128,8 +130,8 @@ TEST(FactorStoreTest, ConcurrentUpdatesOnDistinctKeys) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < 1000; ++i) {
-        store.UpdateUser(static_cast<UserId>(t * 10000 + i),
-                         [](FactorEntry& e) { e.bias += 1.0f; });
+        const auto u = static_cast<UserId>(t * 10000 + i);
+        store.PutUser(u, store.GetOrInitUser(u).vec, 1.0f);
       }
     });
   }
@@ -137,18 +139,101 @@ TEST(FactorStoreTest, ConcurrentUpdatesOnDistinctKeys) {
   EXPECT_EQ(store.NumUsers(), 8000u);
 }
 
-TEST(FactorStoreTest, ConcurrentUpdatesOnSameKeyAreSerialized) {
+TEST(FactorStoreTest, ConcurrentPutAndBufferReadsSeeWholeVectors) {
+  // Writers overwrite one video's payload in place while readers
+  // dequantize it into their own buffers. Every write stores a vector
+  // whose elements all equal its bias, so a read mixing two writes (a
+  // torn payload, or a bias from one write and floats from another)
+  // shows up as a mismatch. Run under TSan to also catch the race itself.
   FactorStore store(SmallOptions());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&store] {
-      for (int i = 0; i < 2500; ++i) {
-        store.UpdateUser(1, [](FactorEntry& e) { e.bias += 1.0f; });
+  const VideoId v = 7;
+  store.PutVideo(v, std::vector<float>(8, 0.0f), 0.0f);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&store, &stop, t] {
+      for (int i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+        const float value = static_cast<float>(t * 1000000 + i % 1000000);
+        store.PutVideo(v, std::vector<float>(8, value), value);
       }
     });
   }
-  for (auto& th : threads) th.join();
-  EXPECT_FLOAT_EQ(store.GetUser(1)->bias, 10000.0f);
+  std::vector<std::thread> readers;
+  std::atomic<int> torn{0};
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&store, &torn] {
+      std::array<float, 8> buffer{};
+      for (int i = 0; i < 20000; ++i) {
+        const float bias = store.GetOrInitVideo(v, buffer);
+        for (const float x : buffer) {
+          if (x != bias) torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(torn.load(), 0);
+}
+
+TEST(FactorStoreTest, InPlaceOverwriteReadsBackExactly) {
+  // Multiples of 2^-7 with max |x| = 127 * 2^-7 are exact at every
+  // precision: fp16 holds them, and int8's scale is exactly 2^-7.
+  std::vector<float> first(8);
+  std::vector<float> second(8);
+  for (int k = 0; k < 8; ++k) {
+    first[static_cast<std::size_t>(k)] = static_cast<float>(k - 3) / 64.0f;
+    second[static_cast<std::size_t>(k)] =
+        static_cast<float>(k % 2 == 0 ? 127 - k : -5 * k) / 128.0f;
+  }
+  for (const FactorPrecision precision :
+       {FactorPrecision::kFloat32, FactorPrecision::kFloat16,
+        FactorPrecision::kInt8}) {
+    FactorStore::Options options = SmallOptions();
+    options.precision = precision;
+    FactorStore store(options);
+    store.PutUser(4, first, 1.5f);
+    store.PutVideo(4, first, 1.5f);
+    store.PutUser(4, second, -2.0f);  // Overwrite the stored payloads.
+    store.PutVideo(4, second, -2.0f);
+    SCOPED_TRACE(FactorPrecisionToString(precision));
+    EXPECT_EQ(store.GetUser(4)->vec, second);
+    EXPECT_EQ(store.GetUser(4)->bias, -2.0f);
+    EXPECT_EQ(store.GetVideo(4)->vec, second);
+    EXPECT_EQ(store.GetVideo(4)->bias, -2.0f);
+    EXPECT_EQ(store.NumUsers(), 1u);
+    EXPECT_EQ(store.NumVideos(), 1u);
+  }
+}
+
+TEST(FactorStoreTest, BufferReadMatchesGetOrInitVideo) {
+  for (const FactorPrecision precision :
+       {FactorPrecision::kFloat32, FactorPrecision::kInt8}) {
+    FactorStore::Options options = SmallOptions();
+    options.precision = precision;
+    FactorStore store(options);
+    FactorStore reference(options);
+    std::array<float, 8> buffer{};
+
+    // First touch: the buffer read creates the same entry GetOrInitVideo
+    // would, and bumps the version like any first materialization.
+    const std::uint64_t before = store.VideoVersion(11);
+    const float bias = store.GetOrInitVideo(11, buffer);
+    const FactorEntry fresh = reference.GetOrInitVideo(11);
+    EXPECT_EQ(std::vector<float>(buffer.begin(), buffer.end()), fresh.vec);
+    EXPECT_EQ(bias, fresh.bias);
+    EXPECT_GT(store.VideoVersion(11), before);
+    EXPECT_EQ(store.NumVideos(), 1u);
+
+    // Existing id, after a write.
+    const std::vector<float> written = {0.5f, -0.25f, 0.125f, 1.0f,
+                                        -1.0f, 0.0f,  0.75f,  -0.5f};
+    store.PutVideo(11, written, 3.0f);
+    EXPECT_EQ(store.GetOrInitVideo(11, buffer), 3.0f);
+    EXPECT_EQ(std::vector<float>(buffer.begin(), buffer.end()),
+              store.GetOrInitVideo(11).vec);
+  }
 }
 
 TEST(FactorStoreTest, GetVideosBatchMatchesSingleGets) {
@@ -178,10 +263,11 @@ TEST(FactorStoreTest, VideoVersionBumpsOnEveryWrite) {
   EXPECT_GT(v1, v0);
   store.GetOrInitVideo(v);  // Re-read does not.
   EXPECT_EQ(store.VideoVersion(v), v1);
-  store.UpdateVideo(v, [](FactorEntry& e) { e.bias += 1.0f; });
+  store.PutVideo(v, store.GetOrInitVideo(v).vec, 1.0f);
   const std::uint64_t v2 = store.VideoVersion(v);
   EXPECT_GT(v2, v1);
-  store.PutVideo(v, store.MakeInitialEntry(v, /*is_user=*/false));
+  const FactorEntry initial = store.MakeInitialEntry(v, /*is_user=*/false);
+  store.PutVideo(v, initial.vec, initial.bias);
   EXPECT_GT(store.VideoVersion(v), v2);
 }
 
@@ -201,7 +287,7 @@ TEST(FactorCacheTest, HitsOnlyAtCurrentVersion) {
   EXPECT_EQ(out.vec, batch[0].entry.vec);
 
   // A write invalidates the cached copy without touching the cache.
-  store.UpdateVideo(v, [](FactorEntry& e) { e.bias = 9.0f; });
+  store.PutVideo(v, batch[0].entry.vec, 9.0f);
   EXPECT_FALSE(cache.Lookup(v, &out));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -61,6 +62,57 @@ TEST(HistoryStoreTest, GetRecentLimitsResults) {
   ASSERT_EQ(recent.size(), 3u);
   EXPECT_EQ(recent[0].video, 8u);
   EXPECT_EQ(recent[2].video, 6u);
+}
+
+TEST(HistoryStoreTest, ReadRecentThenAppendEqualsGetRecentThenAppend) {
+  // One scripted action stream through both paths: GetRecent (minus the
+  // action's own video) followed by Append, and the combined call.
+  struct Step {
+    UserId user;
+    VideoId video;
+    std::size_t limit;  // 0: below min_confidence, no partners read.
+    bool append;        // False: zero confidence, not history.
+  };
+  const std::vector<Step> steps = {
+      {1, 10, 3, true},  {1, 20, 3, true},  {1, 30, 3, true},
+      {1, 40, 3, true},  // Limit: only the 3 newest are read.
+      {1, 50, 3, true},  // Bound 4: 10 is evicted.
+      {1, 30, 3, true},  // Duplicate refresh; 30 itself is skipped.
+      {1, 60, 0, true},  // Below min_confidence: appended, no read.
+      {1, 70, 2, false},  // Read, but not history.
+      {1, 60, 10, true},  // Skip the newest entry; limit above the size.
+      {2, 10, 3, true},  // Unknown user: nothing to read.
+      {2, 10, 3, true},  // Only entry is the action's own video.
+  };
+  HistoryStore reference(SmallOptions(4));
+  HistoryStore combined(SmallOptions(4));
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step& step = steps[i];
+    const HistoryEntry entry{step.video, 1.0, static_cast<Timestamp>(i)};
+    std::vector<std::int64_t> want;
+    for (const HistoryEntry& e : reference.GetRecent(step.user, step.limit)) {
+      if (e.video != step.video) {
+        want.push_back(static_cast<std::int64_t>(e.video));
+      }
+    }
+    if (step.append) reference.Append(step.user, entry);
+
+    std::vector<std::int64_t> got = {-1};  // Appended to, not replaced.
+    combined.ReadRecentThenAppend(step.user, step.limit, entry, step.append,
+                                  got);
+    want.insert(want.begin(), -1);
+    EXPECT_EQ(got, want) << "step " << i;
+    const auto ref_history = reference.Get(step.user);
+    const auto got_history = combined.Get(step.user);
+    ASSERT_EQ(got_history.size(), ref_history.size()) << "step " << i;
+    for (std::size_t k = 0; k < ref_history.size(); ++k) {
+      EXPECT_EQ(got_history[k].video, ref_history[k].video);
+      EXPECT_EQ(got_history[k].time, ref_history[k].time);
+    }
+  }
+  // The script did reach the interesting states.
+  EXPECT_EQ(combined.Get(1).size(), 4u);
+  EXPECT_EQ(combined.Get(1)[0].video, 60u);
 }
 
 TEST(HistoryStoreTest, UsersAreIndependent) {

@@ -162,7 +162,7 @@ TEST(QuantizedFactorStoreTest, Fp16RoundTripWithinBound) {
     FactorEntry e;
     e.vec = TestVector(static_cast<int>(u));
     e.bias = 0.25f * u;  // Biases stay float32: exact.
-    store.PutUser(u, std::move(e));
+    store.PutUser(u, e.vec, e.bias);
   }
   for (UserId u = 1; u <= 10; ++u) {
     const auto got = store.GetUser(u);
@@ -184,7 +184,7 @@ TEST(QuantizedFactorStoreTest, Int8RoundTripWithinHalfStep) {
   const float step = max_abs / 127.0f;
   FactorEntry e;
   e.vec = want;
-  store.PutVideo(3, std::move(e));
+  store.PutVideo(3, e.vec, e.bias);
   const auto got = store.GetVideo(3);
   ASSERT_TRUE(got.ok());
   for (int i = 0; i < 8; ++i) {
@@ -250,7 +250,7 @@ TEST_F(QuantizedCheckpointTest, SamePrecisionIsBitExact) {
       FactorEntry e;
       e.vec = TestVector(static_cast<int>(u));
       e.bias = 0.1f * u;
-      source.PutUser(u, std::move(e));
+      source.PutUser(u, e.vec, e.bias);
     }
     for (VideoId v = 1; v <= 9; ++v) source.GetOrInitVideo(v);
     source.ObserveRating(2.0);
@@ -281,7 +281,7 @@ TEST_F(QuantizedCheckpointTest, CrossPrecisionConverts) {
   for (UserId u = 1; u <= 6; ++u) {
     FactorEntry e;
     e.vec = TestVector(static_cast<int>(u));
-    fp32.PutUser(u, std::move(e));
+    fp32.PutUser(u, e.vec, e.bias);
   }
   ASSERT_TRUE(SaveCheckpoint(path_.string(), &fp32, nullptr, nullptr).ok());
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 namespace rtrec {
 namespace {
@@ -99,6 +101,69 @@ TEST(SimTableStoreTest, FullyDecayedEntriesArePruned) {
   // After 1000 half-lives the entry is numerically dead.
   EXPECT_TRUE(table.Query(1, 10000, 10).empty());
   EXPECT_DOUBLE_EQ(table.GetDecayedSimilarity(1, 2, 10000), 0.0);
+}
+
+// Whether `to` survived in `from`'s stored list (pruned entries are gone;
+// Query would also filter by decay, so read the raw list).
+bool ListHolds(const SimTableStore& table, VideoId from, VideoId to) {
+  bool found = false;
+  table.ForEachList([&](VideoId id, std::span<const SimilarVideo> list) {
+    if (id != from) return;
+    for (const SimilarVideo& e : list) found = found || e.video == to;
+  });
+  return found;
+}
+
+TEST(SimTableStoreTest, PruneDecisionEqualsExactDecayBelowThreshold) {
+  // Updates skip exp2 when a lower bound already shows an entry survives.
+  // Whatever the shortcut, the decision must equal the exact rule:
+  // prune iff sim · 2^(-age/ξ) < prune_threshold (no decay for age <= 0).
+  const double xi = 1000.0;
+  const double threshold = SimTableStore::Options{}.prune_threshold;
+  const std::vector<Timestamp> ages = {-500, 0,   1,   10,    250,
+                                       693,  999, 1000, 5000, 30000};
+  std::size_t pruned = 0;
+  std::size_t kept = 0;
+  for (const Timestamp age : ages) {
+    const double at_threshold =
+        age > 0 ? threshold / std::exp2(-static_cast<double>(age) / xi)
+                : threshold;
+    std::vector<double> sims = {-0.5,
+                                -1e-12,
+                                0.0,
+                                threshold / 2,
+                                threshold,
+                                threshold * (1 + 1e-12),
+                                threshold * (1 + 1e-9),
+                                2 * threshold,
+                                0.01,
+                                0.5,
+                                1.0};
+    // Right at this age's boundary, where only the exact decay decides.
+    double boundary = std::nextafter(std::nextafter(at_threshold, 0.0), 0.0);
+    for (int k = 0; k < 5; ++k) {
+      sims.push_back(boundary);
+      boundary = std::nextafter(boundary, 2.0);
+    }
+    for (const double sim : sims) {
+      const Timestamp t0 = 1000000;
+      const Timestamp now = t0 + age;
+      const double decayed =
+          now - t0 > 0
+              ? sim * std::exp2(-static_cast<double>(now - t0) / xi)
+              : sim;
+      const bool want_pruned = decayed < threshold;
+      SimTableStore table(SmallOptions(4, xi));
+      table.Update(1, 2, sim, t0);
+      table.Update(1, 3, 0.5, now);  // Touching list 1 runs the prune.
+      EXPECT_EQ(!ListHolds(table, 1, 2), want_pruned)
+          << "sim=" << sim << " age=" << age;
+      ++(want_pruned ? pruned : kept);
+    }
+  }
+  // The grid straddles the threshold on both sides.
+  EXPECT_GT(pruned, 20u);
+  EXPECT_GT(kept, 20u);
 }
 
 TEST(SimTableStoreTest, QueryLimitTruncates) {

@@ -490,6 +490,124 @@ TEST(TopologyTest, LargeDrainBatchWithTinyQueueStillCompletes) {
   EXPECT_EQ(sum.load(), 2 * (1999LL * 2000 / 2));
 }
 
+const Schema* FanoutSchema() {
+  static const Schema* schema = new Schema{"n", "k", "task"};
+  return schema;
+}
+
+/// CountingSpout that counts the acks and fails its trees receive.
+class AckCountingSpout : public CountingSpout {
+ public:
+  AckCountingSpout(std::int64_t limit, std::atomic<int>* acked,
+                   std::atomic<int>* failed)
+      : CountingSpout(limit), acked_(acked), failed_(failed) {}
+  void Ack(std::uint64_t) override { acked_->fetch_add(1); }
+  void Fail(std::uint64_t) override { failed_->fetch_add(1); }
+
+ private:
+  std::atomic<int>* acked_;
+  std::atomic<int>* failed_;
+};
+
+/// Emits (n, k, task) for k in [0, per_input) for every input n.
+class FanoutBolt : public Bolt {
+ public:
+  explicit FanoutBolt(std::int64_t per_input) : per_input_(per_input) {}
+  void Prepare(const TaskContext& context) override {
+    task_ = static_cast<std::int64_t>(context.task_index);
+  }
+  void Process(const Tuple& tuple, OutputCollector& collector) override {
+    const std::int64_t n = *tuple.GetInt("n");
+    for (std::int64_t k = 0; k < per_input_; ++k) {
+      collector.Emit(Tuple(FanoutSchema(), n, k, task_));
+    }
+  }
+
+ private:
+  std::int64_t per_input_;
+  std::int64_t task_ = 0;
+};
+
+/// Checks that each producer task's tuples arrive in emit order: per
+/// producer, (n, k) must strictly increase.
+class OrderCheckingSink : public Bolt {
+ public:
+  OrderCheckingSink(std::atomic<std::int64_t>* received,
+                    std::atomic<int>* out_of_order)
+      : received_(received), out_of_order_(out_of_order) {}
+  void Process(const Tuple& tuple, OutputCollector&) override {
+    const std::pair<std::int64_t, std::int64_t> at{*tuple.GetInt("n"),
+                                                   *tuple.GetInt("k")};
+    auto [it, first] = last_.try_emplace(*tuple.GetInt("task"), at);
+    if (!first) {
+      if (!(it->second < at)) out_of_order_->fetch_add(1);
+      it->second = at;
+    }
+    received_->fetch_add(1);
+  }
+
+ private:
+  std::atomic<std::int64_t>* received_;
+  std::atomic<int>* out_of_order_;
+  std::map<std::int64_t, std::pair<std::int64_t, std::int64_t>> last_;
+};
+
+TEST(TopologyTest, FanoutBeyondDrainBatchIntoTinyQueuesIsExactAndOrdered) {
+  // Each input makes 3 × drain_batch emissions, so outboxes flush
+  // mid-Process into queues that hold 2: every batch push waits for the
+  // consumer several times. Two producer tasks share each sink queue
+  // (MPSC), and acking tracks every tuple.
+  constexpr std::int64_t kInputs = 300;
+  constexpr std::size_t kDrainBatch = 4;
+  constexpr std::int64_t kPerInput = 3 * kDrainBatch;
+  std::atomic<int> acked{0};
+  std::atomic<int> failed{0};
+  std::atomic<std::int64_t> received{0};
+  std::atomic<int> out_of_order{0};
+  TopologyBuilder builder;
+  builder.AddSpout(
+      "numbers",
+      [&] {
+        return std::make_unique<AckCountingSpout>(kInputs, &acked, &failed);
+      },
+      1);
+  builder
+      .AddBolt("fanout",
+               [=] { return std::make_unique<FanoutBolt>(kPerInput); }, 2)
+      .ShuffleGrouping("numbers");
+  builder
+      .AddBolt("sink",
+               [&] {
+                 return std::make_unique<OrderCheckingSink>(&received,
+                                                            &out_of_order);
+               },
+               2)
+      .FieldsGrouping("fanout", {"n"});
+  auto spec = builder.Build();
+  ASSERT_TRUE(spec.ok());
+  TopologyOptions options;
+  options.queue_capacity = 2;
+  options.drain_batch = kDrainBatch;
+  options.enable_acking = true;
+  auto topo = Topology::Create(std::move(spec).value(), options);
+  ASSERT_TRUE(topo.ok());
+  ASSERT_TRUE((*topo)->Start().ok());
+  ASSERT_TRUE((*topo)->Join().ok());
+
+  MetricsRegistry& m = (*topo)->metrics();
+  EXPECT_EQ(m.GetCounter("numbers.emitted")->value(), kInputs);
+  EXPECT_EQ(m.GetCounter("fanout.processed")->value(), kInputs);
+  EXPECT_EQ(m.GetCounter("fanout.emitted")->value(), kInputs * kPerInput);
+  EXPECT_EQ(m.GetCounter("sink.processed")->value(), kInputs * kPerInput);
+  EXPECT_EQ(m.GetCounter("fanout.dropped")->value(), 0);
+  EXPECT_EQ(m.GetCounter("sink.dropped")->value(), 0);
+  EXPECT_EQ(received.load(), kInputs * kPerInput);
+  EXPECT_EQ(out_of_order.load(), 0);
+  EXPECT_EQ(acked.load(), kInputs);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GT(m.GetCounter("stream.queue.push_retries")->value(), 0);
+}
+
 TEST(TopologyTest, BuilderQueueDefaultsApplyWhenOptionsUnset) {
   std::atomic<std::int64_t> sum{0};
   std::atomic<int> prepared{0}, cleaned{0};
