@@ -1,14 +1,15 @@
 #include "core/similarity.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "common/vec_math.h"
 
 namespace rtrec {
 
-double CfSimilarity(const std::vector<float>& yi,
-                    const std::vector<float>& yj) {
-  return Dot(yi, yj);
+double CfSimilarity(std::span<const float> yi, std::span<const float> yj) {
+  assert(yi.size() == yj.size());
+  return Dot(yi.data(), yj.data(), yi.size());
 }
 
 double TypeSimilarity(VideoType a, VideoType b) { return a == b ? 1.0 : 0.0; }

@@ -2,7 +2,7 @@
 #define RTREC_CORE_SIMILARITY_H_
 
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "common/types.h"
 #include "kvstore/factor_store.h"
@@ -14,7 +14,7 @@ namespace rtrec {
 using VideoTypeResolver = std::function<VideoType(VideoId)>;
 
 /// CF similarity s1_ij = y_iᵀ y_j (Eq. 9) on the MF latent vectors.
-double CfSimilarity(const std::vector<float>& yi, const std::vector<float>& yj);
+double CfSimilarity(std::span<const float> yi, std::span<const float> yj);
 
 /// Type similarity s2_ij (Eq. 10): 1 iff the fine-grained types match.
 double TypeSimilarity(VideoType a, VideoType b);

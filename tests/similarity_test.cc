@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace rtrec {
 namespace {
 
 TEST(CfSimilarityTest, InnerProductOfLatentVectors) {
-  EXPECT_DOUBLE_EQ(CfSimilarity({1.0f, 2.0f}, {3.0f, 4.0f}), 11.0);
-  EXPECT_DOUBLE_EQ(CfSimilarity({1.0f, 0.0f}, {0.0f, 1.0f}), 0.0);
+  const std::vector<float> a = {1.0f, 2.0f};
+  const std::vector<float> b = {3.0f, 4.0f};
+  const std::vector<float> x = {1.0f, 0.0f};
+  const std::vector<float> y = {0.0f, 1.0f};
+  EXPECT_DOUBLE_EQ(CfSimilarity(a, b), 11.0);
+  EXPECT_DOUBLE_EQ(CfSimilarity(x, y), 0.0);
 }
 
 TEST(CfSimilarityTest, Symmetric) {
