@@ -73,12 +73,12 @@
 //
 // The server warms itself with a little synthetic traffic so the first
 // client request already gets non-empty pages, then runs until SIGINT /
-// SIGTERM, printing the metrics report on shutdown. Try it together
-// with bench_net_throughput, or poke it from another terminal:
+// SIGTERM, printing the metrics report on shutdown. Poke it from
+// another terminal:
 //
 //   $ ./serve 7471 &
-//   $ ./bench_net_throughput        # loadgen (spawns its own server) — or
-//     use RecClient{{.host="127.0.0.1", .port=7471}} from your own code.
+//   $ ./rec_ping 7471               # liveness — or use
+//     RecClient{{.host="127.0.0.1", .port=7471}} from your own code.
 
 #include <csignal>
 #include <cstdio>

@@ -2,13 +2,14 @@
 # Sharded-deployment driver: the one-machine cluster drill and a
 # long-lived dev cluster. See docs/OPERATIONS.md, "Running a cluster".
 #
-#   scripts/cluster.sh [--smoke] [--build-dir=DIR] [--out=PATH]
+#   scripts/cluster.sh [--smoke] [--build-dir=DIR]
 #       Run the chaos drill (default mode, what CI's cluster smoke job
-#       calls with --smoke): bench_runner forks a 4-process cluster,
-#       drives ClusterClient loadgen, kill -9s a shard mid-traffic, and
-#       writes the ledger's `cluster` section, validated here —
-#       bounded outage errors, a DEGRADED failover answer, measured
-#       failover latency and recovery time, a zero-error post window.
+#       calls with --smoke): examples/cluster_drill forks a 4-process
+#       cluster, drives ClusterClient loadgen, kill -9s a shard
+#       mid-traffic, restarts it, and gates on the drill contract —
+#       bounded outage errors, a DEGRADED failover answer, a stitched
+#       hop=1 trace, measured recovery, a zero-error post window and
+#       every shard healthy at the end.
 #
 #   scripts/cluster.sh --up[=N] [--build-dir=DIR] [--base-port=P]
 #       Bring up an N-shard cluster (default 4) in the background on
@@ -20,14 +21,13 @@
 #   scripts/cluster.sh --down
 #       Stop a --up cluster and remove .cluster/.
 #
-# Exits non-zero if bring-up, the drill, or ledger validation fails.
+# Exits non-zero if bring-up or the drill fails.
 
 set -u
 
 mode="drill"
 smoke=""
 build_dir="build"
-out="BENCH_CLUSTER.json"
 num_shards=4
 base_port=7471
 state_dir=".cluster"
@@ -39,11 +39,10 @@ for arg in "$@"; do
     --up=*) mode="up"; num_shards="${arg#--up=}" ;;
     --down) mode="down" ;;
     --build-dir=*) build_dir="${arg#--build-dir=}" ;;
-    --out=*) out="${arg#--out=}" ;;
     --base-port=*) base_port="${arg#--base-port=}" ;;
     *)
       echo "usage: scripts/cluster.sh [--smoke] [--build-dir=DIR]" \
-           "[--out=PATH] | --up[=N] [--base-port=P] | --down" >&2
+           "| --up[=N] [--base-port=P] | --down" >&2
       exit 2
       ;;
   esac
@@ -131,37 +130,6 @@ if [[ "${mode}" == "up" ]]; then
 fi
 
 # Drill mode.
-ensure_built bench_runner serve
-"${build_dir}/bench/bench_runner" --cluster-only ${smoke} \
-  --serve-binary="${build_dir}/examples/serve" --out="${out}" || exit 1
-
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "${out}" <<'EOF' || exit 1
-import json, sys
-with open(sys.argv[1]) as f:
-    ledger = json.load(f)
-cluster = ledger["cluster"]
-assert cluster["shards"] >= 2, "drill needs a real cluster"
-assert cluster["steady"]["qps"] > 0, "no steady cluster throughput"
-assert cluster["baseline_one_shard"]["qps"] > 0, "no 1-process baseline"
-assert cluster["outage"]["error_fraction"] <= 0.2, \
-    "outage error rate not bounded"
-assert cluster["failover_latency_ms"] >= 0, "failover latency not measured"
-assert cluster["failover_reply_degraded"], \
-    "failover answer was not flagged DEGRADED"
-assert cluster["recovery_ms"] >= 0, "victim never recovered"
-assert cluster["post_recovery"]["errors"] == 0, "errors after recovery"
-assert cluster["shards_healthy_at_end"] == cluster["shards"], \
-    "cluster not whole at end of drill"
-print(f"cluster drill OK: {sys.argv[1]}")
-EOF
-else
-  for field in '"cluster"' '"failover_latency_ms"' '"recovery_ms"' \
-               '"post_recovery"'; do
-    if ! grep -q "${field}" "${out}"; then
-      echo "cluster.sh: ledger ${out} is missing ${field}" >&2
-      exit 1
-    fi
-  done
-  echo "cluster drill OK (grep-validated): ${out}"
-fi
+ensure_built cluster_drill serve
+exec "${build_dir}/examples/cluster_drill" ${smoke} \
+  --serve-binary="${build_dir}/examples/serve"

@@ -36,7 +36,7 @@ namespace rtrec {
 /// The histograms land in the registry passed at construction (the
 /// process Default() registry for Tracer::Default()), so they are
 /// scraped by the same Stats RPC / Prometheus endpoint as every other
-/// metric and feed the per-stage percentiles in the bench ledger.
+/// metric and feed perfbench's per-stage percentiles.
 
 /// The sampling decision plus the trace identity, carried with the work.
 /// A default-constructed (id == 0) context means "not sampled": every

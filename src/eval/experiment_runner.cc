@@ -1,10 +1,17 @@
 #include "eval/experiment_runner.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <ostream>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
+#include "quality/quality_monitor.h"
 
 namespace rtrec {
 
@@ -100,6 +107,132 @@ RecEngine::Options DefaultEngineOptions(UpdatePolicy policy) {
       break;
   }
   return options;
+}
+
+namespace {
+
+/// One "Key:   123 kB" value from /proc/self/status in MB, or 0 off-Linux.
+double ProcStatusMb(const char* key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  const std::size_t len = std::strlen(key);
+  while (std::getline(in, line)) {
+    if (line.compare(0, len, key) == 0) {
+      return static_cast<double>(std::atoll(line.c_str() + len)) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+}  // namespace
+
+ScenarioStreamResult RunScenarioStream(const WorldConfig& config, int days) {
+  ScenarioStreamResult result;
+  result.rss_start_mb = ProcStatusMb("VmRSS:");
+  const auto world_t0 = std::chrono::steady_clock::now();
+  const SyntheticWorld world(config);
+  result.world_build_s = SecondsSince(world_t0);
+
+  MetricsRegistry metrics;
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
+  RecEngine::Options engine_options =
+      DefaultEngineOptions(UpdatePolicy::kCombine);
+  engine_options.model.precision = FactorPrecision::kFloat16;
+  engine_options.validation_hook = &monitor;
+  RecEngine engine(world.TypeResolver(), engine_options);
+
+  auto alert_total = [&metrics]() {
+    std::int64_t total = 0;
+    for (const char* name :
+         {"quality.alerts.logloss", "quality.alerts.calibration",
+          "quality.alerts.embedding_norm", "quality.alerts.bias_drift",
+          "quality.alerts.label_shift", "quality.alerts.staleness",
+          "quality.alerts.coverage"}) {
+      total += metrics.GetCounter(name)->value();
+    }
+    return total;
+  };
+  auto gauge = [&metrics](const char* name) {
+    return metrics.GetDoubleGauge(name)->value();
+  };
+  auto peak = [&gauge](double* max, const char* name) {
+    *max = std::max(*max, std::fabs(gauge(name)));
+  };
+  Counter* label_shift_alerts =
+      metrics.GetCounter("quality.alerts.label_shift");
+
+  const FlashCrowdEvent* flash = config.scenario.flash_crowds.empty()
+                                     ? nullptr
+                                     : &config.scenario.flash_crowds.front();
+  std::int64_t flash_day_impressions = 0;
+  std::int64_t flash_day_on_video = 0;
+  const auto stream_t0 = std::chrono::steady_clock::now();
+  for (int day = 0; day < days; ++day) {
+    if (day == config.scenario.drift_start_day) {
+      result.alerts_before_drift = alert_total();
+      result.label_shift_alerts_before_drift = label_shift_alerts->value();
+    }
+    const std::int64_t day_start_actions = result.actions;
+    const std::int64_t day_start_alerts = alert_total();
+    const std::int64_t day_start_label_alerts = label_shift_alerts->value();
+    ScenarioDay signals;
+    world.GenerateDayChunked(
+        day, /*chunk_users=*/8192, [&](std::vector<UserAction>&& chunk) {
+          for (const UserAction& action : chunk) {
+            engine.Observe(action);
+            ++result.actions;
+            if (action.type == ActionType::kImpress) {
+              ++signals.impressions;
+              if (flash != nullptr && day == flash->day) {
+                ++flash_day_impressions;
+                if (action.video == flash->video) ++flash_day_on_video;
+              }
+            } else {
+              ++signals.engagements;
+            }
+            if (result.actions % 512 == 0) {
+              // Logloss is never negative, so its peak needs no fabs.
+              peak(&signals.max_logloss, "quality.progressive.logloss");
+              peak(&signals.max_abs_calibration, "quality.progressive.bias");
+              peak(&signals.max_abs_prediction_drift,
+                   "quality.drift.global_bias");
+              peak(&signals.max_abs_label_shift, "quality.drift.label_shift");
+            }
+          }
+        });
+    signals.actions = result.actions - day_start_actions;
+    signals.alerts = alert_total() - day_start_alerts;
+    signals.label_shift_alerts =
+        label_shift_alerts->value() - day_start_label_alerts;
+    signals.logloss = gauge("quality.progressive.logloss");
+    signals.calibration = gauge("quality.progressive.bias");
+    signals.prediction_drift = gauge("quality.drift.global_bias");
+    result.days.push_back(signals);
+  }
+  result.elapsed_s = SecondsSince(stream_t0);
+  result.alerts_after_drift = alert_total();
+  result.label_shift_alerts_after_drift = label_shift_alerts->value();
+
+  const FactorStore& factors = engine.factors();
+  result.rss_end_mb = ProcStatusMb("VmRSS:");
+  result.rss_peak_mb = ProcStatusMb("VmHWM:");
+  result.factor_entries = factors.NumUsers() + factors.NumVideos();
+  result.bytes_per_factor_entry = factors.BytesPerEntry();
+  result.approx_factor_mb =
+      static_cast<double>(factors.ApproxFactorBytes()) / (1024.0 * 1024.0);
+  result.sim_arena_mb =
+      static_cast<double>(engine.sim_table().ArenaBytes()) / (1024.0 * 1024.0);
+  result.flash_crowd_impression_share =
+      flash_day_impressions > 0
+          ? static_cast<double>(flash_day_on_video) /
+                static_cast<double>(flash_day_impressions)
+          : 0.0;
+  return result;
 }
 
 std::vector<GroupId> LargestGroups(const Dataset& data,

@@ -37,6 +37,59 @@ WorldConfig MillionScaleWorldConfig(std::uint64_t seed = 2016);
 /// Engine options mirroring Table 2, with the given update policy.
 RecEngine::Options DefaultEngineOptions(UpdatePolicy policy);
 
+/// One simulated day of RunScenarioStream, as the quality watchdog saw
+/// it. The max_* fields are within-day peaks of the EWMAs (sampled every
+/// 512 actions): an online model re-adapts within the drift day, so the
+/// transient is what the watchdog sees, not the end-of-day steady state.
+struct ScenarioDay {
+  std::int64_t actions = 0;
+  std::int64_t impressions = 0;
+  std::int64_t engagements = 0;
+  double logloss = 0.0;
+  double calibration = 0.0;
+  double prediction_drift = 0.0;
+  double max_logloss = 0.0;
+  double max_abs_calibration = 0.0;
+  double max_abs_prediction_drift = 0.0;
+  double max_abs_label_shift = 0.0;
+  std::int64_t alerts = 0;              ///< All watchdog alerts this day.
+  std::int64_t label_shift_alerts = 0;  ///< The drift-detection channel.
+};
+
+struct ScenarioStreamResult {
+  std::int64_t actions = 0;
+  double world_build_s = 0.0;
+  double elapsed_s = 0.0;  ///< The stream alone, world build excluded.
+  /// Process RSS (VmRSS) around the stream and its peak (VmHWM); 0 off
+  /// Linux.
+  double rss_start_mb = 0.0;
+  double rss_end_mb = 0.0;
+  double rss_peak_mb = 0.0;
+  std::size_t factor_entries = 0;
+  std::size_t bytes_per_factor_entry = 0;
+  double approx_factor_mb = 0.0;
+  double sim_arena_mb = 0.0;
+  /// The first flash-crowd video's share of its day's impressions.
+  double flash_crowd_impression_share = 0.0;
+  /// Watchdog alerts before the drift day and at the end: all channels,
+  /// and the label-shift channel alone.
+  std::int64_t alerts_before_drift = 0;
+  std::int64_t alerts_after_drift = 0;
+  std::int64_t label_shift_alerts_before_drift = 0;
+  std::int64_t label_shift_alerts_after_drift = 0;
+  std::vector<ScenarioDay> days;
+
+  double actions_per_sec() const {
+    return elapsed_s > 0 ? static_cast<double>(actions) / elapsed_s : 0.0;
+  }
+};
+
+/// Streams `days` generated days of `config`'s world, chunked, through
+/// one fp16-quantized CombineModel engine with a QualityMonitor attached
+/// as its validation hook, and reports what the scenario (diurnal load,
+/// flash crowd, drift) did to the watchdog and to memory.
+ScenarioStreamResult RunScenarioStream(const WorldConfig& config, int days);
+
 /// The `k` demographic groups with the most engaged actions in `data`
 /// (how Table 4 picks "the three largest demographic groups").
 std::vector<GroupId> LargestGroups(const Dataset& data,

@@ -23,8 +23,9 @@ namespace rtrec {
 ///    1 byte/factor. The max element always maps to ±127, which makes
 ///    dequantize→requantize a fixed point — stable under read-modify-
 ///    write — but the resolution (max|x|/127 per step) is coarse enough
-///    that tiny SGD updates can be rounded away; the bench ledger's
-///    recall guardrail is the honest check.
+///    that tiny SGD updates can be rounded away; comparing its recall@10
+///    with float32's, as QuantizedRecallTest does for float16, is the
+///    honest check.
 enum class FactorPrecision : std::uint8_t {
   kFloat32 = 0,
   kFloat16 = 1,

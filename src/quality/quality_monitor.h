@@ -20,8 +20,8 @@ namespace rtrec {
 
 /// Live model-quality monitoring (the online counterpart of the paper's
 /// Section 6 evaluation). Four signal sources, all exported through the
-/// MetricsRegistry and therefore visible on the Stats RPC, the Prometheus
-/// endpoint, and the bench ledger:
+/// MetricsRegistry and therefore visible on the Stats RPC and the
+/// Prometheus endpoint:
 ///
 ///  1. Progressive validation — installed as the MF model's
 ///     MfValidationHook, it scores every training action *before* the SGD

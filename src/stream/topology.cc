@@ -394,7 +394,7 @@ Status Topology::Join() {
       owner = 0;
     }
   }
-  // Publish the ingest-window stamps so harnesses (bench_runner) can
+  // Publish the ingest-window stamps so harnesses (perfbench) can
   // compute honest end-to-end throughput: first spout emission through
   // the last terminal bolt finishing its drain, excluding topology
   // setup and thread teardown.

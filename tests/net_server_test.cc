@@ -5,9 +5,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1180,6 +1184,179 @@ TEST(StatsServerTest, NativeHistogramOptionChangesTheScrape) {
   stats_server.Stop();
 }
 
+/// A parsed JSON value: just enough of RFC 8259 to load the Chrome
+/// trace-event export the way a trace viewer would.
+struct JsonValue {
+  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = kNull;
+  double number = 0;
+  std::string string;
+  std::vector<JsonValue> array;
+  std::map<std::string, JsonValue> object;
+
+  /// The member `key` of an object, or a null value.
+  const JsonValue& operator[](const std::string& key) const {
+    static const JsonValue kMissing;
+    auto it = object.find(key);
+    return it == object.end() ? kMissing : it->second;
+  }
+};
+
+/// Strict recursive-descent parser: whole text, one value, no trailing
+/// bytes.
+class JsonParser {
+ public:
+  explicit JsonParser(std::string_view text) : text_(text) {}
+
+  bool Parse(JsonValue* out) {
+    const bool ok = Value(out);
+    SkipSpace();
+    return ok && pos_ == text_.size();
+  }
+
+ private:
+  bool Value(JsonValue* out) {
+    SkipSpace();
+    if (pos_ >= text_.size()) return false;
+    switch (text_[pos_]) {
+      case '{':
+        return Object(out);
+      case '[':
+        return Array(out);
+      case '"':
+        out->kind = JsonValue::kString;
+        return String(&out->string);
+    }
+    for (const char* literal : {"true", "false", "null"}) {
+      if (text_.substr(pos_, std::strlen(literal)) == literal) {
+        out->kind = literal[0] == 'n' ? JsonValue::kNull : JsonValue::kBool;
+        pos_ += std::strlen(literal);
+        return true;
+      }
+    }
+    return Number(out);
+  }
+
+  bool Object(JsonValue* out) {
+    out->kind = JsonValue::kObject;
+    ++pos_;
+    SkipSpace();
+    if (Consume('}')) return true;
+    do {
+      SkipSpace();
+      std::string key;
+      if (!String(&key)) return false;
+      SkipSpace();
+      if (!Consume(':') || !Value(&out->object[key])) return false;
+      SkipSpace();
+    } while (Consume(','));
+    return Consume('}');
+  }
+
+  bool Array(JsonValue* out) {
+    out->kind = JsonValue::kArray;
+    ++pos_;
+    SkipSpace();
+    if (Consume(']')) return true;
+    do {
+      out->array.emplace_back();
+      if (!Value(&out->array.back())) return false;
+      SkipSpace();
+    } while (Consume(','));
+    return Consume(']');
+  }
+
+  bool String(std::string* out) {
+    if (!Consume('"')) return false;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      const char escape = text_[pos_++];
+      constexpr std::string_view kEscapes = "\"\\/bfnrt";
+      constexpr std::string_view kDecoded = "\"\\/\b\f\n\r\t";
+      if (escape == 'u') {
+        if (pos_ + 4 > text_.size()) return false;
+        for (int i = 0; i < 4; ++i) {
+          if (!std::isxdigit(static_cast<unsigned char>(text_[pos_++]))) {
+            return false;
+          }
+        }
+        out->push_back('?');  // Code points are not needed here.
+      } else if (kEscapes.find(escape) != std::string_view::npos) {
+        out->push_back(kDecoded[kEscapes.find(escape)]);
+      } else {
+        return false;
+      }
+    }
+    return false;
+  }
+
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  bool Number(JsonValue* out) {
+    const std::size_t start = pos_;
+    Consume('-');
+    if (!Consume('0') && !Digits()) return false;
+    if (Consume('.') && !Digits()) return false;
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!Digits()) return false;
+    }
+    out->kind = JsonValue::kNumber;
+    out->number =
+        std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
+                    nullptr);
+    return true;
+  }
+
+  bool Digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  bool Consume(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  void SkipSpace() {
+    while (pos_ < text_.size() &&
+           std::string_view(" \t\r\n").find(text_[pos_]) !=
+               std::string_view::npos) {
+      ++pos_;
+    }
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+TEST(JsonParserTest, AcceptsJsonAndRejectsMalformedText) {
+  JsonValue value;
+  EXPECT_TRUE(JsonParser(R"({"a":[1,-2.5e3,"x\"y",true,null],"b":{}})")
+                  .Parse(&value));
+  EXPECT_EQ(value["a"].array.size(), 5u);
+  EXPECT_EQ(value["a"].array[1].number, -2500.0);
+  EXPECT_EQ(value["a"].array[2].string, "x\"y");
+  for (const char* bad : {"", "{", "[1,]", "{\"a\" 1}", "01", "[1] x",
+                          "\"unterminated", "{\"a\":.5}"}) {
+    JsonValue ignored;
+    EXPECT_FALSE(JsonParser(bad).Parse(&ignored)) << bad;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Trace propagation over TCP (docs/WIRE_PROTOCOL.md §2.1, §5.5).
 
@@ -1304,6 +1481,93 @@ TEST(TracePropagationTest, TailCaptureKeepsSlowRequestsServerSide) {
   EXPECT_GE(stats.slow_captured, 1u);
   const std::string json = spans.ExportSlowJson();
   EXPECT_NE(json.find("\"slow_capture\":true"), std::string::npos) << json;
+}
+
+TEST(TracePropagationTest, ChromeExportOfATracedServerRunIsValidTraceEvents) {
+  // A server with the full recording stack armed (head sampling, span
+  // collection, tail capture keeping every request), driven by a client
+  // that also propagates its own sampled contexts over the wire.
+  MetricsRegistry trace_metrics;
+  Tracer::Options tracer_options;
+  tracer_options.sample_every_n = 4;
+  tracer_options.metrics = &trace_metrics;
+  Tracer tracer(tracer_options);
+  obs::SpanCollector::Options span_options;
+  span_options.metrics = &trace_metrics;
+  obs::SpanCollector spans(span_options);
+
+  RecServer::Options options;
+  options.tracer = &tracer;
+  options.spans = &spans;
+  options.trace_slow_us = 1;  // Tail capture keeps everything.
+  LiveServer live(options);
+  Timestamp t = 0;
+  for (UserId user = 1; user <= 16; ++user) {
+    live.service.Observe(Play(user, 10 + user % 5, t += 1000));
+    live.service.Observe(Play(user, 11 + user % 5, t += 1000));
+  }
+  RecClient client(live.ClientOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.trace_propagation_negotiated());
+  for (int seq = 0; seq < 64; ++seq) {
+    RecRequest request;
+    request.user = 1 + seq % 16;
+    request.seed_videos = {10 + static_cast<VideoId>(seq % 5)};
+    request.top_n = 10;
+    request.now = t + seq;
+    if (seq % 4 == 0) {
+      TraceContext trace;
+      trace.id = 0xC0FFEE0000000000ull + static_cast<std::uint64_t>(seq);
+      trace.start_us = Tracer::NowMicros();
+      ScopedTraceContext scope(trace);
+      ASSERT_TRUE(client.Recommend(request).ok());
+    } else if (seq % 8 == 7) {
+      ASSERT_TRUE(client.Observe(Play(request.user, 12, request.now)).ok());
+    } else {
+      ASSERT_TRUE(client.Recommend(request).ok());
+    }
+  }
+  live.server->Stop();
+  spans.Flush();
+
+  EXPECT_GT(trace_metrics.GetCounter("trace.sampled")->value(), 0);
+  EXPECT_GT(trace_metrics.GetCounter("trace.adopted")->value(), 0);
+  const obs::SpanCollector::Stats stats = spans.GetStats();
+  EXPECT_GT(stats.traces_finished, 0u);
+  EXPECT_GT(stats.slow_captured, 0u);
+  EXPECT_GE(stats.spans_recorded, stats.traces_finished);
+
+  // The export must load as Chrome trace-event JSON: complete "X" events
+  // with non-negative timing, a name, a 16-hex-digit trace id, and at
+  // least one root span.
+  const std::string chrome = spans.ExportChromeJson();
+  JsonValue dump;
+  ASSERT_TRUE(JsonParser(chrome).Parse(&dump)) << chrome;
+  const JsonValue& events = dump["traceEvents"];
+  ASSERT_EQ(events.kind, JsonValue::kArray);
+  ASSERT_FALSE(events.array.empty());
+  int roots = 0;
+  for (const JsonValue& event : events.array) {
+    EXPECT_EQ(event["ph"].string, "X");
+    EXPECT_EQ(event["ts"].kind, JsonValue::kNumber);
+    EXPECT_GE(event["ts"].number, 0.0);
+    EXPECT_EQ(event["dur"].kind, JsonValue::kNumber);
+    EXPECT_GE(event["dur"].number, 0.0);
+    EXPECT_FALSE(event["name"].string.empty());
+    const std::string& trace_id = event["args"]["trace_id"].string;
+    EXPECT_EQ(trace_id.size(), 16u) << trace_id;
+    for (char c : trace_id) {
+      EXPECT_TRUE(std::isxdigit(static_cast<unsigned char>(c))) << trace_id;
+    }
+    const JsonValue& parent = event["args"]["parent_id"];
+    if (parent.kind == JsonValue::kNumber && parent.number == 0) ++roots;
+  }
+  EXPECT_GT(roots, 0);
+
+  JsonValue slow;
+  ASSERT_TRUE(JsonParser(spans.ExportSlowJson()).Parse(&slow));
+  ASSERT_FALSE(slow["slow"].array.empty());
+  EXPECT_EQ(slow["slow"].array.front()["total_us"].kind, JsonValue::kNumber);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <memory>
 #include <thread>
 
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "core/recommender.h"
 #include "core/sim_table.h"
 #include "stream/topology.h"
@@ -185,6 +187,47 @@ TEST_F(PipelineTopologyTest, HighParallelismMatchesLowParallelismCounts) {
   EXPECT_EQ(factors_->RatingCount(), actions.size());
   EXPECT_EQ(factors_->NumUsers(), 20u);
   EXPECT_EQ(factors_->NumVideos(), 7u);
+}
+
+TEST_F(PipelineTopologyTest, TracedDrainReachesEveryBoltAndStampsItsWindow) {
+  std::vector<UserAction> actions;
+  for (int round = 0; round < 30; ++round) {
+    for (UserId u = 1; u <= 5; ++u) {
+      actions.push_back(Play(u, 10, round * 1000));
+      actions.push_back(Play(u, 11, round * 1000 + 500));
+    }
+  }
+  MetricsRegistry metrics;
+  Tracer::Options tracer_options;
+  tracer_options.sample_every_n = 8;
+  tracer_options.metrics = &metrics;
+  Tracer tracer(tracer_options);
+  stream::TopologyOptions options;
+  options.metrics = &metrics;
+  options.tracer = &tracer;
+  auto spec = BuildRecommendationTopology(
+      std::make_shared<VectorActionSource>(std::move(actions)), Deps());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto topo = stream::Topology::Create(std::move(spec).value(), options);
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  ASSERT_TRUE((*topo)->Start().ok());
+  ASSERT_TRUE((*topo)->Join().ok());
+
+  // Sampled contexts propagate from the spout through every Fig. 2 bolt.
+  EXPECT_GT(metrics.GetCounter("trace.sampled")->value(), 0);
+  for (const char* bolt : {"compute_mf", "mf_storage", "user_history",
+                           "get_item_pairs", "item_pair_sim",
+                           "result_storage"}) {
+    EXPECT_GT(tracer.StageHistogram(bolt)->count(), 0u) << bolt;
+  }
+  // The ingest window (first spout emission to the last terminal bolt's
+  // drain) is stamped, and the ring queues drained in batches.
+  const std::int64_t first_emit_us =
+      metrics.GetGauge("topology.first_emit_us")->value();
+  EXPECT_GT(first_emit_us, 0);
+  EXPECT_GT(metrics.GetGauge("topology.final_done_us")->value(),
+            first_emit_us);
+  EXPECT_GT(metrics.GetCounter("stream.queue.batch_drains")->value(), 0);
 }
 
 // UserHistory writes the history GetItemPairs pairs against. A log pushed

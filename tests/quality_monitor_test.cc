@@ -419,6 +419,7 @@ TEST(QualityMonitorTest, ServiceEndToEndRecallCtrAndScrape) {
   EXPECT_GT(Count(metrics, "quality.holdout.evaluated"), 0);
   EXPECT_GT(Count(metrics, "quality.holdout.hits"), 0);
   EXPECT_GT(Gauge(metrics, "quality.online_recall@10"), 0.0);
+  EXPECT_LE(Gauge(metrics, "quality.online_recall@10"), 1.0);
   EXPECT_GT(Count(metrics, "quality.progressive.samples"), 0);
   const double logloss = Gauge(metrics, "quality.progressive.logloss");
   EXPECT_TRUE(std::isfinite(logloss));
@@ -434,7 +435,9 @@ TEST(QualityMonitorTest, ServiceEndToEndRecallCtrAndScrape) {
   ASSERT_FALSE(page->empty());
   service.Observe(Act(1, (*page)[0].video, ActionType::kClick, t + 10));
   EXPECT_EQ(Count(metrics, "quality.ctr.clicks"), 1);
+  EXPECT_GT(Count(metrics, "quality.ctr.impressions"), 0);
   EXPECT_GT(Gauge(metrics, "quality.ctr.overall"), 0.0);
+  EXPECT_LE(Gauge(metrics, "quality.ctr.overall"), 1.0);
 
   // Degraded path records into the degraded segment.
   auto fallback = service.FallbackRecommend(request);
@@ -446,7 +449,13 @@ TEST(QualityMonitorTest, ServiceEndToEndRecallCtrAndScrape) {
   EXPECT_NE(text.find("quality_progressive_logloss"), std::string::npos);
   EXPECT_NE(text.find("quality_online_recall_10"), std::string::npos);
   EXPECT_NE(text.find("quality_ctr_overall"), std::string::npos);
-  EXPECT_NE(text.find("quality_alerts_logloss_total"), std::string::npos);
+  for (const char* alert : {"logloss", "calibration", "embedding_norm",
+                            "bias_drift", "label_shift", "staleness",
+                            "coverage"}) {
+    EXPECT_NE(text.find("quality_alerts_" + std::string(alert) + "_total"),
+              std::string::npos)
+        << alert;
+  }
 }
 
 TEST(QualityMonitorTest, ConcurrentMixedTrafficSmoke) {

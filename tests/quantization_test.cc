@@ -389,7 +389,7 @@ TEST(QuantizedRecallTest, Fp16RecallWithinOnePercentOfFp32) {
     recall10[i] = evaluator.Evaluate(engine, train, test).recall(10);
   }
   ASSERT_GT(recall10[0], 0.0);
-  EXPECT_LE(std::fabs(recall10[1] - recall10[0]) / recall10[0], 0.01)
+  EXPECT_LT(std::fabs(recall10[1] - recall10[0]) / recall10[0], 0.01)
       << "fp32 recall@10 " << recall10[0] << " vs fp16 " << recall10[1];
 }
 

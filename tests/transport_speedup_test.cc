@@ -1,0 +1,197 @@
+// Pipelining must beat the v1 lock-step baseline on one connection
+// (docs/WIRE_PROTOCOL.md §6, §9). Every leg speaks raw wire frames from
+// the test thread, over a TCP fd or an shm slot, not through RecClient,
+// so the comparison isolates transport mechanics (round trips,
+// syscalls, wakeups) from client-library threads and locks.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <unordered_set>
+
+#include "net/rec_server.h"
+#include "net/shm_transport.h"
+#include "net/socket.h"
+#include "net/wire.h"
+#include "service/recommendation_service.h"
+
+namespace rtrec {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t SteadyMillis() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             Clock::now().time_since_epoch())
+      .count();
+}
+
+/// One raw wire connection: a blocking TCP fd + FrameDecoder, or an shm
+/// slot.
+struct RawConnection {
+  UniqueFd fd;
+  FrameDecoder decoder;
+  std::unique_ptr<ShmClient> shm;
+
+  bool Send(const std::string& bytes) {
+    if (shm) return shm->Send(bytes, SteadyMillis() + 2000).ok();
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::write(fd.get(), bytes.data() + sent, bytes.size() - sent);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+      } else if (n == 0 || errno != EINTR) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  StatusOr<Frame> Next() {
+    if (shm) return shm->NextFrame(SteadyMillis() + 2000);
+    char buf[16384];
+    while (true) {
+      StatusOr<Frame> frame = decoder.Next();
+      if (frame.ok() || !frame.status().IsNotFound()) return frame;
+      RTREC_RETURN_IF_ERROR(WaitReady(fd.get(), /*for_read=*/true, 2000));
+      const ssize_t n = ::read(fd.get(), buf, sizeof(buf));
+      if (n == 0) return Status::Unavailable("server closed the connection");
+      if (n < 0 && errno != EINTR) return Status::Internal("read failed");
+      if (n > 0) {
+        decoder.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+      }
+    }
+  }
+
+  /// Sends a Hello and expects the server to grant v2 (§5).
+  bool NegotiateV2() {
+    if (!Send(EncodeHelloRequest(1, HelloRequest{}))) return false;
+    StatusOr<Frame> frame = Next();
+    if (!frame.ok()) return false;
+    StatusOr<HelloReply> reply = DecodeHelloResponse(*frame);
+    return reply.ok() && reply->version >= kWireVersionV2;
+  }
+};
+
+/// Keeps `window` Recommend requests in flight on `conn` for `seconds`,
+/// then drains; returns completed requests per second. window = 1 is the
+/// v1 lock-step contract, window > 1 the v2 pipelined one. Responses may
+/// arrive out of order; each must answer a request still in flight.
+double WindowedQps(RawConnection& conn, int window, double seconds) {
+  std::unordered_set<std::uint64_t> in_flight;
+  std::uint64_t next_id = 100;
+  auto send_one = [&] {
+    const std::uint64_t id = next_id++;
+    RecRequest request;
+    request.user = 1 + id % 16;
+    request.seed_videos = {10 + static_cast<VideoId>(id % 5)};
+    request.top_n = 10;
+    request.now = 2'000'000 + static_cast<Timestamp>(id);
+    in_flight.insert(id);
+    return conn.Send(EncodeRecommendRequest(id, request));
+  };
+  const auto t0 = Clock::now();
+  const auto deadline = t0 + std::chrono::duration<double>(seconds);
+  for (int i = 0; i < window; ++i) {
+    if (!send_one()) {
+      ADD_FAILURE() << "send failed while priming the window";
+      return 0.0;
+    }
+  }
+  std::int64_t completed = 0;
+  while (!in_flight.empty()) {
+    StatusOr<Frame> frame = conn.Next();
+    if (!frame.ok() || frame->type != MessageType::kRecommendResponse ||
+        in_flight.erase(frame->request_id) != 1) {
+      ADD_FAILURE() << "bad response: "
+                    << (frame.ok() ? "unexpected frame"
+                                   : frame.status().ToString());
+      return 0.0;
+    }
+    ++completed;
+    if (Clock::now() < deadline && !send_one()) {
+      ADD_FAILURE() << "send failed mid-run";
+      return 0.0;
+    }
+  }
+  return completed /
+         std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+UserAction Play(UserId user, VideoId video, Timestamp t) {
+  UserAction action;
+  action.user = user;
+  action.video = video;
+  action.type = ActionType::kPlayTime;
+  action.view_fraction = 1.0;
+  action.time = t;
+  return action;
+}
+
+TEST(TransportSpeedupTest, PipeliningBeatsV1LockStepOnOneConnection) {
+  MetricsRegistry metrics;
+  RecommendationService::Options service_options;
+  service_options.metrics = &metrics;
+  RecommendationService service(
+      [](VideoId v) -> VideoType { return v < 100 ? 0 : 1; },
+      service_options);
+  Timestamp t = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (UserId user = 1; user <= 16; ++user) {
+      service.Observe(Play(user, 10 + user % 5, t += 1000));
+      service.Observe(Play(user, 11 + user % 5, t += 1000));
+    }
+  }
+  const std::string shm_name =
+      "/rtrec.test-speedup-" + std::to_string(getpid());
+  RecServer::Options server_options;
+  server_options.port = 0;
+  server_options.num_workers = 2;
+  server_options.metrics = &metrics;
+  server_options.shm_name = shm_name;
+  RecServer server(&service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr double kSeconds = 0.4;
+  constexpr int kWindow = 64;
+  // v1 baseline: no Hello, v1 frames, one request in flight, so every
+  // RPC pays a full round trip.
+  RawConnection v1;
+  auto v1_fd = ConnectTcp("127.0.0.1", server.port(), 2000);
+  ASSERT_TRUE(v1_fd.ok()) << v1_fd.status().ToString();
+  v1.fd = std::move(*v1_fd);
+  const double v1_qps = WindowedQps(v1, 1, kSeconds);
+
+  RawConnection tcp;
+  auto tcp_fd = ConnectTcp("127.0.0.1", server.port(), 2000);
+  ASSERT_TRUE(tcp_fd.ok()) << tcp_fd.status().ToString();
+  tcp.fd = std::move(*tcp_fd);
+  ASSERT_TRUE(tcp.NegotiateV2());
+  const double v2_qps = WindowedQps(tcp, kWindow, kSeconds);
+
+  RawConnection shm;
+  auto attached = ShmClient::Attach(shm_name, {});
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  shm.shm = std::move(*attached);
+  ASSERT_TRUE(shm.NegotiateV2());
+  const double shm_qps = WindowedQps(shm, kWindow, kSeconds);
+  server.Stop();
+
+  std::printf("v1 lock-step %.0f QPS | v2 pipelined %.0f (x%.2f) | shm "
+              "pipelined %.0f (x%.2f)\n",
+              v1_qps, v2_qps, v2_qps / v1_qps, shm_qps, shm_qps / v1_qps);
+  ASSERT_GT(v1_qps, 0.0);
+  EXPECT_GT(v2_qps / v1_qps, 1.0);
+  EXPECT_GT(shm_qps / v1_qps, 1.0);
+  EXPECT_GT(metrics.GetCounter("shm.ring.polls")->value(), 0);
+  EXPECT_EQ(metrics.GetCounter("shm.ring.attach_errors")->value(), 0);
+}
+
+}  // namespace
+}  // namespace rtrec
