@@ -3,7 +3,6 @@
 #include <thread>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -29,30 +28,6 @@ int CpuBind::NumCpus() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-Status CpuBind::PinCurrentThread(int cpu) {
-  if (cpu < 0 || cpu >= CPU_SETSIZE) {
-    return Status::InvalidArgument("cpu id out of range");
-  }
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
-      !CPU_ISSET(cpu, &allowed)) {
-    return Status::InvalidArgument("cpu not in this process's affinity mask");
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-    return Status::Internal("pthread_setaffinity_np failed");
-  }
-  return Status::OK();
-}
-
-int CpuBind::CurrentCpu() {
-  const int cpu = sched_getcpu();
-  return cpu < 0 ? -1 : cpu;
-}
-
 #else  // !__linux__
 
 std::vector<int> CpuBind::AllowedCpus() {
@@ -67,23 +42,6 @@ int CpuBind::NumCpus() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-Status CpuBind::PinCurrentThread(int cpu) {
-  (void)cpu;
-  return Status::Unavailable("CPU pinning is Linux-only");
-}
-
-int CpuBind::CurrentCpu() { return -1; }
-
 #endif  // __linux__
-
-CpuBindPlan::CpuBindPlan(bool enabled) {
-  if (enabled) cpus_ = CpuBind::AllowedCpus();
-}
-
-int CpuBindPlan::NextCpu() {
-  if (cpus_.empty()) return -1;
-  const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-  return cpus_[i % cpus_.size()];
-}
 
 }  // namespace rtrec::concurrent

@@ -1,19 +1,13 @@
 #ifndef RTREC_CONCURRENT_CPU_BIND_H_
 #define RTREC_CONCURRENT_CPU_BIND_H_
 
-#include <atomic>
-#include <cstddef>
 #include <vector>
-
-#include "common/status.h"
 
 namespace rtrec::concurrent {
 
-/// Per-thread CPU affinity control. On Linux this wraps
-/// sched_getaffinity / pthread_setaffinity_np; elsewhere every setter
-/// returns Unavailable and queries fall back to
-/// std::thread::hardware_concurrency, so callers can treat pinning as
-/// best-effort everywhere.
+/// The CPUs this process may run on. On Linux this reads
+/// sched_getaffinity; elsewhere it falls back to
+/// std::thread::hardware_concurrency.
 class CpuBind {
  public:
   /// Number of CPUs this process may run on (the affinity mask's
@@ -23,36 +17,6 @@ class CpuBind {
   /// The CPU ids in this process's affinity mask, ascending. May be
   /// empty only if the platform query fails entirely.
   static std::vector<int> AllowedCpus();
-
-  /// Pins the calling thread to `cpu`. InvalidArgument if `cpu` is not
-  /// in the allowed set, Unavailable off Linux, Internal on a syscall
-  /// failure.
-  static Status PinCurrentThread(int cpu);
-
-  /// The CPU the calling thread is currently running on, or -1 if
-  /// unknown.
-  static int CurrentCpu();
-};
-
-/// Round-robin assignment of task threads to allowed CPUs — the
-/// topology's pinning policy. Thread-safe: tasks call NextCpu as they
-/// start. With fewer CPUs than tasks the assignment wraps, which keeps
-/// each queue's producer/consumer pair on a stable CPU pair; on a
-/// single-CPU host every task maps to that CPU and pinning is a no-op.
-class CpuBindPlan {
- public:
-  /// A disabled plan (enabled=false) hands out -1 forever.
-  explicit CpuBindPlan(bool enabled = true);
-
-  /// Next CPU id in round-robin order, or -1 when disabled or no
-  /// affinity information is available.
-  int NextCpu();
-
-  std::size_t num_cpus() const { return cpus_.size(); }
-
- private:
-  std::vector<int> cpus_;
-  std::atomic<std::size_t> next_{0};
 };
 
 }  // namespace rtrec::concurrent

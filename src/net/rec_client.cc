@@ -39,6 +39,25 @@ std::uint64_t JitterMillis(std::int64_t bound_ms) {
   return rng.NextUint64(static_cast<std::uint64_t>(bound_ms) + 1);
 }
 
+/// The items of a BatchRecommend reply, or the status that fails every
+/// item of the chunk: a transport error, a typed error frame, or an
+/// undecodable or unexpected reply.
+StatusOr<std::vector<BatchRecommendItem>> BatchItemsOf(
+    const StatusOr<Frame>& frame) {
+  if (!frame.ok()) return frame.status();
+  if (frame->type == MessageType::kBatchRecommendResponse) {
+    return DecodeBatchRecommendResponse(*frame);
+  }
+  if (frame->type == MessageType::kErrorResponse) {
+    auto error = DecodeErrorResponse(*frame);
+    if (!error.ok()) return error.status();
+    return WireErrorToStatus(*error);
+  }
+  return Status::Internal(
+      StringPrintf("unexpected response %s to batch recommend",
+                   MessageTypeToString(frame->type)));
+}
+
 }  // namespace
 
 RecClient::RecClient(Options options)
@@ -98,11 +117,6 @@ void RecClient::DisconnectLocked(std::unique_lock<std::mutex>& lock) {
 bool RecClient::connected() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_ == ConnState::kUp;
-}
-
-std::uint8_t RecClient::negotiated_version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_ == ConnState::kUp ? negotiated_version_ : 0;
 }
 
 bool RecClient::trace_propagation_negotiated() const {
@@ -180,15 +194,9 @@ Status RecClient::OpenTransportLocked(int timeout_ms) {
 }
 
 Status RecClient::HandshakeLocked(std::int64_t deadline_ms) {
-  negotiated_version_ = kWireVersion;
   negotiated_features_ = 0;
-  const int offer = std::clamp(options_.max_wire_version, 1,
-                               static_cast<int>(kMaxWireVersion));
-  if (offer < kWireVersionV2) return Status::OK();  // Pure v1 by choice.
   const std::uint64_t id = next_request_id_++;
   HelloRequest hello;
-  hello.min_version = kWireVersion;
-  hello.max_version = static_cast<std::uint8_t>(offer);
   hello.features = kFeatureTracePropagation;
   RTREC_RETURN_IF_ERROR(SendLocked(EncodeHelloRequest(id, hello), deadline_ms));
   StatusOr<Frame> frame = ReadFrameLocked(deadline_ms);
@@ -201,27 +209,13 @@ Status RecClient::HandshakeLocked(std::int64_t deadline_ms) {
   if (frame->type == MessageType::kHelloResponse) {
     auto reply = DecodeHelloResponse(*frame);
     if (!reply.ok()) return reply.status();
-    if (reply->version > offer) {
-      return Status::Internal(
-          StringPrintf("server negotiated v%u above our offer v%d",
-                       reply->version, offer));
-    }
-    negotiated_version_ = reply->version;
-    // Only feature bits we offered AND the server echoed are live; a
-    // server acks trace propagation only on a v2 connection.
+    // Only feature bits we offered AND the server echoed are live.
     negotiated_features_ = reply->features & hello.features;
     return Status::OK();
   }
   if (frame->type == MessageType::kErrorResponse) {
     auto error = DecodeErrorResponse(*frame);
     if (!error.ok()) return error.status();
-    if (error->code == WireError::kUnknownType ||
-        error->code == WireError::kBadVersion) {
-      // A v1 server does not know Hello and says so; that IS the
-      // negotiation result (docs/WIRE_PROTOCOL.md §5): stay on v1.
-      negotiated_version_ = kWireVersion;
-      return Status::OK();
-    }
     return WireErrorToStatus(*error);
   }
   return Status::Internal(StringPrintf("unexpected response %s to hello",
@@ -254,9 +248,7 @@ void RecClient::CleanupBrokenLocked(std::unique_lock<std::mutex>& lock) {
       waiter->done = true;
     }
     pending_.clear();
-    negotiated_version_ = kWireVersion;
     negotiated_features_ = 0;
-    v1_slot_busy_ = false;
     state_ = ConnState::kDown;
     cleanup_in_progress_ = false;
     cv_.notify_all();
@@ -380,35 +372,11 @@ StatusOr<Frame> RecClient::CallOnce(const EncodeFn& encode,
   RTREC_RETURN_IF_ERROR(EnsureConnectedLocked(lock, connect_timeout_ms));
   const std::int64_t deadline_ms = SteadyMillis() + request_timeout_ms;
   const std::uint64_t epoch = conn_epoch_;
-  bool hold_v1_slot = false;
-  if (negotiated_version_ < kWireVersionV2) {
-    // v1 contract: one outstanding request per connection
-    // (docs/WIRE_PROTOCOL.md §6). Later callers queue here.
-    while (v1_slot_busy_ && state_ == ConnState::kUp &&
-           conn_epoch_ == epoch) {
-      if (cv_.wait_until(lock, TimePointFromMillis(deadline_ms)) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (state_ != ConnState::kUp || conn_epoch_ != epoch) {
-      return Status::Unavailable("connection lost while queued");
-    }
-    if (v1_slot_busy_) {
-      return Status::Unavailable(
-          StringPrintf("request timed out after %dms queued behind the "
-                       "v1 in-flight slot",
-                       request_timeout_ms));
-    }
-    v1_slot_busy_ = true;
-    hold_v1_slot = true;
-  }
-
   const std::uint64_t id = next_request_id_++;
   std::string encoded = encode(id);
   // Stamp the calling thread's sampled trace context onto the frame —
   // only on a connection that negotiated the feature; against anything
-  // else the context is silently dropped (WIRE_PROTOCOL.md §5.5).
+  // else the context is silently dropped (WIRE_PROTOCOL.md §5.4).
   if ((negotiated_features_ & kFeatureTracePropagation) != 0) {
     const TraceContext& trace = CurrentTrace();
     if (trace.sampled()) {
@@ -445,10 +413,6 @@ StatusOr<Frame> RecClient::CallOnce(const EncodeFn& encode,
       result = Status::Unavailable(StringPrintf(
           "request timed out after %dms", request_timeout_ms));
     }
-  }
-  if (hold_v1_slot) {
-    v1_slot_busy_ = false;
-    cv_.notify_all();
   }
   return result;
 }
@@ -545,86 +509,38 @@ StatusOr<std::vector<RecClient::BatchItem>> RecClient::RecommendBatch(
     const std::vector<RecRequest>& requests) {
   std::vector<BatchItem> out(requests.size());
   if (requests.empty()) return out;
-  bool use_v2;
   {
     std::unique_lock<std::mutex> lock(mu_);
     RTREC_RETURN_IF_ERROR(
         EnsureConnectedLocked(lock, options_.connect_timeout_ms));
-    use_v2 = negotiated_version_ >= kWireVersionV2;
   }
-  std::size_t pos = 0;
-  while (pos < requests.size()) {
+  for (std::size_t pos = 0; pos < requests.size();
+       pos += kMaxBatchedRequests) {
     const std::size_t chunk_len =
-        use_v2 ? std::min(kMaxBatchedRequests, requests.size() - pos) : 1;
-    bool chunk_done = false;
-    if (use_v2) {
-      const std::vector<RecRequest> chunk(
-          requests.begin() + static_cast<std::ptrdiff_t>(pos),
-          requests.begin() + static_cast<std::ptrdiff_t>(pos + chunk_len));
-      StatusOr<Frame> frame = Call([&chunk](std::uint64_t id) {
-        return EncodeBatchRecommendRequest(id, chunk);
-      });
-      if (!frame.ok()) {
-        for (std::size_t i = 0; i < chunk_len; ++i) {
-          out[pos + i].status = frame.status();
-        }
-        chunk_done = true;
-      } else if (frame->type == MessageType::kBatchRecommendResponse) {
-        auto items = DecodeBatchRecommendResponse(*frame);
-        for (std::size_t i = 0; i < chunk_len; ++i) {
-          if (!items.ok()) {
-            out[pos + i].status = items.status();
-          } else if (i >= items->size()) {
-            out[pos + i].status = Status::Internal(
-                "batch response shorter than the request batch");
-          } else {
-            BatchRecommendItem& item = (*items)[i];
-            if (item.ok()) {
-              out[pos + i].status = Status::OK();
-              out[pos + i].reply = std::move(item.reply);
-            } else {
-              WireErrorInfo info;
-              info.code = static_cast<WireError>(item.error);
-              info.message = "batched recommend item failed";
-              out[pos + i].status = WireErrorToStatus(info);
-            }
-          }
-        }
-        chunk_done = true;
-      } else if (frame->type == MessageType::kErrorResponse) {
-        auto error = DecodeErrorResponse(*frame);
-        if (error.ok() && error->code == WireError::kUnknownType) {
-          // We reconnected to a v1 server mid-batch: finish this and
-          // every remaining request sequentially.
-          use_v2 = false;
-        } else {
-          const Status mapped =
-              error.ok() ? WireErrorToStatus(*error) : error.status();
-          for (std::size_t i = 0; i < chunk_len; ++i) {
-            out[pos + i].status = mapped;
-          }
-          chunk_done = true;
-        }
+        std::min(kMaxBatchedRequests, requests.size() - pos);
+    const std::vector<RecRequest> chunk(
+        requests.begin() + static_cast<std::ptrdiff_t>(pos),
+        requests.begin() + static_cast<std::ptrdiff_t>(pos + chunk_len));
+    StatusOr<std::vector<BatchRecommendItem>> items =
+        BatchItemsOf(Call([&chunk](std::uint64_t id) {
+          return EncodeBatchRecommendRequest(id, chunk);
+        }));
+    for (std::size_t i = 0; i < chunk_len; ++i) {
+      BatchItem& slot = out[pos + i];
+      if (!items.ok()) {
+        slot.status = items.status();
+      } else if (i >= items->size()) {
+        slot.status =
+            Status::Internal("batch response shorter than the request batch");
+      } else if ((*items)[i].ok()) {
+        slot.reply = std::move((*items)[i].reply);
       } else {
-        const Status unexpected = Status::Internal(
-            StringPrintf("unexpected response %s to batch recommend",
-                         MessageTypeToString(frame->type)));
-        for (std::size_t i = 0; i < chunk_len; ++i) {
-          out[pos + i].status = unexpected;
-        }
-        chunk_done = true;
+        WireErrorInfo info;
+        info.code = static_cast<WireError>((*items)[i].error);
+        info.message = "batched recommend item failed";
+        slot.status = WireErrorToStatus(info);
       }
-    } else {
-      StatusOr<RecommendReply> reply = RecommendDetailed(requests[pos]);
-      if (reply.ok()) {
-        out[pos].status = Status::OK();
-        out[pos].reply = std::move(*reply);
-      } else {
-        out[pos].status = reply.status();
-      }
-      chunk_done = true;
     }
-    if (chunk_done) pos += chunk_len;  // else: retry the chunk as v1
   }
   return out;
 }

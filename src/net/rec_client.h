@@ -24,13 +24,11 @@ namespace rtrec {
 /// shared-memory transport (Options::host accepts "rec://shm/NAME",
 /// "shm:NAME", or a TCP hostname — see net/shm_transport.h).
 ///
-/// Connections negotiate wire v2 at connect (docs/WIRE_PROTOCOL.md §5)
-/// and then PIPELINE: any number of threads may have calls in flight on
-/// the one connection at once; a background reader matches responses to
-/// callers by request id, out of order. Against a v1 server the client
-/// falls back transparently and serializes calls (one in flight), which
-/// is the v1 contract. The blocking per-call API is unchanged from the
-/// v1-only client — pipelining is purely a concurrency upgrade.
+/// Each connection sends a Hello at connect to negotiate trace
+/// propagation (docs/WIRE_PROTOCOL.md §5); a Hello error fails the
+/// connect. Calls then PIPELINE: any number of threads may have calls in
+/// flight on the one connection at once; a background reader matches
+/// responses to callers by request id, out of order.
 ///
 /// Transport errors (connection refused/reset, timeout) surface as
 /// Unavailable; if Options::auto_reconnect is set, the client retries
@@ -79,10 +77,6 @@ class RecClient {
     /// Counter sink for "client.retries" / "client.stale_responses";
     /// null disables.
     MetricsRegistry* metrics = nullptr;
-    /// Highest wire version to offer in the Hello handshake. 1 skips
-    /// the handshake entirely and speaks pure v1 (interop tests).
-    /// Clamped to [1, kMaxWireVersion].
-    int max_wire_version = kMaxWireVersion;
   };
 
   /// Per-request result of RecommendBatch: the reply is meaningful only
@@ -112,16 +106,11 @@ class RecClient {
 
   bool connected() const;
 
-  /// Wire version negotiated on the live connection (kWireVersionV2
-  /// against a v2 server, kWireVersion against v1); 0 when not
-  /// connected.
-  std::uint8_t negotiated_version() const;
-
   /// Whether the live connection negotiated the trace-propagation
-  /// feature (docs/WIRE_PROTOCOL.md §5.5). When true, calls made while
+  /// feature (docs/WIRE_PROTOCOL.md §5.4). When true, calls made while
   /// the calling thread carries a sampled TraceContext stamp the trace
-  /// extension onto their request frames; when false (v1 peer or a v2
-  /// server without tracing) the context is silently dropped and the
+  /// extension onto their request frames; when false (a server that did
+  /// not ack the feature) the context is silently dropped and the
   /// request is unchanged.
   bool trace_propagation_negotiated() const;
 
@@ -154,12 +143,10 @@ class RecClient {
   /// flag, so callers can tell a fallback answer from an engine answer.
   StatusOr<RecommendReply> RecommendDetailed(const RecRequest& request);
 
-  /// Many Recommends in one round trip (v2 BatchRecommend, §7). Chunks
-  /// of kMaxBatchedRequests per frame; per-item success/failure in the
-  /// returned vector (index-aligned with `requests`). Against a v1
-  /// server this degrades to sequential RecommendDetailed calls — same
-  /// results, v1 latency. A non-OK return means the whole batch failed
-  /// (e.g. could not connect).
+  /// Many Recommends in one round trip (BatchRecommend, §7). Chunks of
+  /// kMaxBatchedRequests per frame; per-item success/failure in the
+  /// returned vector (index-aligned with `requests`). A non-OK return
+  /// means the whole batch failed (e.g. could not connect).
   StatusOr<std::vector<BatchItem>> RecommendBatch(
       const std::vector<RecRequest>& requests);
 
@@ -186,8 +173,8 @@ class RecClient {
   Status EnsureConnectedLocked(std::unique_lock<std::mutex>& lock,
                                int connect_timeout_ms);
   Status OpenTransportLocked(int timeout_ms);
-  /// Synchronous Hello negotiation, run before the reader starts
-  /// (docs/WIRE_PROTOCOL.md §5).
+  /// Synchronous Hello feature negotiation, run before the reader
+  /// starts (docs/WIRE_PROTOCOL.md §5).
   Status HandshakeLocked(std::int64_t deadline_ms);
   /// kBroken -> kDown: joins the dead reader (outside the lock) and
   /// resets transport state. Safe to race from several callers.
@@ -233,10 +220,8 @@ class RecClient {
   std::thread reader_;
   std::atomic<bool> reader_stop_{false};
   std::uint64_t conn_epoch_ = 0;     // bumped per successful connect
-  std::uint8_t negotiated_version_ = kWireVersion;
   std::uint32_t negotiated_features_ = 0;
   std::unordered_map<std::uint64_t, std::shared_ptr<Waiter>> pending_;
-  bool v1_slot_busy_ = false;        // v1 = one request in flight
   std::uint64_t next_request_id_ = 1;
 };
 

@@ -336,10 +336,6 @@ RecServer::RecServer(RecommendationService* service, Options options)
   }
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_in_flight < 1) options_.max_in_flight = 1;
-  if (options_.max_wire_version < 1) options_.max_wire_version = 1;
-  if (options_.max_wire_version > kMaxWireVersion) {
-    options_.max_wire_version = kMaxWireVersion;
-  }
   if (options_.spans != nullptr) {
     obs::SpanCollector* spans = options_.spans;
     span_names_.rpc_recommend = spans->InternName("rpc.recommend");
@@ -350,10 +346,6 @@ RecServer::RecServer(RecommendationService* service, Options options)
     span_names_.engine = spans->InternName("engine");
     span_names_.respond = spans->InternName("respond");
   }
-}
-
-int RecServer::ServerMaxWireVersion() const {
-  return options_.max_wire_version;
 }
 
 namespace {
@@ -372,8 +364,7 @@ std::string RpcMetricName(const char* prefix, const char* rpc) {
 void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
                               const SendFn& send) {
   // Hello is connection setup, not traffic: keeping it out of
-  // net.server.requests preserves that counter's meaning (RPCs served)
-  // across the v1->v2 transition.
+  // net.server.requests preserves that counter's meaning (RPCs served).
   if (frame.type == MessageType::kHelloRequest) {
     metrics_->GetCounter("net.v2.hellos")->Increment();
   } else {
@@ -386,24 +377,22 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
   Gauge* inflight = metrics_->GetGauge("net.server.pipelined_inflight");
   inflight->Add(1);
 
-  // Version gate (docs/WIRE_PROTOCOL.md §5): v1 frames are always
-  // legal; v2 frames only on a connection that negotiated v2 via Hello.
-  // A trace extension (decoded into frame.has_trace) counts as part of
-  // the version byte: on a connection that did not negotiate the
-  // feature it is a version violation, which is what a pre-trace server
-  // answers when it sees the marker bit (§5.5).
-  const bool version_ok =
-      (frame.version == kWireVersion ||
-       (frame.version == kWireVersionV2 &&
-        ctx->negotiated_version >= kWireVersionV2)) &&
-      (!frame.has_trace ||
-       (ctx->negotiated_features & kFeatureTracePropagation) != 0);
-  if (!version_ok) {
+  // Version gate (docs/WIRE_PROTOCOL.md §2): every frame carries
+  // version 2. A trace extension (decoded into frame.has_trace) counts
+  // as part of the version byte: on a connection that did not negotiate
+  // the feature it is a version violation (§2.1).
+  const bool trace_ok =
+      !frame.has_trace ||
+      (ctx->negotiated_features & kFeatureTracePropagation) != 0;
+  if (frame.version != kWireVersionV2 || !trace_ok) {
     metrics_->GetCounter("net.server.protocol_errors")->Increment();
     send(EncodeErrorResponse(
         frame.request_id, WireError::kBadVersion,
-        StringPrintf("frame version %u not allowed here (negotiated %u)",
-                     frame.version, ctx->negotiated_version)));
+        frame.version != kWireVersionV2
+            ? StringPrintf("frame version %u unsupported; server speaks %u",
+                           frame.version, kWireVersionV2)
+            : std::string("trace extension on a connection that did not "
+                          "negotiate it")));
     ctx->close_connection = true;  // Framing discipline is gone.
     inflight->Add(-1);
     return;
@@ -432,24 +421,9 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
       break;
     }
     case MessageType::kHelloRequest:
-      if (ServerMaxWireVersion() < kWireVersionV2) {
-        // A v1-capped server predates Hello: answer UNKNOWN_TYPE, which
-        // is exactly what clients probe for when falling back (§5).
-        SendUnknownType(frame, send);
-        break;
-      }
       HandleHello(frame, ctx, send);
       break;
     case MessageType::kBatchRecommendRequest:
-      if (ctx->negotiated_version < kWireVersionV2) {
-        // v2-only RPC on an un-negotiated connection. A genuine v1
-        // server would say UNKNOWN_TYPE; we do the same so a confused
-        // client learns the same lesson either way (§7).
-        SendUnknownType(frame, send);
-        break;
-      }
-      HandleServiceRpc(frame, ctx, send);
-      break;
     case MessageType::kRecommendRequest:
     case MessageType::kObserveRequest:
     case MessageType::kRegisterProfileRequest:
@@ -479,31 +453,23 @@ void RecServer::HandleHello(const Frame& frame, RequestContext* ctx,
                              hello.status().message()));
     return;
   }
-  const int server_max = ServerMaxWireVersion();
-  if (hello->min_version > server_max) {
+  if (hello->min_version > kWireVersionV2 ||
+      hello->max_version < kWireVersionV2) {
     metrics_->GetCounter("net.server.protocol_errors")->Increment();
     send(EncodeErrorResponse(
         frame.request_id, WireError::kBadVersion,
-        StringPrintf("client requires wire version >= %u; server speaks "
-                     "up to %d",
-                     hello->min_version, server_max)));
+        StringPrintf("client speaks wire versions [%u, %u]; server speaks "
+                     "only %u",
+                     hello->min_version, hello->max_version,
+                     kWireVersionV2)));
     ctx->close_connection = true;  // No dialect in common.
     return;
   }
-  const std::uint8_t negotiated =
-      static_cast<std::uint8_t>(std::min<int>(hello->max_version, server_max));
-  ctx->negotiated_version = negotiated;
   // Feature bits: ack the intersection of what the client offered and
-  // what this server supports. Trace propagation needs v2 framing
-  // semantics, so it is never acked on a v1 negotiation.
-  std::uint32_t features = 0;
-  if (negotiated >= kWireVersionV2) {
-    features = hello->features & kFeatureTracePropagation;
-  }
-  ctx->negotiated_features = features;
+  // what this server supports.
+  ctx->negotiated_features = hello->features & kFeatureTracePropagation;
   HelloReply reply;
-  reply.version = negotiated;
-  reply.features = features;
+  reply.features = ctx->negotiated_features;
   reply.max_in_flight_hint = static_cast<std::uint32_t>(options_.max_in_flight);
   reply.max_batch = static_cast<std::uint32_t>(kMaxBatchedRequests);
   send(EncodeHelloResponse(frame.request_id, reply));
@@ -763,16 +729,14 @@ Status RecServer::Start() {
         options_.shm_name, shm_options,
         [this](const Frame& frame, ShmServer::ConnState* conn,
                const ShmServer::SendFn& send) {
-          // Bridge the shm attachment's negotiation state into the
-          // shared dispatch path; "shm.rpc" keys the per-transport
-          // latency histograms.
+          // Bridge the shm attachment's feature bits into the shared
+          // dispatch path; "shm.rpc" keys the per-transport latency
+          // histograms.
           RequestContext ctx;
-          ctx.negotiated_version = conn->negotiated_version;
           ctx.negotiated_features = conn->negotiated_features;
           ctx.rpc_prefix = "shm.rpc";
           DispatchFrame(frame, &ctx,
                         [&send](std::string&& bytes) { send(std::move(bytes)); });
-          conn->negotiated_version = ctx.negotiated_version;
           conn->negotiated_features = ctx.negotiated_features;
           if (ctx.close_connection) conn->close = true;
         });

@@ -41,7 +41,7 @@ class ShmServer;
 ///    workers call it concurrently.
 ///
 /// Pipelining: every frame carries a request id and the server answers
-/// in whatever order handling completes, so a v2 client may keep many
+/// in whatever order handling completes, so a client may keep many
 /// requests in flight per connection (docs/WIRE_PROTOCOL.md §6).
 /// Responses are gathered with writev from a queue of encoded frames —
 /// one syscall flushes many pipelined replies.
@@ -125,12 +125,6 @@ class RecServer {
     int breaker_failure_threshold = 8;
     int breaker_cooldown_ms = 2'000;
 
-    /// Highest wire version this server negotiates in the v2 Hello
-    /// handshake (docs/WIRE_PROTOCOL.md §5). Setting 1 makes the server
-    /// behave exactly like a pre-v2 build — Hello is answered with
-    /// UNKNOWN_TYPE and v2 frames are rejected — which the interop
-    /// tests use. Clamped to [1, kMaxWireVersion].
-    int max_wire_version = kMaxWireVersion;
     /// When non-empty, also serve the same RPCs over the same-host
     /// shared-memory transport (net/shm_transport.h) under this POSIX
     /// shm object name (e.g. from ParseShmAddress). Empty disables.
@@ -139,14 +133,12 @@ class RecServer {
     std::uint32_t shm_slot_count = 8;
   };
 
-  /// Per-connection protocol state shared by every transport. A
-  /// connection starts at v1 and is upgraded by a successful Hello.
+  /// Per-connection protocol state shared by every transport.
   struct RequestContext {
-    std::uint8_t negotiated_version = kWireVersion;
     /// Feature bits acked in this connection's Hello (net/wire.h
-    /// kFeature*). A frame carrying the trace extension on a connection
-    /// that did not negotiate kFeatureTracePropagation is a version
-    /// violation — exactly what a pre-trace server would answer.
+    /// kFeature*); 0 until a Hello succeeds. A frame carrying the trace
+    /// extension on a connection that did not negotiate
+    /// kFeatureTracePropagation is a version violation.
     std::uint32_t negotiated_features = 0;
     /// Metric prefix for per-RPC latency histograms; distinguishes
     /// transports ("net.server.rpc" for TCP, "shm.rpc" for shm).
@@ -187,7 +179,7 @@ class RecServer {
 
   /// Transport-independent RPC dispatch: decodes nothing about how the
   /// frame arrived, only what it says. Both the TCP workers and the shm
-  /// poller funnel every decoded frame through here, so negotiation,
+  /// poller funnel every decoded frame through here, so the version gate,
   /// admission, batching, and the degraded ladder behave identically on
   /// both transports. Thread-safe (workers + shm poller call it
   /// concurrently).
@@ -209,10 +201,6 @@ class RecServer {
     std::string message;
   };
   RecommendOutcome RecommendWithFallback(const RecRequest& request);
-
-  /// Highest version Hello may negotiate (Options::max_wire_version
-  /// clamped).
-  int ServerMaxWireVersion() const;
 
   /// Admission gate: true (and a slot held) if under max_in_flight.
   bool TryAcquireInFlight();

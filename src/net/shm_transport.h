@@ -9,7 +9,7 @@
 /// rings (request: client→server, response: server→client) carrying
 /// ordinary wire frames — the exact bytes that would cross a TCP
 /// socket, so FrameDecoder and every codec in wire.h are reused
-/// unchanged and v2 negotiation/pipelining work identically.
+/// unchanged and Hello, pipelining and batching work identically.
 ///
 /// Crash safety is broker-less: a client claims a slot with a CAS,
 /// publishes its pid, and bumps nothing on exit that the server cannot
@@ -75,9 +75,9 @@ class ShmServer {
   };
 
   /// Per-attachment connection state threaded through the handler so
-  /// version negotiation persists across frames of one attachment.
+  /// Hello's feature negotiation persists across frames of one
+  /// attachment.
   struct ConnState {
-    std::uint8_t negotiated_version = kWireVersion;
     /// Feature bits acked in this slot's Hello (net/wire.h kFeature*).
     std::uint32_t negotiated_features = 0;
     /// Handler sets this to evict the client (protocol violation).

@@ -337,7 +337,6 @@ StatusOr<RecRequest> DecodeRecommendRequest(const Frame& frame) {
 std::string EncodeHelloRequest(std::uint64_t request_id,
                                const HelloRequest& hello) {
   Frame frame;
-  frame.version = kWireVersion;  // Parseable by every server (§5).
   frame.type = MessageType::kHelloRequest;
   frame.request_id = request_id;
   PutU8(hello.min_version, &frame.body);
@@ -370,7 +369,6 @@ StatusOr<HelloRequest> DecodeHelloRequest(const Frame& frame) {
 std::string EncodeBatchRecommendRequest(std::uint64_t request_id,
                                         const std::vector<RecRequest>& batch) {
   Frame frame;
-  frame.version = kWireVersionV2;
   frame.type = MessageType::kBatchRecommendRequest;
   frame.request_id = request_id;
   PutU32(static_cast<std::uint32_t>(batch.size()), &frame.body);
@@ -553,7 +551,6 @@ StatusOr<std::vector<ScoredVideo>> DecodeRecommendResponse(
 std::string EncodeHelloResponse(std::uint64_t request_id,
                                 const HelloReply& reply) {
   Frame frame;
-  frame.version = kWireVersion;  // Parseable by every client (§5).
   frame.type = MessageType::kHelloResponse;
   frame.request_id = request_id;
   PutU8(reply.version, &frame.body);
@@ -576,7 +573,7 @@ StatusOr<HelloReply> DecodeHelloResponse(const Frame& frame) {
       !reader.ReadU32(&reply.max_batch)) {
     return Truncated("hello_response");
   }
-  if (reply.version == 0 || reply.version > kMaxWireVersion) {
+  if (reply.version != kWireVersionV2) {
     return Status::InvalidArgument(StringPrintf(
         "hello_response selected unsupported version %u", reply.version));
   }
@@ -587,7 +584,6 @@ StatusOr<HelloReply> DecodeHelloResponse(const Frame& frame) {
 std::string EncodeBatchRecommendResponse(
     std::uint64_t request_id, const std::vector<BatchRecommendItem>& items) {
   Frame frame;
-  frame.version = kWireVersionV2;
   frame.type = MessageType::kBatchRecommendResponse;
   frame.request_id = request_id;
   PutU32(static_cast<std::uint32_t>(items.size()), &frame.body);

@@ -15,15 +15,15 @@
 
 namespace rtrec {
 
-/// The rtrec binary wire protocol, versions 1 and 2. The normative spec
-/// lives in docs/WIRE_PROTOCOL.md; this header is its implementation.
+/// The rtrec binary wire protocol, version 2. The normative spec lives in
+/// docs/WIRE_PROTOCOL.md; this header is its implementation.
 ///
 /// Every message travels in one length-prefixed frame:
 ///
 ///   offset  size  field
 ///   ------  ----  -----------------------------------------------
 ///        0     4  payload length N, big-endian (bytes after this field)
-///        4     1  protocol version (1 or 2; see below)
+///        4     1  protocol version (always 2)
 ///        5     1  message type (MessageType)
 ///        6     8  request id, big-endian (echoed back in the response)
 ///       14   N-10 message body (layout depends on the type)
@@ -36,30 +36,21 @@ namespace rtrec {
 /// that sends a length outside those bounds is structurally corrupt and
 /// gets disconnected after a typed ErrorResponse.
 ///
-/// Version 2 keeps the frame layout bit-identical and adds semantics:
+/// A frame whose version byte is not 2 gets BAD_VERSION and the
+/// connection closes. Every connection speaks the same semantics from
+/// its first byte:
 ///
-///  - negotiation: a client that wants v2 sends a Hello frame (carried
-///    with version byte 1 so any server can parse it) naming the version
-///    range it speaks; a v2 server answers HelloResponse with the chosen
-///    version, a v1 server answers a typed UNKNOWN_TYPE error — the
-///    client then falls back to v1. A connection on which no Hello
-///    succeeded is a v1 connection and version-2 frames on it are
-///    rejected with BAD_VERSION (WIRE_PROTOCOL.md §5);
-///  - pipelining: on a negotiated v2 connection any number of requests
-///    may be in flight; responses correlate by request id and MAY arrive
-///    in any order (§6);
+///  - features: an optional Hello negotiates feature bits (today only
+///    trace propagation) and returns the server's in-flight and batch
+///    hints (WIRE_PROTOCOL.md §5);
+///  - pipelining: any number of requests may be in flight; responses
+///    correlate by request id and MAY arrive in any order (§6);
 ///  - batching: BatchRecommend carries up to kMaxBatchedRequests
 ///    Recommend bodies in one frame and is answered by one
 ///    BatchRecommendResponse with per-item status (§7).
 
-/// Version-1 protocol tag; also the version every Hello frame carries.
-inline constexpr std::uint8_t kWireVersion = 1;
-
-/// Version-2 protocol tag: pipelined, out-of-order responses, batching.
+/// The protocol version every frame carries.
 inline constexpr std::uint8_t kWireVersionV2 = 2;
-
-/// Highest version this implementation speaks.
-inline constexpr std::uint8_t kMaxWireVersion = kWireVersionV2;
 
 /// Bytes of payload occupied by version + type + request id.
 inline constexpr std::size_t kFrameHeaderBytes = 10;
@@ -67,7 +58,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 10;
 /// Bytes of the leading length prefix.
 inline constexpr std::size_t kLengthPrefixBytes = 4;
 
-// --- Trace propagation (docs/WIRE_PROTOCOL.md §2.1, §5.5) ------------------
+// --- Trace propagation (docs/WIRE_PROTOCOL.md §2.1, §5.4) ------------------
 
 /// Hello feature bit: the peer understands the per-frame trace
 /// extension. A connection carries trace contexts only when the client
@@ -93,9 +84,9 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 1 << 20;  // 1 MiB
 /// RecommendResponse; a peer exceeding it is sending garbage.
 inline constexpr std::size_t kMaxListedVideos = 4096;
 
-/// Cap on Recommend bodies per BatchRecommendRequest (v2). One batch
-/// frame occupies one admission-control slot on the server, so the cap
-/// bounds the work a single slot can demand.
+/// Cap on Recommend bodies per BatchRecommendRequest. One batch frame
+/// occupies one admission-control slot on the server, so the cap bounds
+/// the work a single slot can demand.
 inline constexpr std::size_t kMaxBatchedRequests = 64;
 
 /// Message discriminator. Requests have the high bit clear, responses set.
@@ -105,8 +96,8 @@ enum class MessageType : std::uint8_t {
   kObserveRequest = 0x03,
   kRegisterProfileRequest = 0x04,
   kStatsRequest = 0x05,
-  kHelloRequest = 0x06,           ///< v2 negotiation (frame version is 1).
-  kBatchRecommendRequest = 0x07,  ///< v2 only.
+  kHelloRequest = 0x06,           ///< Optional feature negotiation.
+  kBatchRecommendRequest = 0x07,
 
   kPongResponse = 0x81,
   kRecommendResponse = 0x82,
@@ -138,7 +129,7 @@ const char* WireErrorToString(WireError error);
 /// decoder strips it into the trace_* fields and masks the version
 /// byte, so `version` always holds a plain protocol version.
 struct Frame {
-  std::uint8_t version = kWireVersion;
+  std::uint8_t version = kWireVersionV2;
   MessageType type = MessageType::kPingRequest;
   std::uint64_t request_id = 0;
   std::string body;
@@ -214,19 +205,18 @@ StatusOr<UserAction> DecodeObserveRequest(const Frame& frame);
 std::string EncodeStatsRequest(std::uint64_t request_id);
 
 /// Hello body (request): u8 min_version, u8 max_version, u32 feature
-/// bits (0; receivers ignore unknown bits). Always framed with version
-/// byte kWireVersion (1) so a v1 server parses the header and answers a
-/// typed UNKNOWN_TYPE error instead of dropping the connection.
+/// bits (kFeature*; receivers ignore unknown bits). The server accepts
+/// the Hello when [min_version, max_version] contains 2.
 struct HelloRequest {
-  std::uint8_t min_version = kWireVersion;
-  std::uint8_t max_version = kMaxWireVersion;
+  std::uint8_t min_version = kWireVersionV2;
+  std::uint8_t max_version = kWireVersionV2;
   std::uint32_t features = 0;
 };
 std::string EncodeHelloRequest(std::uint64_t request_id,
                                const HelloRequest& hello);
 StatusOr<HelloRequest> DecodeHelloRequest(const Frame& frame);
 
-/// BatchRecommend body (v2): u32 count, then `count` Recommend bodies
+/// BatchRecommend body: u32 count, then `count` Recommend bodies
 /// (u64 user, i64 now, u32 top_n, u32 seed count, u64 seeds...). The
 /// whole batch shares one request id; per-item outcomes travel in the
 /// BatchRecommendResponse.
@@ -276,13 +266,12 @@ StatusOr<RecommendReply> DecodeRecommendReply(const Frame& frame);
 /// Flag-discarding convenience wrapper around DecodeRecommendReply.
 StatusOr<std::vector<ScoredVideo>> DecodeRecommendResponse(const Frame& frame);
 
-/// Hello body (response): u8 negotiated version, u32 feature bits (0),
+/// Hello body (response): u8 version (always 2), u32 acked feature bits,
 /// u32 max in-flight hint (the server's admission cap; 0 = no hint),
-/// u32 batch cap (kMaxBatchedRequests of the server). The negotiated
-/// version is min(client max, server max) and the server rejects a
-/// Hello whose min_version is above what it speaks with BAD_VERSION.
+/// u32 batch cap (kMaxBatchedRequests of the server). A Hello whose
+/// range excludes 2 gets BAD_VERSION instead.
 struct HelloReply {
-  std::uint8_t version = kWireVersion;
+  std::uint8_t version = kWireVersionV2;
   std::uint32_t features = 0;
   std::uint32_t max_in_flight_hint = 0;
   std::uint32_t max_batch = 0;
@@ -302,7 +291,7 @@ struct BatchRecommendItem {
   bool ok() const { return error == 0; }
 };
 
-/// BatchRecommendResponse body (v2): u32 count, then per item: u8 error
+/// BatchRecommendResponse body: u32 count, then per item: u8 error
 /// code (0 = OK), u8 flags, u32 video count, (u64 video, f64 score)
 /// pairs. Failed items carry zero videos. Item order matches the
 /// request; count always equals the request's count.

@@ -249,9 +249,7 @@ class Topology::TaskCollector : public OutputCollector {
 };
 
 Topology::Topology(TopologySpec spec, TopologyOptions options)
-    : spec_(std::move(spec)),
-      options_(options),
-      cpu_plan_(/*enabled=*/options.pin_cpus) {
+    : spec_(std::move(spec)), options_(options) {
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -401,24 +399,11 @@ Status Topology::Join() {
   const std::int64_t first = first_emit_us_.load(std::memory_order_relaxed);
   if (first != 0) {
     metrics_->GetGauge("topology.first_emit_us")->Set(first);
-    metrics_->GetGauge("topology.spout_done_us")
-        ->Set(spout_done_us_.load(std::memory_order_relaxed));
     metrics_->GetGauge("topology.final_done_us")
         ->Set(final_done_us_.load(std::memory_order_relaxed));
   }
   finished_.store(true, std::memory_order_release);
   return Status::OK();
-}
-
-void Topology::MaybePinTask() {
-  const int cpu = cpu_plan_.NextCpu();
-  if (cpu < 0) return;  // Pinning disabled or no CPUs discovered.
-  const Status status = concurrent::CpuBind::PinCurrentThread(cpu);
-  if (status.ok()) {
-    metrics_->GetCounter("topology.pinned_tasks")->Increment();
-  } else if (!pin_warned_.exchange(true, std::memory_order_relaxed)) {
-    RTREC_LOG(kWarn) << "task CPU pinning unavailable: " << status.ToString();
-  }
 }
 
 void Topology::RequestStop() {
@@ -470,7 +455,6 @@ std::vector<Topology::StreamEdges> Topology::EdgesFrom(
 
 void Topology::RunSpoutTask(std::size_t component_index,
                             std::size_t task_index) {
-  MaybePinTask();
   ComponentRuntime& rt = components_[component_index];
 
   TaskCollector collector(&rt, EdgesFrom(rt), acker_.get(),
@@ -597,12 +581,10 @@ void Topology::RunSpoutTask(std::size_t component_index,
   }
   collector.Publish();
   BroadcastEos(rt);
-  StoreMax(spout_done_us_, Tracer::NowMicros());
 }
 
 void Topology::RunBoltTask(std::size_t component_index,
                            std::size_t task_index) {
-  MaybePinTask();
   ComponentRuntime& rt = components_[component_index];
 
   std::uint64_t current_root = 0;

@@ -11,7 +11,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/trace.h"
-#include "concurrent/cpu_bind.h"
 #include "concurrent/ring_queue.h"
 #include "stream/acker.h"
 #include "stream/bolt.h"
@@ -31,12 +30,6 @@ struct TopologyOptions {
   /// Batching amortizes the park/wake handshake (and, cross-core, the
   /// cache-line bounce) over many tuples. 0 = spec default, else 64.
   std::size_t drain_batch = 0;
-
-  /// Pin each task thread to a CPU, round-robin over the process's
-  /// affinity mask (concurrent::CpuBindPlan). Best-effort: failures are
-  /// logged once and counted, never fatal. Off by default — pinning
-  /// helps dedicated hosts and hurts shared ones.
-  bool pin_cpus = false;
 
   /// Metrics sink; if null the topology owns a private registry.
   MetricsRegistry* metrics = nullptr;
@@ -200,7 +193,6 @@ class Topology {
   void RunBoltTask(std::size_t component_index, std::size_t task_index);
   std::vector<StreamEdges> EdgesFrom(const ComponentRuntime& producer);
   void BroadcastEos(ComponentRuntime& component);
-  void MaybePinTask();
 
   TopologySpec spec_;
   TopologyOptions options_;
@@ -211,14 +203,11 @@ class Topology {
   // Topology-wide ring counters ("stream.queue.*"), shared by every
   // task queue.
   TaskQueue::Stats queue_stats_;
-  concurrent::CpuBindPlan cpu_plan_;
-  std::atomic<bool> pin_warned_{false};
   // Ingest-window stamps for honest end-to-end throughput accounting
-  // (published as gauges by Join): the first spout emission, the last
-  // spout finishing, and the last *terminal* bolt task (one with no
-  // downstream subscribers) finishing its drain.
+  // (published as gauges by Join): the first spout emission and the
+  // last *terminal* bolt task (one with no downstream subscribers)
+  // finishing its drain.
   std::atomic<std::int64_t> first_emit_us_{0};
-  std::atomic<std::int64_t> spout_done_us_{0};
   std::atomic<std::int64_t> final_done_us_{0};
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;

@@ -1,6 +1,7 @@
 // Tests for the lock-free ingest primitives in src/concurrent/: the
 // SPSC and MPSC rings, the blocking RingQueue wrapper the stream engine
-// uses as its task queue, CPU affinity pinning, and latency sampling.
+// uses as its task queue, the CPU-count query its spin policy reads,
+// and latency sampling.
 // The stress tests do exact accounting (every pushed value popped
 // exactly once, per-producer FIFO preserved) and run under the same
 // ASan/TSan matrix as the rest of the suite.
@@ -22,10 +23,6 @@
 #include "concurrent/mpsc_ring.h"
 #include "concurrent/ring_queue.h"
 #include "concurrent/spsc_ring.h"
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace rtrec::concurrent {
 namespace {
@@ -446,56 +443,6 @@ TEST(CpuBindTest, NumCpusAndAllowedCpusAgree) {
   const std::vector<int> cpus = CpuBind::AllowedCpus();
   EXPECT_EQ(static_cast<int>(cpus.size()), CpuBind::NumCpus());
   EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
-}
-
-#if defined(__linux__)
-TEST(CpuBindTest, PinCurrentThreadRestrictsAffinity) {
-  const std::vector<int> cpus = CpuBind::AllowedCpus();
-  ASSERT_FALSE(cpus.empty());
-  // Pin from a scratch thread so the test runner's own affinity is
-  // untouched.
-  std::thread worker([&] {
-    const int target = cpus.back();
-    ASSERT_TRUE(CpuBind::PinCurrentThread(target).ok());
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
-    EXPECT_EQ(CPU_COUNT(&set), 1);
-    EXPECT_TRUE(CPU_ISSET(target, &set));
-    EXPECT_EQ(CpuBind::CurrentCpu(), target);
-  });
-  worker.join();
-}
-
-TEST(CpuBindTest, PinToDisallowedCpuFails) {
-  std::thread worker([] {
-    EXPECT_FALSE(CpuBind::PinCurrentThread(-1).ok());
-    EXPECT_FALSE(CpuBind::PinCurrentThread(1 << 20).ok());
-  });
-  worker.join();
-}
-#endif  // __linux__
-
-TEST(CpuBindPlanTest, RoundRobinOverAllowedCpus) {
-  CpuBindPlan plan(/*enabled=*/true);
-  const std::size_t n = plan.num_cpus();
-  if (n == 0) {
-    EXPECT_EQ(plan.NextCpu(), -1);
-    return;
-  }
-  const std::vector<int> cpus = CpuBind::AllowedCpus();
-  for (std::size_t round = 0; round < 2; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(plan.NextCpu(), cpus[i]);
-    }
-  }
-}
-
-TEST(CpuBindPlanTest, DisabledPlanHandsOutMinusOne) {
-  CpuBindPlan plan(/*enabled=*/false);
-  EXPECT_EQ(plan.num_cpus(), 0u);
-  EXPECT_EQ(plan.NextCpu(), -1);
-  EXPECT_EQ(plan.NextCpu(), -1);
 }
 
 // --- LatencyStats ----------------------------------------------------------

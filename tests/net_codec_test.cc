@@ -27,7 +27,7 @@ TEST(NetCodecTest, PingPongAckRoundtrip) {
         std::pair{EncodeAckResponse(9), MessageType::kAckResponse}}) {
     Frame frame = DecodeOne(encoded);
     EXPECT_EQ(frame.type, type);
-    EXPECT_EQ(frame.version, kWireVersion);
+    EXPECT_EQ(frame.version, kWireVersionV2);
     EXPECT_TRUE(frame.body.empty());
   }
   EXPECT_EQ(DecodeOne(EncodePingRequest(7)).request_id, 7u);
@@ -301,23 +301,24 @@ TEST(NetCodecTest, SeedCountCapRejectsAbsurdClaims) {
   EXPECT_TRUE(DecodeRecommendRequest(frame).status().IsInvalidArgument());
 }
 
-// --- Wire v2 (docs/WIRE_PROTOCOL.md §5-§7) ---------------------------------
+// --- Hello and batching (docs/WIRE_PROTOCOL.md §5-§7) -----------------------
 // Conformance checklist items below cite the spec section they verify.
 
-TEST(NetCodecTest, HelloRequestRoundtripAndV1FrameVersion) {
-  // §5.1: Hello travels in a *v1* frame so any server can parse it.
+TEST(NetCodecTest, HelloRequestRoundtripIsV2Framed) {
+  // §5.1: Hello travels in a version-2 frame like every other message;
+  // its body still carries a version range.
   HelloRequest hello;
   hello.min_version = 1;
-  hello.max_version = kMaxWireVersion;
+  hello.max_version = 3;
   hello.features = 0xA5A5A5A5u;
   Frame frame = DecodeOne(EncodeHelloRequest(11, hello));
   EXPECT_EQ(frame.type, MessageType::kHelloRequest);
-  EXPECT_EQ(frame.version, kWireVersion);  // NOT kWireVersionV2.
+  EXPECT_EQ(frame.version, kWireVersionV2);
   EXPECT_EQ(frame.request_id, 11u);
   auto decoded = DecodeHelloRequest(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->min_version, 1);
-  EXPECT_EQ(decoded->max_version, kMaxWireVersion);
+  EXPECT_EQ(decoded->max_version, 3);
   EXPECT_EQ(decoded->features, 0xA5A5A5A5u);
 }
 
@@ -337,14 +338,14 @@ TEST(NetCodecTest, HelloRequestRejectsBadVersionRange) {
 }
 
 TEST(NetCodecTest, HelloResponseRoundtrip) {
-  // §5.3: reply carries the chosen version plus capability hints.
+  // §5.3: reply carries version 2 plus capability hints.
   HelloReply reply;
   reply.version = kWireVersionV2;
   reply.max_in_flight_hint = 256;
   reply.max_batch = static_cast<std::uint32_t>(kMaxBatchedRequests);
   Frame frame = DecodeOne(EncodeHelloResponse(12, reply));
   EXPECT_EQ(frame.type, MessageType::kHelloResponse);
-  EXPECT_EQ(frame.version, kWireVersion);  // Hello pair is v1-framed.
+  EXPECT_EQ(frame.version, kWireVersionV2);
   auto decoded = DecodeHelloResponse(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->version, kWireVersionV2);
@@ -353,20 +354,19 @@ TEST(NetCodecTest, HelloResponseRoundtrip) {
 }
 
 TEST(NetCodecTest, HelloResponseRejectsImpossibleVersion) {
-  // §5.3: version must be in [1, kMaxWireVersion].
-  HelloReply reply;
-  reply.version = 0;
-  EXPECT_TRUE(DecodeHelloResponse(DecodeOne(EncodeHelloResponse(1, reply)))
-                  .status()
-                  .IsInvalidArgument());
-  reply.version = kMaxWireVersion + 1;
-  EXPECT_TRUE(DecodeHelloResponse(DecodeOne(EncodeHelloResponse(1, reply)))
-                  .status()
-                  .IsInvalidArgument());
+  // §5.3: the only version a reply may carry is 2.
+  for (std::uint8_t version : {0, 1, 3}) {
+    HelloReply reply;
+    reply.version = version;
+    EXPECT_TRUE(DecodeHelloResponse(DecodeOne(EncodeHelloResponse(1, reply)))
+                    .status()
+                    .IsInvalidArgument())
+        << "version " << int{version};
+  }
 }
 
 TEST(NetCodecTest, BatchRecommendRequestRoundtripIsV2Framed) {
-  // §7.1: the batch request is a v2 frame carrying back-to-back
+  // §7.1: the batch request is a version-2 frame carrying back-to-back
   // Recommend bodies under one request id.
   std::vector<RecRequest> batch(3);
   batch[0].user = 1;
@@ -392,7 +392,6 @@ TEST(NetCodecTest, BatchRecommendRequestRejectsEmptyAndOversize) {
   // §7.1: count must be in [1, kMaxBatchedRequests].
   Frame empty;
   empty.type = MessageType::kBatchRecommendRequest;
-  empty.version = kWireVersionV2;
   empty.body = std::string(4, '\x00');  // count = 0
   EXPECT_TRUE(DecodeBatchRecommendRequest(empty).status().IsInvalidArgument());
 
@@ -481,7 +480,6 @@ TEST(NetCodecTest, UnstampedFramesCarryNoTrace) {
 
 TEST(NetCodecTest, AppendFrameEmitsTraceExtension) {
   Frame frame;
-  frame.version = kWireVersionV2;
   frame.type = MessageType::kPingRequest;
   frame.request_id = 9;
   frame.has_trace = true;

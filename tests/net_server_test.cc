@@ -278,16 +278,19 @@ TEST(RecServerTest, GarbageBodyGetsTypedErrorAndConnectionSurvives) {
 
 TEST(RecServerTest, BadVersionGetsTypedErrorAndDisconnect) {
   LiveServer live;
-  RawPeer peer(live.server->port());
-  std::string bytes = EncodePingRequest(7);
-  bytes[4] = 9;  // Future protocol version.
-  peer.Send(bytes);
-  StatusOr<Frame> frame = peer.ReadFrame();
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  auto error = DecodeErrorResponse(*frame);
-  ASSERT_TRUE(error.ok());
-  EXPECT_EQ(error->code, WireError::kBadVersion);
-  EXPECT_TRUE(peer.WaitForClose());
+  // 2 is the only version; the retired 1 is as foreign as a future 9.
+  for (char version : {1, 9}) {
+    RawPeer peer(live.server->port());
+    std::string bytes = EncodePingRequest(7);
+    bytes[4] = version;
+    peer.Send(bytes);
+    StatusOr<Frame> frame = peer.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    auto error = DecodeErrorResponse(*frame);
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->code, WireError::kBadVersion) << int{version};
+    EXPECT_TRUE(peer.WaitForClose()) << int{version};
+  }
 }
 
 TEST(RecServerTest, UnknownTypeGetsTypedErrorAndConnectionSurvives) {
@@ -702,99 +705,51 @@ TEST(RecServerTest, QualityMetricsVisibleViaStatsRpc) {
   EXPECT_NE(stats->find("quality_alerts_logloss_total "), std::string::npos);
 }
 
-// --- Wire v2: negotiation, interop, pipelining (docs/WIRE_PROTOCOL.md) -----
+// --- Hello, batching, pipelining (docs/WIRE_PROTOCOL.md §5-§7) -------------
 
 TEST(RecServerTest, V2NegotiatedAtConnect) {
   LiveServer live;
   RecClient client(live.ClientOptions());
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_EQ(client.negotiated_version(), kWireVersionV2);
+  EXPECT_TRUE(client.trace_propagation_negotiated());
   EXPECT_EQ(live.metrics.GetCounter("net.v2.hellos")->value(), 1);
   // The handshake is connection setup, not traffic (§5).
   EXPECT_EQ(live.metrics.GetCounter("net.server.requests")->value(), 1);
 }
 
-TEST(RecServerTest, V1CappedClientInteropsWithV2Server) {
-  // A client configured for pure v1 (max_wire_version = 1) skips the
-  // handshake entirely; the v2 server must serve it exactly as before.
+TEST(RecServerTest, BatchNeedsNoHello) {
+  // Hello only negotiates features (§7.3): a peer that never sends one
+  // may batch and pipeline from its first frame.
   LiveServer live;
-  RecClient::Options options = live.ClientOptions();
-  options.max_wire_version = 1;
-  RecClient client(options);
-  EXPECT_TRUE(client.Ping().ok());
-  EXPECT_EQ(client.negotiated_version(), kWireVersion);
-  EXPECT_EQ(live.metrics.GetCounter("net.v2.hellos")->value(), 0);
-
-  RecRequest request;
-  request.user = 1;
-  request.top_n = 3;
-  EXPECT_TRUE(client.RecommendDetailed(request).ok());
-}
-
-TEST(RecServerTest, GenuineV1PeerNeedsNoHandshake) {
-  // A peer that has never heard of Hello sends v1 frames cold (§5.4).
-  LiveServer live;
+  Timestamp t = 0;
+  for (UserId user = 1; user <= 5; ++user) {
+    live.service.Observe(Play(user, 100, t += 1000));
+  }
   RawPeer peer(live.server->port());
-  peer.Send(EncodePingRequest(42));
+  std::vector<RecRequest> batch(2);
+  for (RecRequest& request : batch) {
+    request.user = 999;
+    request.top_n = 3;
+    request.now = t;
+  }
+  peer.Send(EncodeBatchRecommendRequest(9, batch) + EncodePingRequest(10));
   StatusOr<Frame> frame = peer.ReadFrame();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->type, MessageType::kPongResponse);
-  EXPECT_EQ(frame->request_id, 42u);
-}
-
-TEST(RecServerTest, V2ClientFallsBackAgainstV1CappedServer) {
-  // Server capped at v1 answers Hello with UNKNOWN_TYPE — exactly what
-  // a pre-v2 binary would do — and the client must settle on v1 and
-  // keep working (§5.4).
-  RecServer::Options options;
-  options.max_wire_version = 1;
-  LiveServer live(options);
-  RecClient client(live.ClientOptions());
-  EXPECT_TRUE(client.Ping().ok());
-  EXPECT_EQ(client.negotiated_version(), kWireVersion);
-
-  RecRequest request;
-  request.user = 7;
-  request.top_n = 3;
-  EXPECT_TRUE(client.RecommendDetailed(request).ok());
-}
-
-TEST(RecServerTest, BatchOnUnnegotiatedConnectionMimicsV1Server) {
-  // A v2 frame without a prior Hello gets BAD_VERSION + disconnect —
-  // byte-for-byte what a genuine v1 server does with version 2 (§7.3).
-  LiveServer live;
-  {
-    RawPeer peer(live.server->port());
-    std::vector<RecRequest> batch(2);
-    peer.Send(EncodeBatchRecommendRequest(9, batch));
-    StatusOr<Frame> frame = peer.ReadFrame();
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    ASSERT_EQ(frame->type, MessageType::kErrorResponse);
-    auto error = DecodeErrorResponse(*frame);
-    ASSERT_TRUE(error.ok());
-    EXPECT_EQ(error->code, WireError::kBadVersion);
-    EXPECT_TRUE(peer.WaitForClose());
+  ASSERT_EQ(frame->type, MessageType::kBatchRecommendResponse);
+  EXPECT_EQ(frame->request_id, 9u);
+  auto items = DecodeBatchRecommendResponse(*frame);
+  ASSERT_TRUE(items.ok()) << items.status().ToString();
+  ASSERT_EQ(items->size(), batch.size());
+  for (const BatchRecommendItem& item : *items) {
+    ASSERT_TRUE(item.ok());
+    ASSERT_FALSE(item.reply.videos.empty());
+    EXPECT_EQ(item.reply.videos[0].video, 100u);
   }
-  {
-    // The same batch hand-framed as v1 is merely an unknown type to a
-    // v1 connection: typed error, connection survives.
-    RawPeer peer(live.server->port());
-    std::vector<RecRequest> batch(2);
-    std::string bytes = EncodeBatchRecommendRequest(9, batch);
-    bytes[4] = static_cast<char>(kWireVersion);  // Version byte.
-    peer.Send(bytes);
-    StatusOr<Frame> frame = peer.ReadFrame();
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    ASSERT_EQ(frame->type, MessageType::kErrorResponse);
-    auto error = DecodeErrorResponse(*frame);
-    ASSERT_TRUE(error.ok());
-    EXPECT_EQ(error->code, WireError::kUnknownType);
-
-    peer.Send(EncodePingRequest(10));
-    StatusOr<Frame> pong = peer.ReadFrame();
-    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
-    EXPECT_EQ(pong->type, MessageType::kPongResponse);
-  }
+  StatusOr<Frame> pong = peer.ReadFrame();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->type, MessageType::kPongResponse);
+  EXPECT_EQ(pong->request_id, 10u);
+  EXPECT_EQ(live.metrics.GetCounter("net.v2.hellos")->value(), 0);
 }
 
 TEST(RecServerTest, BatchRecommendRoundTripsAndChunks) {
@@ -890,9 +845,10 @@ TEST(RecServerTest, PipelinedCallsSurviveInjectedLatency) {
   EXPECT_EQ(ok_count.load(), kThreads * kCallsPerThread);
 }
 
-/// Minimal v2-speaking fake server for client-side tests the real
-/// server cannot drive (it answers in request order by construction):
-/// accepts one connection, answers Hello, then reorders responses.
+/// Minimal fake server for client-side tests the real server cannot
+/// drive (it answers in request order by construction): accepts one
+/// connection, answers Hello acking no features, then reorders
+/// responses.
 struct ReorderingFakeServer {
   ReorderingFakeServer() {
     auto listener = ListenTcp("127.0.0.1", 0, /*backlog=*/1);
@@ -926,14 +882,15 @@ struct ReorderingFakeServer {
         continue;
       }
       if (frame->type == MessageType::kHelloRequest) {
-        HelloReply reply;
-        reply.version = kWireVersionV2;
-        const std::string out = EncodeHelloResponse(frame->request_id, reply);
+        // A default reply acks no feature bits.
+        const std::string out =
+            EncodeHelloResponse(frame->request_id, HelloReply{});
         ASSERT_EQ(write(conn.get(), out.data(), out.size()),
                   static_cast<ssize_t>(out.size()));
         continue;
       }
       if (frame->type != MessageType::kRecommendRequest) continue;
+      if (frame->has_trace) traced_requests.fetch_add(1);
       held.push_back(*frame);
       if (held.size() < 2) continue;  // Hold until both are in.
       // Answer LAST-in first: the client must match by id, not order.
@@ -953,24 +910,28 @@ struct ReorderingFakeServer {
     }
   }
 
+  RecClient::Options ClientOptions() const {
+    RecClient::Options options;
+    options.port = port;
+    options.request_timeout_ms = 5000;
+    return options;
+  }
+
   UniqueFd listen_fd;
   std::uint16_t port = 0;
   std::thread serve;
+  /// Recommend requests that arrived with a trace extension.
+  std::atomic<int> traced_requests{0};
 };
 
-TEST(RecClientTest, OutOfOrderResponsesReachTheRightCallers) {
-  ReorderingFakeServer fake;
-  RecClient::Options options;
-  options.port = fake.port;
-  options.request_timeout_ms = 5000;
-  RecClient client(options);
-  ASSERT_TRUE(client.Connect().ok());
-  ASSERT_EQ(client.negotiated_version(), kWireVersionV2);
-
+/// Users 1 and 2 ask for a page concurrently on one client, each caller
+/// thread under `trace`; returns how many got their own echoed answer.
+int RecommendFromTwoCallers(RecClient& client, const TraceContext& trace) {
   std::atomic<int> correct{0};
   std::vector<std::thread> callers;
   for (UserId user = 1; user <= 2; ++user) {
-    callers.emplace_back([&client, &correct, user] {
+    callers.emplace_back([&client, &correct, &trace, user] {
+      ScopedTraceContext scope(trace);
       RecRequest request;
       request.user = user;
       request.top_n = 1;
@@ -981,7 +942,14 @@ TEST(RecClientTest, OutOfOrderResponsesReachTheRightCallers) {
     });
   }
   for (auto& caller : callers) caller.join();
-  EXPECT_EQ(correct.load(), 2);
+  return correct.load();
+}
+
+TEST(RecClientTest, OutOfOrderResponsesReachTheRightCallers) {
+  ReorderingFakeServer fake;
+  RecClient client(fake.ClientOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_EQ(RecommendFromTwoCallers(client, TraceContext{}), 2);
 }
 
 TEST(RecServerTest, CallTimeoutKeepsConnectionAndDropsStaleResponse) {
@@ -1358,13 +1326,12 @@ TEST(JsonParserTest, AcceptsJsonAndRejectsMalformedText) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace propagation over TCP (docs/WIRE_PROTOCOL.md §2.1, §5.5).
+// Trace propagation over TCP (docs/WIRE_PROTOCOL.md §2.1, §5.4).
 
 TEST(TracePropagationTest, NegotiatedOnV2Connect) {
   LiveServer live;
   RecClient client(live.ClientOptions());
   ASSERT_TRUE(client.Connect().ok());
-  EXPECT_EQ(client.negotiated_version(), kWireVersionV2);
   EXPECT_TRUE(client.trace_propagation_negotiated());
 }
 
@@ -1407,40 +1374,19 @@ TEST(TracePropagationTest, SampledContextPropagatesAndServerAdopts) {
   EXPECT_NE(json.find("\"name\":\"engine\""), std::string::npos);
 }
 
-TEST(TracePropagationTest, V1PeerSilentlyDropsTheContext) {
-  MetricsRegistry trace_metrics;
-  Tracer::Options tracer_options;
-  tracer_options.sample_every_n = 0;
-  tracer_options.metrics = &trace_metrics;
-  Tracer tracer(tracer_options);
-  obs::SpanCollector::Options span_options;
-  span_options.metrics = &trace_metrics;
-  obs::SpanCollector spans(span_options);
-
-  RecServer::Options options;
-  options.max_wire_version = 1;  // Pre-v2 server: no Hello, no feature.
-  options.tracer = &tracer;
-  options.spans = &spans;
-  LiveServer live(options);
-  RecClient client(live.ClientOptions());
-
+TEST(TracePropagationTest, UnackedFeatureSilentlyDropsTheContext) {
+  // The fake server's Hello acks no features, so a sampled context on
+  // the calling thread must not reach the wire: the requests are sent
+  // unchanged and still answered.
+  ReorderingFakeServer fake;
+  RecClient client(fake.ClientOptions());
+  ASSERT_TRUE(client.Connect().ok());
+  EXPECT_FALSE(client.trace_propagation_negotiated());
   TraceContext trace;
   trace.id = 0x5678;
   trace.start_us = Tracer::NowMicros();
-  RecRequest request;
-  request.user = 1;
-  request.top_n = 3;
-  {
-    ScopedTraceContext scope(trace);
-    // The request must be byte-identical v1 traffic: correct answer, no
-    // extension on the wire, nothing adopted server-side.
-    auto recs = client.Recommend(request);
-    ASSERT_TRUE(recs.ok()) << recs.status().ToString();
-  }
-  EXPECT_FALSE(client.trace_propagation_negotiated());
-  EXPECT_EQ(trace_metrics.GetCounter("trace.adopted")->value(), 0);
-  spans.Flush();
-  EXPECT_FALSE(spans.HasTrace(0x5678));
+  EXPECT_EQ(RecommendFromTwoCallers(client, trace), 2);
+  EXPECT_EQ(fake.traced_requests.load(), 0);
 }
 
 TEST(TracePropagationTest, UnnegotiatedExtensionIsAVersionViolation) {

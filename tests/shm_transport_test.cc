@@ -265,9 +265,9 @@ TEST(ShmRecServerTest, FullRpcSurfaceOverShm) {
   options.host = "rec://shm/" + name.substr(std::string("/rtrec.").size());
   RecClient client(options);
   ASSERT_TRUE(client.Connect().ok());
-  // v2 negotiation runs over shm exactly as over TCP (§9: the rings
-  // carry ordinary wire frames).
-  EXPECT_EQ(client.negotiated_version(), kWireVersionV2);
+  // Hello runs over shm exactly as over TCP (§9: the rings carry
+  // ordinary wire frames).
+  EXPECT_TRUE(client.trace_propagation_negotiated());
 
   UserProfile profile;
   profile.registered = true;

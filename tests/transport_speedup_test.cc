@@ -1,8 +1,9 @@
-// Pipelining must beat the v1 lock-step baseline on one connection
-// (docs/WIRE_PROTOCOL.md §6, §9). Every leg speaks raw wire frames from
-// the test thread, over a TCP fd or an shm slot, not through RecClient,
-// so the comparison isolates transport mechanics (round trips,
-// syscalls, wakeups) from client-library threads and locks.
+// Pipelining must beat a lock-step baseline (one request in flight) on
+// one connection (docs/WIRE_PROTOCOL.md §6, §9). Every leg speaks raw
+// wire frames from the test thread, over a TCP fd or an shm slot, not
+// through RecClient, so the comparison isolates transport mechanics
+// (round trips, syscalls, wakeups) from client-library threads and
+// locks.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -68,20 +69,11 @@ struct RawConnection {
       }
     }
   }
-
-  /// Sends a Hello and expects the server to grant v2 (§5).
-  bool NegotiateV2() {
-    if (!Send(EncodeHelloRequest(1, HelloRequest{}))) return false;
-    StatusOr<Frame> frame = Next();
-    if (!frame.ok()) return false;
-    StatusOr<HelloReply> reply = DecodeHelloResponse(*frame);
-    return reply.ok() && reply->version >= kWireVersionV2;
-  }
 };
 
 /// Keeps `window` Recommend requests in flight on `conn` for `seconds`,
-/// then drains; returns completed requests per second. window = 1 is the
-/// v1 lock-step contract, window > 1 the v2 pipelined one. Responses may
+/// then drains; returns completed requests per second. window = 1 is
+/// lock-step, window > 1 pipelined. Responses may
 /// arrive out of order; each must answer a request still in flight.
 double WindowedQps(RawConnection& conn, int window, double seconds) {
   std::unordered_set<std::uint64_t> in_flight;
@@ -134,7 +126,7 @@ UserAction Play(UserId user, VideoId video, Timestamp t) {
   return action;
 }
 
-TEST(TransportSpeedupTest, PipeliningBeatsV1LockStepOnOneConnection) {
+TEST(TransportSpeedupTest, PipeliningBeatsLockStepOnOneConnection) {
   MetricsRegistry metrics;
   RecommendationService::Options service_options;
   service_options.metrics = &metrics;
@@ -160,35 +152,34 @@ TEST(TransportSpeedupTest, PipeliningBeatsV1LockStepOnOneConnection) {
 
   constexpr double kSeconds = 0.4;
   constexpr int kWindow = 64;
-  // v1 baseline: no Hello, v1 frames, one request in flight, so every
-  // RPC pays a full round trip.
-  RawConnection v1;
-  auto v1_fd = ConnectTcp("127.0.0.1", server.port(), 2000);
-  ASSERT_TRUE(v1_fd.ok()) << v1_fd.status().ToString();
-  v1.fd = std::move(*v1_fd);
-  const double v1_qps = WindowedQps(v1, 1, kSeconds);
+  // Lock-step baseline: one request in flight, so every RPC pays a full
+  // round trip. No leg sends a Hello; none needs one (§5).
+  RawConnection lockstep;
+  auto lockstep_fd = ConnectTcp("127.0.0.1", server.port(), 2000);
+  ASSERT_TRUE(lockstep_fd.ok()) << lockstep_fd.status().ToString();
+  lockstep.fd = std::move(*lockstep_fd);
+  const double lockstep_qps = WindowedQps(lockstep, 1, kSeconds);
 
   RawConnection tcp;
   auto tcp_fd = ConnectTcp("127.0.0.1", server.port(), 2000);
   ASSERT_TRUE(tcp_fd.ok()) << tcp_fd.status().ToString();
   tcp.fd = std::move(*tcp_fd);
-  ASSERT_TRUE(tcp.NegotiateV2());
-  const double v2_qps = WindowedQps(tcp, kWindow, kSeconds);
+  const double tcp_qps = WindowedQps(tcp, kWindow, kSeconds);
 
   RawConnection shm;
   auto attached = ShmClient::Attach(shm_name, {});
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   shm.shm = std::move(*attached);
-  ASSERT_TRUE(shm.NegotiateV2());
   const double shm_qps = WindowedQps(shm, kWindow, kSeconds);
   server.Stop();
 
-  std::printf("v1 lock-step %.0f QPS | v2 pipelined %.0f (x%.2f) | shm "
+  std::printf("lock-step %.0f QPS | tcp pipelined %.0f (x%.2f) | shm "
               "pipelined %.0f (x%.2f)\n",
-              v1_qps, v2_qps, v2_qps / v1_qps, shm_qps, shm_qps / v1_qps);
-  ASSERT_GT(v1_qps, 0.0);
-  EXPECT_GT(v2_qps / v1_qps, 1.0);
-  EXPECT_GT(shm_qps / v1_qps, 1.0);
+              lockstep_qps, tcp_qps, tcp_qps / lockstep_qps, shm_qps,
+              shm_qps / lockstep_qps);
+  ASSERT_GT(lockstep_qps, 0.0);
+  EXPECT_GT(tcp_qps / lockstep_qps, 1.0);
+  EXPECT_GT(shm_qps / lockstep_qps, 1.0);
   EXPECT_GT(metrics.GetCounter("shm.ring.polls")->value(), 0);
   EXPECT_EQ(metrics.GetCounter("shm.ring.attach_errors")->value(), 0);
 }

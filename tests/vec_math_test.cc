@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/types.h"
 
 namespace rtrec {
@@ -69,27 +68,6 @@ TEST(TypesTest, MixHash64SpreadsSequentialInputs) {
   std::uint64_t h1 = MixHash64(1);
   EXPECT_NE(h0 + 1, h1);
   EXPECT_NE(h0, h1);
-}
-
-TEST(ClockTest, ManualClockAdvances) {
-  ManualClock clock(1000);
-  EXPECT_EQ(clock.NowMillis(), 1000);
-  clock.AdvanceMillis(500);
-  EXPECT_EQ(clock.NowMillis(), 1500);
-  clock.SetMillis(42);
-  EXPECT_EQ(clock.NowMillis(), 42);
-}
-
-TEST(ClockTest, SystemClockIsMonotonicEnough) {
-  SystemClock clock;
-  const Timestamp a = clock.NowMillis();
-  const Timestamp b = clock.NowMillis();
-  EXPECT_LE(a, b);
-  EXPECT_GT(a, 1577836800000LL);  // After 2020-01-01.
-}
-
-TEST(ClockTest, SingletonInstance) {
-  EXPECT_EQ(SystemClock::Instance().get(), SystemClock::Instance().get());
 }
 
 }  // namespace
