@@ -60,40 +60,6 @@ void Histogram::Add(std::int64_t value) {
   ++buckets_[BucketFor(value)];
 }
 
-void Histogram::AddWithExemplar(std::int64_t value, std::uint64_t trace_id) {
-  if (value < 0) value = 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++count_;
-  sum_ += static_cast<double>(value);
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-  ++buckets_[BucketFor(value)];
-  if (trace_id == 0) return;
-  if (exemplars_.size() < static_cast<std::size_t>(kMaxExemplars)) {
-    exemplars_.push_back(Exemplar{value, trace_id});
-    return;
-  }
-  // Replace the smallest remembered value if this one beats it (ties
-  // replace too, so the slots track *recent* high observations).
-  std::size_t smallest = 0;
-  for (std::size_t i = 1; i < exemplars_.size(); ++i) {
-    if (exemplars_[i].value < exemplars_[smallest].value) smallest = i;
-  }
-  if (value >= exemplars_[smallest].value) {
-    exemplars_[smallest] = Exemplar{value, trace_id};
-  }
-}
-
-std::vector<Histogram::Exemplar> Histogram::Exemplars() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Exemplar> out = exemplars_;
-  std::sort(out.begin(), out.end(),
-            [](const Exemplar& a, const Exemplar& b) {
-              return a.value > b.value;
-            });
-  return out;
-}
-
 Histogram::CumulativeCut Histogram::CumulativeBuckets() const {
   std::lock_guard<std::mutex> lock(mu_);
   CumulativeCut cut;
@@ -133,7 +99,6 @@ void Histogram::Reset() {
   min_ = std::numeric_limits<std::int64_t>::max();
   max_ = 0;
   std::fill(buckets_.begin(), buckets_.end(), 0);
-  exemplars_.clear();
 }
 
 std::uint64_t Histogram::count() const {

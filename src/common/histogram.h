@@ -18,23 +18,6 @@ class Histogram {
   /// Records one sample. Negative values clamp to zero.
   void Add(std::int64_t value);
 
-  /// Records one sample and, when the value lands among the highest
-  /// observations seen so far, remembers `trace_id` as an exemplar — a
-  /// link from this histogram's tail to a capturable trace. A zero
-  /// trace id records the sample without touching the exemplar slots.
-  void AddWithExemplar(std::int64_t value, std::uint64_t trace_id);
-
-  /// One remembered high observation and the trace that produced it.
-  struct Exemplar {
-    std::int64_t value = 0;
-    std::uint64_t trace_id = 0;
-  };
-
-  /// The current exemplar slots, highest value first. At most
-  /// kMaxExemplars entries; empty when no exemplar-carrying sample has
-  /// been recorded.
-  std::vector<Exemplar> Exemplars() const;
-
   /// A consistent cut of the bucket array for native Prometheus
   /// histogram export: (inclusive upper bound, cumulative count) per
   /// non-empty-prefix bucket, plus total count and sum taken under the
@@ -64,8 +47,6 @@ class Histogram {
   /// One-line summary: count/mean/p50/p95/p99/max.
   std::string ToString() const;
 
-  static constexpr int kMaxExemplars = 4;
-
  private:
   static constexpr int kNumBuckets = 64;
 
@@ -79,9 +60,6 @@ class Histogram {
   std::int64_t max_ = 0;
   double sum_ = 0;
   std::vector<std::uint64_t> buckets_;
-  /// Top-valued recent exemplars, unordered; empty until an
-  /// AddWithExemplar lands in the tail.
-  std::vector<Exemplar> exemplars_;
 };
 
 /// RAII latency probe: records elapsed microseconds into a histogram when

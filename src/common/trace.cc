@@ -84,21 +84,10 @@ Histogram* Tracer::SinceRootHistogram(std::string_view stage) {
   return metrics_->GetHistogram(StageMetricName("trace.e2e.", stage, ".us"));
 }
 
-void Tracer::RecordSinceRoot(const TraceContext& context,
-                             std::string_view stage) {
-  if (!context.sampled()) return;
-  SinceRootHistogram(stage)->Add(NowMicros() - context.start_us);
-}
-
 std::int64_t Tracer::NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-Tracer& Tracer::Default() {
-  static Tracer& tracer = *new Tracer();
-  return tracer;
 }
 
 const TraceContext& CurrentTrace() { return t_current_trace; }

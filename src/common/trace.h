@@ -33,10 +33,10 @@ namespace rtrec {
 /// context and pay one branch per stage, no clock reads, no histogram
 /// work.
 ///
-/// The histograms land in the registry passed at construction (the
-/// process Default() registry for Tracer::Default()), so they are
-/// scraped by the same Stats RPC / Prometheus endpoint as every other
-/// metric and feed perfbench's per-stage percentiles.
+/// The histograms land in the registry passed at construction
+/// (MetricsRegistry::Default() when none is), so they are scraped by the
+/// same Stats RPC / Prometheus endpoint as every other metric and feed
+/// perfbench's per-stage percentiles.
 
 /// The sampling decision plus the trace identity, carried with the work.
 /// A default-constructed (id == 0) context means "not sampled": every
@@ -95,19 +95,8 @@ class Tracer {
   Histogram* QueueHistogram(std::string_view stage);      // trace.stage.<s>.queue_us
   Histogram* SinceRootHistogram(std::string_view stage);  // trace.e2e.<s>.us
 
-  /// Records `now - context.start_us` into SinceRootHistogram(stage).
-  /// No-op for unsampled contexts.
-  void RecordSinceRoot(const TraceContext& context, std::string_view stage);
-
   /// Steady-clock microseconds (the clock trace timestamps use).
   static std::int64_t NowMicros();
-
-  MetricsRegistry& metrics() { return *metrics_; }
-  std::uint32_t sample_every_n() const { return options_.sample_every_n; }
-
-  /// Process-wide tracer over MetricsRegistry::Default() (sample rate
-  /// from Options defaults).
-  static Tracer& Default();
 
  private:
   Options options_;
@@ -149,12 +138,11 @@ class TraceSpan {
  public:
   explicit TraceSpan(Histogram* hist)
       : hist_(hist != nullptr && CurrentTrace().sampled() ? hist : nullptr),
-        trace_id_(hist_ != nullptr ? CurrentTrace().id : 0),
         start_us_(hist_ != nullptr ? Tracer::NowMicros() : 0) {}
 
   ~TraceSpan() {
     if (hist_ != nullptr) {
-      hist_->AddWithExemplar(Tracer::NowMicros() - start_us_, trace_id_);
+      hist_->Add(Tracer::NowMicros() - start_us_);
     }
   }
 
@@ -163,7 +151,6 @@ class TraceSpan {
 
  private:
   Histogram* hist_;
-  std::uint64_t trace_id_;
   std::int64_t start_us_;
 };
 

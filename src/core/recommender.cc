@@ -27,7 +27,6 @@ MfRecommender::MfRecommender(OnlineMf* model, HistoryStore* history,
 
 StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
     const RecRequest& request) {
-  ScopedLatencyTimer timer(&latency_);
   const std::size_t top_n = request.top_n > 0 ? request.top_n : config_.top_n;
 
   // 1. Seed videos: the one being watched, or the user's recent history

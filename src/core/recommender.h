@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/action.h"
@@ -85,10 +84,6 @@ class MfRecommender : public Recommender {
 
   std::string name() const override { return "rMF"; }
 
-  /// End-to-end Recommend latency (microseconds), for the production
-  /// latency claims of Section 6.
-  const Histogram& latency() const { return latency_; }
-
   const RecommendConfig& config() const { return config_; }
 
   /// The serving-path factor cache, or null when disabled
@@ -102,7 +97,6 @@ class MfRecommender : public Recommender {
   SimTableUpdater* updater_;
   RecommendConfig config_;
   std::unique_ptr<FactorCache> factor_cache_;
-  Histogram latency_;
 };
 
 }  // namespace rtrec

@@ -151,6 +151,7 @@ class RecServer::Worker {
       }
       auto conn = std::make_unique<Connection>(
           fd, server_->options_.max_frame_bytes);
+      conn->ctx.rpc_latency = &server_->tcp_latency_;
       conn->last_active_ms = SteadyMillis();
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -199,7 +200,7 @@ class RecServer::Worker {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
         return false;
       }
-      server_->metrics_->GetCounter("net.server.bytes.in")->Increment(n);
+      server_->bytes_in_->Increment(n);
       conn->last_active_ms = SteadyMillis();
       conn->decoder.Append(std::string_view(buf, static_cast<std::size_t>(n)));
       while (!conn->close_after_flush) {
@@ -211,8 +212,7 @@ class RecServer::Worker {
         if (frame.status().IsNotFound()) break;  // Partial frame: wait.
         // Structurally corrupt stream: framing is lost, so answer once
         // (request id unknowable -> 0) and drop the connection.
-        server_->metrics_->GetCounter("net.server.protocol_errors")
-            ->Increment();
+        server_->protocol_errors_->Increment();
         QueueResponse(conn,
                       EncodeErrorResponse(0, WireError::kMalformedFrame,
                                           frame.status().message()));
@@ -257,7 +257,7 @@ class RecServer::Worker {
         return false;
       }
       conn->last_active_ms = SteadyMillis();
-      server_->metrics_->GetCounter("net.server.bytes.out")->Increment(n);
+      server_->bytes_out_->Increment(n);
       std::size_t consumed = static_cast<std::size_t>(n);
       while (consumed > 0) {
         const std::size_t front_left = conn->outq.front().size() - conn->outpos;
@@ -326,6 +326,27 @@ class RecServer::Worker {
 // ---------------------------------------------------------------------------
 // RecServer.
 
+namespace {
+
+/// Resolves "<transport>.<rpc>.latency_us" for every RPC the server
+/// times.
+RecServer::RpcLatency ResolveRpcLatency(MetricsRegistry* metrics,
+                                        const std::string& transport) {
+  const auto histogram = [&](const char* rpc) {
+    return metrics->GetHistogram(transport + "." + rpc + ".latency_us");
+  };
+  RecServer::RpcLatency latency;
+  latency.ping = histogram("ping");
+  latency.stats = histogram("stats");
+  latency.recommend = histogram("recommend");
+  latency.batch_recommend = histogram("batch_recommend");
+  latency.observe = histogram("observe");
+  latency.register_profile = histogram("register_profile");
+  return latency;
+}
+
+}  // namespace
+
 RecServer::RecServer(RecommendationService* service, Options options)
     : service_(service), options_(std::move(options)) {
   if (options_.metrics != nullptr) {
@@ -333,6 +354,17 @@ RecServer::RecServer(RecommendationService* service, Options options)
   } else {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
+  }
+  requests_ = metrics_->GetCounter("net.server.requests");
+  hellos_ = metrics_->GetCounter("net.v2.hellos");
+  protocol_errors_ = metrics_->GetCounter("net.server.protocol_errors");
+  batched_requests_ = metrics_->GetCounter("net.v2.batched_requests");
+  bytes_in_ = metrics_->GetCounter("net.server.bytes.in");
+  bytes_out_ = metrics_->GetCounter("net.server.bytes.out");
+  pipelined_inflight_ = metrics_->GetGauge("net.server.pipelined_inflight");
+  tcp_latency_ = ResolveRpcLatency(metrics_, "net.server.rpc");
+  if (!options_.shm_name.empty()) {
+    shm_latency_ = ResolveRpcLatency(metrics_, "shm.rpc");
   }
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_in_flight < 1) options_.max_in_flight = 1;
@@ -348,34 +380,20 @@ RecServer::RecServer(RecommendationService* service, Options options)
   }
 }
 
-namespace {
-
-/// Builds "<prefix>.<rpc>.latency_us" without StringPrintf's vararg trip.
-std::string RpcMetricName(const char* prefix, const char* rpc) {
-  std::string name(prefix);
-  name += '.';
-  name += rpc;
-  name += ".latency_us";
-  return name;
-}
-
-}  // namespace
-
 void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
                               const SendFn& send) {
   // Hello is connection setup, not traffic: keeping it out of
   // net.server.requests preserves that counter's meaning (RPCs served).
   if (frame.type == MessageType::kHelloRequest) {
-    metrics_->GetCounter("net.v2.hellos")->Increment();
+    hellos_->Increment();
   } else {
-    metrics_->GetCounter("net.server.requests")->Increment();
+    requests_->Increment();
   }
   // Sampled by scrapes: how many decoded-but-unanswered requests exist
   // right now across all connections and transports. With inline
   // handling this tracks handler concurrency, and it spikes when
   // pipelined batches queue up behind a slow RPC.
-  Gauge* inflight = metrics_->GetGauge("net.server.pipelined_inflight");
-  inflight->Add(1);
+  pipelined_inflight_->Add(1);
 
   // Version gate (docs/WIRE_PROTOCOL.md §2): every frame carries
   // version 2. A trace extension (decoded into frame.has_trace) counts
@@ -385,7 +403,7 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
       !frame.has_trace ||
       (ctx->negotiated_features & kFeatureTracePropagation) != 0;
   if (frame.version != kWireVersionV2 || !trace_ok) {
-    metrics_->GetCounter("net.server.protocol_errors")->Increment();
+    protocol_errors_->Increment();
     send(EncodeErrorResponse(
         frame.request_id, WireError::kBadVersion,
         frame.version != kWireVersionV2
@@ -394,22 +412,20 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
             : std::string("trace extension on a connection that did not "
                           "negotiate it")));
     ctx->close_connection = true;  // Framing discipline is gone.
-    inflight->Add(-1);
+    pipelined_inflight_->Add(-1);
     return;
   }
   switch (frame.type) {
     case MessageType::kPingRequest: {
       // Health checks bypass admission control by design.
-      ScopedLatencyTimer timer(
-          metrics_->GetHistogram(RpcMetricName(ctx->rpc_prefix, "ping")));
+      ScopedLatencyTimer timer(ctx->rpc_latency->ping);
       send(EncodePongResponse(frame.request_id));
       break;
     }
     case MessageType::kStatsRequest: {
       // Observability bypasses admission control like ping does: a
       // scrape must still answer while the server is shedding load.
-      ScopedLatencyTimer timer(
-          metrics_->GetHistogram(RpcMetricName(ctx->rpc_prefix, "stats")));
+      ScopedLatencyTimer timer(ctx->rpc_latency->stats);
       metrics_->GetCounter("net.server.stats_scrapes")->Increment();
       // Keep the whole frame under the peer's likely cap: leave room
       // for the length prefix, header, and body length field.
@@ -433,11 +449,11 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
       SendUnknownType(frame, send);
       break;
   }
-  inflight->Add(-1);
+  pipelined_inflight_->Add(-1);
 }
 
 void RecServer::SendUnknownType(const Frame& frame, const SendFn& send) {
-  metrics_->GetCounter("net.server.protocol_errors")->Increment();
+  protocol_errors_->Increment();
   send(EncodeErrorResponse(
       frame.request_id, WireError::kUnknownType,
       StringPrintf("server does not handle type 0x%02x",
@@ -448,14 +464,14 @@ void RecServer::HandleHello(const Frame& frame, RequestContext* ctx,
                             const SendFn& send) {
   StatusOr<HelloRequest> hello = DecodeHelloRequest(frame);
   if (!hello.ok()) {
-    metrics_->GetCounter("net.server.protocol_errors")->Increment();
+    protocol_errors_->Increment();
     send(EncodeErrorResponse(frame.request_id, WireError::kMalformedFrame,
                              hello.status().message()));
     return;
   }
   if (hello->min_version > kWireVersionV2 ||
       hello->max_version < kWireVersionV2) {
-    metrics_->GetCounter("net.server.protocol_errors")->Increment();
+    protocol_errors_->Increment();
     send(EncodeErrorResponse(
         frame.request_id, WireError::kBadVersion,
         StringPrintf("client speaks wire versions [%u, %u]; server speaks "
@@ -518,14 +534,13 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
   const auto send_decode_error = [this, &frame, &send](const Status& status) {
     // Parsed structurally but the body would not decode: the stream is
     // still framed, so answer and keep the connection.
-    metrics_->GetCounter("net.server.protocol_errors")->Increment();
+    protocol_errors_->Increment();
     send(EncodeErrorResponse(frame.request_id, WireError::kMalformedFrame,
                              status.message()));
   };
   switch (frame.type) {
     case MessageType::kRecommendRequest: {
-      ScopedLatencyTimer timer(
-          metrics_->GetHistogram(RpcMetricName(ctx->rpc_prefix, "recommend")));
+      ScopedLatencyTimer timer(ctx->rpc_latency->recommend);
       StatusOr<RecRequest> request = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeRecommendRequest(frame);
@@ -551,8 +566,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
       break;
     }
     case MessageType::kBatchRecommendRequest: {
-      ScopedLatencyTimer timer(metrics_->GetHistogram(
-          RpcMetricName(ctx->rpc_prefix, "batch_recommend")));
+      ScopedLatencyTimer timer(ctx->rpc_latency->batch_recommend);
       StatusOr<std::vector<RecRequest>> batch = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeBatchRecommendRequest(frame);
@@ -561,8 +575,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
         send_decode_error(batch.status());
         break;
       }
-      metrics_->GetCounter("net.v2.batched_requests")
-          ->Increment(batch->size());
+      batched_requests_->Increment(batch->size());
       std::vector<BatchRecommendItem> items;
       items.reserve(batch->size());
       {
@@ -586,8 +599,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
       break;
     }
     case MessageType::kObserveRequest: {
-      ScopedLatencyTimer timer(
-          metrics_->GetHistogram(RpcMetricName(ctx->rpc_prefix, "observe")));
+      ScopedLatencyTimer timer(ctx->rpc_latency->observe);
       StatusOr<UserAction> action = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeObserveRequest(frame);
@@ -604,8 +616,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
       break;
     }
     case MessageType::kRegisterProfileRequest: {
-      ScopedLatencyTimer timer(metrics_->GetHistogram(
-          RpcMetricName(ctx->rpc_prefix, "register_profile")));
+      ScopedLatencyTimer timer(ctx->rpc_latency->register_profile);
       StatusOr<ProfileUpdate> update = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeRegisterProfileRequest(frame);
@@ -623,15 +634,6 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
     }
     default:
       break;  // Unreachable: caller dispatched on type.
-  }
-  if (trace.sampled()) {
-    const char* stage =
-        frame.type == MessageType::kRecommendRequest ? "wire.recommend"
-        : frame.type == MessageType::kBatchRecommendRequest
-            ? "wire.batch_recommend"
-        : frame.type == MessageType::kObserveRequest ? "wire.observe"
-                                                     : "wire.register_profile";
-    tracer->RecordSinceRoot(trace, stage);
   }
   recorder.Finish(
       frame.type == MessageType::kRecommendRequest ? span_names_.rpc_recommend
@@ -730,11 +732,10 @@ Status RecServer::Start() {
         [this](const Frame& frame, ShmServer::ConnState* conn,
                const ShmServer::SendFn& send) {
           // Bridge the shm attachment's feature bits into the shared
-          // dispatch path; "shm.rpc" keys the per-transport latency
-          // histograms.
+          // dispatch path, timed by the shm latency histograms.
           RequestContext ctx;
           ctx.negotiated_features = conn->negotiated_features;
-          ctx.rpc_prefix = "shm.rpc";
+          ctx.rpc_latency = &shm_latency_;
           DispatchFrame(frame, &ctx,
                         [&send](std::string&& bytes) { send(std::move(bytes)); });
           conn->negotiated_features = ctx.negotiated_features;

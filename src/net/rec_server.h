@@ -87,9 +87,10 @@ class RecServer {
     /// Request tracing (common/trace.h): when set, every admitted
     /// service RPC is a trace root (sampled 1-in-N by the tracer);
     /// sampled requests install a thread-current trace for the handler's
-    /// duration — so service / engine / KV spans attach to it — and
-    /// record "trace.e2e.wire.<rpc>.us" when the handler finishes. Null
-    /// disables tracing at zero cost.
+    /// duration, so service / engine / KV spans attach to it. The RPC's
+    /// own latency is the per-transport "<transport>.<rpc>.latency_us"
+    /// histogram, recorded for every request. Null disables tracing at
+    /// zero cost.
     Tracer* tracer = nullptr;
     /// Structured span recording (obs/span_collector.h): when set, every
     /// traced request stages per-stage spans and commits them to the
@@ -133,6 +134,19 @@ class RecServer {
     std::uint32_t shm_slot_count = 8;
   };
 
+  /// One transport's per-RPC latency histograms,
+  /// "<transport>.<rpc>.latency_us" with transport "net.server.rpc"
+  /// (TCP) or "shm.rpc" (shm). Resolved once at construction; every
+  /// request records into exactly one of them.
+  struct RpcLatency {
+    Histogram* ping = nullptr;
+    Histogram* stats = nullptr;
+    Histogram* recommend = nullptr;
+    Histogram* batch_recommend = nullptr;
+    Histogram* observe = nullptr;
+    Histogram* register_profile = nullptr;
+  };
+
   /// Per-connection protocol state shared by every transport.
   struct RequestContext {
     /// Feature bits acked in this connection's Hello (net/wire.h
@@ -140,9 +154,8 @@ class RecServer {
     /// extension on a connection that did not negotiate
     /// kFeatureTracePropagation is a version violation.
     std::uint32_t negotiated_features = 0;
-    /// Metric prefix for per-RPC latency histograms; distinguishes
-    /// transports ("net.server.rpc" for TCP, "shm.rpc" for shm).
-    const char* rpc_prefix = "net.server.rpc";
+    /// The latency histograms of the transport the connection rides.
+    const RpcLatency* rpc_latency = nullptr;
     /// Set by dispatch when the connection must be torn down after the
     /// queued responses flush (framing lost, version violation).
     bool close_connection = false;
@@ -230,6 +243,17 @@ class RecServer {
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // When options.metrics==0.
   MetricsRegistry* metrics_ = nullptr;
+  // Metrics every request or socket read touches, resolved once at
+  // construction (registry lookups take its lock).
+  Counter* requests_ = nullptr;            // net.server.requests
+  Counter* hellos_ = nullptr;              // net.v2.hellos
+  Counter* protocol_errors_ = nullptr;     // net.server.protocol_errors
+  Counter* batched_requests_ = nullptr;    // net.v2.batched_requests
+  Counter* bytes_in_ = nullptr;            // net.server.bytes.in
+  Counter* bytes_out_ = nullptr;           // net.server.bytes.out
+  Gauge* pipelined_inflight_ = nullptr;    // net.server.pipelined_inflight
+  RpcLatency tcp_latency_;
+  RpcLatency shm_latency_;  // Unresolved unless Options::shm_name is set.
 
   UniqueFd listen_fd_;
   std::uint16_t port_ = 0;

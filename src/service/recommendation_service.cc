@@ -125,7 +125,6 @@ void RecommendationService::Observe(const UserAction& action) {
 
 StatusOr<std::vector<ScoredVideo>> RecommendationService::Recommend(
     const RecRequest& request) {
-  ScopedLatencyTimer timer(&request_latency_);
   TraceSpan span(recommend_span_);
   if (requests_ != nullptr) requests_->Increment();
   RTREC_RETURN_IF_ERROR(RTREC_FAULT_POINT("service.recommend"));

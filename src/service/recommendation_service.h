@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/engine.h"
@@ -82,9 +81,6 @@ class RecommendationService : public Recommender {
   Status Checkpoint(const std::string& directory) const;
   Status Restore(const std::string& directory);
 
-  /// End-to-end request latency in microseconds.
-  const Histogram& request_latency() const { return request_latency_; }
-
   DemographicGrouper& grouper() { return grouper_; }
   DemographicTrainer* trainer() { return trainer_.get(); }
   HotVideoTracker& hot_tracker() { return hot_; }
@@ -99,7 +95,6 @@ class RecommendationService : public Recommender {
   std::unique_ptr<DemographicTrainer> trainer_;  // When demographic_training.
   std::unique_ptr<RecEngine> global_engine_;     // Otherwise.
   std::unique_ptr<DemographicFilter> filter_;
-  Histogram request_latency_;
   Counter* requests_ = nullptr;
   Counter* actions_ = nullptr;
   // Trace spans recorded only when the calling thread carries a sampled

@@ -10,7 +10,6 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "concurrent/latency_stats.h"
 
 namespace rtrec::stream {
 
@@ -20,15 +19,6 @@ namespace {
 // TopologySpec declare a preference.
 constexpr std::size_t kDefaultQueueCapacity = 1024;
 constexpr std::size_t kDefaultDrainBatch = 64;
-
-// Untraced queue-wait sampling rate: producers stamp 1 in N envelopes
-// so "<component>.queue_wait_us" stays populated when tracing is off,
-// at one clock read per N tuples.
-constexpr std::uint32_t kQueueWaitSampleEveryN = 64;
-
-// "<component>.process_us" times 1 in N Process / Next calls: two clock
-// reads and a histogram lock per call would cost more than most bolts.
-constexpr std::uint32_t kProcessSampleEveryN = 64;
 
 // CAS-once (from zero) and monotonic-max stores for the ingest-window
 // stamps; contention is a handful of task threads at start/end of run.
@@ -153,14 +143,10 @@ class Topology::TaskCollector : public OutputCollector {
       return root;
     }
     ++unpublished_emitted_;
-    // Traced envelopes always carry an enqueue timestamp (the tracer's
-    // queue histograms need it); untraced ones are stamped 1-in-N so the
-    // consumer can keep "<component>.queue_wait_us" live with tracing
-    // off, at one clock read per N tuples.
-    std::int64_t enqueue_us = 0;
-    if (trace.sampled() || queue_stamp_.Tick()) {
-      enqueue_us = Tracer::NowMicros();
-    }
+    // Only sampled envelopes carry an enqueue timestamp (the tracer's
+    // queue histogram needs it); untraced ones pay no clock read.
+    const std::int64_t enqueue_us =
+        trace.sampled() ? Tracer::NowMicros() : 0;
     const std::size_t last = destinations_.size() - 1;
     for (std::size_t d = 0; d <= last; ++d) {
       // A fired "stream.queue.push" fault drops this copy on the floor
@@ -237,8 +223,6 @@ class Topology::TaskCollector : public OutputCollector {
   const std::uint64_t* current_root_;
   Tracer* tracer_;
   const TraceContext* current_trace_;
-  // Task-local (collectors are task-owned), so Tick() needs no sync.
-  concurrent::LatencyStats queue_stamp_{nullptr, kQueueWaitSampleEveryN};
   const std::size_t flush_size_;
   std::vector<Outbox> outboxes_;
   std::vector<std::size_t> scratch_;
@@ -300,9 +284,7 @@ Status Topology::Wire() {
     rt.emitted = metrics_->GetCounter(name + ".emitted");
     rt.processed = metrics_->GetCounter(name + ".processed");
     rt.dropped = metrics_->GetCounter(name + ".dropped");
-    rt.process_us = metrics_->GetHistogram(name + ".process_us");
     rt.queue_depth = metrics_->GetGauge(name + ".queue_depth");
-    rt.queue_wait_us = metrics_->GetHistogram(name + ".queue_wait_us");
   }
   // Pass 2: expected EOS counts (validating producer references). A
   // consumer task's expected_eos is exactly the number of producer tasks
@@ -508,7 +490,6 @@ void Topology::RunSpoutTask(std::size_t component_index,
 
   int consecutive_failures = 0;
   std::int64_t backoff_ms = options_.restart_backoff_initial_ms;
-  concurrent::LatencyStats process_sample{nullptr, kProcessSampleEveryN};
   // A spout has no input batches; its tallies publish every drain_batch
   // Next calls instead.
   std::size_t calls_since_publish = 0;
@@ -525,8 +506,6 @@ void Topology::RunSpoutTask(std::size_t component_index,
     }
     if (RTREC_FAULT_POINT("stream.spout.next").ok()) {
       try {
-        std::optional<ScopedLatencyTimer> timer;
-        if (process_sample.Tick()) timer.emplace(rt.process_us);
         has_more = spout->Next(collector);
         call_ok = true;
       } catch (const std::exception& e) {
@@ -650,7 +629,6 @@ void Topology::RunBoltTask(std::size_t component_index,
   // counting) are identical to the old one-Pop-per-iteration loop.
   std::vector<Envelope> batch;
   batch.reserve(resolved_drain_batch_);
-  concurrent::LatencyStats process_sample{nullptr, kProcessSampleEveryN};
   // This task's tallies, published once per drained batch (Publish).
   std::int64_t unpublished_processed = 0;
   std::int64_t published_depth = 0;
@@ -684,16 +662,10 @@ void Topology::RunBoltTask(std::size_t component_index,
       if (traced) {
         trace_start_us = Tracer::NowMicros();
         trace_queue_us->Add(trace_start_us - envelope.enqueue_us);
-      } else if (envelope.enqueue_us != 0) {
-        // 1-in-N stamped untraced tuple (TaskCollector's LatencyStats):
-        // keeps queue-wait visible when tracing is off.
-        rt.queue_wait_us->Add(Tracer::NowMicros() - envelope.enqueue_us);
       }
       bool processed_ok = false;
       if (!degraded && RTREC_FAULT_POINT("stream.bolt.process").ok()) {
         try {
-          std::optional<ScopedLatencyTimer> timer;
-          if (process_sample.Tick()) timer.emplace(rt.process_us);
           // Install the tuple's trace as the thread-current one so spans
           // in layers the bolt calls into (KV stores, models) attach.
           std::optional<ScopedTraceContext> trace_scope;

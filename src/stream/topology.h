@@ -57,14 +57,17 @@ struct TopologyOptions {
   std::int64_t restart_backoff_initial_ms = 5;
   std::int64_t restart_backoff_max_ms = 1000;
 
-  /// Distributed tracing across the topology (common/trace.h). When set,
-  /// every spout emission is a trace root (sampled 1-in-N by the
-  /// tracer); sampled contexts ride the tuple envelopes to every
-  /// downstream bolt, which records "trace.stage.<component>.us" /
-  /// ".queue_us" and "trace.e2e.<component>.us" into the tracer's
-  /// registry and installs the context as the thread-current trace for
-  /// the duration of Process (so KV-store / service spans nest under
-  /// it). Null disables tracing at zero cost.
+  /// Distributed tracing across the topology (common/trace.h), and the
+  /// only source of per-bolt latency. When set, every spout emission is
+  /// a trace root (sampled 1-in-N by the tracer); sampled contexts ride
+  /// the tuple envelopes to every downstream bolt, which records
+  /// "trace.stage.<component>.us" / ".queue_us" and
+  /// "trace.e2e.<component>.us" into the tracer's registry and installs
+  /// the context as the thread-current trace for the duration of
+  /// Process (so KV-store / service spans nest under it). Null disables
+  /// tracing, and with it all per-bolt timing, at zero cost; queue
+  /// health then comes from "<component>.queue_depth" and
+  /// "stream.queue.*".
   Tracer* tracer = nullptr;
 };
 
@@ -111,8 +114,9 @@ class Topology {
   /// True once Join() has completed.
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
-  /// The registry holding "<component>.emitted|processed|dropped" counters
-  /// and "<component>.process_us" latency histograms.
+  /// The registry holding the "<component>.emitted|processed|dropped"
+  /// counters and "<component>.queue_depth" gauges. Per-bolt latency is
+  /// the tracer's (TopologyOptions::tracer), in the tracer's registry.
   MetricsRegistry& metrics() { return *metrics_; }
 
  private:
@@ -123,7 +127,7 @@ class Topology {
     std::uint64_t root = 0;
     // Trace this tuple belongs to (null context when unsampled) and the
     // time it was enqueued, for queue-wait accounting. Only sampled
-    // envelopes pay the clock read at enqueue.
+    // envelopes pay the clock read at enqueue; the rest carry 0.
     TraceContext trace;
     std::int64_t enqueue_us = 0;
   };
@@ -171,19 +175,11 @@ class Topology {
     Counter* emitted = nullptr;
     Counter* processed = nullptr;
     Counter* dropped = nullptr;
-    // Sampled 1-in-kProcessSampleEveryN calls (concurrent::LatencyStats).
-    Histogram* process_us = nullptr;
     // Envelopes buffered across this component's input queues
     // ("<component>.queue_depth"): each task publishes its ring's
     // occupancy after every drained batch, so it is never negative and
     // reads 0 after a clean drain.
     Gauge* queue_depth = nullptr;
-    // Sampled wait-in-queue of *untraced* tuples
-    // ("<component>.queue_wait_us"): producers stamp 1-in-N envelopes
-    // via concurrent::LatencyStats, so queue health is visible even
-    // with tracing disabled. Traced tuples keep feeding the tracer's
-    // queue histograms as before.
-    Histogram* queue_wait_us = nullptr;
   };
 
   Topology(TopologySpec spec, TopologyOptions options);

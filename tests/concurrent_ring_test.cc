@@ -1,7 +1,7 @@
 // Tests for the lock-free ingest primitives in src/concurrent/: the
 // SPSC and MPSC rings, the blocking RingQueue wrapper the stream engine
-// uses as its task queue, the CPU-count query its spin policy reads,
-// and latency sampling.
+// uses as its task queue, and the CPU-count query its spin policy
+// reads.
 // The stress tests do exact accounting (every pushed value popped
 // exactly once, per-producer FIFO preserved) and run under the same
 // ASan/TSan matrix as the rest of the suite.
@@ -19,7 +19,6 @@
 
 #include "common/metrics.h"
 #include "concurrent/cpu_bind.h"
-#include "concurrent/latency_stats.h"
 #include "concurrent/mpsc_ring.h"
 #include "concurrent/ring_queue.h"
 #include "concurrent/spsc_ring.h"
@@ -443,32 +442,6 @@ TEST(CpuBindTest, NumCpusAndAllowedCpusAgree) {
   const std::vector<int> cpus = CpuBind::AllowedCpus();
   EXPECT_EQ(static_cast<int>(cpus.size()), CpuBind::NumCpus());
   EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
-}
-
-// --- LatencyStats ----------------------------------------------------------
-
-TEST(LatencyStatsTest, TicksExactlyOneInN) {
-  LatencyStats stats(nullptr, 8);
-  int fires = 0;
-  for (int i = 0; i < 80; ++i) {
-    if (stats.Tick()) ++fires;
-  }
-  EXPECT_EQ(fires, 10);
-}
-
-TEST(LatencyStatsTest, RecordFeedsHistogramAndZeroNClampsToOne) {
-  MetricsRegistry metrics;
-  Histogram* hist = metrics.GetHistogram("wait_us");
-  LatencyStats stats(hist, 0);  // 0 clamps to sample-every-1.
-  EXPECT_EQ(stats.sample_every_n(), 1u);
-  EXPECT_TRUE(stats.Tick());
-  EXPECT_TRUE(stats.Tick());
-  stats.Record(100);
-  stats.Record(200);
-  EXPECT_EQ(hist->count(), 2u);
-  // Default-constructed sampler has no histogram; Record is a no-op.
-  LatencyStats detached;
-  detached.Record(5);
 }
 
 }  // namespace

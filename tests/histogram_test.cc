@@ -138,48 +138,6 @@ INSTANTIATE_TEST_SUITE_P(Scales, HistogramScaleTest,
                                                          1000000,
                                                          1000000000));
 
-TEST(HistogramExemplarTest, RemembersTraceIdsOfLargestObservations) {
-  Histogram h;
-  h.AddWithExemplar(10, 0xaaa);
-  h.AddWithExemplar(500, 0xbbb);
-  h.AddWithExemplar(20, 0xccc);
-  const auto exemplars = h.Exemplars();
-  ASSERT_EQ(exemplars.size(), 3u);
-  // Highest value first.
-  EXPECT_EQ(exemplars[0].value, 500);
-  EXPECT_EQ(exemplars[0].trace_id, 0xbbbu);
-}
-
-TEST(HistogramExemplarTest, KeepsTheLargestWhenSlotsOverflow) {
-  Histogram h;
-  for (std::int64_t v = 1; v <= 100; ++v) {
-    h.AddWithExemplar(v, static_cast<std::uint64_t>(v));
-  }
-  const auto exemplars = h.Exemplars();
-  ASSERT_EQ(exemplars.size(),
-            static_cast<std::size_t>(Histogram::kMaxExemplars));
-  // The surviving slots are the largest observations.
-  EXPECT_EQ(exemplars[0].value, 100);
-  for (const auto& e : exemplars) {
-    EXPECT_GT(e.value, 100 - Histogram::kMaxExemplars);
-    EXPECT_EQ(e.trace_id, static_cast<std::uint64_t>(e.value));
-  }
-}
-
-TEST(HistogramExemplarTest, ZeroTraceIdRecordsValueWithoutExemplar) {
-  Histogram h;
-  h.AddWithExemplar(42, 0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_TRUE(h.Exemplars().empty());
-}
-
-TEST(HistogramExemplarTest, ResetClearsExemplars) {
-  Histogram h;
-  h.AddWithExemplar(42, 0x1);
-  h.Reset();
-  EXPECT_TRUE(h.Exemplars().empty());
-}
-
 TEST(HistogramTest, CumulativeBucketsAreMonotoneAndComplete) {
   Histogram h;
   for (int i = 1; i <= 1000; ++i) h.Add(i);

@@ -181,17 +181,6 @@ TEST_F(MfRecommenderTest, DeterministicForIdenticalState) {
   EXPECT_EQ(*a, *b);
 }
 
-TEST_F(MfRecommenderTest, LatencyHistogramRecordsRequests) {
-  TrainCliques();
-  RecRequest request;
-  request.user = 99;
-  request.seed_videos = {10};
-  request.now = now_;
-  const std::uint64_t before = engine_.recommender().latency().count();
-  engine_.Recommend(request);
-  EXPECT_EQ(engine_.recommender().latency().count(), before + 1);
-}
-
 TEST_F(MfRecommenderTest, StaleSimilaritiesFadeFromCandidates) {
   TrainCliques();
   // Far in the future, similarity entries have fully decayed (ξ = 1 day).

@@ -103,7 +103,6 @@ TEST(RecommendationServiceTest, MetricsCountTraffic) {
   (void)service.Recommend(request);
   EXPECT_EQ(registry.GetCounter("service.actions")->value(), 2);
   EXPECT_EQ(registry.GetCounter("service.requests")->value(), 1);
-  EXPECT_EQ(service.request_latency().count(), 1u);
 }
 
 TEST(RecommendationServiceTest, ServingPathMetricsVisible) {
@@ -133,7 +132,10 @@ TEST(RecommendationServiceTest, ServingPathMetricsVisible) {
 }
 
 TEST(RecommendationServiceTest, ConcurrentTrafficIsSafe) {
-  RecommendationService service(OneType(), FastOptions());
+  MetricsRegistry registry;
+  RecommendationService::Options options = FastOptions();
+  options.metrics = &registry;
+  RecommendationService service(OneType(), options);
   for (UserId u = 1; u <= 8; ++u) service.RegisterProfile(u, MaleYoung());
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
@@ -157,7 +159,7 @@ TEST(RecommendationServiceTest, ConcurrentTrafficIsSafe) {
   for (int t = 0; t < 3; ++t) threads[static_cast<std::size_t>(t)].join();
   stop.store(true);
   threads.back().join();
-  EXPECT_GT(service.request_latency().count(), 0u);
+  EXPECT_GT(registry.GetCounter("service.requests")->value(), 0);
 }
 
 TEST(RecommendationServiceTest, CheckpointRestoreRoundTrip) {

@@ -334,6 +334,40 @@ TEST(ShmRecServerTest, TcpAndShmClientsShareOneService) {
   EXPECT_EQ((*recs)[0].video, 777u);
 }
 
+TEST(ShmRecServerTest, EachTransportTimesOnlyItsOwnRequests) {
+  const std::string name = TestShmName("attrib");
+  DualTransportServer live(name);
+
+  RecClient::Options tcp_options;
+  tcp_options.port = live.server->port();
+  RecClient tcp_client(tcp_options);
+  RecClient::Options shm_options;
+  shm_options.host = "shm:" + name.substr(std::string("/rtrec.").size());
+  RecClient shm_client(shm_options);
+  // Connect (and Hello) first, so only the two Recommends below move
+  // the counters under test.
+  ASSERT_TRUE(tcp_client.Connect().ok());
+  ASSERT_TRUE(shm_client.Connect().ok());
+
+  Histogram* tcp = live.metrics.GetHistogram(
+      "net.server.rpc.recommend.latency_us");
+  Histogram* shm = live.metrics.GetHistogram("shm.rpc.recommend.latency_us");
+  Counter* requests = live.metrics.GetCounter("net.server.requests");
+  const std::int64_t requests_before = requests->value();
+
+  RecRequest request;
+  request.user = 1;
+  request.top_n = 3;
+  ASSERT_TRUE(tcp_client.Recommend(request).ok());
+  EXPECT_EQ(tcp->count(), 1u);
+  EXPECT_EQ(shm->count(), 0u);
+
+  ASSERT_TRUE(shm_client.Recommend(request).ok());
+  EXPECT_EQ(tcp->count(), 1u);
+  EXPECT_EQ(shm->count(), 1u);
+  EXPECT_EQ(requests->value() - requests_before, 2);
+}
+
 TEST(ShmRecServerTest, ConcurrentPipelinedCallersOverShm) {
   const std::string name = TestShmName("pipeshm");
   DualTransportServer live(name);

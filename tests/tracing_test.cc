@@ -81,22 +81,6 @@ TEST(TracerTest, SamplingBoundHoldsUnderConcurrency) {
   EXPECT_EQ(metrics.GetCounter("trace.roots")->value(), 8000);
 }
 
-TEST(TracerTest, RecordSinceRootIsNoOpForUnsampled) {
-  MetricsRegistry metrics;
-  Tracer::Options options;
-  options.sample_every_n = 1;
-  options.metrics = &metrics;
-  Tracer tracer(options);
-
-  tracer.RecordSinceRoot(TraceContext{}, "stage");
-  EXPECT_EQ(tracer.SinceRootHistogram("stage")->count(), 0u);
-
-  const TraceContext context = tracer.StartTrace();
-  ASSERT_TRUE(context.sampled());
-  tracer.RecordSinceRoot(context, "stage");
-  EXPECT_EQ(tracer.SinceRootHistogram("stage")->count(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Thread-current trace and spans.
 
