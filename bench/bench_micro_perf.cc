@@ -4,7 +4,7 @@
 //   - Algorithm 1 update cost and Eq. 2 prediction cost;
 //   - end-to-end Recommend latency with candidate selection vs a full
 //     catalog scan (the Section 4.1 argument);
-//   - KV-store and similar-table primitives;
+//   - similar-table and cache primitives;
 //   - Fig. 2 topology throughput vs parallelism (single-writer via
 //     fields grouping vs locked stores is exercised implicitly).
 
@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "core/engine.h"
-#include "kvstore/kv_store.h"
 #include "common/lru_cache.h"
 #include "core/topology_factory.h"
 #include "kvstore/checkpoint.h"
@@ -174,20 +173,6 @@ BENCHMARK(BM_RecommendTwoHopClosure);
 
 // ---------------------------------------------------------------------
 // Store primitives.
-void BM_KvStorePutGet(benchmark::State& state) {
-  ShardedKvStoreOptions options;
-  options.num_shards = static_cast<std::size_t>(state.range(0));
-  ShardedKvStore store(options);
-  Rng rng(6);
-  for (auto _ : state) {
-    const std::string key = "k" + std::to_string(rng.NextUint64(100000));
-    store.Put(key, "value");
-    benchmark::DoNotOptimize(store.Get(key));
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_KvStorePutGet)->Arg(1)->Arg(16)->Arg(64);
-
 void BM_SimTableUpdate(benchmark::State& state) {
   SimTableStore table;
   Rng rng(7);

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/engine.h"
+#include "rtrec.h"  // The umbrella header: the whole public API.
 
 using rtrec::ActionType;
 using rtrec::RecEngine;

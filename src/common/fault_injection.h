@@ -37,7 +37,7 @@ struct FaultSpec {
   bool one_shot = false;
 
   /// Convenience factories, chainable with the fluent setters below:
-  ///   FaultInjector::Instance().Arm("kvstore.put",
+  ///   FaultInjector::Instance().Arm("service.recommend",
   ///       FaultSpec::Error(StatusCode::kUnavailable).WithProbability(0.01));
   static FaultSpec Error(StatusCode code = StatusCode::kUnavailable);
   static FaultSpec Latency(int ms);

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -80,34 +79,30 @@ struct PipelineParallelism {
   std::size_t result_storage = 2;
 };
 
-/// Field schemas shared by the pipeline's streams. Every layout leads
-/// with "group", the demographic group whose model the tuple belongs to
-/// (kGlobalGroup in the global deployment). Each lives for the whole
-/// process, as a tuple's schema must (stream/tuple.h).
+/// Field schemas shared by the pipeline's streams. Each lives for the
+/// whole process, as a tuple's schema must (stream/tuple.h).
 namespace pipeline_schema {
 
-/// <group, user, video, action, value, time> — the spout's output
-/// (Fig. 2).
+/// <user, video, action, value, time> — the spout's output (Fig. 2).
 const stream::Schema* Action();
-/// <group, user, vec, bias> on stream "user_vec".
+/// <user, vec, bias> on stream "user_vec".
 const stream::Schema* UserVec();
-/// <group, video, vec, bias> on stream "video_vec".
+/// <video, vec, bias> on stream "video_vec".
 const stream::Schema* VideoVec();
-/// <group, user, video, time, partners> on stream "partners": the action
-/// and the user's recent videos as they stood before it (vector<int64>,
+/// <user, video, time, partners> on stream "partners": the action and
+/// the user's recent videos as they stood before it (vector<int64>,
 /// empty for actions too weak to pair).
 const stream::Schema* Partners();
-/// <group, pair_key, video1, video2, time> on stream "pairs".
+/// <pair_key, video1, video2, time> on stream "pairs".
 const stream::Schema* Pair();
-/// <group, video1, video2, sim, time> on stream "pair_sim".
+/// <video1, video2, sim, time> on stream "pair_sim".
 const stream::Schema* PairSim();
 
 }  // namespace pipeline_schema
 
-/// Converts an action of `group` to the spout's tuple layout, and an
-/// action tuple back (its group dropped).
-stream::Tuple ActionToTuple(const UserAction& action,
-                            GroupId group = kGlobalGroup);
+/// Converts an action to the spout's tuple layout, and an action tuple
+/// back.
+stream::Tuple ActionToTuple(const UserAction& action);
 StatusOr<UserAction> TupleToAction(const stream::Tuple& tuple);
 
 /// The "pair_key" field: a 64-bit hash of the normalized pair, so both
@@ -118,56 +113,26 @@ inline std::int64_t PairKey(const VideoPair& pair) {
   return static_cast<std::int64_t>(VideoPairHash{}(pair));
 }
 
-/// Builds the Fig. 2 topology for the whole population: the
-/// single-group case of BuildGroupedTopology, where every action belongs
-/// to kGlobalGroup and that group's stores are `deps`'.
+/// Builds the Fig. 2 topology over `deps`' stores:
+///
+///   spout ──shuffle──> compute_mf ──fields(user)──> mf_storage
+///                            └──────fields(video)───────┘
+///   spout ──fields(user)──> user_history
+///       ──fields(user)──> get_item_pairs
+///       ──fields(pair_key)──> item_pair_sim
+///       ──fields(video1)──> result_storage
+///
+/// ComputeMF reads the vectors and ships new ones; the fields-grouped
+/// MFStorage tasks are their single writers. UserHistory, the single
+/// writer of a user's history, reads the user's partners and appends the
+/// action in one step (ReadPartnersThenAppend, as the engine's
+/// SimTableUpdater does) and hands them to GetItemPairs, so pairs never
+/// depend on how far one bolt's tasks have run ahead of another's. The
+/// pair-key grouping lets each ItemPairSim task keep an LRU of recent
+/// pair similarities (Section 5.1's cache).
 StatusOr<stream::TopologySpec> BuildRecommendationTopology(
     std::shared_ptr<ActionSource> source, const PipelineDeps& deps,
     const PipelineParallelism& parallelism = {});
-
-/// The KVStore boxes of Fig. 2 that one group's model lives in.
-struct PipelineStores {
-  FactorStore* factors = nullptr;
-  HistoryStore* history = nullptr;
-  SimTableStore* sim_table = nullptr;
-};
-
-/// What a deployment supplies to the shared Fig. 2 builder.
-struct GroupedPipelineDeps {
-  /// The group the spout stamps on a user's actions.
-  std::function<GroupId(UserId)> group_of;
-  /// A group's stores. Bolt tasks call it once per tuple, concurrently,
-  /// so it must be thread-safe; the stores must outlive the topology.
-  std::function<PipelineStores(GroupId)> stores_of;
-  VideoTypeResolver type_resolver;
-  MfModelConfig model_config;
-  SimilarityConfig sim_config;
-  bool reliable_spout = false;
-};
-
-/// Builds the Fig. 2 topology that both the global and the demographic
-/// (Section 5.2.2) deployments run. Every tuple carries its action's
-/// group, and every key is a (group, id) pair, so the single-writer-per-
-/// key guarantee holds per group:
-///
-///   spout ──shuffle──> compute_mf ──fields(group,user)──> mf_storage
-///                            └──────fields(group,video)───────┘
-///   spout ──fields(group,user)──> user_history
-///       ──fields(group,user)──> get_item_pairs
-///       ──fields(group,pair_key)──> item_pair_sim
-///       ──fields(group,video1)──> result_storage
-///
-/// ComputeMF reads the vectors and ships new ones; the fields-grouped
-/// MFStorage tasks are their single writers. UserHistory,
-/// the single writer of a user's history, reads the user's partners and
-/// appends the action in one step (ReadPartnersThenAppend, as the
-/// engine's SimTableUpdater does) and hands them to GetItemPairs, so
-/// pairs never depend on how far one bolt's tasks have run ahead of
-/// another's. The pair-key grouping lets each ItemPairSim task keep an
-/// LRU of recent (group, pair) similarities (Section 5.1's cache).
-StatusOr<stream::TopologySpec> BuildGroupedTopology(
-    std::shared_ptr<ActionSource> source, const GroupedPipelineDeps& deps,
-    const PipelineParallelism& parallelism);
 
 }  // namespace rtrec
 

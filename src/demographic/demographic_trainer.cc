@@ -1,11 +1,8 @@
 #include "demographic/demographic_trainer.h"
 
 #include <cassert>
-#include <filesystem>
-#include <fstream>
 
-#include "common/string_util.h"
-#include "kvstore/checkpoint.h"
+#include "demographic/group_checkpoint.h"
 
 namespace rtrec {
 
@@ -73,22 +70,7 @@ const RecEngine* DemographicTrainer::GetEngine(GroupId group) const {
   return it == engines_.end() ? nullptr : it->second.get();
 }
 
-namespace {
-
-std::string SnapshotFileName(GroupId group) {
-  if (group == kGlobalGroup) return "group_global.ckpt";
-  return "group_" + std::to_string(group) + ".ckpt";
-}
-
-}  // namespace
-
 Status DemographicTrainer::SaveSnapshot(const std::string& directory) const {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return Status::Unavailable("cannot create '" + directory +
-                               "': " + ec.message());
-  }
   std::vector<std::pair<GroupId, RecEngine*>> engines;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -97,49 +79,19 @@ Status DemographicTrainer::SaveSnapshot(const std::string& directory) const {
     }
   }
   if (global_ != nullptr) engines.emplace_back(kGlobalGroup, global_.get());
-  // Data files first, manifest last and atomically: a failure anywhere
-  // leaves the previous manifest (and the snapshot it names) intact.
-  std::string manifest;
-  for (const auto& [group, engine] : engines) {
-    const std::string path = directory + "/" + SnapshotFileName(group);
-    RTREC_RETURN_IF_ERROR(SaveCheckpoint(path, &engine->factors(),
-                                         &engine->sim_table(),
-                                         &engine->history()));
-    manifest += std::to_string(group) + "\n";
-  }
-  return WriteFileAtomic(directory + "/manifest.txt", manifest);
+  return SaveGroupCheckpoint(directory, engines);
 }
 
 Status DemographicTrainer::LoadSnapshot(const std::string& directory) {
-  std::ifstream manifest(directory + "/manifest.txt");
-  if (!manifest.is_open()) {
-    return Status::NotFound("no manifest in '" + directory + "'");
-  }
-  std::string line;
-  while (std::getline(manifest, line)) {
-    const std::string_view trimmed = Trim(line);
-    if (trimmed.empty()) continue;
-    StatusOr<std::uint64_t> group_id = ParseUint64(trimmed);
-    if (!group_id.ok()) {
-      return Status::Corruption("bad manifest line '" + line + "'");
-    }
-    const GroupId group = static_cast<GroupId>(*group_id);
-    RecEngine* engine = nullptr;
-    if (group == kGlobalGroup) {
-      if (global_ == nullptr) {
-        return Status::FailedPrecondition(
-            "snapshot has a global engine but train_global is off");
-      }
-      engine = global_.get();
-    } else {
-      engine = &EngineFor(group);
-    }
-    const std::string path = directory + "/" + SnapshotFileName(group);
-    RTREC_RETURN_IF_ERROR(LoadCheckpoint(path, &engine->factors(),
-                                         &engine->sim_table(),
-                                         &engine->history()));
-  }
-  return Status::OK();
+  return LoadGroupCheckpoint(
+      directory, [this](GroupId group) -> StatusOr<RecEngine*> {
+        if (group != kGlobalGroup) return &EngineFor(group);
+        if (global_ == nullptr) {
+          return Status::FailedPrecondition(
+              "snapshot has a global engine but train_global is off");
+        }
+        return global_.get();
+      });
 }
 
 std::vector<GroupId> DemographicTrainer::ActiveGroups() const {

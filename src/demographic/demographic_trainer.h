@@ -55,7 +55,7 @@ class DemographicTrainer : public Recommender {
   std::vector<GroupId> ActiveGroups() const;
 
   /// Snapshots every engine (group + global) into `directory` using the
-  /// group-checkpoint layout (manifest.txt + group_<id>.ckpt).
+  /// group-checkpoint layout (demographic/group_checkpoint.h).
   Status SaveSnapshot(const std::string& directory) const;
 
   /// Restores engines from a SaveSnapshot directory, materializing group

@@ -10,43 +10,36 @@ namespace rtrec {
 
 namespace {
 
-std::string GroupFileName(GroupId group) {
-  if (group == kGlobalGroup) return "group_global.ckpt";
-  return "group_" + std::to_string(group) + ".ckpt";
+std::string GroupFilePath(const std::string& directory, GroupId group) {
+  if (group == kGlobalGroup) return directory + "/group_global.ckpt";
+  return directory + "/group_" + std::to_string(group) + ".ckpt";
 }
 
 }  // namespace
 
-Status SaveGroupCheckpoint(const std::string& directory,
-                           const GroupStoreRegistry& registry) {
+Status SaveGroupCheckpoint(
+    const std::string& directory,
+    const std::vector<std::pair<GroupId, RecEngine*>>& engines) {
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
   if (ec) {
     return Status::Unavailable("cannot create '" + directory +
                                "': " + ec.message());
   }
-  const std::vector<GroupId> groups = registry.ActiveGroups();
-  std::ofstream manifest(directory + "/manifest.txt", std::ios::trunc);
-  if (!manifest.is_open()) {
-    return Status::Unavailable("cannot write manifest in '" + directory +
-                               "'");
+  std::string manifest;
+  for (const auto& [group, engine] : engines) {
+    RTREC_RETURN_IF_ERROR(SaveCheckpoint(GroupFilePath(directory, group),
+                                         &engine->factors(),
+                                         &engine->sim_table(),
+                                         &engine->history()));
+    manifest += std::to_string(group) + "\n";
   }
-  for (GroupId group : groups) {
-    const GroupStores* stores = registry.Find(group);
-    if (stores == nullptr) continue;  // Raced away; skip.
-    const std::string path = directory + "/" + GroupFileName(group);
-    RTREC_RETURN_IF_ERROR(SaveCheckpoint(path, stores->factors.get(),
-                                         stores->sim_table.get(),
-                                         stores->history.get()));
-    manifest << group << "\n";
-  }
-  manifest.flush();
-  if (!manifest.good()) return Status::Internal("manifest write failed");
-  return Status::OK();
+  return WriteFileAtomic(directory + "/manifest.txt", manifest);
 }
 
-Status LoadGroupCheckpoint(const std::string& directory,
-                           GroupStoreRegistry& registry) {
+Status LoadGroupCheckpoint(
+    const std::string& directory,
+    const std::function<StatusOr<RecEngine*>(GroupId)>& engine_for) {
   std::ifstream manifest(directory + "/manifest.txt");
   if (!manifest.is_open()) {
     return Status::NotFound("no manifest in '" + directory + "'");
@@ -60,13 +53,17 @@ Status LoadGroupCheckpoint(const std::string& directory,
       return Status::Corruption("bad manifest line '" + line + "'");
     }
     const GroupId group = static_cast<GroupId>(*group_id);
-    GroupStores& stores = registry.GetOrCreate(group);
-    const std::string path = directory + "/" + GroupFileName(group);
-    RTREC_RETURN_IF_ERROR(LoadCheckpoint(path, stores.factors.get(),
-                                         stores.sim_table.get(),
-                                         stores.history.get()));
+    StatusOr<RecEngine*> engine = engine_for(group);
+    if (!engine.ok()) return engine.status();
+    RTREC_RETURN_IF_ERROR(LoadGroupFile(directory, group, **engine));
   }
   return Status::OK();
+}
+
+Status LoadGroupFile(const std::string& directory, GroupId group,
+                     RecEngine& engine) {
+  return LoadCheckpoint(GroupFilePath(directory, group), &engine.factors(),
+                        &engine.sim_table(), &engine.history());
 }
 
 }  // namespace rtrec

@@ -1,32 +1,47 @@
 #ifndef RTREC_DEMOGRAPHIC_GROUP_CHECKPOINT_H_
 #define RTREC_DEMOGRAPHIC_GROUP_CHECKPOINT_H_
 
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
-#include "demographic/group_stores.h"
+#include "common/types.h"
+#include "core/engine.h"
 
 namespace rtrec {
 
-/// Checkpointing for the demographically-partitioned deployment: one
-/// snapshot file per group plus a manifest, so a restarted process can
-/// rebuild every group model from disk.
+/// The snapshot layout of the serving models: one file per group's
+/// engine plus a manifest, so a restarted process can rebuild every
+/// group model from disk. Both the demographic trainer and the
+/// global-only service write it.
 ///
 /// Layout under `directory`:
 ///   manifest.txt       — one group id per line
 ///   group_<id>.ckpt    — the group's stores (kvstore/checkpoint format)
 /// The global group's file is "group_global.ckpt".
 
-/// Snapshots every active group of `registry` into `directory`
-/// (created if missing; existing snapshot files are overwritten).
-Status SaveGroupCheckpoint(const std::string& directory,
-                           const GroupStoreRegistry& registry);
+/// Snapshots each (group, engine) into `directory` (created if missing;
+/// existing snapshot files are overwritten). Data files go first and the
+/// manifest last, atomically: a failure anywhere leaves the previous
+/// manifest, and the snapshot it names, intact.
+Status SaveGroupCheckpoint(
+    const std::string& directory,
+    const std::vector<std::pair<GroupId, RecEngine*>>& engines);
 
-/// Restores every group listed in the manifest into `registry`
-/// (materializing groups as needed). The registry's dimensionality must
-/// match the snapshots'.
-Status LoadGroupCheckpoint(const std::string& directory,
-                           GroupStoreRegistry& registry);
+/// Restores every group the manifest lists into the engine
+/// `engine_for(group)` returns; an error from it aborts the load. The
+/// engines' dimensionality must match the snapshots'. NotFound when
+/// `directory` has no manifest.
+Status LoadGroupCheckpoint(
+    const std::string& directory,
+    const std::function<StatusOr<RecEngine*>(GroupId)>& engine_for);
+
+/// Restores only `group`'s file into `engine`, whatever the manifest
+/// lists. NotFound when the file is missing.
+Status LoadGroupFile(const std::string& directory, GroupId group,
+                     RecEngine& engine);
 
 }  // namespace rtrec
 

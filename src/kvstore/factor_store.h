@@ -274,7 +274,7 @@ class FactorStore {
   // Hashed per-video write versions backing serving-cache invalidation.
   std::array<std::atomic<std::uint64_t>, kVersionBuckets> video_versions_{};
 
-  // Batch-read instrumentation (see ShardedKvStore's multiget counters).
+  // Batch-read instrumentation: `<prefix>multiget.*` and its trace stage.
   Counter* multiget_calls_ = nullptr;
   Counter* multiget_keys_ = nullptr;
   Counter* multiget_hits_ = nullptr;

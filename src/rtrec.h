@@ -20,10 +20,8 @@
 
 // Demographic optimizations (Section 5.2).
 #include "demographic/demographic_filter.h"
-#include "demographic/demographic_topology.h"
 #include "demographic/demographic_trainer.h"
 #include "demographic/group_checkpoint.h"
-#include "demographic/group_stores.h"
 #include "demographic/grouper.h"
 #include "demographic/hot_videos.h"
 #include "demographic/profile.h"
@@ -41,7 +39,6 @@
 #include "kvstore/checkpoint.h"
 #include "kvstore/factor_store.h"
 #include "kvstore/history_store.h"
-#include "kvstore/kv_store.h"
 #include "kvstore/sim_table_store.h"
 
 // Stream engine.
@@ -63,7 +60,6 @@
 // Workload + evaluation.
 #include "data/dataset.h"
 #include "data/event_generator.h"
-#include "data/action_source.h"
 #include "data/log_format.h"
 #include "eval/ab_test.h"
 #include "eval/evaluator.h"

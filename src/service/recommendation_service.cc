@@ -1,10 +1,9 @@
 #include "service/recommendation_service.h"
 
-#include <filesystem>
 #include <unordered_set>
 
 #include "common/fault_injection.h"
-#include "kvstore/checkpoint.h"
+#include "demographic/group_checkpoint.h"
 
 namespace rtrec {
 
@@ -62,28 +61,12 @@ RecommendationService::RecommendationService(VideoTypeResolver type_resolver,
 Status RecommendationService::Checkpoint(const std::string& directory) const {
   if (trainer_ != nullptr) return trainer_->SaveSnapshot(directory);
   // Global-only mode: the single engine goes into the same layout.
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return Status::Unavailable("cannot create '" + directory +
-                               "': " + ec.message());
-  }
-  // Data file first, manifest last and atomically: a failed checkpoint
-  // write must leave the previous snapshot (and its manifest) serving.
-  RTREC_RETURN_IF_ERROR(SaveCheckpoint(directory + "/group_global.ckpt",
-                                       &global_engine_->factors(),
-                                       &global_engine_->sim_table(),
-                                       &global_engine_->history()));
-  return WriteFileAtomic(directory + "/manifest.txt",
-                         std::to_string(kGlobalGroup) + "\n");
+  return SaveGroupCheckpoint(directory, {{kGlobalGroup, global_engine_.get()}});
 }
 
 Status RecommendationService::Restore(const std::string& directory) {
   if (trainer_ != nullptr) return trainer_->LoadSnapshot(directory);
-  return LoadCheckpoint(directory + "/group_global.ckpt",
-                        &global_engine_->factors(),
-                        &global_engine_->sim_table(),
-                        &global_engine_->history());
+  return LoadGroupFile(directory, kGlobalGroup, *global_engine_);
 }
 
 void RecommendationService::RegisterProfile(UserId user,

@@ -75,9 +75,10 @@ class RecommendationService : public Recommender {
   std::string name() const override { return "rtrec-service"; }
 
   /// Snapshots the model state (per-group engines or the global engine)
-  /// into `directory`; Restore rebuilds it after a restart. Demographic
-  /// profiles and hot lists are rebuilt from live traffic and sign-up
-  /// data, mirroring production practice.
+  /// into `directory` (demographic/group_checkpoint.h's layout); Restore
+  /// rebuilds it after a restart, and in global-only mode reads just the
+  /// global group's file. Demographic profiles and hot lists are rebuilt
+  /// from live traffic and sign-up data, mirroring production practice.
   Status Checkpoint(const std::string& directory) const;
   Status Restore(const std::string& directory);
 

@@ -6,16 +6,13 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/hash_ring.h"
 #include "cluster/manifest.h"
-#include "cluster/shard_action_source.h"
 #include "common/trace.h"
-#include "core/topology_factory.h"
 #include "net/rec_server.h"
 #include "obs/span_collector.h"
 #include "service/recommendation_service.h"
@@ -428,40 +425,6 @@ TEST(ClusterChaosTest, ShardKillAndRestartMidTraffic) {
   auto reply = client.RecommendDetailed(request);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_FALSE(reply->degraded());
-}
-
-// --- Partitioned ingest ----------------------------------------------------
-
-TEST(ShardActionSourceTest, ShardsPartitionTheFeedExactlyOnce) {
-  const int kShards = 4;
-  std::vector<UserAction> feed;
-  for (UserId user = 1; user <= 200; ++user) {
-    feed.push_back(Play(user, 10 + user % 7, 1'000 * user));
-  }
-
-  // Each shard replays its own copy of the feed (the documented
-  // contract) and keeps its slice.
-  const HashRing ring(kShards);
-  std::multiset<UserId> emitted;
-  std::size_t total_skipped = 0;
-  for (ShardId shard = 0; shard < kShards; ++shard) {
-    ShardActionSource source(std::make_shared<VectorActionSource>(feed),
-                             ring, shard);
-    while (auto action = source.Next()) {
-      EXPECT_EQ(*ring.OwnerOfUser(action->user), shard)
-          << "shard emitted an action it does not own";
-      emitted.insert(action->user);
-    }
-    total_skipped += source.skipped();
-  }
-
-  // The union across shards is the full feed, each action exactly once.
-  std::multiset<UserId> expected;
-  for (const UserAction& action : feed) expected.insert(action.user);
-  EXPECT_EQ(emitted, expected);
-  // Everything not emitted by a shard was skipped by it: N shards each
-  // replay the feed and drop the (N-1)/N they do not own.
-  EXPECT_EQ(total_skipped, feed.size() * (kShards - 1));
 }
 
 }  // namespace

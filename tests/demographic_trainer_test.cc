@@ -69,6 +69,30 @@ TEST_F(DemographicTrainerTest, ActionsRoutedToOwnGroupOnly) {
   EXPECT_TRUE(female->factors().GetVideo(10).status().IsNotFound());
 }
 
+TEST_F(DemographicTrainerTest, SimilarityTablesStayWithinGroups) {
+  for (int round = 0; round < 25; ++round) {
+    const Timestamp t = round * 1000;
+    for (UserId u = 1; u <= 5; ++u) {  // Male group co-watches 10 and 11.
+      trainer_->Observe(Play(u, 10, t + u * 10));
+      trainer_->Observe(Play(u, 11, t + u * 10 + 5));
+    }
+    for (UserId u = 11; u <= 15; ++u) {  // Female group: 20 and 21.
+      trainer_->Observe(Play(u, 20, t + u * 10));
+      trainer_->Observe(Play(u, 21, t + u * 10 + 5));
+    }
+  }
+  const Timestamp now = 26000;
+  RecEngine* male = trainer_->GetEngine(male_group_);
+  RecEngine* female = trainer_->GetEngine(female_group_);
+  ASSERT_NE(male, nullptr);
+  ASSERT_NE(female, nullptr);
+  EXPECT_GT(male->sim_table().GetDecayedSimilarity(10, 11, now), 0.0);
+  EXPECT_DOUBLE_EQ(male->sim_table().GetDecayedSimilarity(20, 21, now), 0.0);
+  EXPECT_GT(female->sim_table().GetDecayedSimilarity(20, 21, now), 0.0);
+  EXPECT_DOUBLE_EQ(female->sim_table().GetDecayedSimilarity(10, 11, now),
+                   0.0);
+}
+
 TEST_F(DemographicTrainerTest, GlobalEngineSeesEverything) {
   trainer_->Observe(Play(1, 10, 100));
   trainer_->Observe(Play(11, 20, 100));

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "kvstore/kv_store.h"
 
 namespace rtrec {
 namespace {
@@ -102,31 +101,6 @@ TEST_F(FaultInjectionTest, MetricsCountInjections) {
   for (int i = 0; i < 3; ++i) (void)RTREC_FAULT_POINT("test.counted");
   EXPECT_EQ(metrics.GetCounter("fault.injected")->value(), 3u);
   EXPECT_EQ(metrics.GetCounter("fault.injected.test.counted")->value(), 3u);
-}
-
-TEST_F(FaultInjectionTest, KvStoreOperationsCarryFaultPoints) {
-  // The wired-in points actually gate store operations.
-  ShardedKvStore store;
-  FaultInjector::Instance().Arm("kvstore.put", FaultSpec::Error());
-  EXPECT_FALSE(store.Put("k", "v").ok());
-  EXPECT_FALSE(store.Contains("k"));
-  FaultInjector::Instance().Disarm("kvstore.put");
-  ASSERT_TRUE(store.Put("k", "v").ok());
-
-  FaultInjector::Instance().Arm("kvstore.get", FaultSpec::Error());
-  EXPECT_FALSE(store.Get("k").ok());
-  FaultInjector::Instance().Disarm("kvstore.get");
-  ASSERT_TRUE(store.Get("k").ok());
-
-  FaultInjector::Instance().Arm("kvstore.update", FaultSpec::Error());
-  EXPECT_FALSE(
-      store.Update("k", [](std::string& v) { v = "x"; }, true).ok());
-  FaultInjector::Instance().Disarm("kvstore.update");
-  EXPECT_EQ(*store.Get("k"), "v");  // Update fault left the value alone.
-
-  FaultInjector::Instance().Arm("kvstore.delete", FaultSpec::Error());
-  EXPECT_FALSE(store.Delete("k").ok());
-  EXPECT_TRUE(store.Contains("k"));
 }
 
 TEST_F(FaultInjectionTest, ConcurrentHitsAreSafe) {

@@ -7,70 +7,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/top_k.h"
-#include "kvstore/kv_store.h"
 #include "kvstore/sim_table_store.h"
 
 namespace rtrec {
 namespace {
-
-TEST(KvStoreFuzzTest, MatchesMapReference) {
-  ShardedKvStore store;
-  std::map<std::string, std::string> reference;
-  Rng rng(1234);
-
-  for (int op = 0; op < 20000; ++op) {
-    const std::string key = "k" + std::to_string(rng.NextUint64(200));
-    switch (rng.NextUint64(4)) {
-      case 0: {  // Put
-        const std::string value = std::to_string(rng.NextUint64());
-        ASSERT_TRUE(store.Put(key, value).ok());
-        reference[key] = value;
-        break;
-      }
-      case 1: {  // Get
-        auto got = store.Get(key);
-        auto it = reference.find(key);
-        if (it == reference.end()) {
-          EXPECT_TRUE(got.status().IsNotFound()) << key;
-        } else {
-          ASSERT_TRUE(got.ok()) << key;
-          EXPECT_EQ(*got, it->second);
-        }
-        break;
-      }
-      case 2: {  // Delete
-        const Status s = store.Delete(key);
-        EXPECT_EQ(s.ok(), reference.erase(key) > 0) << key;
-        break;
-      }
-      case 3: {  // Update (append)
-        const bool existed = reference.contains(key);
-        const Status s = store.Update(
-            key, [](std::string& v) { v += "x"; }, /*create=*/op % 2 == 0);
-        if (op % 2 == 0) {
-          ASSERT_TRUE(s.ok());
-          reference[key] += "x";
-        } else {
-          EXPECT_EQ(s.ok(), existed);
-          if (existed) reference[key] += "x";
-        }
-        break;
-      }
-    }
-  }
-  EXPECT_EQ(store.Size(), reference.size());
-  for (const auto& [key, value] : reference) {
-    auto got = store.Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(*got, value);
-  }
-}
 
 /// Brute-force reference for the similar-video table: remembers every
 /// directed pair's latest (sim, time) with unbounded capacity; query

@@ -1,14 +1,9 @@
 #include "data/log_format.h"
 
-#include "data/action_source.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-
-#include "data/event_generator.h"
-#include "stream/topology.h"
 
 namespace rtrec {
 namespace {
@@ -120,69 +115,6 @@ TEST_F(LogFileTest, BlankLinesIgnored) {
   auto loaded = ReadActionLog(path_.string());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 1u);
-}
-
-TEST_F(LogFileTest, TsvFileActionSourceStreamsAndFilters) {
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("1\t2\tclick\t0.0\t100\n", f);
-    std::fputs("garbage\n", f);
-    std::fputs("\n", f);
-    std::fputs("3\t4\tplay\t0.0\t200\n", f);
-    std::fclose(f);
-  }
-  TsvFileActionSource source(path_.string());
-  ASSERT_TRUE(source.ok());
-  auto first = source.Next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->user, 1u);
-  auto second = source.Next();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->video, 4u);
-  EXPECT_FALSE(source.Next().has_value());  // Exhausted.
-  EXPECT_FALSE(source.Next().has_value());  // Stays exhausted.
-  EXPECT_EQ(source.malformed_lines(), 1u);
-  EXPECT_EQ(source.produced(), 2u);
-}
-
-TEST_F(LogFileTest, TsvFileActionSourceMissingFileIsExhausted) {
-  TsvFileActionSource source("/nonexistent/file.tsv");
-  EXPECT_FALSE(source.ok());
-  EXPECT_FALSE(source.Next().has_value());
-}
-
-TEST_F(LogFileTest, TsvFileActionSourceDrivesTopology) {
-  const SyntheticWorld world = SyntheticWorld([]{
-    WorldConfig c;
-    c.seed = 5;
-    c.catalog.num_videos = 50;
-    c.population.num_users = 30;
-    return c;
-  }());
-  const auto actions = world.GenerateDay(0);
-  ASSERT_TRUE(WriteActionLog(path_.string(), actions).ok());
-
-  auto source = std::make_shared<TsvFileActionSource>(path_.string());
-  FactorStore::Options factor_options;
-  factor_options.num_factors = 8;
-  FactorStore factors(factor_options);
-  HistoryStore history;
-  SimTableStore table;
-  PipelineDeps deps;
-  deps.factors = &factors;
-  deps.history = &history;
-  deps.sim_table = &table;
-  deps.type_resolver = world.TypeResolver();
-  deps.model_config.num_factors = 8;
-  auto spec = BuildRecommendationTopology(source, deps);
-  ASSERT_TRUE(spec.ok());
-  auto topo = stream::Topology::Create(std::move(spec).value());
-  ASSERT_TRUE(topo.ok());
-  ASSERT_TRUE((*topo)->Start().ok());
-  ASSERT_TRUE((*topo)->Join().ok());
-  EXPECT_EQ(source->produced(), actions.size());
-  EXPECT_GT(factors.NumUsers(), 0u);
 }
 
 }  // namespace

@@ -116,8 +116,7 @@ TEST(ActionTupleTest, RoundTrip) {
 }
 
 TEST(ActionTupleTest, RejectsBadActionCode) {
-  stream::Tuple bad(pipeline_schema::Action(),
-                    static_cast<std::int64_t>(kGlobalGroup), std::int64_t{1},
+  stream::Tuple bad(pipeline_schema::Action(), std::int64_t{1},
                     std::int64_t{2}, std::int64_t{99}, 0.0, std::int64_t{0});
   EXPECT_FALSE(TupleToAction(bad).ok());
 }

@@ -207,6 +207,17 @@ TEST(RecommendationServiceTest, GlobalModeCheckpointRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(RecommendationServiceTest, RestoreFromMissingDirectoryIsNotFound) {
+  // examples/serve starts fresh on NotFound and exits on any other error.
+  for (const bool demographic : {true, false}) {
+    RecommendationService::Options options = FastOptions();
+    options.demographic_training = demographic;
+    RecommendationService service(OneType(), options);
+    EXPECT_TRUE(service.Restore("/nonexistent/rtrec_ckpts").IsNotFound())
+        << "demographic_training=" << demographic;
+  }
+}
+
 TEST(RecommendationServiceTest, FallbackExcludesRequestSeeds) {
   // Regression: the degraded-mode path used to ignore request.seed_videos
   // and could hand back the very video the user was watching.

@@ -11,7 +11,7 @@
 #include <chrono>
 
 #include "common/metrics.h"
-#include "kvstore/kv_store.h"
+#include "kvstore/factor_store.h"
 #include "obs/span_collector.h"
 #include "service/recommendation_service.h"
 #include "stream/topology.h"
@@ -275,29 +275,30 @@ TEST(ServiceTracingTest, ObserveAndRecommendRecordSpansUnderSampledTrace) {
       metrics.GetHistogram("trace.stage.service.recommend.us")->count(), 1u);
 }
 
-TEST(KvStoreTracingTest, OperationsRecordSpansUnderSampledTrace) {
+TEST(FactorStoreTracingTest, MultigetRecordsSpanOnlyUnderSampledTrace) {
   MetricsRegistry metrics;
-  ShardedKvStoreOptions options;
+  FactorStore::Options options;
+  options.num_factors = 4;
   options.metrics = &metrics;
-  ShardedKvStore store(options);
+  FactorStore store(options);
+  const std::vector<float> vec(4, 0.5f);
+  store.PutVideo(7, vec, 0.0f);
+  const std::vector<VideoId> ids = {7, 8};
+  Histogram* span = metrics.GetHistogram("trace.stage.kvstore.multiget.us");
 
-  ASSERT_TRUE(store.Put("k", "v").ok());  // Untraced: no span.
-  EXPECT_EQ(metrics.GetHistogram("trace.stage.kvstore.put.us")->count(), 0u);
+  ASSERT_EQ(store.GetVideos(ids).size(), 2u);  // Untraced: no span.
+  EXPECT_EQ(span->count(), 0u);
+  EXPECT_EQ(metrics.GetCounter("kvstore.multiget.calls")->value(), 1);
 
   TraceContext context;
   context.id = 1;
   context.start_us = Tracer::NowMicros();
   {
     ScopedTraceContext scope(context);
-    ASSERT_TRUE(store.Put("k", "w").ok());
-    ASSERT_TRUE(store.Get("k").ok());
-    ASSERT_TRUE(
-        store.Update("k", [](std::string& v) { v += "!"; }, false).ok());
+    ASSERT_EQ(store.GetVideos(ids).size(), 2u);
   }
-  EXPECT_EQ(metrics.GetHistogram("trace.stage.kvstore.put.us")->count(), 1u);
-  EXPECT_EQ(metrics.GetHistogram("trace.stage.kvstore.get.us")->count(), 1u);
-  EXPECT_EQ(metrics.GetHistogram("trace.stage.kvstore.update.us")->count(),
-            1u);
+  EXPECT_EQ(span->count(), 1u);
+  EXPECT_EQ(metrics.GetCounter("kvstore.multiget.calls")->value(), 2);
 }
 
 // ---------------------------------------------------------------------------

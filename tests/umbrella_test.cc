@@ -43,8 +43,6 @@ TEST(UmbrellaTest, MajorTypesAreComplete) {
   ItemCfRecommender item_cf;
   ReservoirMfRecommender reservoir(
       types, ReservoirMfRecommender::Options{});
-  GroupStoreRegistry registry;
-  ShardedKvStore kv;
   Histogram histogram;
   Rng rng(1);
   ZipfDistribution zipf(10, 1.0);
