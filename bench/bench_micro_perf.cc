@@ -240,7 +240,6 @@ BENCHMARK(BM_CheckpointRoundTrip)->Unit(benchmark::kMillisecond);
 // Fig. 2 topology end-to-end throughput vs parallelism.
 void BM_TopologyThroughput(benchmark::State& state) {
   const std::size_t parallelism = static_cast<std::size_t>(state.range(0));
-  const bool acking = state.range(1) != 0;
   const SyntheticWorld world(SmallWorldConfig(9));
   std::vector<UserAction> actions = world.GenerateDays(0, 1);
 
@@ -265,20 +264,16 @@ void BM_TopologyThroughput(benchmark::State& state) {
     p.item_pair_sim = parallelism;
     p.result_storage = parallelism;
     auto spec = BuildRecommendationTopology(source, deps, p);
-    stream::TopologyOptions topology_options;
-    topology_options.enable_acking = acking;
-    auto topo = stream::Topology::Create(std::move(spec).value(),
-                                         topology_options);
+    auto topo = stream::Topology::Create(std::move(spec).value());
     (void)(*topo)->Start();
     (void)(*topo)->Join();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(actions.size()));
 }
-// Args: {parallelism, acking?} — the acking rows measure the overhead of
-// the at-least-once reliability layer.
+// Arg: parallelism of every bolt.
 BENCHMARK(BM_TopologyThroughput)
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})->Args({1, 1})->Args({4, 1})
+    ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

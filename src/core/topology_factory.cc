@@ -7,7 +7,6 @@
 #include "core/implicit_feedback.h"
 #include "core/online_mf.h"
 #include "core/sim_table.h"
-#include "stream/reliable_spout.h"
 
 namespace rtrec {
 
@@ -402,23 +401,9 @@ StatusOr<stream::TopologySpec> BuildRecommendationTopology(
   FeedbackConfig feedback = model_config.feedback;
 
   stream::TopologyBuilder builder;
-  if (deps.reliable_spout) {
-    builder.AddSpout(
-        "spout",
-        [source] {
-          return std::make_unique<stream::ReliableReplaySpout>(
-              [source]() -> std::optional<stream::Tuple> {
-                std::optional<UserAction> action = source->Next();
-                if (!action.has_value()) return std::nullopt;
-                return ActionToTuple(*action);
-              });
-        },
-        parallelism.spout);
-  } else {
-    builder.AddSpout(
-        "spout", [source] { return std::make_unique<ActionSpout>(source); },
-        parallelism.spout);
-  }
+  builder.AddSpout(
+      "spout", [source] { return std::make_unique<ActionSpout>(source); },
+      parallelism.spout);
 
   builder
       .AddBolt(

@@ -55,11 +55,6 @@ class VectorActionSource : public ActionSource {
 /// outlive the running topology.
 struct PipelineDeps {
   FactorStore* factors = nullptr;
-  /// Use a ReliableReplaySpout so every action is delivered at least
-  /// once (requires running the topology with
-  /// TopologyOptions::enable_acking). Default is the paper's
-  /// at-most-once spout.
-  bool reliable_spout = false;
   HistoryStore* history = nullptr;
   SimTableStore* sim_table = nullptr;
   VideoTypeResolver type_resolver;

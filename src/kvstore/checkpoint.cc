@@ -20,11 +20,10 @@ namespace rtrec {
 
 namespace {
 
-// v2 stores factor vectors as float32; v3 stores the quantized payload
-// raw (precision tag + per-entry scale), so a quantized store
-// round-trips bit-exactly. The loader accepts both.
-constexpr char kMagicV2[8] = {'R', 'T', 'R', 'E', 'C', 'C', 'P', '2'};
-constexpr char kMagicV3[8] = {'R', 'T', 'R', 'E', 'C', 'C', 'P', '3'};
+// v3 stores the quantized payload raw (precision tag + per-entry scale),
+// so a quantized store round-trips bit-exactly. Any other magic, the
+// retired float32 v2 included, is rejected.
+constexpr char kMagic[8] = {'R', 'T', 'R', 'E', 'C', 'C', 'P', '3'};
 
 // Little-endian raw encoding; the library targets little-endian hosts
 // (all supported platforms), so memcpy-based IO is portable enough and
@@ -71,18 +70,7 @@ class SectionReader {
   std::size_t pos_ = 0;
 };
 
-bool ReadEntry(SectionReader& in, std::uint64_t* id, FactorEntry* entry,
-               std::uint32_t expected_factors) {
-  if (!in.Read(id)) return false;
-  if (!in.Read(&entry->bias)) return false;
-  std::uint32_t n = 0;
-  if (!in.Read(&n)) return false;
-  if (n != expected_factors) return false;
-  entry->vec.resize(n);
-  return in.ReadBytes(entry->vec.data(), n * sizeof(float));
-}
-
-/// v3 per-entry frame: id, bias, int8 scale, payload length, raw
+/// Per-entry frame: id, bias, int8 scale, payload length, raw
 /// quantized payload.
 void WritePackedEntry(SectionWriter& out, std::uint64_t id,
                       const FactorStore::PackedView& view) {
@@ -132,7 +120,7 @@ Status NextSection(std::string_view file, std::size_t* pos,
 
 // --- Staging: everything parsed from the file before anything is applied.
 
-/// One v3 entry staged verbatim: the quantized payload as stored.
+/// One entry staged verbatim: the quantized payload as stored.
 struct RawFactorEntry {
   std::uint64_t id = 0;
   float bias = 0.0f;
@@ -142,16 +130,12 @@ struct RawFactorEntry {
 
 struct FactorStaging {
   std::uint32_t num_factors = 0;
-  /// Precision the file's payloads are encoded in (v3; v2 is float32).
-  /// v2 files stage float entries in users/videos; v3 files stage raw
-  /// payloads in raw_users/raw_videos.
+  /// Precision the file's payloads are encoded in.
   FactorPrecision precision = FactorPrecision::kFloat32;
   double rating_sum = 0.0;
   std::uint64_t rating_count = 0;
-  std::vector<std::pair<std::uint64_t, FactorEntry>> users;
-  std::vector<std::pair<std::uint64_t, FactorEntry>> videos;
-  std::vector<RawFactorEntry> raw_users;
-  std::vector<RawFactorEntry> raw_videos;
+  std::vector<RawFactorEntry> users;
+  std::vector<RawFactorEntry> videos;
 };
 
 struct SimStaging {
@@ -161,36 +145,6 @@ struct SimStaging {
 struct HistoryStaging {
   std::vector<std::pair<std::uint64_t, std::vector<HistoryEntry>>> users;
 };
-
-Status ParseFactorSection(std::string_view bytes, FactorStaging* out) {
-  SectionReader in(bytes);
-  std::uint64_t num_users = 0, num_videos = 0;
-  if (!in.Read(&out->num_factors) || !in.Read(&out->rating_sum) ||
-      !in.Read(&out->rating_count) || !in.Read(&num_users) ||
-      !in.Read(&num_videos)) {
-    return Status::Corruption("truncated factor header");
-  }
-  out->users.reserve(num_users);
-  for (std::uint64_t i = 0; i < num_users; ++i) {
-    std::uint64_t id = 0;
-    FactorEntry entry;
-    if (!ReadEntry(in, &id, &entry, out->num_factors)) {
-      return Status::Corruption("truncated user entry");
-    }
-    out->users.emplace_back(id, std::move(entry));
-  }
-  out->videos.reserve(num_videos);
-  for (std::uint64_t i = 0; i < num_videos; ++i) {
-    std::uint64_t id = 0;
-    FactorEntry entry;
-    if (!ReadEntry(in, &id, &entry, out->num_factors)) {
-      return Status::Corruption("truncated video entry");
-    }
-    out->videos.emplace_back(id, std::move(entry));
-  }
-  if (!in.AtEnd()) return Status::Corruption("trailing bytes after factors");
-  return Status::OK();
-}
 
 bool ReadPackedEntry(SectionReader& in, RawFactorEntry* entry,
                      std::size_t expected_bytes) {
@@ -204,7 +158,7 @@ bool ReadPackedEntry(SectionReader& in, RawFactorEntry* entry,
   return in.ReadBytes(entry->data.data(), n);
 }
 
-Status ParseFactorSectionV3(std::string_view bytes, FactorStaging* out) {
+Status ParseFactorSection(std::string_view bytes, FactorStaging* out) {
   SectionReader in(bytes);
   std::uint8_t precision_tag = 0;
   std::uint64_t num_users = 0, num_videos = 0;
@@ -220,27 +174,27 @@ Status ParseFactorSectionV3(std::string_view bytes, FactorStaging* out) {
   out->precision = static_cast<FactorPrecision>(precision_tag);
   const std::size_t expected_bytes =
       out->num_factors * FactorWidthBytes(out->precision);
-  out->raw_users.reserve(num_users);
+  out->users.reserve(num_users);
   for (std::uint64_t i = 0; i < num_users; ++i) {
     RawFactorEntry entry;
     if (!ReadPackedEntry(in, &entry, expected_bytes)) {
       return Status::Corruption("truncated user entry");
     }
-    out->raw_users.push_back(std::move(entry));
+    out->users.push_back(std::move(entry));
   }
-  out->raw_videos.reserve(num_videos);
+  out->videos.reserve(num_videos);
   for (std::uint64_t i = 0; i < num_videos; ++i) {
     RawFactorEntry entry;
     if (!ReadPackedEntry(in, &entry, expected_bytes)) {
       return Status::Corruption("truncated video entry");
     }
-    out->raw_videos.push_back(std::move(entry));
+    out->videos.push_back(std::move(entry));
   }
   if (!in.AtEnd()) return Status::Corruption("trailing bytes after factors");
   return Status::OK();
 }
 
-/// Installs one staged v3 entry. Same precision: raw install, bit-exact.
+/// Installs one staged entry. Same precision: raw install, bit-exact.
 /// Cross-precision (e.g. an fp16 checkpoint into an int8 store):
 /// dequantize with the file's codec, requantize through the Put path.
 void ApplyRawEntry(FactorStore* factors, bool is_user, RawFactorEntry& e,
@@ -459,7 +413,7 @@ Status SaveCheckpoint(const std::string& path, const FactorStore* factors,
   }
 
   std::string file;
-  file.append(kMagicV3, sizeof(kMagicV3));
+  file.append(kMagic, sizeof(kMagic));
   AppendSection(file, factor_section);
   AppendSection(file, sim_section);
   AppendSection(file, history_section);
@@ -479,18 +433,14 @@ Status LoadCheckpoint(const std::string& path, FactorStore* factors,
   }
   const std::string file = contents.str();
 
-  bool is_v3 = false;
-  if (file.size() >= sizeof(kMagicV3) &&
-      std::memcmp(file.data(), kMagicV3, sizeof(kMagicV3)) == 0) {
-    is_v3 = true;
-  } else if (file.size() < sizeof(kMagicV2) ||
-             std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
+  if (file.size() < sizeof(kMagic) ||
+      std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad checkpoint magic in '" + path + "'");
   }
 
   // Phase 1: verify + parse every section into staging. Nothing below may
   // touch the target stores.
-  std::size_t pos = sizeof(kMagicV2);
+  std::size_t pos = sizeof(kMagic);
   std::string_view factor_bytes, sim_bytes, history_bytes;
   RTREC_RETURN_IF_ERROR(NextSection(file, &pos, &factor_bytes, "factor"));
   RTREC_RETURN_IF_ERROR(NextSection(file, &pos, &sim_bytes, "sim-table"));
@@ -502,9 +452,7 @@ Status LoadCheckpoint(const std::string& path, FactorStore* factors,
   FactorStaging factor_staging;
   SimStaging sim_staging;
   HistoryStaging history_staging;
-  RTREC_RETURN_IF_ERROR(
-      is_v3 ? ParseFactorSectionV3(factor_bytes, &factor_staging)
-            : ParseFactorSection(factor_bytes, &factor_staging));
+  RTREC_RETURN_IF_ERROR(ParseFactorSection(factor_bytes, &factor_staging));
   RTREC_RETURN_IF_ERROR(ParseSimSection(sim_bytes, &sim_staging));
   RTREC_RETURN_IF_ERROR(ParseHistorySection(history_bytes, &history_staging));
 
@@ -520,17 +468,11 @@ Status LoadCheckpoint(const std::string& path, FactorStore* factors,
 
   // Phase 2: everything verified — apply the staged state.
   if (factors != nullptr) {
-    for (auto& [id, entry] : factor_staging.users) {
-      factors->PutUser(id, entry.vec, entry.bias);
-    }
-    for (auto& [id, entry] : factor_staging.videos) {
-      factors->PutVideo(id, entry.vec, entry.bias);
-    }
-    for (auto& entry : factor_staging.raw_users) {
+    for (auto& entry : factor_staging.users) {
       ApplyRawEntry(factors, /*is_user=*/true, entry,
                     factor_staging.precision);
     }
-    for (auto& entry : factor_staging.raw_videos) {
+    for (auto& entry : factor_staging.videos) {
       ApplyRawEntry(factors, /*is_user=*/false, entry,
                     factor_staging.precision);
     }

@@ -24,12 +24,13 @@ namespace rtrec {
 /// so corruption anywhere in a section is detected before a single byte
 /// of it is interpreted.
 ///
-/// v3 persists factor vectors as the store's *raw quantized payload*
+/// Factor vectors are persisted as the store's *raw quantized payload*
 /// (precision tag in the header, per-entry int8 scale), so a quantized
 /// store round-trips bit-exactly instead of through a dequantize/
-/// requantize hop. The loader also accepts the older "RTRECCP2" float32
-/// format, and converts across precisions when a checkpoint written at
-/// one precision is loaded into a store configured with another.
+/// requantize hop. The loader converts across precisions when a
+/// checkpoint written at one precision is loaded into a store configured
+/// with another. Any other magic, the retired float32 v2 format
+/// included, is Corruption.
 ///
 /// Crash safety: SaveCheckpoint serializes to memory, writes `path`.tmp,
 /// fsyncs it, and atomically renames it over `path` (then fsyncs the

@@ -43,9 +43,7 @@
 
 // Stream engine.
 #include "stream/bolt.h"
-#include "stream/acker.h"
 #include "stream/grouping.h"
-#include "stream/reliable_spout.h"
 #include "stream/topology.h"
 #include "stream/topology_builder.h"
 #include "stream/tuple.h"

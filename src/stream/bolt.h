@@ -32,17 +32,13 @@ class OutputCollector {
  public:
   virtual ~OutputCollector() = default;
 
-  /// Emits `tuple` on the component's default stream. With acking
-  /// enabled, a spout emission returns the new tuple-tree id (see
-  /// Spout::Ack) and a bolt emission returns the anchored root id;
-  /// without acking, returns 0.
-  std::uint64_t Emit(Tuple tuple) {
-    return EmitTo(kDefaultStream, std::move(tuple));
-  }
+  /// Emits `tuple` on the component's default stream.
+  void Emit(Tuple tuple) { EmitTo(kDefaultStream, std::move(tuple)); }
 
-  /// Emits `tuple` on the named stream. Tuples on streams nobody
-  /// subscribes to are dropped (counted in metrics).
-  virtual std::uint64_t EmitTo(const std::string& stream, Tuple tuple) = 0;
+  /// Emits `tuple` on the named stream. Delivery is at-most-once: tuples
+  /// on streams nobody subscribes to, and copies lost in flight, are
+  /// dropped and counted in "<component>.dropped".
+  virtual void EmitTo(const std::string& stream, Tuple tuple) = 0;
 };
 
 /// A stream transformer: consumes input tuples, optionally emits output
@@ -76,16 +72,6 @@ class Spout {
   /// exhausted (finite replay) — a production spout simply never returns
   /// false.
   virtual bool Next(OutputCollector& collector) = 0;
-
-  /// Reliability callbacks (Storm's at-least-once API; active only when
-  /// TopologyOptions::enable_acking is set). `tuple_id` is the value
-  /// Emit returned for the root tuple. Ack fires when every downstream
-  /// tuple anchored to the root has been fully processed; Fail fires
-  /// when the tree does not complete within the ack timeout (replay is
-  /// the spout's decision). Called from an internal tracker thread —
-  /// implementations must be thread-safe with respect to Next().
-  virtual void Ack(std::uint64_t tuple_id) { (void)tuple_id; }
-  virtual void Fail(std::uint64_t tuple_id) { (void)tuple_id; }
 
   /// Called once after the final Next call.
   virtual void Close() {}

@@ -16,44 +16,29 @@ GroupingRouter::GroupingRouter(Grouping grouping,
   key_indices_.assign(grouping_.fields.size(), -1);
 }
 
-void GroupingRouter::Route(const Tuple& tuple, std::vector<std::size_t>& out) {
-  out.clear();
-  switch (grouping_.type) {
-    case GroupingType::kShuffle: {
-      out.push_back(round_robin_);
-      round_robin_ = (round_robin_ + 1) % num_consumer_tasks_;
-      return;
-    }
-    case GroupingType::kFields: {
-      if (tuple.schema() != key_schema_) {
-        key_schema_ = tuple.schema();
-        for (std::size_t k = 0; k < grouping_.fields.size(); ++k) {
-          key_indices_[k] = key_schema_ == nullptr
-                                ? -1
-                                : key_schema_->IndexOf(grouping_.fields[k]);
-        }
-      }
-      std::uint64_t h = 0x9E3779B97F4A7C15ull;
-      for (const int index : key_indices_) {
-        const std::size_t i = static_cast<std::size_t>(index);
-        const std::uint64_t fh = index < 0 || i >= tuple.size()
-                                     ? kNullValueHash
-                                     : HashValue(tuple.Get(i));
-        h = MixHash64(h ^ fh);
-      }
-      out.push_back(static_cast<std::size_t>(h % num_consumer_tasks_));
-      return;
-    }
-    case GroupingType::kGlobal: {
-      out.push_back(0);
-      return;
-    }
-    case GroupingType::kAll: {
-      out.reserve(num_consumer_tasks_);
-      for (std::size_t i = 0; i < num_consumer_tasks_; ++i) out.push_back(i);
-      return;
+std::size_t GroupingRouter::Route(const Tuple& tuple) {
+  if (grouping_.type == GroupingType::kShuffle) {
+    const std::size_t task = round_robin_;
+    round_robin_ = (round_robin_ + 1) % num_consumer_tasks_;
+    return task;
+  }
+  if (tuple.schema() != key_schema_) {
+    key_schema_ = tuple.schema();
+    for (std::size_t k = 0; k < grouping_.fields.size(); ++k) {
+      key_indices_[k] = key_schema_ == nullptr
+                            ? -1
+                            : key_schema_->IndexOf(grouping_.fields[k]);
     }
   }
+  std::uint64_t h = 0x9E3779B97F4A7C15ull;
+  for (const int index : key_indices_) {
+    const std::size_t i = static_cast<std::size_t>(index);
+    const std::uint64_t fh = index < 0 || i >= tuple.size()
+                                 ? kNullValueHash
+                                 : HashValue(tuple.Get(i));
+    h = MixHash64(h ^ fh);
+  }
+  return static_cast<std::size_t>(h % num_consumer_tasks_);
 }
 
 }  // namespace rtrec::stream

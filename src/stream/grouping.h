@@ -19,10 +19,6 @@ enum class GroupingType {
   /// Hash of the named fields picks the task: equal keys always reach the
   /// same task.
   kFields,
-  /// All tuples go to task 0.
-  kGlobal,
-  /// Every task receives a copy of every tuple.
-  kAll,
 };
 
 /// A grouping declaration: the type plus the key fields (for kFields).
@@ -34,8 +30,6 @@ struct Grouping {
   static Grouping Fields(std::vector<std::string> fields) {
     return {GroupingType::kFields, std::move(fields)};
   }
-  static Grouping Global() { return {GroupingType::kGlobal, {}}; }
-  static Grouping All() { return {GroupingType::kAll, {}}; }
 };
 
 /// Routes tuples for one (producer → consumer) edge. Stateless except for
@@ -44,8 +38,7 @@ class GroupingRouter {
  public:
   GroupingRouter(Grouping grouping, std::size_t num_consumer_tasks);
 
-  /// Destination consumer-task indices for `tuple`. For kAll this is every
-  /// task; for the others exactly one.
+  /// Destination consumer-task index for `tuple`.
   ///
   /// For kFields the route is a pure function of the key fields, which is
   /// the property making vector writes conflict-free in the MFStorage
@@ -53,7 +46,7 @@ class GroupingRouter {
   /// malformed tuple cannot crash the pipeline. The key fields' positions
   /// are resolved once per schema and cached, so the steady state does
   /// no name lookup.
-  void Route(const Tuple& tuple, std::vector<std::size_t>& out);
+  std::size_t Route(const Tuple& tuple);
 
   std::size_t num_consumer_tasks() const { return num_consumer_tasks_; }
   const Grouping& grouping() const { return grouping_; }

@@ -15,8 +15,8 @@ namespace rtrec::stream {
 
 namespace {
 
-// Engine-wide queue defaults, used when neither TopologyOptions nor the
-// TopologySpec declare a preference.
+// Engine-wide queue defaults, used where TopologyOptions leave the size
+// at 0.
 constexpr std::size_t kDefaultQueueCapacity = 1024;
 constexpr std::size_t kDefaultDrainBatch = 64;
 
@@ -47,26 +47,20 @@ void StoreMax(std::atomic<std::int64_t>& slot, std::int64_t value) {
 /// one RingQueue::PushBatch per outbox: when it reaches `flush_size`,
 /// and whenever the task loop calls Flush (after each drained input
 /// batch, after every spout Next, before a restart backoff and before
-/// EOS). Ack counts, fault points and queue-wait stamps are still taken
-/// at emit time, and one outbox per queue keeps this task's tuples in
-/// emit order on every queue.
+/// EOS). Fault points and queue-wait stamps are still taken at emit
+/// time, and one outbox per queue keeps this task's tuples in emit order
+/// on every queue.
 class Topology::TaskCollector : public OutputCollector {
  public:
-  /// For spout tasks, `acker_owner` identifies the spout in the tracker;
-  /// for bolt tasks, `current_root` points at the root of the tuple
-  /// being processed (set by the task loop before each Process call).
-  /// `current_trace` mirrors `current_root`: null for spout tasks (each
-  /// emission mints a fresh trace root from `tracer`), otherwise the
-  /// trace of the tuple being processed, which anchored emissions join.
+  /// `current_trace` is null for spout tasks (each emission mints a
+  /// fresh trace root from `tracer`); for bolt tasks it points at the
+  /// trace of the tuple being processed (set by the task loop before
+  /// each Process call), which the tuple's emissions join.
   TaskCollector(ComponentRuntime* component, std::vector<StreamEdges> streams,
-                AckTracker* acker, std::uint64_t acker_owner,
-                const std::uint64_t* current_root, Tracer* tracer,
-                const TraceContext* current_trace, std::size_t flush_size)
+                Tracer* tracer, const TraceContext* current_trace,
+                std::size_t flush_size)
       : component_(component),
         streams_(std::move(streams)),
-        acker_(acker),
-        acker_owner_(acker_owner),
-        current_root_(current_root),
         tracer_(tracer),
         current_trace_(current_trace),
         flush_size_(std::max<std::size_t>(1, flush_size)) {
@@ -89,7 +83,7 @@ class Topology::TaskCollector : public OutputCollector {
     }
   }
 
-  std::uint64_t EmitTo(const std::string& stream, Tuple tuple) override {
+  void EmitTo(const std::string& stream, Tuple tuple) override {
     std::vector<EdgeRuntime>* edges = nullptr;
     for (StreamEdges& candidate : streams_) {
       if (candidate.stream == stream) {
@@ -98,35 +92,6 @@ class Topology::TaskCollector : public OutputCollector {
       }
     }
     const bool subscribed = edges != nullptr && !edges->empty();
-
-    // Gather destinations first: the tracked count must be registered
-    // before any copy is pushed (a consumer could otherwise complete the
-    // tree before the remaining copies are accounted for).
-    destinations_.clear();
-    if (subscribed) {
-      for (EdgeRuntime& edge : *edges) {
-        edge.router.Route(tuple, scratch_);
-        for (std::size_t consumer_task : scratch_) {
-          destinations_.push_back(edge.outbox_of_task[consumer_task]);
-        }
-      }
-    }
-
-    std::uint64_t root = 0;
-    if (acker_ != nullptr) {
-      if (current_root_ == nullptr) {
-        // Spout emission: open a tree (an unsubscribed emission is
-        // trivially complete and acks immediately).
-        root = acker_->CreateRoot(
-            acker_owner_, static_cast<std::int64_t>(destinations_.size()));
-      } else if (*current_root_ != 0) {
-        // Bolt emission: anchor to the tuple being processed.
-        root = *current_root_;
-        if (!destinations_.empty()) {
-          acker_->Add(root, static_cast<std::int64_t>(destinations_.size()));
-        }
-      }
-    }
 
     // Trace attachment: spout emissions are trace roots (the tracer
     // decides sampling); bolt emissions inherit the trace of the tuple
@@ -140,39 +105,38 @@ class Topology::TaskCollector : public OutputCollector {
 
     if (!subscribed) {
       ++unpublished_dropped_;
-      return root;
+      return;
     }
     ++unpublished_emitted_;
     // Only sampled envelopes carry an enqueue timestamp (the tracer's
     // queue histogram needs it); untraced ones pay no clock read.
     const std::int64_t enqueue_us =
         trace.sampled() ? Tracer::NowMicros() : 0;
-    const std::size_t last = destinations_.size() - 1;
-    for (std::size_t d = 0; d <= last; ++d) {
+    // Every grouping routes to one task, so each subscribed edge gets
+    // one copy.
+    const std::size_t last = edges->size() - 1;
+    for (std::size_t e = 0; e <= last; ++e) {
+      EdgeRuntime& edge = (*edges)[e];
+      const std::size_t task = edge.router.Route(tuple);
       // A fired "stream.queue.push" fault drops this copy on the floor
-      // (a lost in-flight tuple); with acking on, its tree fails by
-      // timeout and the spout replays it. The tracked count registered
-      // above intentionally keeps the dropped copy, which is what makes
-      // the tree time out instead of acking a lost tuple.
+      // (a lost in-flight tuple): counted, never redelivered.
       if (!RTREC_FAULT_POINT("stream.queue.push").ok()) {
         ++unpublished_dropped_;
         continue;
       }
-      // The last destination takes the tuple itself; fan-out copies go
-      // to the others.
-      Outbox& outbox = outboxes_[destinations_[d]];
+      // The last edge takes the tuple itself; fan-out copies go to the
+      // others.
+      Outbox& outbox = outboxes_[edge.outbox_of_task[task]];
       Envelope& envelope = outbox.pending.emplace_back();
-      if (d == last) {
+      if (e == last) {
         envelope.tuple = std::move(tuple);
       } else {
         envelope.tuple = tuple;
       }
-      envelope.root = root;
       envelope.trace = trace;
       envelope.enqueue_us = enqueue_us;
       if (outbox.pending.size() >= flush_size_) FlushOutbox(outbox);
     }
-    return root;
   }
 
   /// Pushes every buffered envelope to its queue. PushBatch blocks while
@@ -198,10 +162,6 @@ class Topology::TaskCollector : public OutputCollector {
     }
   }
 
-  /// Re-points spout emissions at a new tracker registration; used when
-  /// the supervisor replaces a crashed spout instance.
-  void set_acker_owner(std::uint64_t owner) { acker_owner_ = owner; }
-
  private:
   // Envelopes emitted to one consumer queue and not yet pushed.
   struct Outbox {
@@ -218,16 +178,10 @@ class Topology::TaskCollector : public OutputCollector {
   // A component emits on a handful of streams, so a linear scan beats
   // hashing the stream name.
   std::vector<StreamEdges> streams_;
-  AckTracker* acker_;
-  std::uint64_t acker_owner_;
-  const std::uint64_t* current_root_;
   Tracer* tracer_;
   const TraceContext* current_trace_;
   const std::size_t flush_size_;
   std::vector<Outbox> outboxes_;
-  std::vector<std::size_t> scratch_;
-  // Outbox indices of the current emission's destinations.
-  std::vector<std::size_t> destinations_;
   std::int64_t unpublished_emitted_ = 0;
   std::int64_t unpublished_dropped_ = 0;
 };
@@ -239,11 +193,6 @@ Topology::Topology(TopologySpec spec, TopologyOptions options)
   } else {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
-  }
-  if (options_.enable_acking) {
-    AckTracker::Options acker_options;
-    acker_options.timeout_millis = options_.ack_timeout_millis;
-    acker_ = std::make_unique<AckTracker>(acker_options);
   }
 }
 
@@ -258,17 +207,12 @@ StatusOr<std::unique_ptr<Topology>> Topology::Create(TopologySpec spec,
 }
 
 Status Topology::Wire() {
-  // Resolve queue sizing: explicit TopologyOptions win, then the
-  // builder-declared spec defaults, then the engine-wide defaults.
+  // Resolve queue sizing: TopologyOptions, else the engine defaults.
   resolved_queue_capacity_ = options_.queue_capacity != 0
                                  ? options_.queue_capacity
-                             : spec_.default_queue_capacity != 0
-                                 ? spec_.default_queue_capacity
                                  : kDefaultQueueCapacity;
-  resolved_drain_batch_ =
-      options_.drain_batch != 0       ? options_.drain_batch
-      : spec_.default_drain_batch != 0 ? spec_.default_drain_batch
-                                       : kDefaultDrainBatch;
+  resolved_drain_batch_ = options_.drain_batch != 0 ? options_.drain_batch
+                                                    : kDefaultDrainBatch;
   queue_stats_.push_retries =
       metrics_->GetCounter("stream.queue.push_retries");
   queue_stats_.batch_drains =
@@ -363,17 +307,6 @@ Status Topology::Join() {
   for (std::thread& th : threads_) {
     if (th.joinable()) th.join();
   }
-  // Every tuple has been processed (or timed out via the sweeper), so
-  // all reliability callbacks have fired; retire the tracker
-  // registrations. The spout objects themselves stay alive until the
-  // topology is destroyed — callers inspect their counters after Join.
-  if (acker_ != nullptr) {
-    std::lock_guard<std::mutex> lock(parked_spouts_mu_);
-    for (auto& [spout, owner] : parked_spouts_) {
-      acker_->UnregisterOwner(owner);
-      owner = 0;
-    }
-  }
   // Publish the ingest-window stamps so harnesses (perfbench) can
   // compute honest end-to-end throughput: first spout emission through
   // the last terminal bolt finishing its drain, excluding topology
@@ -396,13 +329,6 @@ Topology::~Topology() {
   RequestStop();
   for (std::thread& th : threads_) {
     if (th.joinable()) th.join();
-  }
-  if (acker_ != nullptr) {
-    std::lock_guard<std::mutex> lock(parked_spouts_mu_);
-    for (auto& [spout, owner] : parked_spouts_) {
-      if (owner != 0) acker_->UnregisterOwner(owner);
-    }
-    parked_spouts_.clear();
   }
 }
 
@@ -439,10 +365,8 @@ void Topology::RunSpoutTask(std::size_t component_index,
                             std::size_t task_index) {
   ComponentRuntime& rt = components_[component_index];
 
-  TaskCollector collector(&rt, EdgesFrom(rt), acker_.get(),
-                          /*acker_owner=*/0, /*current_root=*/nullptr,
-                          options_.tracer, /*current_trace=*/nullptr,
-                          resolved_drain_batch_);
+  TaskCollector collector(&rt, EdgesFrom(rt), options_.tracer,
+                          /*current_trace=*/nullptr, resolved_drain_batch_);
 
   TaskContext context;
   context.component = rt.spec.name;
@@ -455,37 +379,22 @@ void Topology::RunSpoutTask(std::size_t component_index,
       metrics_->GetCounter(rt.spec.name + ".task_restarts");
 
   std::unique_ptr<Spout> spout;
-  std::uint64_t acker_owner = 0;
-  // Builds (or rebuilds, after a crash) the spout instance and its
-  // tracker registration. Factory/Open failures leave `spout` null.
+  // Builds (or rebuilds, after a crash) the spout instance. Factory /
+  // Open failures leave `spout` null.
   auto make_spout = [&]() -> bool {
     try {
       spout = rt.spec.spout_factory();
       spout->Open(context);
+      return true;
     } catch (const std::exception& e) {
       RTREC_LOG(kError) << rt.spec.name << " task " << task_index
                         << " failed to open spout: " << e.what();
-      spout.reset();
-      return false;
     } catch (...) {
       RTREC_LOG(kError) << rt.spec.name << " task " << task_index
                         << " failed to open spout";
-      spout.reset();
-      return false;
     }
-    if (acker_ != nullptr) {
-      Spout* raw = spout.get();
-      acker_owner =
-          acker_->RegisterOwner([raw](std::uint64_t root, bool acked) {
-            if (acked) {
-              raw->Ack(root);
-            } else {
-              raw->Fail(root);
-            }
-          });
-      collector.set_acker_owner(acker_owner);
-    }
-    return true;
+    spout.reset();
+    return false;
   };
 
   int consecutive_failures = 0;
@@ -525,9 +434,8 @@ void Topology::RunSpoutTask(std::size_t component_index,
       if (!has_more) break;
       continue;
     }
-    // Crash: retire this incarnation (abandoning its in-flight trees —
-    // their replay state died with the instance) and restart from the
-    // factory, unless the consecutive-failure budget is spent.
+    // Crash: retire this incarnation and restart from the factory,
+    // unless the consecutive-failure budget is spent.
     if (++consecutive_failures > options_.max_task_restarts) {
       RTREC_LOG(kError) << rt.spec.name << " task " << task_index
                         << " exceeded max_task_restarts="
@@ -540,7 +448,6 @@ void Topology::RunSpoutTask(std::size_t component_index,
       spout->Close();
     } catch (...) {
     }
-    if (acker_ != nullptr) acker_->UnregisterOwner(acker_owner);
     spout.reset();
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     backoff_ms = std::min(backoff_ms * 2, options_.restart_backoff_max_ms);
@@ -551,12 +458,6 @@ void Topology::RunSpoutTask(std::size_t component_index,
       spout->Close();
     } catch (...) {
     }
-    if (acker_ != nullptr) {
-      // Keep the spout registered: its tuple trees may still be in flight
-      // downstream. Join() unregisters once the whole DAG has drained.
-      std::lock_guard<std::mutex> lock(parked_spouts_mu_);
-      parked_spouts_.emplace_back(std::move(spout), acker_owner);
-    }
   }
   collector.Publish();
   BroadcastEos(rt);
@@ -566,11 +467,9 @@ void Topology::RunBoltTask(std::size_t component_index,
                            std::size_t task_index) {
   ComponentRuntime& rt = components_[component_index];
 
-  std::uint64_t current_root = 0;
   TraceContext current_trace;
-  TaskCollector collector(&rt, EdgesFrom(rt), acker_.get(),
-                          /*acker_owner=*/0, &current_root, options_.tracer,
-                          &current_trace, resolved_drain_batch_);
+  TaskCollector collector(&rt, EdgesFrom(rt), options_.tracer, &current_trace,
+                          resolved_drain_batch_);
 
   // Per-task trace histogram pointers, resolved once: the per-tuple cost
   // of tracing on this path is a branch for unsampled tuples and three
@@ -625,8 +524,8 @@ void Topology::RunBoltTask(std::size_t component_index,
   // Batched drain: one blocking PopBatch per wakeup amortizes the
   // park/wake handshake over up to resolved_drain_batch_ tuples; the
   // buffer is reused across wakeups so the steady state allocates
-  // nothing. Per-tuple semantics (supervision, tracing, acking, EOS
-  // counting) are identical to the old one-Pop-per-iteration loop.
+  // nothing. Per-tuple semantics (supervision, tracing, EOS counting)
+  // are identical to one Pop per tuple.
   std::vector<Envelope> batch;
   batch.reserve(resolved_drain_batch_);
   // This task's tallies, published once per drained batch (Publish).
@@ -655,7 +554,6 @@ void Topology::RunBoltTask(std::size_t component_index,
         ++eos_seen;
         continue;
       }
-      current_root = envelope.root;
       current_trace = envelope.trace;
       const bool traced = tracer != nullptr && current_trace.sampled();
       std::int64_t trace_start_us = 0;
@@ -691,14 +589,8 @@ void Topology::RunBoltTask(std::size_t component_index,
           // pipeline's end-to-end latency for the traced action.
           trace_e2e_us->Add(end_us - current_trace.start_us);
         }
-        if (acker_ != nullptr && current_root != 0) {
-          // This tuple's own contribution to the tree is done (any
-          // anchored emissions were added during Process).
-          acker_->Add(current_root, -1);
-        }
       } else {
-        // The tuple is dropped, deliberately without acking its tree:
-        // with acking on it fails by timeout and the spout replays it.
+        // At-most-once: the tuple is counted as dropped, not redelivered.
         collector.CountDropped();
         if (!degraded) {
           if (++consecutive_failures > options_.max_task_restarts) {
@@ -725,7 +617,6 @@ void Topology::RunBoltTask(std::size_t component_index,
           }
         }
       }
-      current_root = 0;
       current_trace = TraceContext{};
     }
     publish();

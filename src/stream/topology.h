@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "concurrent/ring_queue.h"
-#include "stream/acker.h"
 #include "stream/bolt.h"
 #include "stream/topology_builder.h"
 
@@ -22,25 +20,16 @@ namespace rtrec::stream {
 struct TopologyOptions {
   /// Capacity of each bolt task's input queue (rounded up to a power of
   /// two). Full queues block producers, giving end-to-end backpressure
-  /// (Storm's max pending). 0 = use the TopologySpec's declared default
-  /// if any, else 1024.
+  /// (Storm's max pending). 0 = 1024.
   std::size_t queue_capacity = 0;
 
   /// Upper bound on tuples a bolt task drains from its ring per wakeup.
   /// Batching amortizes the park/wake handshake (and, cross-core, the
-  /// cache-line bounce) over many tuples. 0 = spec default, else 64.
+  /// cache-line bounce) over many tuples. 0 = 64.
   std::size_t drain_batch = 0;
 
   /// Metrics sink; if null the topology owns a private registry.
   MetricsRegistry* metrics = nullptr;
-
-  /// Enables at-least-once tuple-tree tracking (Storm's reliability
-  /// layer): spout emissions open tracked trees, and Spout::Ack /
-  /// Spout::Fail fire on completion or timeout. Off by default — the
-  /// recommendation pipeline tolerates at-most-once, as the paper's
-  /// deployment does.
-  bool enable_acking = false;
-  std::int64_t ack_timeout_millis = 30000;
 
   /// Supervision policy (Storm's supervisor, folded into the task loop):
   /// a task whose bolt Process / spout Next throws — or whose
@@ -50,9 +39,10 @@ struct TopologyOptions {
   /// backoff. The budget counts *consecutive* failures and resets on the
   /// first successful call. A task that exhausts the budget degrades to
   /// draining its input (dropping tuples, counted in "<name>.dropped")
-  /// instead of killing the process; with acking on, dropped tuples fail
-  /// by ack-timeout and the spout replays them. Restarts increment
-  /// "topology.task_restarts" and "<name>.task_restarts".
+  /// instead of killing the process. Delivery is at-most-once, as in the
+  /// paper's deployment: a dropped tuple is counted, never replayed.
+  /// Restarts increment "topology.task_restarts" and
+  /// "<name>.task_restarts".
   int max_task_restarts = 3;
   std::int64_t restart_backoff_initial_ms = 5;
   std::int64_t restart_backoff_max_ms = 1000;
@@ -123,8 +113,6 @@ class Topology {
   struct Envelope {
     Tuple tuple;
     bool eos = false;
-    // Tuple-tree root this tuple is anchored to (0 = untracked).
-    std::uint64_t root = 0;
     // Trace this tuple belongs to (null context when unsampled) and the
     // time it was enqueued, for queue-wait accounting. Only sampled
     // envelopes pay the clock read at enqueue; the rest carry 0.
@@ -192,8 +180,8 @@ class Topology {
 
   TopologySpec spec_;
   TopologyOptions options_;
-  // queue_capacity / drain_batch after the options → spec → engine
-  // default resolution.
+  // queue_capacity / drain_batch after the options → engine default
+  // resolution.
   std::size_t resolved_queue_capacity_ = 0;
   std::size_t resolved_drain_batch_ = 0;
   // Topology-wide ring counters ("stream.queue.*"), shared by every
@@ -209,13 +197,6 @@ class Topology {
   MetricsRegistry* metrics_ = nullptr;
 
   std::vector<ComponentRuntime> components_;
-  std::unique_ptr<AckTracker> acker_;  // Non-null iff acking enabled.
-  // With acking, finished spouts are parked here (still registered with
-  // the tracker) so trees completing after the spout's last Next() still
-  // reach Ack/Fail; Join()/~Topology unregister and destroy them.
-  std::mutex parked_spouts_mu_;
-  std::vector<std::pair<std::unique_ptr<Spout>, std::uint64_t>>
-      parked_spouts_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> started_{false};

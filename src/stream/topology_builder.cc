@@ -37,16 +37,6 @@ TopologyBuilder::BoltDeclarer TopologyBuilder::AddBolt(
   return BoltDeclarer(this, components_.size() - 1);
 }
 
-TopologyBuilder& TopologyBuilder::SetQueueCapacity(std::size_t capacity) {
-  default_queue_capacity_ = capacity;
-  return *this;
-}
-
-TopologyBuilder& TopologyBuilder::SetDrainBatch(std::size_t batch) {
-  default_drain_batch_ = batch;
-  return *this;
-}
-
 TopologyBuilder::BoltDeclarer& TopologyBuilder::BoltDeclarer::AddEdge(
     const std::string& from, const std::string& stream, Grouping grouping) {
   EdgeSpec edge;
@@ -76,16 +66,6 @@ TopologyBuilder::BoltDeclarer& TopologyBuilder::BoltDeclarer::FieldsGrouping(
     const std::string& from, const std::string& stream,
     std::vector<std::string> fields) {
   return AddEdge(from, stream, Grouping::Fields(std::move(fields)));
-}
-
-TopologyBuilder::BoltDeclarer& TopologyBuilder::BoltDeclarer::GlobalGrouping(
-    const std::string& from) {
-  return AddEdge(from, kDefaultStream, Grouping::Global());
-}
-
-TopologyBuilder::BoltDeclarer& TopologyBuilder::BoltDeclarer::AllGrouping(
-    const std::string& from) {
-  return AddEdge(from, kDefaultStream, Grouping::All());
 }
 
 StatusOr<TopologySpec> TopologyBuilder::Build() const {
@@ -148,8 +128,6 @@ StatusOr<TopologySpec> TopologyBuilder::Build() const {
     if (in_degree[i] == 0) ready.push_back(i);
   }
   TopologySpec spec;
-  spec.default_queue_capacity = default_queue_capacity_;
-  spec.default_drain_batch = default_drain_batch_;
   while (!ready.empty()) {
     const std::size_t i = ready.front();
     ready.pop_front();

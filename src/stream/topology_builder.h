@@ -34,12 +34,6 @@ struct ComponentSpec {
 struct TopologySpec {
   std::vector<ComponentSpec> components;
 
-  /// Queue sizing the builder declared for this topology; 0 means "no
-  /// preference". TopologyOptions set explicitly at Create time win
-  /// over these, which win over the engine-wide defaults.
-  std::size_t default_queue_capacity = 0;
-  std::size_t default_drain_batch = 0;
-
   /// Index of `name` in `components`, or -1.
   int IndexOf(const std::string& name) const;
 };
@@ -74,10 +68,6 @@ class TopologyBuilder {
     BoltDeclarer& FieldsGrouping(const std::string& from,
                                  const std::string& stream,
                                  std::vector<std::string> fields);
-    /// Routes all of `from`'s default stream to task 0.
-    BoltDeclarer& GlobalGrouping(const std::string& from);
-    /// Broadcasts `from`'s default stream to every task.
-    BoltDeclarer& AllGrouping(const std::string& from);
 
    private:
     BoltDeclarer& AddEdge(const std::string& from, const std::string& stream,
@@ -95,14 +85,6 @@ class TopologyBuilder {
   BoltDeclarer AddBolt(const std::string& name, BoltFactory factory,
                        std::size_t parallelism = 1);
 
-  /// Declares the per-task input queue capacity for this topology
-  /// (rounded up to a power of two at wire time). 0 = engine default.
-  TopologyBuilder& SetQueueCapacity(std::size_t capacity);
-
-  /// Declares how many tuples a bolt task may drain per queue wakeup.
-  /// 0 = engine default.
-  TopologyBuilder& SetDrainBatch(std::size_t batch);
-
   /// Validates the graph (unique names, known producers, at least one
   /// spout, every bolt subscribed, acyclic) and returns components in
   /// topological order.
@@ -110,8 +92,6 @@ class TopologyBuilder {
 
  private:
   std::vector<ComponentSpec> components_;
-  std::size_t default_queue_capacity_ = 0;
-  std::size_t default_drain_batch_ = 0;
 };
 
 }  // namespace rtrec::stream

@@ -98,45 +98,6 @@ int Schema::IndexOf(const std::string& name) const {
   return -1;
 }
 
-const Value* Tuple::GetByName(const std::string& name) const {
-  if (schema_ == nullptr) return nullptr;
-  const int index = schema_->IndexOf(name);
-  if (index < 0 || static_cast<std::size_t>(index) >= size_) return nullptr;
-  return &values_[index];
-}
-
-StatusOr<std::int64_t> Tuple::GetInt(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<std::int64_t>(v)) return *x;
-  return Status::InvalidArgument("field '" + name + "' is not int64");
-}
-
-StatusOr<double> Tuple::GetDouble(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<double>(v)) return *x;
-  // Ints silently widen; action weights are often emitted as ints.
-  if (const auto* x = std::get_if<std::int64_t>(v)) {
-    return static_cast<double>(*x);
-  }
-  return Status::InvalidArgument("field '" + name + "' is not double");
-}
-
-StatusOr<std::string> Tuple::GetString(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<std::string>(v)) return *x;
-  return Status::InvalidArgument("field '" + name + "' is not string");
-}
-
-StatusOr<std::vector<float>> Tuple::GetFloats(const std::string& name) const {
-  const Value* v = GetByName(name);
-  if (v == nullptr) return Status::NotFound("field '" + name + "'");
-  if (const auto* x = std::get_if<std::vector<float>>(v)) return *x;
-  return Status::InvalidArgument("field '" + name + "' is not float vector");
-}
-
 std::string Tuple::ToString() const {
   std::string out = "(";
   for (std::size_t i = 0; i < size_; ++i) {

@@ -12,8 +12,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/status.h"
-
 namespace rtrec::stream {
 
 /// A single field value flowing through the topology. The variant covers
@@ -91,16 +89,6 @@ class Tuple {
   const T* GetIf(std::size_t index) const {
     return index < size_ ? std::get_if<T>(&values_[index]) : nullptr;
   }
-
-  /// Value by field name; returns nullptr if the field is absent.
-  const Value* GetByName(const std::string& name) const;
-
-  /// Typed accessors by name; return an error Status if the field is
-  /// absent or holds a different type.
-  StatusOr<std::int64_t> GetInt(const std::string& name) const;
-  StatusOr<double> GetDouble(const std::string& name) const;
-  StatusOr<std::string> GetString(const std::string& name) const;
-  StatusOr<std::vector<float>> GetFloats(const std::string& name) const;
 
   std::size_t size() const { return size_; }
   const Schema* schema() const { return schema_; }

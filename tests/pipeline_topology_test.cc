@@ -375,31 +375,6 @@ TEST_F(PipelineTopologyTest, PairCacheDisabledComputesEveryPair) {
       (*topo)->metrics().GetCounter("item_pair_sim.cache_hits")->value(), 0);
 }
 
-TEST_F(PipelineTopologyTest, ReliableSpoutDeliversEveryActionWithAcking) {
-  std::vector<UserAction> actions;
-  for (int round = 0; round < 40; ++round) {
-    for (UserId u = 1; u <= 10; ++u) {
-      actions.push_back(
-          Play(u, static_cast<VideoId>(u % 5 + 1), round * 1000 + u));
-    }
-  }
-  const std::size_t total = actions.size();
-  auto source = std::make_shared<VectorActionSource>(std::move(actions));
-  PipelineDeps deps = Deps();
-  deps.reliable_spout = true;
-  auto spec = BuildRecommendationTopology(source, deps);
-  ASSERT_TRUE(spec.ok());
-  stream::TopologyOptions options;
-  options.enable_acking = true;
-  auto topo = stream::Topology::Create(std::move(spec).value(), options);
-  ASSERT_TRUE(topo.ok());
-  ASSERT_TRUE((*topo)->Start().ok());
-  ASSERT_TRUE((*topo)->Join().ok());
-  // Every action trained the model (no losses, no duplicates on the
-  // healthy path).
-  EXPECT_EQ(factors_->RatingCount(), total);
-}
-
 TEST_F(PipelineTopologyTest, ServingPathWorksOverPipelineOutput) {
   std::vector<UserAction> actions;
   for (int round = 0; round < 40; ++round) {

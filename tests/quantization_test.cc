@@ -306,9 +306,10 @@ TEST_F(QuantizedCheckpointTest, CrossPrecisionConverts) {
   }
 }
 
-TEST_F(QuantizedCheckpointTest, LoadsLegacyV2Format) {
-  // Hand-build a pre-quantization "RTRECCP2" file: float32 entries, no
-  // precision tag. The loader must still accept it.
+TEST_F(QuantizedCheckpointTest, RejectsRetiredV2Magic) {
+  // Hand-build a pre-quantization v2 file: float32 entries, no precision
+  // tag. The format is retired, so its magic is as unknown as any other
+  // and the target store is left untouched.
   auto append = [](std::string& buf, const auto& value) {
     buf.append(reinterpret_cast<const char*>(&value), sizeof(value));
   };
@@ -336,32 +337,29 @@ TEST_F(QuantizedCheckpointTest, LoadsLegacyV2Format) {
   std::string empty;
   append(empty, std::uint64_t{0});  // Zero lists / histories.
 
-  std::string file = "RTRECCP2";
+  std::string file = "RTRECCP";
+  file += '2';  // The v2 magic.
   frame(file, factors);
   frame(file, empty);
   frame(file, empty);
   ASSERT_TRUE(WriteFileAtomic(path_.string(), file).ok());
 
-  FactorStore restored(StoreOptions(FactorPrecision::kFloat32));
-  ASSERT_TRUE(LoadCheckpoint(path_.string(), &restored, nullptr, nullptr)
-                  .ok());
-  EXPECT_EQ(restored.NumUsers(), 1u);
-  EXPECT_DOUBLE_EQ(restored.GlobalMean(), 2.5);
-  const auto entry = restored.GetUser(7);
-  ASSERT_TRUE(entry.ok());
-  EXPECT_FLOAT_EQ(entry->bias, 0.5f);
-  EXPECT_EQ(entry->vec, vec);
+  FactorStore target(StoreOptions(FactorPrecision::kFloat32));
+  const std::vector<float> prior = TestVector(2);
+  target.PutUser(3, prior, 0.25f);
+  target.RestoreRatingStats(12.0, 4);
 
-  // The same legacy file also loads into a quantized store (converted
-  // through the fp16 codec on the way in).
-  FactorStore quantized(StoreOptions(FactorPrecision::kFloat16));
-  ASSERT_TRUE(LoadCheckpoint(path_.string(), &quantized, nullptr, nullptr)
-                  .ok());
-  const auto half_entry = quantized.GetUser(7);
-  ASSERT_TRUE(half_entry.ok());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_FLOAT_EQ(half_entry->vec[i], DecodeHalf(EncodeHalf(vec[i])));
-  }
+  const Status status =
+      LoadCheckpoint(path_.string(), &target, nullptr, nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(target.NumUsers(), 1u);
+  EXPECT_EQ(target.NumVideos(), 0u);
+  EXPECT_DOUBLE_EQ(target.GlobalMean(), 3.0);
+  EXPECT_FALSE(target.GetUser(7).ok());
+  const auto entry = target.GetUser(3);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_FLOAT_EQ(entry->bias, 0.25f);
+  EXPECT_EQ(entry->vec, prior);
 }
 
 // --- Recall guardrail ------------------------------------------------------

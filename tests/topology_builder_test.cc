@@ -138,26 +138,5 @@ TEST(TopologyBuilderTest, DiamondTopologyBuilds) {
   EXPECT_LT(spec->IndexOf("right"), spec->IndexOf("join"));
 }
 
-TEST(TopologyBuilderTest, QueueSizingDefaultsPersistIntoSpec) {
-  TopologyBuilder builder;
-  builder.SetQueueCapacity(256).SetDrainBatch(16);
-  builder.AddSpout("src", MakeSpout());
-  builder.AddBolt("sink", MakeBolt()).ShuffleGrouping("src");
-  auto spec = builder.Build();
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->default_queue_capacity, 256u);
-  EXPECT_EQ(spec->default_drain_batch, 16u);
-}
-
-TEST(TopologyBuilderTest, QueueSizingDefaultsToNoPreference) {
-  TopologyBuilder builder;
-  builder.AddSpout("src", MakeSpout());
-  builder.AddBolt("sink", MakeBolt()).ShuffleGrouping("src");
-  auto spec = builder.Build();
-  ASSERT_TRUE(spec.ok());
-  EXPECT_EQ(spec->default_queue_capacity, 0u);
-  EXPECT_EQ(spec->default_drain_batch, 0u);
-}
-
 }  // namespace
 }  // namespace rtrec::stream

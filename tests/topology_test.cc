@@ -48,7 +48,7 @@ class SummingBolt : public Bolt {
   void Cleanup() override { cleaned_->fetch_add(1); }
 
   void Process(const Tuple& tuple, OutputCollector& collector) override {
-    sum_->fetch_add(*tuple.GetInt("n"));
+    sum_->fetch_add(*tuple.GetIf<std::int64_t>(0));
     collector.Emit(tuple);  // Forward for chained topologies.
   }
 
@@ -74,7 +74,7 @@ class KeyRecordingBolt : public Bolt {
 
   void Process(const Tuple& tuple, OutputCollector&) override {
     std::lock_guard<std::mutex> lock(state_->mu);
-    state_->tasks_per_key[*tuple.GetInt("n")].insert(task_index_);
+    state_->tasks_per_key[*tuple.GetIf<std::int64_t>(0)].insert(task_index_);
   }
 
  private:
@@ -214,26 +214,6 @@ TEST(TopologyTest, ChainedBoltsCascade) {
   EXPECT_EQ(cleaned.load(), 5);  // Every bolt task cleaned up.
 }
 
-TEST(TopologyTest, AllGroupingDuplicatesToEveryTask) {
-  std::atomic<std::int64_t> sum{0};
-  std::atomic<int> prepared{0}, cleaned{0};
-  TopologyBuilder builder;
-  builder.AddSpout(
-      "numbers", [] { return std::make_unique<CountingSpout>(10); }, 1);
-  TopologyBuilder::BoltDeclarer declarer = builder.AddBolt(
-      "sum",
-      [&] { return std::make_unique<SummingBolt>(&sum, &prepared, &cleaned); },
-      3);
-  declarer.AllGrouping("numbers");
-  auto spec = builder.Build();
-  ASSERT_TRUE(spec.ok());
-  auto topo = Topology::Create(std::move(spec).value());
-  ASSERT_TRUE(topo.ok());
-  ASSERT_TRUE((*topo)->Start().ok());
-  ASSERT_TRUE((*topo)->Join().ok());
-  EXPECT_EQ(sum.load(), 3 * (9LL * 10 / 2));
-}
-
 TEST(TopologyTest, UnsubscribedStreamTuplesAreDroppedAndCounted) {
   class TwoStreamSpout : public Spout {
    public:
@@ -294,7 +274,7 @@ TEST(TopologyTest, MultiStreamSubscriptionsRouteIndependently) {
                  std::atomic<std::int64_t>* large_sum)
         : small_sum_(small_sum), large_sum_(large_sum) {}
     void Process(const Tuple& tuple, OutputCollector&) override {
-      const std::int64_t n = *tuple.GetInt("n");
+      const std::int64_t n = *tuple.GetIf<std::int64_t>(0);
       (n < 1000 && n != 0 ? *small_sum_ : *large_sum_).fetch_add(n);
     }
 
@@ -495,20 +475,6 @@ const Schema* FanoutSchema() {
   return schema;
 }
 
-/// CountingSpout that counts the acks and fails its trees receive.
-class AckCountingSpout : public CountingSpout {
- public:
-  AckCountingSpout(std::int64_t limit, std::atomic<int>* acked,
-                   std::atomic<int>* failed)
-      : CountingSpout(limit), acked_(acked), failed_(failed) {}
-  void Ack(std::uint64_t) override { acked_->fetch_add(1); }
-  void Fail(std::uint64_t) override { failed_->fetch_add(1); }
-
- private:
-  std::atomic<int>* acked_;
-  std::atomic<int>* failed_;
-};
-
 /// Emits (n, k, task) for k in [0, per_input) for every input n.
 class FanoutBolt : public Bolt {
  public:
@@ -517,7 +483,7 @@ class FanoutBolt : public Bolt {
     task_ = static_cast<std::int64_t>(context.task_index);
   }
   void Process(const Tuple& tuple, OutputCollector& collector) override {
-    const std::int64_t n = *tuple.GetInt("n");
+    const std::int64_t n = *tuple.GetIf<std::int64_t>(0);
     for (std::int64_t k = 0; k < per_input_; ++k) {
       collector.Emit(Tuple(FanoutSchema(), n, k, task_));
     }
@@ -536,9 +502,9 @@ class OrderCheckingSink : public Bolt {
                     std::atomic<int>* out_of_order)
       : received_(received), out_of_order_(out_of_order) {}
   void Process(const Tuple& tuple, OutputCollector&) override {
-    const std::pair<std::int64_t, std::int64_t> at{*tuple.GetInt("n"),
-                                                   *tuple.GetInt("k")};
-    auto [it, first] = last_.try_emplace(*tuple.GetInt("task"), at);
+    const std::pair<std::int64_t, std::int64_t> at{
+        *tuple.GetIf<std::int64_t>(0), *tuple.GetIf<std::int64_t>(1)};
+    auto [it, first] = last_.try_emplace(*tuple.GetIf<std::int64_t>(2), at);
     if (!first) {
       if (!(it->second < at)) out_of_order_->fetch_add(1);
       it->second = at;
@@ -556,21 +522,15 @@ TEST(TopologyTest, FanoutBeyondDrainBatchIntoTinyQueuesIsExactAndOrdered) {
   // Each input makes 3 × drain_batch emissions, so outboxes flush
   // mid-Process into queues that hold 2: every batch push waits for the
   // consumer several times. Two producer tasks share each sink queue
-  // (MPSC), and acking tracks every tuple.
+  // (MPSC).
   constexpr std::int64_t kInputs = 300;
   constexpr std::size_t kDrainBatch = 4;
   constexpr std::int64_t kPerInput = 3 * kDrainBatch;
-  std::atomic<int> acked{0};
-  std::atomic<int> failed{0};
   std::atomic<std::int64_t> received{0};
   std::atomic<int> out_of_order{0};
   TopologyBuilder builder;
   builder.AddSpout(
-      "numbers",
-      [&] {
-        return std::make_unique<AckCountingSpout>(kInputs, &acked, &failed);
-      },
-      1);
+      "numbers", [=] { return std::make_unique<CountingSpout>(kInputs); }, 1);
   builder
       .AddBolt("fanout",
                [=] { return std::make_unique<FanoutBolt>(kPerInput); }, 2)
@@ -588,7 +548,6 @@ TEST(TopologyTest, FanoutBeyondDrainBatchIntoTinyQueuesIsExactAndOrdered) {
   TopologyOptions options;
   options.queue_capacity = 2;
   options.drain_batch = kDrainBatch;
-  options.enable_acking = true;
   auto topo = Topology::Create(std::move(spec).value(), options);
   ASSERT_TRUE(topo.ok());
   ASSERT_TRUE((*topo)->Start().ok());
@@ -603,40 +562,7 @@ TEST(TopologyTest, FanoutBeyondDrainBatchIntoTinyQueuesIsExactAndOrdered) {
   EXPECT_EQ(m.GetCounter("sink.dropped")->value(), 0);
   EXPECT_EQ(received.load(), kInputs * kPerInput);
   EXPECT_EQ(out_of_order.load(), 0);
-  EXPECT_EQ(acked.load(), kInputs);
-  EXPECT_EQ(failed.load(), 0);
   EXPECT_GT(m.GetCounter("stream.queue.push_retries")->value(), 0);
-}
-
-TEST(TopologyTest, BuilderQueueDefaultsApplyWhenOptionsUnset) {
-  std::atomic<std::int64_t> sum{0};
-  std::atomic<int> prepared{0}, cleaned{0};
-  TopologyBuilder builder;
-  builder.SetQueueCapacity(2).SetDrainBatch(3);
-  builder.AddSpout(
-      "numbers", [] { return std::make_unique<CountingSpout>(1000); }, 1);
-  builder
-      .AddBolt("sum",
-               [&] {
-                 return std::make_unique<SummingBolt>(&sum, &prepared,
-                                                      &cleaned);
-               },
-               1)
-      .ShuffleGrouping("numbers");
-  auto spec = builder.Build();
-  ASSERT_TRUE(spec.ok());
-  ASSERT_EQ(spec->default_queue_capacity, 2u);
-  // Default TopologyOptions (both sizes 0) defer to the spec.
-  auto topo = Topology::Create(std::move(spec).value(), TopologyOptions{});
-  ASSERT_TRUE(topo.ok());
-  ASSERT_TRUE((*topo)->Start().ok());
-  ASSERT_TRUE((*topo)->Join().ok());
-  EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
-  // SPSC edge (one spout task): batch drains were recorded via the
-  // shared stream.queue.* counters.
-  EXPECT_GT(
-      (*topo)->metrics().GetCounter("stream.queue.batch_drains")->value(),
-      0);
 }
 
 // --- Batched counter publication ------------------------------------------
@@ -693,7 +619,7 @@ class BatchedCountersTest : public ::testing::Test {
 
   /// numbers (2 tasks, 2500 each) -shuffle-> relay (2) -fields-> sink (2),
   /// with small queues and batches so publication happens many times.
-  std::unique_ptr<Topology> Run(CountedRun* run, bool acking) {
+  std::unique_ptr<Topology> Run(CountedRun* run) {
     TopologyBuilder builder;
     builder.AddSpout(
         "numbers",
@@ -715,8 +641,6 @@ class BatchedCountersTest : public ::testing::Test {
     options.drain_batch = 8;
     options.restart_backoff_initial_ms = 1;
     options.restart_backoff_max_ms = 1;
-    options.enable_acking = acking;
-    options.ack_timeout_millis = 50;
     auto topo = Topology::Create(std::move(spec).value(), options);
     EXPECT_TRUE(topo.ok());
     EXPECT_TRUE((*topo)->Start().ok());
@@ -753,7 +677,7 @@ class BatchedCountersTest : public ::testing::Test {
 
 TEST_F(BatchedCountersTest, ExactAfterJoinWhenBoltsCrashAndRestart) {
   CountedRun run;
-  auto topo = Run(&run, /*acking=*/false);
+  auto topo = Run(&run);
   ExpectConsistent(*topo, run);
   EXPECT_EQ(run.relay_received.load(), kCountedTuples);
   EXPECT_EQ(run.relay_ok.load(), kCountedTuples - kRelayCrashes);
@@ -765,7 +689,7 @@ TEST_F(BatchedCountersTest, ExactAfterJoinUnderPushFaults) {
   FaultInjector::Instance().Arm("stream.queue.push",
                                 FaultSpec::Error().WithEveryNth(50));
   CountedRun run;
-  auto topo = Run(&run, /*acking=*/false);
+  auto topo = Run(&run);
   ExpectConsistent(*topo, run);
   MetricsRegistry& m = topo->metrics();
   const std::int64_t pushes =
@@ -776,15 +700,6 @@ TEST_F(BatchedCountersTest, ExactAfterJoinUnderPushFaults) {
                 m.GetCounter("relay.dropped")->value() - relay_crashes,
             pushes / 50);
   EXPECT_GT(m.GetCounter("numbers.dropped")->value(), 0);
-}
-
-TEST_F(BatchedCountersTest, ExactAfterJoinWithAckingOn) {
-  FaultInjector::Instance().Arm("stream.queue.push",
-                                FaultSpec::Error().WithEveryNth(50));
-  CountedRun run;
-  auto topo = Run(&run, /*acking=*/true);
-  ExpectConsistent(*topo, run);
-  EXPECT_GT(run.sink_received.load(), 0);
 }
 
 }  // namespace
