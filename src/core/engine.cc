@@ -47,7 +47,7 @@ RecEngine::RecEngine(VideoTypeResolver type_resolver, Options options)
       options_.model.feedback);
   recommender_ = std::make_unique<MfRecommender>(
       model_.get(), history_.get(), sim_table_.get(), updater_.get(),
-      options_.recommend, options_.metrics);
+      options_.recommend);
 }
 
 void RecEngine::Observe(const UserAction& action) {

@@ -31,9 +31,8 @@ class RecEngine : public Recommender {
     RecommendConfig recommend;
     /// Per-user history retention.
     std::size_t history_per_user = 64;
-    /// When set, the factor store registers `kvstore.multiget.*` and the
-    /// recommender's factor cache registers `service.factor_cache.*`.
-    /// Not owned; must outlive the engine.
+    /// When set, the factor store registers `kvstore.multiget.*`. Not
+    /// owned; must outlive the engine.
     MetricsRegistry* metrics = nullptr;
     /// When set, installed on the MF model: every training action is
     /// scored before its SGD step (progressive validation). Not owned;

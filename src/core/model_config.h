@@ -117,11 +117,6 @@ struct RecommendConfig {
   /// are always excluded. Off by default — re-recommending a favourite
   /// is valid in the related-video scenario.
   bool exclude_watched = false;
-  /// Capacity of the service-level LRU cache of hot video factor entries
-  /// fronting the batched VectorsGet (entries are invalidated by the
-  /// per-video write version the online model bumps on every update).
-  /// 0 disables the cache.
-  std::size_t factor_cache_size = 4096;
 
   Status Validate() const;
 };

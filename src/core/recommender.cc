@@ -9,7 +9,7 @@ namespace rtrec {
 
 MfRecommender::MfRecommender(OnlineMf* model, HistoryStore* history,
                              SimTableStore* table, SimTableUpdater* updater,
-                             RecommendConfig config, MetricsRegistry* metrics)
+                             RecommendConfig config)
     : model_(model),
       history_(history),
       table_(table),
@@ -19,10 +19,6 @@ MfRecommender::MfRecommender(OnlineMf* model, HistoryStore* history,
   assert(history_ != nullptr);
   assert(table_ != nullptr);
   assert(config_.Validate().ok());
-  if (config_.factor_cache_size > 0) {
-    factor_cache_ = std::make_unique<FactorCache>(
-        &model_->store(), config_.factor_cache_size, metrics);
-  }
 }
 
 StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
@@ -126,56 +122,28 @@ StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
 
   // 3. Preference prediction (Eq. 2) and ranking. The user entry is
   //    fetched once; video entries arrive in one batched VectorsGet
-  //    (Fig. 1) — candidates are deduped already, so the request-scoped
-  //    entry buffer below fetches each vector at most once per request.
-  //    The service-level cache short-circuits hot videos entirely,
-  //    validated against the store's per-video write version.
-  StatusOr<FactorEntry> user_entry = model_->store().GetUser(request.user);
+  //    (Fig. 1) — candidates are deduped already, so each vector is read
+  //    at most once per request.
+  FactorStore& store = model_->store();
+  StatusOr<FactorEntry> user_entry = store.GetUser(request.user);
   const FactorEntry user =
       user_entry.ok()
           ? std::move(user_entry).value()
-          : model_->store().MakeInitialEntry(request.user, /*is_user=*/true);
+          : store.MakeInitialEntry(request.user, /*is_user=*/true);
 
-  FactorStore& store = model_->store();
-  std::vector<FactorEntry> entries(candidates.size());
-  std::vector<std::size_t> missing;  // Positions not served by the cache.
-  if (factor_cache_ != nullptr) {
-    missing.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (!factor_cache_->Lookup(candidates[i].first, &entries[i])) {
-        missing.push_back(i);
-      }
-    }
-  } else {
-    missing.resize(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) missing[i] = i;
-  }
-  if (!missing.empty()) {
-    std::vector<VideoId> ids;
-    ids.reserve(missing.size());
-    for (std::size_t pos : missing) ids.push_back(candidates[pos].first);
-    std::vector<FactorStore::VideoBatchEntry> batch = store.GetVideos(ids);
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-      const std::size_t pos = missing[j];
-      if (batch[j].found) {
-        if (factor_cache_ != nullptr) {
-          factor_cache_->Insert(ids[j], batch[j].entry, batch[j].version);
-        }
-        entries[pos] = std::move(batch[j].entry);
-      } else {
-        // Unknown video: score with its deterministic initial entry, but
-        // do not cache it — the id gains a real entry (and a version
-        // bump) on its first observed action.
-        entries[pos] = store.MakeInitialEntry(ids[j], /*is_user=*/false);
-      }
-    }
-  }
-
+  std::vector<VideoId> ids;
+  ids.reserve(candidates.size());
+  for (const auto& [video, sim] : candidates) ids.push_back(video);
+  std::vector<FactorStore::VideoBatchEntry> batch = store.GetVideos(ids);
   std::vector<ScoredVideo> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored.push_back(ScoredVideo{
-        candidates[i].first, model_->PredictWithEntries(user, entries[i])});
+    // An unknown video scores with its deterministic initial entry.
+    const FactorEntry video =
+        batch[i].found ? std::move(batch[i].entry)
+                       : store.MakeInitialEntry(ids[i], /*is_user=*/false);
+    scored.push_back(
+        ScoredVideo{ids[i], model_->PredictWithEntries(user, video)});
   }
 
   // Partial selection: only the top-N need ordering, so select them with

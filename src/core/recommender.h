@@ -5,13 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "core/action.h"
 #include "core/model_config.h"
 #include "core/online_mf.h"
 #include "core/sim_table.h"
-#include "kvstore/factor_cache.h"
 #include "kvstore/history_store.h"
 #include "kvstore/sim_table_store.h"
 
@@ -68,12 +66,9 @@ class MfRecommender : public Recommender {
  public:
   /// All dependencies are shared, not owned. `updater` may be null if the
   /// caller maintains the similarity tables elsewhere (e.g. the topology);
-  /// then Observe only updates the MF model and history. `metrics` (may
-  /// be null) registers the `service.factor_cache.*` counters of the
-  /// serving-path factor cache.
+  /// then Observe only updates the MF model and history.
   MfRecommender(OnlineMf* model, HistoryStore* history, SimTableStore* table,
-                SimTableUpdater* updater, RecommendConfig config,
-                MetricsRegistry* metrics = nullptr);
+                SimTableUpdater* updater, RecommendConfig config);
 
   StatusOr<std::vector<ScoredVideo>> Recommend(
       const RecRequest& request) override;
@@ -86,17 +81,12 @@ class MfRecommender : public Recommender {
 
   const RecommendConfig& config() const { return config_; }
 
-  /// The serving-path factor cache, or null when disabled
-  /// (config.factor_cache_size == 0). Exposed for tests.
-  FactorCache* factor_cache() { return factor_cache_.get(); }
-
  private:
   OnlineMf* model_;
   HistoryStore* history_;
   SimTableStore* table_;
   SimTableUpdater* updater_;
   RecommendConfig config_;
-  std::unique_ptr<FactorCache> factor_cache_;
 };
 
 }  // namespace rtrec

@@ -39,8 +39,8 @@ struct FactorEntry {
 /// read, so the whole training and serving stack keeps speaking float
 /// `FactorEntry`s while a million-entry store holds 80 bytes per entry
 /// at fp16 instead of 144 at fp32 (16-byte packed struct + payload; see
-/// BytesPerEntry). The FactorCache caches the dequantized form, so the
-/// serving hot path pays the decode once per fill, not per request.
+/// BytesPerEntry). Every read decodes, so at fp16/int8 the serving path
+/// pays one decode per candidate per request.
 ///
 /// New ids are lazily initialized with small random values drawn from a
 /// deterministic per-id stream, so "new users and items can be easily
@@ -131,9 +131,8 @@ class FactorStore {
   /// Monotone per-video write version, bumped whenever the video's entry
   /// is (re)written (PutVideo / PutVideoPacked / first GetOrInitVideo).
   /// Versions are tracked in hashed buckets, so two videos may share a
-  /// version stream — a collision only causes a spurious cache
-  /// invalidation, never a stale hit. Lock-free read; serving caches
-  /// compare it against the version captured at fill time.
+  /// version stream: an unchanged version means the video is unchanged,
+  /// a bumped one that it may have changed. Lock-free read.
   std::uint64_t VideoVersion(VideoId i) const {
     return video_versions_[VersionBucket(i)].load(std::memory_order_acquire);
   }
@@ -271,7 +270,7 @@ class FactorStore {
   Table users_;
   Table videos_;
 
-  // Hashed per-video write versions backing serving-cache invalidation.
+  // Hashed per-video write versions (see VideoVersion).
   std::array<std::atomic<std::uint64_t>, kVersionBuckets> video_versions_{};
 
   // Batch-read instrumentation: `<prefix>multiget.*` and its trace stage.

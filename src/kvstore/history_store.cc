@@ -25,17 +25,25 @@ void HistoryStore::Append(UserId user, HistoryEntry entry) {
 
 void HistoryStore::AppendLocked(Stripe& stripe, UserId user,
                                 const HistoryEntry& entry) {
-  std::deque<HistoryEntry>& history = stripe.map[user];
+  std::vector<HistoryEntry>& history = stripe.map[user];
+  const std::size_t bound = options_.max_entries_per_user;
   // Keep videos distinct: refresh an existing entry by moving it to the
-  // back (most recent position).
+  // back (most recent position). Otherwise evict the oldest before
+  // appending, so the history never grows past the bound.
   auto it = std::find_if(
       history.begin(), history.end(),
       [&entry](const HistoryEntry& e) { return e.video == entry.video; });
-  if (it != history.end()) history.erase(it);
-  history.push_back(entry);
-  while (history.size() > options_.max_entries_per_user) {
-    history.pop_front();
+  if (it != history.end()) {
+    history.erase(it);
+  } else if (history.size() >= bound) {
+    if (bound == 0) return;
+    history.erase(history.begin());
   }
+  if (history.size() == history.capacity()) {
+    history.reserve(std::min(bound, std::max<std::size_t>(
+                                        1, 2 * history.capacity())));
+  }
+  history.push_back(entry);
 }
 
 void HistoryStore::ReadRecentThenAppend(UserId user, std::size_t limit,
@@ -47,7 +55,7 @@ void HistoryStore::ReadRecentThenAppend(UserId user, std::size_t limit,
   if (limit > 0) {
     auto it = stripe.map.find(user);
     if (it != stripe.map.end()) {
-      const std::deque<HistoryEntry>& history = it->second;
+      const std::vector<HistoryEntry>& history = it->second;
       const std::size_t n = std::min(limit, history.size());
       for (std::size_t i = 0; i < n; ++i) {
         const VideoId video = history[history.size() - 1 - i].video;
@@ -70,7 +78,7 @@ std::vector<HistoryEntry> HistoryStore::GetRecent(UserId user,
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.map.find(user);
   if (it == stripe.map.end()) return {};
-  const std::deque<HistoryEntry>& history = it->second;
+  const std::vector<HistoryEntry>& history = it->second;
   std::vector<HistoryEntry> out;
   const std::size_t n = std::min(limit, history.size());
   out.reserve(n);
@@ -96,7 +104,7 @@ void HistoryStore::ForEach(
   for (const auto& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [user, history] : stripe->map) {
-      fn(user, std::vector<HistoryEntry>(history.begin(), history.end()));
+      fn(user, history);
     }
   }
 }
@@ -104,11 +112,13 @@ void HistoryStore::ForEach(
 void HistoryStore::LoadUser(UserId user, std::vector<HistoryEntry> entries) {
   Stripe& stripe = StripeFor(user);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  std::deque<HistoryEntry>& history = stripe.map[user];
-  history.assign(entries.begin(), entries.end());
-  while (history.size() > options_.max_entries_per_user) {
-    history.pop_front();
+  const std::size_t bound = options_.max_entries_per_user;
+  if (entries.size() > bound) {
+    entries.erase(entries.begin(),
+                  entries.end() - static_cast<std::ptrdiff_t>(bound));
   }
+  entries.shrink_to_fit();
+  stripe.map[user] = std::move(entries);
 }
 
 void HistoryStore::Erase(UserId user) {

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -24,8 +24,9 @@ struct HistoryEntry {
 /// Bounded per-user behaviour history, as recorded by the UserHistory bolt
 /// (Fig. 2). Histories feed (a) item-pair generation for the similar-video
 /// tables and (b) seed selection in the "guess you like" scenario.
-/// Hash-sharded; each user's history is a small ring of the most recent
-/// `max_entries_per_user` interactions.
+/// Hash-sharded; each user's history is one vector of the most recent
+/// `max_entries_per_user` interactions, oldest first, whose capacity
+/// never exceeds that bound.
 class HistoryStore {
  public:
   struct Options {
@@ -80,7 +81,8 @@ class HistoryStore {
  private:
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<UserId, std::deque<HistoryEntry>> map;
+    /// Oldest entry first.
+    std::unordered_map<UserId, std::vector<HistoryEntry>> map;
   };
 
   /// Append's body; caller holds the stripe lock.

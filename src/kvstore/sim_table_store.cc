@@ -9,15 +9,16 @@
 namespace rtrec {
 
 namespace {
-/// Slab chunks target this size so the allocator amortizes to one malloc
-/// per ~64KB of table instead of one per video.
-constexpr std::size_t kChunkTargetBytes = 64 * 1024;
+/// Chunks grow up to this size, so a big table amortizes to one malloc
+/// per ~64KB instead of one per video.
+constexpr std::size_t kMaxChunkBytes = 64 * 1024;
 }  // namespace
 
 SimTableStore::SimTableStore() : SimTableStore(Options{}) {}
 
 SimTableStore::SimTableStore(Options options) : options_(options) {
-  small_slots_ = std::min<std::size_t>(8, std::max<std::size_t>(1, options_.top_k));
+  small_slots_ = std::min<std::size_t>(kSmallSlabSlots,
+                                      std::max<std::size_t>(1, options_.top_k));
   const std::size_t n =
       std::bit_ceil(std::max<std::size_t>(1, options_.num_shards));
   stripes_.reserve(n);
@@ -28,21 +29,28 @@ SimTableStore::SimTableStore(Options options) : options_(options) {
 }
 
 SimilarVideo* SimTableStore::Arena::Alloc(std::size_t slots,
-                                          std::vector<SimilarVideo*>& free) {
+                                          SizeClass& size_class) {
+  std::vector<SimilarVideo*>& free = size_class.free;
   if (!free.empty()) {
     SimilarVideo* slab = free.back();
     free.pop_back();
     return slab;
   }
-  const std::size_t slabs_per_chunk = std::max<std::size_t>(
-      1, kChunkTargetBytes / (slots * sizeof(SimilarVideo)));
-  auto chunk = std::make_unique<SimilarVideo[]>(slabs_per_chunk * slots);
+  // A few slabs first, then double what the class has carved, up to
+  // one max-size chunk at a time.
+  const std::size_t max_slabs =
+      std::max<std::size_t>(1, kMaxChunkBytes / (slots * sizeof(SimilarVideo)));
+  const std::size_t slabs = std::min(
+      max_slabs,
+      size_class.carved == 0 ? kFirstChunkSlabs : size_class.carved);
+  auto chunk = std::make_unique<SimilarVideo[]>(slabs * slots);
   SimilarVideo* base = chunk.get();
-  bytes += slabs_per_chunk * slots * sizeof(SimilarVideo);
+  bytes += slabs * slots * sizeof(SimilarVideo);
+  size_class.carved += slabs;
   chunks.push_back(std::move(chunk));
   // Hand out slab 0; the rest start on the free list.
-  free.reserve(free.size() + slabs_per_chunk - 1);
-  for (std::size_t i = slabs_per_chunk; i-- > 1;) {
+  free.reserve(free.size() + slabs - 1);
+  for (std::size_t i = slabs; i-- > 1;) {
     free.push_back(base + i * slots);
   }
   return base;
@@ -52,15 +60,14 @@ bool SimTableStore::EnsureRoom(Stripe& stripe, List& list) {
   if (list.size < list.capacity) return true;
   if (list.capacity >= options_.top_k) return false;
   if (list.slots == nullptr) {
-    list.slots = stripe.arena.Alloc(small_slots_, stripe.arena.free_small);
+    list.slots = stripe.arena.Alloc(small_slots_, stripe.arena.small);
     list.capacity = static_cast<std::uint32_t>(small_slots_);
     return true;
   }
   // Promote small → full: copy live entries, recycle the small slab.
-  SimilarVideo* full =
-      stripe.arena.Alloc(options_.top_k, stripe.arena.free_full);
+  SimilarVideo* full = stripe.arena.Alloc(options_.top_k, stripe.arena.full);
   std::memcpy(full, list.slots, list.size * sizeof(SimilarVideo));
-  stripe.arena.free_small.push_back(list.slots);
+  stripe.arena.small.free.push_back(list.slots);
   list.slots = full;
   list.capacity = static_cast<std::uint32_t>(options_.top_k);
   return true;

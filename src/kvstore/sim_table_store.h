@@ -31,15 +31,25 @@ struct SimilarVideo {
 /// select candidates. Hash-sharded; each per-video list is bounded.
 ///
 /// Lists live in per-stripe slab arenas rather than one heap vector per
-/// video: a list occupies a fixed-capacity slab carved from 64KB-class
-/// chunks, starting in a small slab (8 slots) and promoted to a full
-/// top_k slab the first time it fills. Slabs are recycled through per-
-/// class free lists. At million-video scale this removes the per-list
-/// malloc plus the 1→2→4→… realloc ladder, keeps neighbours contiguous,
-/// and makes table memory a closed-form number (ArenaBytes) instead of
-/// allocator guesswork.
+/// video: a list occupies a fixed-capacity slab carved from a chunk,
+/// starting in a small slab (kSmallSlabSlots slots) and promoted to a
+/// full top_k slab the first time it fills. Chunks grow geometrically per
+/// stripe and size class: the first holds kFirstChunkSlabs slabs, each
+/// later one as many slabs as the class has carved so far (doubling it),
+/// capped at 64KB. So a sparse table costs a few slabs per stripe, a
+/// dense one stays within 2x its peak live slabs, and a big one still
+/// pays one malloc per ~64KB. Slabs are recycled through per-class free
+/// lists. At million-video scale this removes the per-list malloc plus
+/// the 1→2→4→… realloc ladder, keeps neighbours contiguous, and makes
+/// table memory a closed-form number (ArenaBytes) instead of allocator
+/// guesswork.
 class SimTableStore {
  public:
+  /// Slots of a small-class slab (a list's first slab), at most top_k.
+  static constexpr std::size_t kSmallSlabSlots = 8;
+  /// Slabs in a stripe's first chunk of either size class.
+  static constexpr std::size_t kFirstChunkSlabs = 4;
+
   struct Options {
     /// Per-video list length K (candidate pool per seed).
     std::size_t top_k = 50;
@@ -90,7 +100,8 @@ class SimTableStore {
 
   /// Bytes of slab-arena chunk memory across all stripes (allocated
   /// capacity, including free-listed slabs; excludes the per-video hash
-  /// map itself).
+  /// map itself). Each stripe's size class carves at most
+  /// max(kFirstChunkSlabs, 2 x its peak live slabs).
   std::size_t ArenaBytes() const;
 
   const Options& options() const { return options_; }
@@ -105,15 +116,22 @@ class SimTableStore {
     std::uint32_t capacity = 0;
   };
 
+  /// One slab width's share of an arena: its free slabs and how many
+  /// slabs it has carved, which sizes its next chunk.
+  struct SizeClass {
+    std::vector<SimilarVideo*> free;
+    std::size_t carved = 0;
+  };
+
   /// Per-stripe slab allocator, guarded by the stripe mutex. Chunks are
   /// never returned to the OS; released slabs recycle via free lists.
   struct Arena {
     std::vector<std::unique_ptr<SimilarVideo[]>> chunks;
-    std::vector<SimilarVideo*> free_small;
-    std::vector<SimilarVideo*> free_full;
+    SizeClass small;
+    SizeClass full;
     std::size_t bytes = 0;
 
-    SimilarVideo* Alloc(std::size_t slots, std::vector<SimilarVideo*>& free);
+    SimilarVideo* Alloc(std::size_t slots, SizeClass& size_class);
   };
 
   struct Stripe {
@@ -141,7 +159,7 @@ class SimTableStore {
 
   Options options_;
   /// Small-class slab width: full lists are rare in sparse catalogs, so
-  /// new lists start at min(8, top_k) slots.
+  /// new lists start at min(kSmallSlabSlots, top_k) slots.
   std::size_t small_slots_ = 0;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::size_t mask_ = 0;

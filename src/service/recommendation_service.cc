@@ -13,8 +13,8 @@ RecommendationService::RecommendationService(VideoTypeResolver type_resolver)
 RecommendationService::RecommendationService(VideoTypeResolver type_resolver,
                                              Options options)
     : options_(std::move(options)), hot_(options_.hot) {
-  // The engines register their own metrics (kvstore.multiget.*,
-  // service.factor_cache.*) against the service's registry.
+  // The engines register their own metrics (kvstore.multiget.*) against
+  // the service's registry.
   options_.engine.metrics = options_.metrics;
   if (options_.metrics != nullptr) {
     QualityMonitor::Options quality_options = options_.quality;

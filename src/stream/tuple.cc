@@ -21,15 +21,6 @@ std::uint64_t HashValue(const Value& v) {
       std::memcpy(&bits, &x, sizeof(bits));
       return MixHash64(bits);
     }
-    std::uint64_t operator()(const std::string& s) const {
-      // FNV-1a, mixed.
-      std::uint64_t h = 0xCBF29CE484222325ull;
-      for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-      }
-      return MixHash64(h);
-    }
     std::uint64_t operator()(const std::vector<float>& v) const {
       std::uint64_t h = 0xCBF29CE484222325ull;
       for (float f : v) {
@@ -59,7 +50,6 @@ std::string ValueToString(const Value& v) {
     std::string operator()(double x) const {
       return StringPrintf("%.6g", x);
     }
-    std::string operator()(const std::string& s) const { return s; }
     std::string operator()(const std::vector<float>& v) const {
       return StringPrintf("float[%zu]", v.size());
     }

@@ -16,17 +16,16 @@ namespace rtrec::stream {
 
 /// A single field value flowing through the topology. The variant covers
 /// everything the recommendation pipeline carries: ids and action codes
-/// (int64), weights and similarities (double), opaque keys (string),
-/// latent vectors shipped from ComputeMF to MFStorage (vector<float>), and
-/// the co-watch partners UserHistory hands to GetItemPairs
-/// (vector<int64>).
-using Value = std::variant<std::monostate, std::int64_t, double, std::string,
+/// (int64), weights and similarities (double), latent vectors shipped
+/// from ComputeMF to MFStorage (vector<float>), and the co-watch partners
+/// UserHistory hands to GetItemPairs (vector<int64>).
+using Value = std::variant<std::monostate, std::int64_t, double,
                            std::vector<float>, std::vector<std::int64_t>>;
 
 /// Most fields a schema (and so a tuple) may have. Tuples store their
 /// values inline, so this bounds the size of every queue slot; the
-/// widest pipeline stream (the demographic action) has 6.
-inline constexpr std::size_t kMaxTupleFields = 6;
+/// widest pipeline stream (the action) has 5.
+inline constexpr std::size_t kMaxTupleFields = 5;
 
 /// Stable hash of a Value, used by fields grouping to route tuples with
 /// equal keys to the same task.
@@ -61,7 +60,7 @@ class Schema {
 
 /// One data tuple: a schema pointer plus up to kMaxTupleFields positional
 /// values stored inline, so building, moving and queueing a tuple never
-/// touches the heap (only string and vector payloads own memory).
+/// touches the heap (only vector payloads own memory).
 /// Copyable; values are value-semantic so a tuple can be fanned out to
 /// several consumers safely.
 class Tuple {

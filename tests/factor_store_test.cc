@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "kvstore/factor_cache.h"
 
 namespace rtrec {
 namespace {
@@ -269,34 +268,6 @@ TEST(FactorStoreTest, VideoVersionBumpsOnEveryWrite) {
   const FactorEntry initial = store.MakeInitialEntry(v, /*is_user=*/false);
   store.PutVideo(v, initial.vec, initial.bias);
   EXPECT_GT(store.VideoVersion(v), v2);
-}
-
-TEST(FactorCacheTest, HitsOnlyAtCurrentVersion) {
-  FactorStore store(SmallOptions());
-  FactorCache cache(&store, 64, nullptr);
-  const VideoId v = 5;
-  store.GetOrInitVideo(v);
-  std::vector<VideoId> ids = {v};
-  std::vector<FactorStore::VideoBatchEntry> batch = store.GetVideos(ids);
-  ASSERT_TRUE(batch[0].found);
-
-  FactorEntry out;
-  EXPECT_FALSE(cache.Lookup(v, &out));  // Cold.
-  cache.Insert(v, batch[0].entry, batch[0].version);
-  ASSERT_TRUE(cache.Lookup(v, &out));
-  EXPECT_EQ(out.vec, batch[0].entry.vec);
-
-  // A write invalidates the cached copy without touching the cache.
-  store.PutVideo(v, batch[0].entry.vec, 9.0f);
-  EXPECT_FALSE(cache.Lookup(v, &out));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
-
-  // Re-fill at the new version serves the new entry.
-  batch = store.GetVideos(ids);
-  cache.Insert(v, batch[0].entry, batch[0].version);
-  ASSERT_TRUE(cache.Lookup(v, &out));
-  EXPECT_FLOAT_EQ(out.bias, 9.0f);
 }
 
 TEST(FactorStoreTest, MultiGetMetricsRegistered) {

@@ -262,54 +262,47 @@ TEST(FrontierExpansionTest, RepeatedImprovementDoesNotCrowdOutFrontier) {
                           "out 201, so 300 was never reached";
 }
 
-TEST(FactorCacheEquivalenceTest, CachedServingMatchesUncached) {
-  auto build = [](std::size_t cache_size) {
-    RecEngine::Options options;
-    options.model.num_factors = 8;
-    options.recommend.factor_cache_size = cache_size;
-    auto engine = std::make_unique<RecEngine>(
-        [](VideoId) -> VideoType { return 0; }, options);
-    Timestamp t = 1000;
-    for (int round = 0; round < 10; ++round) {
-      for (UserId u = 1; u <= 6; ++u) {
-        for (VideoId v : {10, 12, 14, 16}) {
-          engine->Observe(Play(u, v, t));
-          t += 1000;
-        }
+TEST(MfRecommenderServingTest, ObserveBetweenRequestsRescoresCandidate) {
+  // Recommend reads every candidate's vector from the store, so a write
+  // to one candidate between two requests shows in its next score.
+  RecEngine::Options options;
+  options.model.num_factors = 8;
+  RecEngine engine([](VideoId) -> VideoType { return 0; }, options);
+  Timestamp t = 1000;
+  for (int round = 0; round < 10; ++round) {
+    for (UserId u = 1; u <= 6; ++u) {
+      for (VideoId v : {10, 12, 14, 16}) {
+        engine.Observe(Play(u, v, t));
+        t += 1000;
       }
     }
-    return std::make_pair(std::move(engine), t);
-  };
-  auto [cached, t1] = build(4096);
-  auto [uncached, t2] = build(0);
-  ASSERT_EQ(t1, t2);
-  EXPECT_EQ(uncached->recommender().factor_cache(), nullptr);
-
+  }
   RecRequest request;
   request.user = 3;
-  request.now = t1;
-  auto warm = cached->Recommend(request);  // Fill the cache.
-  ASSERT_TRUE(warm.ok());
-  auto a = cached->Recommend(request);
-  auto b = uncached->Recommend(request);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *warm);
-  EXPECT_EQ(*a, *b);
-  FactorCache* cache = cached->recommender().factor_cache();
-  ASSERT_NE(cache, nullptr);
-  EXPECT_GT(cache->hits(), 0u);
+  request.seed_videos = {10};
+  request.now = t;
+  auto score_of = [&engine, &request](VideoId video) {
+    auto recs = engine.Recommend(request);
+    if (!recs.ok()) {
+      ADD_FAILURE() << recs.status().ToString();
+      return 0.0;
+    }
+    for (const ScoredVideo& r : *recs) {
+      if (r.video == video) return r.score;
+    }
+    ADD_FAILURE() << "video " << video << " not recommended";
+    return 0.0;
+  };
+  const double before = score_of(12);
 
-  // An update to a video invalidates exactly its cached entry: the next
-  // serve re-reads it from the store and still matches the uncached path.
-  cached->Observe(Play(3, 10, t1 + 1000));
-  uncached->Observe(Play(3, 10, t1 + 1000));
-  request.now = t1 + 1000;
-  auto a2 = cached->Recommend(request);
-  auto b2 = uncached->Recommend(request);
-  ASSERT_TRUE(a2.ok());
-  ASSERT_TRUE(b2.ok());
-  EXPECT_EQ(*a2, *b2);
+  // User 7 has no history, so the play rewrites video 12's entry (and
+  // user 7's) without touching user 3 or the similar-video tables.
+  const std::uint64_t version = engine.factors().VideoVersion(12);
+  engine.Observe(Play(7, 12, t));
+  ASSERT_GT(engine.factors().VideoVersion(12), version);
+  const double after = score_of(12);
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, engine.model().Predict(3, 12));
 }
 
 TEST(TransitiveClosureTest, SecondHopReachesChainNeighbors) {

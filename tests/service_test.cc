@@ -106,8 +106,8 @@ TEST(RecommendationServiceTest, MetricsCountTraffic) {
 }
 
 TEST(RecommendationServiceTest, ServingPathMetricsVisible) {
-  // The batched VectorsGet and the factor cache must surface through the
-  // service registry (the Stats RPC serves exactly this registry).
+  // The batched VectorsGet must surface through the service registry
+  // (the Stats RPC serves exactly this registry).
   MetricsRegistry registry;
   RecommendationService::Options options = FastOptions();
   options.metrics = &registry;
@@ -124,11 +124,9 @@ TEST(RecommendationServiceTest, ServingPathMetricsVisible) {
   request.seed_videos = {10};
   request.now = t;
   ASSERT_TRUE(service.Recommend(request).ok());
-  ASSERT_TRUE(service.Recommend(request).ok());  // Second serve hits cache.
+  ASSERT_TRUE(service.Recommend(request).ok());
   EXPECT_GT(registry.GetCounter("kvstore.multiget.calls")->value(), 0);
   EXPECT_GT(registry.GetCounter("kvstore.multiget.keys")->value(), 0);
-  EXPECT_GT(registry.GetCounter("service.factor_cache.misses")->value(), 0);
-  EXPECT_GT(registry.GetCounter("service.factor_cache.hits")->value(), 0);
 }
 
 TEST(RecommendationServiceTest, ConcurrentTrafficIsSafe) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <span>
+#include <thread>
 #include <vector>
 
 namespace rtrec {
@@ -232,6 +234,107 @@ TEST(SimTableStoreTest, ArenaRecyclesPromotedSlabs) {
   // A second wave of small lists fits entirely in the recycled slabs.
   for (VideoId v = 101; v <= 164; ++v) table.LoadList(v, entries(1));
   EXPECT_EQ(table.ArenaBytes(), after_promotions);
+}
+
+TEST(SimTableStoreTest, ArenaGrowsWithItsLists) {
+  // The chunk rule: a size class's first chunk holds kFirstChunkSlabs
+  // slabs and each later chunk as many as the class has carved so far,
+  // so chunks follow the lists instead of a fixed 64KB per stripe and
+  // class. Both bounds below follow from that rule alone.
+  constexpr std::size_t kTopK = 50;
+  constexpr std::size_t kSmallSlab =
+      SimTableStore::kSmallSlabSlots * sizeof(SimilarVideo);
+  constexpr std::size_t kFullSlab = kTopK * sizeof(SimilarVideo);
+  auto entries = [](std::size_t n) {
+    std::vector<SimilarVideo> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(SimilarVideo{1000000 + i, 0.5, 0});
+    }
+    return out;
+  };
+
+  // One small list per stripe carves one small chunk per stripe.
+  const SimTableStore::Options sparse_options = SmallOptions(kTopK, 1000.0);
+  SimTableStore sparse(sparse_options);
+  const std::size_t stripes = sparse_options.num_shards;
+  std::vector<bool> taken(stripes, false);
+  for (VideoId v = 1, lists = 0; lists < stripes; ++v) {
+    const std::size_t stripe = MixHash64(v) & (stripes - 1);
+    if (taken[stripe]) continue;
+    taken[stripe] = true;
+    ++lists;
+    sparse.LoadList(v, entries(1));
+  }
+  EXPECT_GT(sparse.ArenaBytes(), 0u);
+  EXPECT_LE(sparse.ArenaBytes(),
+            stripes * SimTableStore::kFirstChunkSlabs * kSmallSlab);
+
+  // All-full lists in one stripe. Each LoadList passes through one
+  // small slab and returns it, so the small class keeps its first
+  // chunk. The full class carves a chunk only when its free list is
+  // empty, i.e. when list n arrives with n - 1 slabs carved, and then
+  // carves at most n - 1 more: at most 2n - 2 slabs. That leaves two
+  // full slabs of slack, which cover the small chunk, once 2n - 2
+  // reaches the first chunk, n >= kFirstChunkSlabs / 2 + 1.
+  static_assert(SimTableStore::kFirstChunkSlabs * kSmallSlab <=
+                2 * kFullSlab);
+  SimTableStore::Options dense_options = SmallOptions(kTopK, 1000.0);
+  dense_options.num_shards = 1;
+  SimTableStore dense(dense_options);
+  for (VideoId n = 1; n <= 200; ++n) {
+    dense.LoadList(n, entries(kTopK));
+    if (n < SimTableStore::kFirstChunkSlabs / 2 + 1) continue;
+    ASSERT_LE(dense.ArenaBytes(), 2 * n * kFullSlab) << "lists: " << n;
+  }
+  EXPECT_EQ(dense.Query(200, 0, kTopK).size(), kTopK);
+}
+
+TEST(SimTableStoreTest, ConcurrentGrowthKeepsListsWhole) {
+  // Writers grow lists (and so carve arena chunks) under the stripe
+  // locks that readers take to query them. Each writer owns an id range
+  // and links every video to its next 12 ids, so video v's list holds
+  // v-12..v-1 (its first 12 entries) once the writers are done.
+  static constexpr int kWriters = 4;
+  static constexpr VideoId kPerWriter = 300;
+  static constexpr VideoId kSpan = 12;
+  static constexpr std::size_t kTopK = 16;
+  SimTableStore table(SmallOptions(kTopK, 1000.0));
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&table, &running, w] {
+      const VideoId base = static_cast<VideoId>(w + 1) * 10000;
+      for (VideoId i = 0; i < kPerWriter; ++i) {
+        for (VideoId j = 1; j <= kSpan; ++j) {
+          table.Update(base + i, base + i + j, 0.5, 0);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&table, &running, r] {
+      VideoId v = 10000;
+      while (running.load() > 0) {
+        v = 10000 + (v * 7 + static_cast<VideoId>(r) + 1) % 40000;
+        for (const SimilarVideo& s : table.Query(v, 0, 100)) {
+          EXPECT_EQ(s.similarity, 0.5);
+        }
+        EXPECT_LE(table.Query(v, 0, 100).size(), kTopK);
+        (void)table.ArenaBytes();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(table.NumVideos(),
+            static_cast<std::size_t>(kWriters) * (kPerWriter + kSpan));
+  for (int w = 0; w < kWriters; ++w) {
+    const VideoId base = static_cast<VideoId>(w + 1) * 10000;
+    for (VideoId v = base + 1; v < base + kPerWriter; ++v) {
+      EXPECT_LE(table.Query(v, 0, 100).size(), kTopK);
+      ASSERT_EQ(table.GetDecayedSimilarity(v, v - 1, 0), 0.5) << v;
+    }
+  }
 }
 
 TEST(SimTableStoreTest, LoadListRestoresThroughArena) {
