@@ -20,10 +20,8 @@ int main() {
   world.RegisterProfiles(grouper);
 
   // Per-group rMF engines + a global fallback engine (Section 5.2.2).
-  DemographicTrainer::Options trainer_options;
-  trainer_options.engine = DefaultEngineOptions(UpdatePolicy::kCombine);
   DemographicTrainer trainer(&grouper, world.TypeResolver(),
-                             trainer_options);
+                             DefaultEngineOptions(UpdatePolicy::kCombine));
 
   // Demographic filtering on top (Section 5.2.1): blends each group's
   // hot videos into the MF results and covers cold users.

@@ -66,25 +66,11 @@ void SimHashCfRecommender::RetrainBatch(Timestamp now) {
   (void)now;
   std::lock_guard<std::mutex> lock(mu_);
   signatures_.clear();
-  idf_.clear();
   for (auto& bucket : buckets_) bucket.clear();
-
-  if (options_.idf_weighting) {
-    std::unordered_map<VideoId, std::size_t> watchers;
-    for (const auto& [user, profile] : profiles_) {
-      for (const auto& [video, weight] : profile) ++watchers[video];
-    }
-    for (const auto& [video, count] : watchers) {
-      idf_[video] = 1.0 / std::log2(2.0 + static_cast<double>(count));
-    }
-  }
 
   std::vector<std::pair<VideoId, double>> weighted;
   for (const auto& [user, profile] : profiles_) {
     weighted.assign(profile.begin(), profile.end());
-    if (options_.idf_weighting) {
-      for (auto& [video, weight] : weighted) weight *= idf_[video];
-    }
     const std::uint64_t signature = ComputeSimHash(weighted);
     signatures_[user] = signature;
     for (std::size_t band = 0; band < options_.num_bands; ++band) {
@@ -141,13 +127,8 @@ StatusOr<std::vector<ScoredVideo>> SimHashCfRecommender::Recommend(
     if (profile_it == profiles_.end()) continue;
     for (const auto& [video, weight] : profile_it->second) {
       if (own_profile.contains(video)) continue;
-      double idf = 1.0;
-      if (options_.idf_weighting) {
-        auto idf_it = idf_.find(video);
-        if (idf_it != idf_.end()) idf = idf_it->second;
-      }
       (void)sim;
-      scores[video] += weight_base * weight * idf;
+      scores[video] += weight_base * weight;
     }
   }
 

@@ -49,12 +49,6 @@ class SimHashCfRecommender : public Recommender {
     std::size_t max_profile = 64;
     /// Actions below this confidence do not enter profiles.
     double min_action_confidence = 1.0;
-    /// Down-weight head videos in signatures and scores by inverse
-    /// document frequency (1/log2(2 + watchers)). Useful when neighbour
-    /// scores use raw Hamming similarity; with the default cosine
-    /// weighting it double-penalizes the overlap that makes neighbours
-    /// findable, so it is off by default.
-    bool idf_weighting = false;
     FeedbackConfig feedback;
   };
 
@@ -87,7 +81,6 @@ class SimHashCfRecommender : public Recommender {
   std::unordered_map<UserId, std::unordered_map<VideoId, double>> profiles_;
   // Built at retrain:
   std::unordered_map<UserId, std::uint64_t> signatures_;
-  std::unordered_map<VideoId, double> idf_;
   // band index -> band value -> users.
   std::vector<std::unordered_map<std::uint64_t, std::vector<UserId>>>
       buckets_;

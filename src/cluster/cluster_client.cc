@@ -10,6 +10,9 @@
 namespace rtrec {
 namespace {
 
+/// Deadline for the half-open Ping probe.
+constexpr int kProbeTimeoutMs = 250;
+
 std::int64_t SteadyMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -85,7 +88,7 @@ ShardId ClusterClient::OwnerOf(UserId user) const {
 }
 
 bool ClusterClient::ProbeAndSettle(Shard& shard) {
-  const bool healthy = shard.client->Healthy(options_.probe_timeout_ms);
+  const bool healthy = shard.client->Healthy(kProbeTimeoutMs);
   if (healthy) {
     shard.consecutive_failures.store(0, std::memory_order_relaxed);
     shard.open_until_ms.store(0, std::memory_order_release);
@@ -134,12 +137,11 @@ void ClusterClient::RecordSuccess(Shard& shard) {
 }
 
 Status ClusterClient::RouteCall(
-    UserId user, bool allow_failover,
-    const std::function<Status(RecClient&)>& call, ShardId* served_by) {
+    UserId user, const std::function<Status(RecClient&)>& call,
+    ShardId* served_by) {
   if (router_requests_ != nullptr) router_requests_->Increment();
   const std::vector<ShardId> order =
-      ring_.PreferenceOrder(HashRing::KeyForUser(user),
-                            allow_failover ? 0 : 1);
+      ring_.PreferenceOrder(HashRing::KeyForUser(user));
   Status last = Status::Unavailable("cluster has no shards");
   std::uint8_t attempt = 0;
   for (const ShardId shard_id : order) {
@@ -191,7 +193,7 @@ Status ClusterClient::Ping() {
 
 bool ClusterClient::Healthy() {
   for (const auto& shard : shards_) {
-    if (!shard->client->Healthy(options_.probe_timeout_ms)) return false;
+    if (!shard->client->Healthy(kProbeTimeoutMs)) return false;
   }
   return true;
 }
@@ -289,7 +291,7 @@ StatusOr<RecommendReply> ClusterClient::RecommendDetailed(
   RecommendReply reply;
   ShardId served_by = owner;
   Status status = RouteCall(
-      request.user, /*allow_failover=*/true,
+      request.user,
       [&](RecClient& client) -> Status {
         StatusOr<RecommendReply> result = client.RecommendDetailed(request);
         RTREC_RETURN_IF_ERROR(result.status());
@@ -315,7 +317,7 @@ Status ClusterClient::Observe(const UserAction& action) {
   const ShardId owner = OwnerOf(action.user);
   ShardId served_by = owner;
   Status status = RouteCall(
-      action.user, options_.observe_failover,
+      action.user,
       [&](RecClient& client) { return client.Observe(action); }, &served_by);
   if (status.ok() && served_by != owner && router_failovers_ != nullptr) {
     router_failovers_->Increment();
@@ -328,7 +330,7 @@ Status ClusterClient::RegisterProfile(UserId user,
   const ShardId owner = OwnerOf(user);
   ShardId served_by = owner;
   Status status = RouteCall(
-      user, options_.observe_failover,
+      user,
       [&](RecClient& client) { return client.RegisterProfile(user, profile); },
       &served_by);
   if (status.ok() && served_by != owner && router_failovers_ != nullptr) {

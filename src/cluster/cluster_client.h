@@ -27,7 +27,7 @@ namespace rtrec {
 ///    consecutive transport failures open it for `breaker_cooldown_ms`,
 ///    during which the shard is skipped without paying its connect
 ///    timeout. After the cooldown, a Ping-based health probe
-///    (RecClient::Healthy with `probe_timeout_ms`) decides half-open →
+///    (RecClient::Healthy with a 250 ms deadline) decides half-open →
 ///    closed or another cooldown;
 ///  - a request whose owner shard is dead (breaker open or the call
 ///    fails with a transport error) fails over along the ring's
@@ -35,7 +35,7 @@ namespace rtrec {
 ///    answered by a process that does not hold the user's model slice —
 ///    its cold-user hot-video fallback — so the router marks the reply
 ///    DEGRADED (kRecommendFlagDegraded) whether or not the serving shard
-///    did. Observe/RegisterProfile fail over too (`observe_failover`),
+///    did. Observe/RegisterProfile always fail over the same way,
 ///    trading a transiently split model slice for an ingest stream that
 ///    keeps flowing; the owner rejoins from its checkpoint and misses
 ///    only the outage window;
@@ -66,12 +66,6 @@ class ClusterClient {
     /// How long an open breaker skips the shard before a health probe
     /// may close it again.
     int breaker_cooldown_ms = 1'000;
-    /// Deadline for the half-open Ping probe.
-    int probe_timeout_ms = 250;
-    /// Route Observe/RegisterProfile to the failover shard when the
-    /// owner is down (at-least-once, transiently split slice). When
-    /// false, writes to a dead shard surface Unavailable instead.
-    bool observe_failover = true;
     /// Counter sink for "cluster.router.*" / "cluster.shard.*"; null
     /// disables.
     MetricsRegistry* metrics = nullptr;
@@ -99,8 +93,8 @@ class ClusterClient {
   /// True iff every shard is healthy (readiness gating).
   bool Healthy();
 
-  /// Direct Ping-based liveness probe of one shard (with
-  /// Options::probe_timeout_ms); closes its breaker on success.
+  /// Direct Ping-based liveness probe of one shard (with the half-open
+  /// probe's deadline); closes its breaker on success.
   bool ShardHealthy(ShardId shard);
 
   /// Merged scrape: a synthesized cluster header (shard count, per-shard
@@ -145,10 +139,10 @@ class ClusterClient {
   bool ProbeAndSettle(Shard& shard);
 
   /// Routes `call` along the preference order for `user`. On success
-  /// sets *served_by to the shard index used. `allow_failover` false
-  /// restricts to the owner. Transport failures (IsUnavailable) advance
-  /// to the next shard; other errors surface immediately.
-  Status RouteCall(UserId user, bool allow_failover,
+  /// sets *served_by to the shard index used. Transport failures
+  /// (IsUnavailable) advance to the next shard; other errors surface
+  /// immediately.
+  Status RouteCall(UserId user,
                    const std::function<Status(RecClient&)>& call,
                    ShardId* served_by);
 

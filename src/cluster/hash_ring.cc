@@ -46,13 +46,6 @@ void HashRing::AddShard(ShardId shard) {
   std::sort(points_.begin(), points_.end());
 }
 
-void HashRing::RemoveShard(ShardId shard) {
-  auto it = std::lower_bound(shards_.begin(), shards_.end(), shard);
-  if (it == shards_.end() || *it != shard) return;
-  shards_.erase(it);
-  std::erase_if(points_, [shard](const Point& p) { return p.shard == shard; });
-}
-
 bool HashRing::HasShard(ShardId shard) const {
   return std::binary_search(shards_.begin(), shards_.end(), shard);
 }
@@ -72,14 +65,13 @@ StatusOr<ShardId> HashRing::Owner(std::uint64_t key) const {
   return points_[Successor(key)].shard;
 }
 
-std::vector<ShardId> HashRing::PreferenceOrder(std::uint64_t key,
-                                               std::size_t count) const {
+std::vector<ShardId> HashRing::PreferenceOrder(std::uint64_t key) const {
   std::vector<ShardId> order;
   if (points_.empty()) return order;
-  if (count == 0 || count > shards_.size()) count = shards_.size();
-  order.reserve(count);
+  order.reserve(shards_.size());
   const std::size_t start = Successor(key);
-  for (std::size_t i = 0; i < points_.size() && order.size() < count; ++i) {
+  for (std::size_t i = 0; i < points_.size() && order.size() < shards_.size();
+       ++i) {
     const ShardId shard = points_[(start + i) % points_.size()].shard;
     if (std::find(order.begin(), order.end(), shard) == order.end()) {
       order.push_back(shard);

@@ -24,10 +24,10 @@ using ShardId = std::uint32_t;
 ///    so every router and every server derives the same ownership;
 ///  - balanced: with enough vnodes, each of N shards owns ~1/N of the
 ///    key space (hash_ring_test pins the spread);
-///  - minimal movement: removing a shard reassigns only the keys it
-///    owned (to the next points clockwise) and re-adding it restores the
-///    exact prior mapping — which is what makes shard restarts and
-///    rebalances cheap.
+///  - minimal movement: a ring without one shard differs from the full
+///    ring only on the keys that shard owned (they go to the next points
+///    clockwise) — which is what makes shard restarts and rebalances
+///    cheap.
 ///
 /// PreferenceOrder() is the failover policy: the distinct shards met
 /// walking clockwise from the key's point. The first entry is the owner;
@@ -55,10 +55,6 @@ class HashRing {
   /// Adds `shard`'s vnodes. Idempotent.
   void AddShard(ShardId shard);
 
-  /// Removes `shard`'s vnodes. Idempotent. Keys it owned move to the
-  /// next shards clockwise; everything else stays put.
-  void RemoveShard(ShardId shard);
-
   bool HasShard(ShardId shard) const;
   std::size_t num_shards() const { return shards_.size(); }
   /// Member shard ids, ascending.
@@ -74,10 +70,9 @@ class HashRing {
     return Owner(KeyForUser(user));
   }
 
-  /// Up to `count` distinct shards in failover order: the owner first,
-  /// then the shards met walking clockwise. count == 0 means all.
-  std::vector<ShardId> PreferenceOrder(std::uint64_t key,
-                                       std::size_t count = 0) const;
+  /// Every member shard in failover order: the owner first, then the
+  /// shards met walking clockwise.
+  std::vector<ShardId> PreferenceOrder(std::uint64_t key) const;
 
   /// The ring key for a user id (a mixed hash, so adjacent user ids
   /// spread across shards instead of clustering).

@@ -21,16 +21,6 @@ HashRing ClusterManifest::Ring(HashRing::Options options) const {
   return ring;
 }
 
-std::string ClusterManifest::ToText() const {
-  std::ostringstream out;
-  out << "# rtrec cluster manifest\n";
-  for (const ShardAddress& address : shards) {
-    out << "shard " << address.shard << ' ' << address.host << ' '
-        << address.port << '\n';
-  }
-  return out.str();
-}
-
 StatusOr<ClusterManifest> ClusterManifest::Parse(std::string_view text) {
   ClusterManifest manifest;
   std::istringstream lines{std::string(text)};

@@ -44,9 +44,6 @@ struct ClusterManifest {
   /// A ring over this manifest's shard ids.
   HashRing Ring(HashRing::Options options = {}) const;
 
-  /// Renders the manifest in the file format (stable ordering).
-  std::string ToText() const;
-
   /// Parses manifest text. InvalidArgument on malformed lines, duplicate
   /// or non-dense shard ids, bad ports, or an empty shard list.
   static StatusOr<ClusterManifest> Parse(std::string_view text);

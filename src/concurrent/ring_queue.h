@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "concurrent/cpu_bind.h"
 #include "concurrent/mpsc_ring.h"
 #include "concurrent/spsc_ring.h"
 #include "concurrent/wait_strategy.h"
@@ -66,14 +65,11 @@ class RingQueue {
     /// Promise that exactly one thread pushes — selects the cheaper
     /// wait-free SPSC ring instead of the CAS-based MPSC ring.
     bool single_producer = false;
-    /// Busy-wait budget before parking; defaults adapt to the host CPU
-    /// count (no spinning on a single-CPU host).
-    SpinPolicy spin = SpinPolicy::ForHost(CpuBind::NumCpus());
     Stats stats;
   };
 
   explicit RingQueue(Options options)
-      : options_(options), spin_(options.spin) {
+      : options_(options), spin_(SpinPolicy::ForHost()) {
     if (options_.single_producer) {
       spsc_ = std::make_unique<SpscRing<T>>(options_.capacity);
     } else {

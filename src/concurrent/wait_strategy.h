@@ -4,6 +4,9 @@
 #include <cstdint>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -33,9 +36,23 @@ struct SpinPolicy {
   int spins = 128;
   int yields = 4;
 
-  /// Policy adapted to the host: no spinning when only one CPU is
-  /// available (the counterpart cannot be running concurrently).
-  static SpinPolicy ForHost(int num_cpus) {
+  /// Policy adapted to the host: no spinning when this process may run
+  /// on one CPU only (the counterpart cannot be running concurrently).
+  /// The CPU count is the affinity mask's population count on Linux (a
+  /// pinned process counts its allowed CPUs, not the machine's cores),
+  /// std::thread::hardware_concurrency elsewhere.
+  static SpinPolicy ForHost() {
+    int num_cpus = 0;
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+      num_cpus = CPU_COUNT(&set);
+    }
+#endif
+    if (num_cpus == 0) {
+      num_cpus = static_cast<int>(std::thread::hardware_concurrency());
+    }
     SpinPolicy policy;
     if (num_cpus <= 1) policy.spins = 0;
     return policy;

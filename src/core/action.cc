@@ -1,7 +1,5 @@
 #include "core/action.h"
 
-#include "common/string_util.h"
-
 namespace rtrec {
 
 const char* ActionTypeToString(ActionType type) {
@@ -30,14 +28,6 @@ StatusOr<ActionType> ActionTypeFromString(const std::string& name) {
     if (name == ActionTypeToString(type)) return type;
   }
   return Status::InvalidArgument("unknown action type '" + name + "'");
-}
-
-std::string ActionToString(const UserAction& action) {
-  return StringPrintf("u=%llu v=%llu %s f=%.3f t=%lld",
-                      static_cast<unsigned long long>(action.user),
-                      static_cast<unsigned long long>(action.video),
-                      ActionTypeToString(action.type), action.view_fraction,
-                      static_cast<long long>(action.time));
 }
 
 }  // namespace rtrec

@@ -49,9 +49,6 @@ struct UserAction {
   friend bool operator==(const UserAction&, const UserAction&) = default;
 };
 
-/// Renders an action for logs: "u=12 v=34 play_time f=0.82 t=1000".
-std::string ActionToString(const UserAction& action);
-
 }  // namespace rtrec
 
 #endif  // RTREC_CORE_ACTION_H_

@@ -112,11 +112,6 @@ struct RecommendConfig {
   /// top `hop_fanout` neighbours of the previous frontier.
   int candidate_hops = 1;
   std::size_t hop_fanout = 5;
-  /// If true, videos already in the user's history (including seeds
-  /// derived from it) are excluded from results. Explicit request seeds
-  /// are always excluded. Off by default — re-recommending a favourite
-  /// is valid in the related-video scenario.
-  bool exclude_watched = false;
 
   Status Validate() const;
 };

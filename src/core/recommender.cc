@@ -43,16 +43,10 @@ StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
   // 2. Candidate expansion through the similar-video tables; keeping the
   //    best decayed similarity per candidate dedupes across seeds.
   //    Explicitly-requested seeds (the video on screen) are never
-  //    recommended back; history-derived seeds are excluded only under
-  //    exclude_watched, so "guess you like" can resurface favourites.
-  std::unordered_set<VideoId> excluded(request.seed_videos.begin(),
-                                       request.seed_videos.end());
-  if (config_.exclude_watched) {
-    excluded.insert(seeds.begin(), seeds.end());
-    for (const HistoryEntry& e : history_->Get(request.user)) {
-      excluded.insert(e.video);
-    }
-  }
+  //    recommended back; history is not excluded, so "guess you like"
+  //    can resurface favourites.
+  const std::unordered_set<VideoId> excluded(request.seed_videos.begin(),
+                                             request.seed_videos.end());
   std::unordered_map<VideoId, double> candidate_sim;
   std::vector<VideoId> frontier = seeds;
   for (int hop = 0; hop < config_.candidate_hops; ++hop) {

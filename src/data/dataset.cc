@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -51,19 +52,6 @@ Dataset Dataset::FilterMinActivity(std::size_t min_user_actions,
   return Dataset(std::move(kept));
 }
 
-Dataset Dataset::FilterMinActivityFixpoint(
-    std::size_t min_user_actions, std::size_t min_video_actions) const {
-  Dataset current = FilterMinActivity(min_user_actions, min_video_actions);
-  for (int iteration = 0; iteration < 64; ++iteration) {
-    Dataset next =
-        current.FilterMinActivity(min_user_actions, min_video_actions);
-    if (next.size() == current.size()) return current;
-    current = std::move(next);
-  }
-  return current;  // Pathological oscillation guard (cannot occur: sizes
-                   // strictly decrease, so 64 rounds is unreachable).
-}
-
 std::pair<Dataset, Dataset> Dataset::SplitAtTime(
     Timestamp split_millis) const {
   std::vector<UserAction> train;
@@ -74,28 +62,11 @@ std::pair<Dataset, Dataset> Dataset::SplitAtTime(
   return {Dataset(std::move(train)), Dataset(std::move(test))};
 }
 
-Dataset Dataset::FilterUsers(
-    const std::unordered_set<UserId>& users) const {
-  std::vector<UserAction> kept;
-  for (const UserAction& a : actions_) {
-    if (users.contains(a.user)) kept.push_back(a);
-  }
-  return Dataset(std::move(kept));
-}
-
 Dataset Dataset::FilterGroup(const DemographicGrouper& grouper,
                              GroupId group) const {
   std::vector<UserAction> kept;
   for (const UserAction& a : actions_) {
     if (grouper.GroupOf(a.user) == group) kept.push_back(a);
-  }
-  return Dataset(std::move(kept));
-}
-
-Dataset Dataset::FilterEngaged(const FeedbackConfig& feedback) const {
-  std::vector<UserAction> kept;
-  for (const UserAction& a : actions_) {
-    if (ActionConfidence(a, feedback) > 0.0) kept.push_back(a);
   }
   return Dataset(std::move(kept));
 }
@@ -118,22 +89,6 @@ DatasetStats Dataset::Stats(const FeedbackConfig& feedback) const {
                               static_cast<double>(videos.size()));
   }
   return stats;
-}
-
-std::unordered_set<UserId> Dataset::Users() const {
-  std::unordered_set<UserId> users;
-  for (const UserAction& a : actions_) {
-    if (a.type != ActionType::kImpress) users.insert(a.user);
-  }
-  return users;
-}
-
-std::unordered_set<VideoId> Dataset::Videos() const {
-  std::unordered_set<VideoId> videos;
-  for (const UserAction& a : actions_) {
-    if (a.type != ActionType::kImpress) videos.insert(a.video);
-  }
-  return videos;
 }
 
 }  // namespace rtrec

@@ -2,7 +2,6 @@
 #define RTREC_DATA_DATASET_H_
 
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -46,35 +45,17 @@ class Dataset {
   Dataset FilterMinActivity(std::size_t min_user_actions,
                             std::size_t min_video_actions) const;
 
-  /// FilterMinActivity iterated to a fixpoint: dropping cold videos can
-  /// push users under the floor and vice versa; this repeats the pass
-  /// until the dataset stabilizes (classic k-core-style cleaning, the
-  /// strict variant of the paper's one-pass rule).
-  Dataset FilterMinActivityFixpoint(std::size_t min_user_actions,
-                                    std::size_t min_video_actions) const;
-
   /// Splits at an absolute time: actions with time < `split_millis` go to
   /// .first (train), the rest to .second (test).
   std::pair<Dataset, Dataset> SplitAtTime(Timestamp split_millis) const;
-
-  /// Keeps only actions whose user is in `users`.
-  Dataset FilterUsers(const std::unordered_set<UserId>& users) const;
 
   /// Keeps only actions of users in demographic `group` per `grouper`.
   Dataset FilterGroup(const DemographicGrouper& grouper,
                       GroupId group) const;
 
-  /// Keeps only engaged actions (confidence > 0 under `feedback`).
-  Dataset FilterEngaged(const FeedbackConfig& feedback) const;
-
   /// Table 3/4 statistics. Counts engaged actions only and the distinct
   /// users/videos appearing in them.
   DatasetStats Stats(const FeedbackConfig& feedback) const;
-
-  /// Engaged-action counts per user, descending — used to pick the
-  /// "largest demographic groups" (Table 4).
-  std::unordered_set<UserId> Users() const;
-  std::unordered_set<VideoId> Videos() const;
 
  private:
   std::vector<UserAction> actions_;

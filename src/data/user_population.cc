@@ -17,11 +17,8 @@ void Normalize(std::vector<float>& v) {
 
 }  // namespace
 
-UserPopulation::UserPopulation(Options options, std::vector<SimUser> users,
-                               std::vector<std::vector<float>> prototypes)
-    : options_(options),
-      users_(std::move(users)),
-      prototypes_(std::move(prototypes)) {}
+UserPopulation::UserPopulation(Options options, std::vector<SimUser> users)
+    : options_(options), users_(std::move(users)) {}
 
 UserPopulation UserPopulation::Generate(const Options& options) {
   assert(options.num_users > 0);
@@ -73,7 +70,7 @@ UserPopulation UserPopulation::Generate(const Options& options) {
                     std::exp(rng.NextGaussian(0.0, options.activity_sigma));
     users.push_back(std::move(user));
   }
-  return UserPopulation(options, std::move(users), std::move(prototypes));
+  return UserPopulation(options, std::move(users));
 }
 
 const SimUser& UserPopulation::Get(UserId id) const {
@@ -87,12 +84,6 @@ void UserPopulation::RegisterProfiles(DemographicGrouper& grouper) const {
       grouper.RegisterProfile(user.id, user.profile);
     }
   }
-}
-
-const std::vector<float>& UserPopulation::GroupPrototype(
-    GroupId group) const {
-  assert(group < prototypes_.size());
-  return prototypes_[group];
 }
 
 }  // namespace rtrec

@@ -54,19 +54,13 @@ class UserPopulation {
   /// Registers every registered user's profile into `grouper`.
   void RegisterProfiles(DemographicGrouper& grouper) const;
 
-  /// Group prototype taste (unit norm) for a (gender, age) cell; exposed
-  /// for tests asserting the planted structure.
-  const std::vector<float>& GroupPrototype(GroupId group) const;
-
   const Options& options() const { return options_; }
 
  private:
-  UserPopulation(Options options, std::vector<SimUser> users,
-                 std::vector<std::vector<float>> prototypes);
+  UserPopulation(Options options, std::vector<SimUser> users);
 
   Options options_;
   std::vector<SimUser> users_;
-  std::vector<std::vector<float>> prototypes_;  // Indexed by GroupId.
 };
 
 }  // namespace rtrec

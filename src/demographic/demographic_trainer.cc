@@ -8,27 +8,24 @@ namespace rtrec {
 
 DemographicTrainer::DemographicTrainer(const DemographicGrouper* grouper,
                                        VideoTypeResolver type_resolver,
-                                       Options options)
+                                       RecEngine::Options engine)
     : grouper_(grouper),
       type_resolver_(std::move(type_resolver)),
-      options_(std::move(options)) {
+      group_options_(engine) {
   assert(grouper_ != nullptr);
   assert(type_resolver_ != nullptr);
-  if (options_.train_global) {
-    global_ = std::make_unique<RecEngine>(type_resolver_, options_.engine);
-    // Observe() feeds every action to both its group engine and the
-    // global one; a validation hook must see each action once, so only
-    // the global engine keeps it. (Without a global engine, the group
-    // engines are the only trainers and retain the hook.)
-    options_.engine.validation_hook = nullptr;
-  }
+  global_ = std::make_unique<RecEngine>(type_resolver_, std::move(engine));
+  // Observe() feeds every action to both its group engine and the global
+  // one; a validation hook must see each action once, so only the global
+  // engine keeps it.
+  group_options_.validation_hook = nullptr;
 }
 
 RecEngine& DemographicTrainer::EngineFor(GroupId group) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = engines_[group];
   if (!slot) {
-    slot = std::make_unique<RecEngine>(type_resolver_, options_.engine);
+    slot = std::make_unique<RecEngine>(type_resolver_, group_options_);
   }
   return *slot;
 }
@@ -38,9 +35,7 @@ void DemographicTrainer::Observe(const UserAction& action) {
   if (group != kGlobalGroup) {
     EngineFor(group).Observe(action);
   }
-  if (global_ != nullptr) {
-    global_->Observe(action);
-  }
+  global_->Observe(action);
 }
 
 StatusOr<std::vector<ScoredVideo>> DemographicTrainer::Recommend(
@@ -52,8 +47,7 @@ StatusOr<std::vector<ScoredVideo>> DemographicTrainer::Recommend(
     if (!result.ok()) return result;
     if (!result->empty()) return result;
   }
-  if (global_ != nullptr) return global_->Recommend(request);
-  return std::vector<ScoredVideo>{};
+  return global_->Recommend(request);
 }
 
 RecEngine* DemographicTrainer::GetEngine(GroupId group) {
@@ -78,19 +72,14 @@ Status DemographicTrainer::SaveSnapshot(const std::string& directory) const {
       engines.emplace_back(group, engine.get());
     }
   }
-  if (global_ != nullptr) engines.emplace_back(kGlobalGroup, global_.get());
+  engines.emplace_back(kGlobalGroup, global_.get());
   return SaveGroupCheckpoint(directory, engines);
 }
 
 Status DemographicTrainer::LoadSnapshot(const std::string& directory) {
   return LoadGroupCheckpoint(
-      directory, [this](GroupId group) -> StatusOr<RecEngine*> {
-        if (group != kGlobalGroup) return &EngineFor(group);
-        if (global_ == nullptr) {
-          return Status::FailedPrecondition(
-              "snapshot has a global engine but train_global is off");
-        }
-        return global_.get();
+      directory, [this](GroupId group) -> RecEngine& {
+        return group == kGlobalGroup ? *global_ : EngineFor(group);
       });
 }
 

@@ -19,23 +19,19 @@ namespace rtrec {
 /// variation of rating patterns between groups — both effects behind the
 /// 10–20% improvement of Figure 3.
 ///
-/// A global engine is (optionally) trained on all traffic and serves
-/// users whose group has no model yet.
+/// A global engine is trained on all traffic: it serves users whose
+/// group has no model yet and is the Figure 3 comparison baseline.
 class DemographicTrainer : public Recommender {
  public:
-  struct Options {
-    RecEngine::Options engine;
-    /// Also feed every action to a global engine (needed as a fallback
-    /// and as the Figure 3 comparison baseline).
-    bool train_global = true;
-  };
-
-  /// `grouper` and `type_resolver` are shared, not owned.
+  /// `grouper` and `type_resolver` are shared, not owned. Every engine
+  /// (group and global) is built from `engine`; only the global engine
+  /// keeps its validation hook, so the hook sees each action once.
   DemographicTrainer(const DemographicGrouper* grouper,
-                     VideoTypeResolver type_resolver, Options options);
+                     VideoTypeResolver type_resolver,
+                     RecEngine::Options engine);
 
   /// Routes the action to the user's group engine (creating it on first
-  /// traffic) and to the global engine when enabled.
+  /// traffic) and to the global engine.
   void Observe(const UserAction& action) override;
 
   /// Serves from the user's group engine; falls back to the global
@@ -46,8 +42,7 @@ class DemographicTrainer : public Recommender {
   std::string name() const override { return "rMF(groups)"; }
 
   /// The engine of `group`, or null if that group has seen no traffic.
-  /// kGlobalGroup returns the global engine (null when train_global is
-  /// off).
+  /// kGlobalGroup returns the global engine (never null).
   RecEngine* GetEngine(GroupId group);
   const RecEngine* GetEngine(GroupId group) const;
 
@@ -67,7 +62,7 @@ class DemographicTrainer : public Recommender {
 
   const DemographicGrouper* grouper_;
   VideoTypeResolver type_resolver_;
-  Options options_;
+  RecEngine::Options group_options_;  // `engine` without the hook.
 
   mutable std::mutex mu_;  // Guards the engine map (not the engines).
   std::unordered_map<GroupId, std::unique_ptr<RecEngine>> engines_;

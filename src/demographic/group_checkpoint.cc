@@ -15,6 +15,14 @@ std::string GroupFilePath(const std::string& directory, GroupId group) {
   return directory + "/group_" + std::to_string(group) + ".ckpt";
 }
 
+/// Restores only `group`'s file into `engine`. NotFound when the file is
+/// missing.
+Status LoadGroupFile(const std::string& directory, GroupId group,
+                     RecEngine& engine) {
+  return LoadCheckpoint(GroupFilePath(directory, group), &engine.factors(),
+                        &engine.sim_table(), &engine.history());
+}
+
 }  // namespace
 
 Status SaveGroupCheckpoint(
@@ -39,7 +47,7 @@ Status SaveGroupCheckpoint(
 
 Status LoadGroupCheckpoint(
     const std::string& directory,
-    const std::function<StatusOr<RecEngine*>(GroupId)>& engine_for) {
+    const std::function<RecEngine&(GroupId)>& engine_for) {
   std::ifstream manifest(directory + "/manifest.txt");
   if (!manifest.is_open()) {
     return Status::NotFound("no manifest in '" + directory + "'");
@@ -53,17 +61,10 @@ Status LoadGroupCheckpoint(
       return Status::Corruption("bad manifest line '" + line + "'");
     }
     const GroupId group = static_cast<GroupId>(*group_id);
-    StatusOr<RecEngine*> engine = engine_for(group);
-    if (!engine.ok()) return engine.status();
-    RTREC_RETURN_IF_ERROR(LoadGroupFile(directory, group, **engine));
+    RTREC_RETURN_IF_ERROR(
+        LoadGroupFile(directory, group, engine_for(group)));
   }
   return Status::OK();
-}
-
-Status LoadGroupFile(const std::string& directory, GroupId group,
-                     RecEngine& engine) {
-  return LoadCheckpoint(GroupFilePath(directory, group), &engine.factors(),
-                        &engine.sim_table(), &engine.history());
 }
 
 }  // namespace rtrec

@@ -14,8 +14,7 @@ namespace rtrec {
 
 /// The snapshot layout of the serving models: one file per group's
 /// engine plus a manifest, so a restarted process can rebuild every
-/// group model from disk. Both the demographic trainer and the
-/// global-only service write it.
+/// group model from disk. The demographic trainer writes it.
 ///
 /// Layout under `directory`:
 ///   manifest.txt       — one group id per line
@@ -31,17 +30,11 @@ Status SaveGroupCheckpoint(
     const std::vector<std::pair<GroupId, RecEngine*>>& engines);
 
 /// Restores every group the manifest lists into the engine
-/// `engine_for(group)` returns; an error from it aborts the load. The
-/// engines' dimensionality must match the snapshots'. NotFound when
-/// `directory` has no manifest.
+/// `engine_for(group)` returns. The engines' dimensionality must match
+/// the snapshots'. NotFound when `directory` has no manifest.
 Status LoadGroupCheckpoint(
     const std::string& directory,
-    const std::function<StatusOr<RecEngine*>(GroupId)>& engine_for);
-
-/// Restores only `group`'s file into `engine`, whatever the manifest
-/// lists. NotFound when the file is missing.
-Status LoadGroupFile(const std::string& directory, GroupId group,
-                     RecEngine& engine);
+    const std::function<RecEngine&(GroupId)>& engine_for);
 
 }  // namespace rtrec
 

@@ -28,9 +28,8 @@ const HotVideoTracker::GroupState* HotVideoTracker::FindState(
 
 double HotVideoTracker::NormalizedIncrement(double weight,
                                             Timestamp now) const {
-  const double dt =
-      static_cast<double>(now - options_.epoch_millis);
-  return weight * std::exp2(dt / options_.half_life_millis);
+  return weight *
+         std::exp2(static_cast<double>(now) / options_.half_life_millis);
 }
 
 void HotVideoTracker::Record(GroupId group, VideoId video, double weight,
@@ -49,9 +48,8 @@ std::vector<ScoredVideo> HotVideoTracker::Hottest(GroupId group,
   const GroupState* state = FindState(group);
   if (state == nullptr) return {};
   // Convert normalized scores back to decayed-at-now scores.
-  const double denom = std::exp2(
-      static_cast<double>(now - options_.epoch_millis) /
-      options_.half_life_millis);
+  const double denom =
+      std::exp2(static_cast<double>(now) / options_.half_life_millis);
   std::vector<ScoredVideo> out;
   std::lock_guard<std::mutex> lock(state->mu);
   const auto& entries = state->top.entries();

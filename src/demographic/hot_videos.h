@@ -19,9 +19,9 @@ namespace rtrec {
 /// popularity, used for brand-new unregistered users.
 ///
 /// Decay uses the standard normalized-score trick: a hit at time t adds
-/// w·2^((t - t0)/half_life) to the raw score, so all raw scores share one
-/// reference epoch t0 and relative order equals decayed order without
-/// rescans. Thread-safe (one mutex per group).
+/// w·2^(t/half_life) to the raw score, so all raw scores share one
+/// reference epoch (t = 0) and relative order equals decayed order
+/// without rescans. Thread-safe (one mutex per group).
 class HotVideoTracker {
  public:
   struct Options {
@@ -29,8 +29,6 @@ class HotVideoTracker {
     std::size_t top_k = 100;
     /// Popularity half-life in milliseconds.
     double half_life_millis = 1.0 * kMillisPerDay;
-    /// Reference epoch t0 for the normalized scores.
-    Timestamp epoch_millis = 0;
   };
 
   /// Constructs with default options.

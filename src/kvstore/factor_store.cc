@@ -28,16 +28,13 @@ FactorStore::FactorStore(Options options) : options_(std::move(options)) {
   InitTable(users_, options_.num_shards);
   InitTable(videos_, options_.num_shards);
   if (options_.metrics != nullptr) {
-    multiget_calls_ = options_.metrics->GetCounter(options_.metrics_prefix +
-                                                   "multiget.calls");
-    multiget_keys_ = options_.metrics->GetCounter(options_.metrics_prefix +
-                                                  "multiget.keys");
-    multiget_hits_ = options_.metrics->GetCounter(options_.metrics_prefix +
-                                                  "multiget.hits");
-    multiget_shard_batches_ = options_.metrics->GetCounter(
-        options_.metrics_prefix + "multiget.shard_batches");
-    multiget_span_ = options_.metrics->GetHistogram(
-        "trace.stage." + options_.metrics_prefix + "multiget.us");
+    multiget_calls_ = options_.metrics->GetCounter("kvstore.multiget.calls");
+    multiget_keys_ = options_.metrics->GetCounter("kvstore.multiget.keys");
+    multiget_hits_ = options_.metrics->GetCounter("kvstore.multiget.hits");
+    multiget_shard_batches_ =
+        options_.metrics->GetCounter("kvstore.multiget.shard_batches");
+    multiget_span_ =
+        options_.metrics->GetHistogram("trace.stage.kvstore.multiget.us");
   }
 }
 
@@ -261,22 +258,6 @@ std::size_t FactorStore::NumVideos() const {
     total += stripe->map.size();
   }
   return total;
-}
-
-void FactorStore::ForEachVideo(
-    const std::function<void(VideoId, const FactorEntry&)>& fn) const {
-  for (const auto& stripe : videos_.stripes) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    for (const auto& [id, entry] : stripe->map) fn(id, Unpack(entry));
-  }
-}
-
-void FactorStore::ForEachUser(
-    const std::function<void(UserId, const FactorEntry&)>& fn) const {
-  for (const auto& stripe : users_.stripes) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    for (const auto& [id, entry] : stripe->map) fn(id, Unpack(entry));
-  }
 }
 
 void FactorStore::ForEachUserPacked(

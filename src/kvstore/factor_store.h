@@ -65,12 +65,10 @@ class FactorStore {
     /// scalar per entry — quantizing it saves nothing and the bias
     /// carries the per-item popularity signal).
     FactorPrecision precision = FactorPrecision::kFloat32;
-    /// Optional registry for batch-read counters (`<prefix>multiget.*`);
-    /// nullptr disables.
+    /// Optional registry for batch-read counters (`kvstore.multiget.*`:
+    /// the factor store is the typed view over the paper's KV store, so
+    /// it reports under the same namespace); nullptr disables.
     MetricsRegistry* metrics = nullptr;
-    /// Prefix for metric names. The factor store is the typed view over
-    /// the paper's KV store, so it reports under the same namespace.
-    std::string metrics_prefix = "kvstore.";
   };
 
   /// Constructs with default options.
@@ -159,15 +157,6 @@ class FactorStore {
 
   std::size_t NumUsers() const;
   std::size_t NumVideos() const;
-
-  /// Visits every video entry (id, entry). Iteration locks one stripe at a
-  /// time. Used by batch jobs (e.g. full similarity rebuilds in tests).
-  void ForEachVideo(
-      const std::function<void(VideoId, const FactorEntry&)>& fn) const;
-
-  /// Visits every user entry (id, entry); same locking discipline.
-  void ForEachUser(
-      const std::function<void(UserId, const FactorEntry&)>& fn) const;
 
   /// Borrowed view of one packed (quantized) entry — valid only inside
   /// the ForEach*Packed callback that produced it. Checkpoints persist

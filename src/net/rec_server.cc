@@ -23,6 +23,9 @@
 namespace rtrec {
 namespace {
 
+/// listen(2) backlog of the acceptor's socket.
+constexpr int kAcceptBacklog = 128;
+
 std::int64_t SteadyMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -525,12 +528,6 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
   // trace is sampled or the request turns out slow (tail capture).
   obs::RequestRecorder recorder(options_.spans, trace, options_.trace_slow_us,
                                 adopt ? obs::kSpanFlagAdopted : 0);
-  if (options_.handler_delay_for_test_ms > 0) {
-    // Inside the recorder window so the injected latency is also visible
-    // to tail capture — admission tests only need the slot held.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.handler_delay_for_test_ms));
-  }
   const auto send_decode_error = [this, &frame, &send](const Status& status) {
     // Parsed structurally but the body would not decode: the stream is
     // still framed, so answer and keep the connection.
@@ -559,7 +556,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
           send(EncodeRecommendResponse(frame.request_id, outcome.videos,
                                        outcome.flags));
         } else {
-          send(EncodeErrorResponse(frame.request_id, outcome.error,
+          send(EncodeErrorResponse(frame.request_id, WireError::kBadRequest,
                                    outcome.message));
         }
       }
@@ -587,7 +584,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
             item.reply.flags = outcome.flags;
             item.reply.videos = std::move(outcome.videos);
           } else {
-            item.error = static_cast<std::uint8_t>(outcome.error);
+            item.error = static_cast<std::uint8_t>(WireError::kBadRequest);
           }
           items.push_back(std::move(item));
         }
@@ -646,28 +643,22 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
 
 /// The Recommend serving ladder: breaker-open -> straight fallback;
 /// engine OK within its deadline -> full answer; engine error or
-/// deadline breach -> fallback with the DEGRADED flag (or, with the
-/// fallback disabled, a typed error / the late answer).
+/// deadline breach -> fallback with the DEGRADED flag.
 RecServer::RecommendOutcome RecServer::RecommendWithFallback(
     const RecRequest& request) {
   RecommendOutcome out;
-  const int deadline_ms = options_.recommend_deadline_ms;
-  const bool fallback_on = options_.degraded_fallback;
-  if (fallback_on && InBreakerCooldown(SteadyMillis())) {
-    out.videos = service_->FallbackRecommend(request);
-    out.flags |= kRecommendFlagDegraded;
-    out.ok = true;
-  } else {
+  bool degraded = InBreakerCooldown(SteadyMillis());
+  if (!degraded) {
     const std::int64_t start_ms = SteadyMillis();
     StatusOr<std::vector<ScoredVideo>> recs = service_->Recommend(request);
     const std::int64_t elapsed_ms = SteadyMillis() - start_ms;
     if (!recs.ok() && recs.status().IsInvalidArgument()) {
       // The client's fault, not the engine's: no breaker bookkeeping,
       // no fallback masking.
-      out.error = WireError::kBadRequest;
       out.message = recs.status().message();
       return out;
     }
+    const int deadline_ms = options_.recommend_deadline_ms;
     const bool late = deadline_ms > 0 && elapsed_ms > deadline_ms;
     if (late) {
       metrics_->GetCounter("net.server.deadline_breaches")->Increment();
@@ -675,27 +666,17 @@ RecServer::RecommendOutcome RecServer::RecommendWithFallback(
     if (recs.ok() && !late) {
       RecordEngineSuccess();
       out.videos = std::move(*recs);
-      out.ok = true;
     } else {
       RecordEngineFailure(SteadyMillis());
-      if (fallback_on) {
-        out.videos = service_->FallbackRecommend(request);
-        out.flags |= kRecommendFlagDegraded;
-        out.ok = true;
-      } else if (recs.ok()) {
-        // Late but the fallback is disabled: the stale answer is all we
-        // have.
-        out.videos = std::move(*recs);
-        out.ok = true;
-      } else {
-        out.error = WireError::kInternal;
-        out.message = recs.status().message();
-      }
+      degraded = true;
     }
   }
-  if (out.ok && (out.flags & kRecommendFlagDegraded) != 0) {
+  if (degraded) {
+    out.videos = service_->FallbackRecommend(request);
+    out.flags |= kRecommendFlagDegraded;
     metrics_->GetCounter("server.degraded_responses")->Increment();
   }
+  out.ok = true;
   return out;
 }
 
@@ -708,7 +689,7 @@ Status RecServer::Start() {
   stopping_.store(false, std::memory_order_release);
 
   auto listener =
-      ListenTcp(options_.host, options_.port, options_.accept_backlog);
+      ListenTcp(options_.host, options_.port, kAcceptBacklog);
   if (!listener.ok()) return listener.status();
   listen_fd_ = std::move(*listener);
   auto port = LocalPort(listen_fd_.get());

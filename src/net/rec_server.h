@@ -61,9 +61,11 @@ class ShmServer;
 /// Graceful degradation: Recommend carries a latency budget
 /// (Options::recommend_deadline_ms) and a circuit breaker. When the
 /// engine errors, breaches the budget, or the breaker is open, the
-/// request is answered from the demographic hot-video fallback and
-/// flagged DEGRADED on the wire instead of failing — recommendations
-/// keep flowing while the engine misbehaves.
+/// request is always answered from the demographic hot-video fallback
+/// and flagged DEGRADED on the wire instead of failing — recommendations
+/// keep flowing while the engine misbehaves. An engine failure never
+/// becomes a wire error; only a request the service rejects as invalid
+/// gets BAD_REQUEST.
 class RecServer {
  public:
   struct Options {
@@ -79,8 +81,6 @@ class RecServer {
     int idle_timeout_ms = 60'000;
     /// Frames with a larger payload are rejected as corrupt.
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-    /// listen(2) backlog.
-    int accept_backlog = 128;
     /// Registry for server metrics (counters, gauges, histograms under
     /// "net.server."). Null falls back to an internal registry.
     MetricsRegistry* metrics = nullptr;
@@ -103,21 +103,14 @@ class RecServer {
     /// this is retroactively kept as a slow-capture trace. <= 0
     /// disables tail capture (only head-sampled traces record spans).
     std::int64_t trace_slow_us = 0;
-    /// Test hook: sleep this long inside each admitted service RPC, to
-    /// make admission-control shedding deterministic. 0 in production.
-    int handler_delay_for_test_ms = 0;
 
     /// Per-request latency budget for Recommend. When > 0 and the engine
     /// takes longer, the late answer is discarded in favour of the
-    /// degraded fallback (when enabled) and the request counts as an
-    /// engine failure for the circuit breaker. 0 disables the deadline.
+    /// degraded fallback (flagged DEGRADED on the wire and counted in
+    /// "server.degraded_responses", as for an engine error) and the
+    /// request counts as an engine failure for the circuit breaker. 0
+    /// disables the deadline.
     int recommend_deadline_ms = 0;
-    /// Answer Recommend from the demographic hot-video fallback —
-    /// flagged DEGRADED on the wire and counted in
-    /// "server.degraded_responses" — when the engine errors or breaches
-    /// its deadline budget. When false, engine errors surface as typed
-    /// wire errors (the pre-degradation behaviour).
-    bool degraded_fallback = true;
     /// Consecutive Recommend engine failures (errors or deadline
     /// breaches) that trip the circuit breaker. While tripped, Recommend
     /// is served straight from the fallback for breaker_cooldown_ms
@@ -205,13 +198,13 @@ class RecServer {
                         const SendFn& send);
 
   /// Result of one Recommend through the breaker/deadline/fallback
-  /// ladder; shared by the single and batched RPC paths.
+  /// ladder; shared by the single and batched RPC paths. Not ok only
+  /// when the service rejected the request as invalid (BAD_REQUEST).
   struct RecommendOutcome {
     bool ok = false;
     std::uint8_t flags = 0;
     std::vector<ScoredVideo> videos;
-    WireError error = WireError::kInternal;
-    std::string message;
+    std::string message;  // The rejection's reason when !ok.
   };
   RecommendOutcome RecommendWithFallback(const RecRequest& request);
 

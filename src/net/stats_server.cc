@@ -69,6 +69,9 @@ void StatsServer::AcceptLoop() {
 
 namespace {
 
+/// Per-connection read/write poll timeout.
+constexpr int kIoTimeoutMs = 2'000;
+
 /// Path of the request line ("GET /quality HTTP/1.1" → "/quality"), or
 /// "/" when the first chunk does not parse as one.
 std::string RequestPath(const char* buf, std::size_t len) {
@@ -108,7 +111,7 @@ void StatsServer::ServeOne(int fd) {
   // pipelines or sends a huge request still gets a scrape.
   char buf[4096];
   ssize_t got = 0;
-  if (WaitReady(fd, /*for_read=*/true, options_.io_timeout_ms).ok()) {
+  if (WaitReady(fd, /*for_read=*/true, kIoTimeoutMs).ok()) {
     got = read(fd, buf, sizeof(buf));
   }
   std::string path =
@@ -152,7 +155,7 @@ void StatsServer::ServeOne(int fd) {
   response += body;
   std::size_t sent = 0;
   while (sent < response.size()) {
-    if (!WaitReady(fd, /*for_read=*/false, options_.io_timeout_ms).ok()) {
+    if (!WaitReady(fd, /*for_read=*/false, kIoTimeoutMs).ok()) {
       return;  // Slow or dead collector; drop the scrape.
     }
     ssize_t n = write(fd, response.data() + sent, response.size() - sent);

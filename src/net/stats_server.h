@@ -39,8 +39,6 @@ class StatsServer {
     std::string host = "127.0.0.1";
     /// 0 picks an ephemeral port; read it back via port().
     std::uint16_t port = 0;
-    /// Per-connection read/write poll timeout.
-    int io_timeout_ms = 2'000;
     /// Shard id reported by /healthz (and useful to tell multi-shard
     /// deployments apart when each shard runs its own stats port).
     int shard_id = 0;

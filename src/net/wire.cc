@@ -541,13 +541,6 @@ StatusOr<RecommendReply> DecodeRecommendReply(const Frame& frame) {
   return reply;
 }
 
-StatusOr<std::vector<ScoredVideo>> DecodeRecommendResponse(
-    const Frame& frame) {
-  StatusOr<RecommendReply> reply = DecodeRecommendReply(frame);
-  RTREC_RETURN_IF_ERROR(reply.status());
-  return std::move(reply->videos);
-}
-
 std::string EncodeHelloResponse(std::uint64_t request_id,
                                 const HelloReply& reply) {
   Frame frame;

@@ -263,8 +263,6 @@ std::string EncodeRecommendResponse(std::uint64_t request_id,
                                     const std::vector<ScoredVideo>& results,
                                     std::uint8_t flags = 0);
 StatusOr<RecommendReply> DecodeRecommendReply(const Frame& frame);
-/// Flag-discarding convenience wrapper around DecodeRecommendReply.
-StatusOr<std::vector<ScoredVideo>> DecodeRecommendResponse(const Frame& frame);
 
 /// Hello body (response): u8 version (always 2), u32 acked feature bits,
 /// u32 max in-flight hint (the server's admission cap; 0 = no hint),

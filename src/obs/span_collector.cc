@@ -11,6 +11,10 @@ namespace rtrec {
 namespace obs {
 namespace {
 
+/// Capacity of each per-thread span ring. Full ring = spans drop
+/// (counted), never block: tracing must not add backpressure.
+constexpr std::size_t kRingCapacity = 4096;
+
 std::uint64_t SplitMix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -110,7 +114,7 @@ SpanCollector::RingSlot* SpanCollector::SlotForThisThread() {
   std::lock_guard<std::mutex> lock(rings_mu_);
   const auto thread_id = static_cast<std::uint16_t>(rings_.size());
   rings_.push_back(
-      std::make_unique<RingSlot>(options_.ring_capacity, thread_id));
+      std::make_unique<RingSlot>(kRingCapacity, thread_id));
   RingSlot* slot = rings_.back().get();
   t_ring_cache.entries.push_back({this, instance_id_, slot});
   return slot;

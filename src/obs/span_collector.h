@@ -64,9 +64,6 @@ inline constexpr std::uint8_t kSpanFlagAdopted = 0x04;
 class SpanCollector {
  public:
   struct Options {
-    /// Capacity of each per-thread span ring. Full ring = spans drop
-    /// (counted), never block: tracing must not add backpressure.
-    std::size_t ring_capacity = 4096;
     /// Finished traces retained for /traces, oldest evicted first.
     std::size_t max_traces = 256;
     /// Slowest-N finished traces retained for /traces/slow.

@@ -303,8 +303,12 @@ void QualityMonitor::OnServed(UserId user,
   const Timestamp last_train =
       last_train_time_.load(std::memory_order_relaxed);
   if (last_train > 0) {
-    const std::int64_t staleness =
-        static_cast<std::int64_t>(now) - static_cast<std::int64_t>(last_train);
+    // A serve whose `now` precedes the newest trained action (a client
+    // clock behind the event stream's) reads as fresh, not as negative
+    // staleness.
+    const std::int64_t staleness = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(now) -
+               static_cast<std::int64_t>(last_train));
     sim_staleness_ms_->Set(staleness);
     if (staleness > options_.staleness_alert_ms) {
       Alert(alert_staleness_, "staleness",

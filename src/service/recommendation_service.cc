@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "common/fault_injection.h"
-#include "demographic/group_checkpoint.h"
 
 namespace rtrec {
 
@@ -33,21 +32,10 @@ RecommendationService::RecommendationService(VideoTypeResolver type_resolver,
     // global engine only, so each action is sampled exactly once.
     options_.engine.validation_hook = quality_.get();
   }
-  Recommender* primary = nullptr;
-  if (options_.demographic_training) {
-    DemographicTrainer::Options trainer_options;
-    trainer_options.engine = options_.engine;
-    trainer_ = std::make_unique<DemographicTrainer>(
-        &grouper_, type_resolver, trainer_options);
-    primary = trainer_.get();
-  } else {
-    global_engine_ =
-        std::make_unique<RecEngine>(std::move(type_resolver),
-                                    options_.engine);
-    primary = global_engine_.get();
-  }
-  filter_ = std::make_unique<DemographicFilter>(primary, &hot_, &grouper_,
-                                                options_.filter);
+  trainer_ = std::make_unique<DemographicTrainer>(
+      &grouper_, std::move(type_resolver), options_.engine);
+  filter_ = std::make_unique<DemographicFilter>(trainer_.get(), &hot_,
+                                                &grouper_, options_.filter);
   if (options_.metrics != nullptr) {
     requests_ = options_.metrics->GetCounter("service.requests");
     actions_ = options_.metrics->GetCounter("service.actions");
@@ -59,14 +47,11 @@ RecommendationService::RecommendationService(VideoTypeResolver type_resolver,
 }
 
 Status RecommendationService::Checkpoint(const std::string& directory) const {
-  if (trainer_ != nullptr) return trainer_->SaveSnapshot(directory);
-  // Global-only mode: the single engine goes into the same layout.
-  return SaveGroupCheckpoint(directory, {{kGlobalGroup, global_engine_.get()}});
+  return trainer_->SaveSnapshot(directory);
 }
 
 Status RecommendationService::Restore(const std::string& directory) {
-  if (trainer_ != nullptr) return trainer_->LoadSnapshot(directory);
-  return LoadGroupFile(directory, kGlobalGroup, *global_engine_);
+  return trainer_->LoadSnapshot(directory);
 }
 
 void RecommendationService::RegisterProfile(UserId user,
@@ -124,26 +109,11 @@ std::vector<ScoredVideo> RecommendationService::FallbackRecommend(
       request.top_n > 0 ? request.top_n : options_.filter.top_n;
   const GroupId group = grouper_.GroupOf(request.user);
 
-  // Honour the same exclusions as the primary path: never hand back the
-  // video the user is watching (request seeds), and under exclude_watched
-  // drop their history too — a degraded answer must not be "the page you
-  // are on".
+  // Honour the primary path's exclusion: never hand back the video the
+  // user is watching (request seeds) — a degraded answer must not be
+  // "the page you are on".
   std::unordered_set<VideoId> excluded(request.seed_videos.begin(),
                                        request.seed_videos.end());
-  if (options_.engine.recommend.exclude_watched) {
-    const RecEngine* engine = nullptr;
-    if (trainer_ != nullptr) {
-      engine = trainer_->GetEngine(group);
-      if (engine == nullptr) engine = trainer_->GetEngine(kGlobalGroup);
-    } else {
-      engine = global_engine_.get();
-    }
-    if (engine != nullptr) {
-      for (const HistoryEntry& e : engine->history().Get(request.user)) {
-        excluded.insert(e.video);
-      }
-    }
-  }
 
   // Over-fetch so the list survives filtering at full length.
   const std::size_t fetch = n + excluded.size();

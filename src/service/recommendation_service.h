@@ -38,9 +38,6 @@ class RecommendationService : public Recommender {
     DemographicFilter::Options filter;
     /// Per-group hot-video tracking.
     HotVideoTracker::Options hot;
-    /// If false, a single global engine is used instead of per-group
-    /// training (demographic filtering still applies).
-    bool demographic_training = true;
     /// Optional registry for service counters; null disables.
     MetricsRegistry* metrics = nullptr;
     /// Model-quality monitoring (progressive validation, online recall,
@@ -74,16 +71,16 @@ class RecommendationService : public Recommender {
 
   std::string name() const override { return "rtrec-service"; }
 
-  /// Snapshots the model state (per-group engines or the global engine)
-  /// into `directory` (demographic/group_checkpoint.h's layout); Restore
-  /// rebuilds it after a restart, and in global-only mode reads just the
-  /// global group's file. Demographic profiles and hot lists are rebuilt
-  /// from live traffic and sign-up data, mirroring production practice.
+  /// Snapshots the model state (every group engine and the global
+  /// engine) into `directory` (demographic/group_checkpoint.h's layout);
+  /// Restore rebuilds it after a restart. Demographic profiles and hot
+  /// lists are rebuilt from live traffic and sign-up data, mirroring
+  /// production practice.
   Status Checkpoint(const std::string& directory) const;
   Status Restore(const std::string& directory);
 
   DemographicGrouper& grouper() { return grouper_; }
-  DemographicTrainer* trainer() { return trainer_.get(); }
+  DemographicTrainer* trainer() { return trainer_.get(); }  // Never null.
   HotVideoTracker& hot_tracker() { return hot_; }
   /// Null when the service was built without a metrics registry.
   QualityMonitor* quality() { return quality_.get(); }
@@ -93,8 +90,7 @@ class RecommendationService : public Recommender {
   DemographicGrouper grouper_;
   HotVideoTracker hot_;
   std::unique_ptr<QualityMonitor> quality_;  // When options_.metrics set.
-  std::unique_ptr<DemographicTrainer> trainer_;  // When demographic_training.
-  std::unique_ptr<RecEngine> global_engine_;     // Otherwise.
+  std::unique_ptr<DemographicTrainer> trainer_;
   std::unique_ptr<DemographicFilter> filter_;
   Counter* requests_ = nullptr;
   Counter* actions_ = nullptr;

@@ -90,10 +90,8 @@ TEST_F(BaselineEvaluationTest, DemographicStackRunsThroughAbHarness) {
   // filtering) as one A/B arm against Hot.
   DemographicGrouper grouper;
   world_->RegisterProfiles(grouper);
-  DemographicTrainer::Options trainer_options;
-  trainer_options.engine = DefaultEngineOptions(UpdatePolicy::kCombine);
   DemographicTrainer trainer(&grouper, world_->TypeResolver(),
-                             trainer_options);
+                             DefaultEngineOptions(UpdatePolicy::kCombine));
   HotVideoTracker tracker;
   DemographicFilter::Options filter_options;
   DemographicFilter stack(&trainer, &tracker, &grouper, filter_options);

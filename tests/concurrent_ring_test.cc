@@ -17,8 +17,11 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/metrics.h"
-#include "concurrent/cpu_bind.h"
 #include "concurrent/mpsc_ring.h"
 #include "concurrent/ring_queue.h"
 #include "concurrent/spsc_ring.h"
@@ -435,13 +438,23 @@ TEST(RingQueueTest, MpscSoakExactAccounting) {
   EXPECT_EQ(queue.SizeApprox(), 0u);
 }
 
-// --- CpuBind ---------------------------------------------------------------
+// --- SpinPolicy ------------------------------------------------------------
 
-TEST(CpuBindTest, NumCpusAndAllowedCpusAgree) {
-  EXPECT_GE(CpuBind::NumCpus(), 1);
-  const std::vector<int> cpus = CpuBind::AllowedCpus();
-  EXPECT_EQ(static_cast<int>(cpus.size()), CpuBind::NumCpus());
-  EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
+TEST(SpinPolicyTest, ForHostSpinsOnlyWithSeveralAllowedCpus) {
+  int allowed = 0;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) ++allowed;
+  }
+#else
+  allowed = static_cast<int>(std::thread::hardware_concurrency());
+#endif
+  const SpinPolicy policy = SpinPolicy::ForHost();
+  EXPECT_EQ(policy.spins == 0, allowed <= 1) << "allowed CPUs " << allowed;
+  EXPECT_EQ(policy.yields, SpinPolicy{}.yields);
 }
 
 }  // namespace

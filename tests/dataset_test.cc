@@ -67,35 +67,21 @@ TEST(DatasetTest, FilterMinActivityDropsColdVideos) {
   }
 }
 
-TEST(DatasetTest, FixpointCleaningCollapsesCascades) {
+TEST(DatasetTest, OnePassFilterDoesNotCascade) {
   // u1, u2 watch {A, B}; u3 watches {B, C}. Floors: user >= 2, video >= 2.
   // The single pass (users first, then videos) keeps all users, then
   // drops video C (1 action) — leaving u3 with one surviving action,
-  // *below* the user floor, but the pass is over. The fixpoint's next
-  // round evicts u3; {u1, u2} x {A, B} remains stable.
+  // *below* the user floor, but the pass is over (the paper's one-pass
+  // rule, not a fixpoint).
   std::vector<UserAction> actions = {
       Play(1, 100, 10), Play(1, 200, 20), Play(2, 100, 30),
       Play(2, 200, 40), Play(3, 200, 50), Play(3, 300, 60)};
   Dataset data(std::move(actions));
   const Dataset one_pass = data.FilterMinActivity(2, 2);
   EXPECT_EQ(one_pass.size(), 5u);  // u3's video-200 action survives.
-  const Dataset fixpoint = data.FilterMinActivityFixpoint(2, 2);
-  EXPECT_EQ(fixpoint.size(), 4u);  // u3 fully evicted.
-  for (const UserAction& a : fixpoint.actions()) {
-    EXPECT_NE(a.user, 3u);
+  for (const UserAction& a : one_pass.actions()) {
+    EXPECT_NE(a.video, 300u);
   }
-}
-
-TEST(DatasetTest, FixpointEqualsOnePassWhenAlreadyStable) {
-  std::vector<UserAction> actions;
-  for (UserId u = 1; u <= 3; ++u) {
-    for (VideoId v = 1; v <= 3; ++v) {
-      actions.push_back(Play(u, v, static_cast<Timestamp>(u * 10 + v)));
-    }
-  }
-  Dataset data(std::move(actions));
-  EXPECT_EQ(data.FilterMinActivityFixpoint(2, 2).size(),
-            data.FilterMinActivity(2, 2).size());
 }
 
 TEST(DatasetTest, ImpressionsDoNotCountAsActivity) {
@@ -129,15 +115,6 @@ TEST(DatasetTest, EmptyStatsAreZero) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
-TEST(DatasetTest, FilterUsersKeepsOnlyListed) {
-  Dataset data({Play(1, 1, 100), Play(2, 1, 200), Play(3, 1, 300)});
-  const Dataset filtered = data.FilterUsers({1, 3});
-  EXPECT_EQ(filtered.size(), 2u);
-  for (const UserAction& a : filtered.actions()) {
-    EXPECT_NE(a.user, 2u);
-  }
-}
-
 TEST(DatasetTest, FilterGroupUsesGrouper) {
   DemographicGrouper grouper;
   UserProfile profile;
@@ -154,19 +131,6 @@ TEST(DatasetTest, FilterGroupUsesGrouper) {
   const Dataset global = data.FilterGroup(grouper, kGlobalGroup);
   EXPECT_EQ(global.size(), 1u);
   EXPECT_EQ(global.actions()[0].user, 2u);
-}
-
-TEST(DatasetTest, FilterEngagedDropsImpressions) {
-  Dataset data({Play(1, 1, 100), Impress(1, 2, 200)});
-  EXPECT_EQ(data.FilterEngaged(FeedbackConfig{}).size(), 1u);
-}
-
-TEST(DatasetTest, UsersAndVideosSets) {
-  Dataset data({Play(1, 10, 100), Play(2, 10, 200), Impress(3, 30, 300)});
-  EXPECT_EQ(data.Users().size(), 2u);
-  EXPECT_EQ(data.Videos().size(), 1u);
-  EXPECT_TRUE(data.Users().contains(1));
-  EXPECT_FALSE(data.Users().contains(3));  // Impress only.
 }
 
 }  // namespace

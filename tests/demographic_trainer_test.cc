@@ -37,8 +37,8 @@ class DemographicTrainerTest : public ::testing::Test {
     for (UserId u = 11; u <= 15; ++u) grouper_->RegisterProfile(u, female);
     female_group_ = DemographicGrouper::GroupFor(female);
 
-    DemographicTrainer::Options options;
-    options.engine.model.num_factors = 8;
+    RecEngine::Options options;
+    options.model.num_factors = 8;
     trainer_ = std::make_unique<DemographicTrainer>(
         grouper_.get(), [](VideoId) -> VideoType { return 0; }, options);
   }
@@ -160,24 +160,6 @@ TEST_F(DemographicTrainerTest, FallsBackToGlobalWhenGroupEmptyHanded) {
   auto recs = trainer_->Recommend(request);
   ASSERT_TRUE(recs.ok());
   ASSERT_FALSE(recs->empty());
-}
-
-TEST_F(DemographicTrainerTest, TrainGlobalOffSkipsGlobalEngine) {
-  DemographicTrainer::Options options;
-  options.engine.model.num_factors = 8;
-  options.train_global = false;
-  DemographicTrainer trainer(grouper_.get(),
-                             [](VideoId) -> VideoType { return 0; },
-                             options);
-  trainer.Observe(Play(1, 10, 100));
-  EXPECT_EQ(trainer.GetEngine(kGlobalGroup), nullptr);
-  // Unregistered request with no group engine: empty but OK.
-  RecRequest request;
-  request.user = 100;
-  request.now = 200;
-  auto recs = trainer.Recommend(request);
-  ASSERT_TRUE(recs.ok());
-  EXPECT_TRUE(recs->empty());
 }
 
 }  // namespace

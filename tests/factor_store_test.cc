@@ -310,14 +310,15 @@ TEST(FactorStoreTest, GlobalMeanNeverTearsUnderConcurrentWrites) {
   EXPECT_GE(store.RatingCount(), 1u);
 }
 
-TEST(FactorStoreTest, ForEachVideoVisitsAll) {
+TEST(FactorStoreTest, ForEachVideoPackedVisitsAll) {
   FactorStore store(SmallOptions());
   for (VideoId v = 1; v <= 20; ++v) store.GetOrInitVideo(v);
   std::size_t visited = 0;
-  store.ForEachVideo([&visited](VideoId, const FactorEntry& e) {
-    EXPECT_EQ(e.vec.size(), 8u);
-    ++visited;
-  });
+  store.ForEachVideoPacked(
+      [&visited](VideoId, const FactorStore::PackedView& view) {
+        EXPECT_EQ(view.size, 8u * sizeof(float));  // float32 payload.
+        ++visited;
+      });
   EXPECT_EQ(visited, 20u);
 }
 

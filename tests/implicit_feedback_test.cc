@@ -191,12 +191,5 @@ TEST(ActionTypeStringsTest, RoundTrip) {
   EXPECT_FALSE(ActionTypeFromString("bogus").ok());
 }
 
-TEST(ActionToStringTest, ContainsFields) {
-  const std::string s = ActionToString(Action(ActionType::kPlayTime, 0.82));
-  EXPECT_NE(s.find("u=1"), std::string::npos);
-  EXPECT_NE(s.find("v=2"), std::string::npos);
-  EXPECT_NE(s.find("play_time"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rtrec

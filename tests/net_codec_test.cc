@@ -86,14 +86,14 @@ TEST(NetCodecTest, RecommendResponseRoundtrip) {
   std::vector<ScoredVideo> results = {
       {.video = 10, .score = 0.5}, {.video = 11, .score = -2.25}};
   auto decoded =
-      DecodeRecommendResponse(DecodeOne(EncodeRecommendResponse(4, results)));
+      DecodeRecommendReply(DecodeOne(EncodeRecommendResponse(4, results)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, results);
+  EXPECT_EQ(decoded->videos, results);
 
-  auto empty = DecodeRecommendResponse(
-      DecodeOne(EncodeRecommendResponse(5, {})));
+  auto empty =
+      DecodeRecommendReply(DecodeOne(EncodeRecommendResponse(5, {})));
   ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  EXPECT_TRUE(empty->videos.empty());
 }
 
 TEST(NetCodecTest, RecommendResponseDegradedFlagRoundtrip) {
@@ -110,12 +110,7 @@ TEST(NetCodecTest, RecommendResponseDegradedFlagRoundtrip) {
   ASSERT_TRUE(normal.ok());
   EXPECT_FALSE(normal->degraded());
   EXPECT_EQ(normal->flags, 0);
-
-  // The flag-discarding legacy decode still sees the same videos.
-  auto videos = DecodeRecommendResponse(DecodeOne(
-      EncodeRecommendResponse(6, results, kRecommendFlagDegraded)));
-  ASSERT_TRUE(videos.ok());
-  EXPECT_EQ(*videos, results);
+  EXPECT_EQ(normal->videos, results);
 }
 
 TEST(NetCodecTest, RecommendResponseUnknownFlagBitsTolerated) {
@@ -232,7 +227,7 @@ TEST(NetCodecTest, GarbagePayloadYieldsTypedErrors) {
   EXPECT_TRUE(DecodeRegisterProfileRequest(frame).status().IsInvalidArgument());
 
   frame.type = MessageType::kRecommendResponse;
-  EXPECT_TRUE(DecodeRecommendResponse(frame).status().IsInvalidArgument());
+  EXPECT_TRUE(DecodeRecommendReply(frame).status().IsInvalidArgument());
 
   frame.type = MessageType::kErrorResponse;
   EXPECT_TRUE(DecodeErrorResponse(frame).status().IsInvalidArgument());

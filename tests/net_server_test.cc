@@ -196,8 +196,10 @@ TEST(RecServerTest, AdmissionControlShedsWithTypedOverloaded) {
   RecServer::Options options;
   options.max_in_flight = 1;
   options.num_workers = 4;
-  options.handler_delay_for_test_ms = 3;  // Hold the slot measurably long.
   LiveServer live(options);
+  FaultGuard guard;
+  // Hold the slot measurably long inside each admitted Recommend.
+  FaultInjector::Instance().Arm("service.recommend", FaultSpec::Latency(3));
 
   constexpr int kClients = 4;
   constexpr int kCallsPerClient = 30;
@@ -231,6 +233,7 @@ TEST(RecServerTest, AdmissionControlShedsWithTypedOverloaded) {
   EXPECT_EQ(live.metrics.GetCounter("net.server.requests.shed")->value(),
             shed_count.load());
   EXPECT_EQ(ok_count.load() + shed_count.load(), kClients * kCallsPerClient);
+  EXPECT_GT(FaultInjector::Instance().InjectedCount("service.recommend"), 0u);
 }
 
 TEST(RecServerTest, TruncatedFrameGetsTypedErrorAndDisconnect) {
@@ -645,9 +648,10 @@ TEST(RecServerTest, StatsRpcReturnsWellFormedPrometheusText) {
 TEST(RecServerTest, StatsRpcBypassesAdmissionControl) {
   RecServer::Options options;
   options.max_in_flight = 1;
-  options.handler_delay_for_test_ms = 200;
   options.num_workers = 2;
   LiveServer live(options);
+  FaultGuard guard;
+  FaultInjector::Instance().Arm("service.recommend", FaultSpec::Latency(200));
 
   // Saturate the single in-flight slot with a slow Recommend...
   std::thread slow([&] {
@@ -663,6 +667,7 @@ TEST(RecServerTest, StatsRpcBypassesAdmissionControl) {
   StatusOr<std::string> stats = client.Stats();
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   slow.join();
+  EXPECT_GT(FaultInjector::Instance().InjectedCount("service.recommend"), 0u);
 }
 
 TEST(RecServerTest, StatsRpcRoundTripsPayloadLargerThanSocketBuffer) {
@@ -1414,13 +1419,15 @@ TEST(TracePropagationTest, TailCaptureKeepsSlowRequestsServerSide) {
   RecServer::Options options;
   options.spans = &spans;
   options.trace_slow_us = 1;  // Everything is "slow": capture all.
-  options.handler_delay_for_test_ms = 2;
   LiveServer live(options);
+  FaultGuard guard;
+  FaultInjector::Instance().Arm("service.recommend", FaultSpec::Latency(2));
   RecClient client(live.ClientOptions());
   RecRequest request;
   request.user = 1;
   request.top_n = 3;
   ASSERT_TRUE(client.Recommend(request).ok());
+  EXPECT_GT(FaultInjector::Instance().InjectedCount("service.recommend"), 0u);
 
   spans.Flush();
   const auto stats = spans.GetStats();

@@ -339,6 +339,20 @@ TEST(QualityMonitorTest, WatchdogFiresStalenessAndCoverageAlerts) {
   EXPECT_NEAR(Gauge(metrics, "quality.drift.served_coverage"), 0.25, 1e-12);
 }
 
+TEST(QualityMonitorTest, StalenessNeverReadsNegative) {
+  MetricsRegistry metrics;
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
+  auto* staleness = metrics.GetGauge("quality.drift.sim_staleness_ms");
+
+  monitor.OnMfSample(Sample(1, ActionType::kClick, 0.0, 1.0, 1000));
+  // A serve whose clock is behind the newest trained action is fresh.
+  monitor.OnServed(1, Page({10}), false, 500);
+  EXPECT_EQ(staleness->value(), 0);
+  monitor.OnServed(1, Page({10}), false, 1500);
+  EXPECT_EQ(staleness->value(), 500);
+  EXPECT_EQ(Count(metrics, "quality.alerts.staleness"), 0);
+}
+
 TEST(QualityMonitorTest, WatchdogFiresLabelShiftOnEngagementRateJump) {
   MetricsRegistry metrics;
   QualityMonitor::Options options;

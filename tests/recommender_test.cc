@@ -92,7 +92,7 @@ TEST_F(MfRecommenderTest, RelatedVideosFromExplicitSeed) {
 TEST_F(MfRecommenderTest, GuessYouLikeUsesHistorySeeds) {
   TrainCliques();
   // User 1 has history; no explicit seeds ("guess you like", Fig. 6a).
-  // With the default (exclude_watched off), clique favourites resurface.
+  // History is never excluded, so clique favourites resurface.
   RecRequest request;
   request.user = 1;
   request.now = now_;
@@ -114,32 +114,6 @@ TEST_F(MfRecommenderTest, ExplicitSeedNeverRecommendedBack) {
   ASSERT_TRUE(recs.ok());
   for (const auto& r : *recs) {
     EXPECT_NE(r.video, 10u);
-  }
-}
-
-TEST_F(MfRecommenderTest, WatchedVideosExcludedWhenConfigured) {
-  RecEngine::Options options = SmallEngineOptions();
-  options.recommend.exclude_watched = true;
-  RecEngine engine(TwoTypes(), options);
-  Timestamp t = 1000;
-  for (int round = 0; round < 20; ++round) {
-    for (UserId u = 1; u <= 8; ++u) {
-      for (VideoId v : {10, 12, 14}) {
-        engine.Observe(Play(u, v, t));
-        t += 1000;
-      }
-    }
-  }
-  RecRequest request;
-  request.user = 1;
-  request.seed_videos = {10};
-  request.now = t;
-  auto recs = engine.Recommend(request);
-  ASSERT_TRUE(recs.ok());
-  for (const auto& r : *recs) {
-    EXPECT_NE(r.video, 10u);
-    EXPECT_NE(r.video, 12u);  // Watched by user 1.
-    EXPECT_NE(r.video, 14u);
   }
 }
 

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <thread>
 
+#include "demographic/group_checkpoint.h"
+
 namespace rtrec {
 namespace {
 
@@ -76,18 +78,6 @@ TEST(RecommendationServiceTest, WarmUserGetsPersonalizedResults) {
   ASSERT_TRUE(recs.ok());
   ASSERT_FALSE(recs->empty());
   EXPECT_EQ((*recs)[0].video, 11u);  // Group co-watch wins the top slot.
-}
-
-TEST(RecommendationServiceTest, GlobalModeSkipsPerGroupTraining) {
-  RecommendationService::Options options = FastOptions();
-  options.demographic_training = false;
-  RecommendationService service(OneType(), options);
-  EXPECT_EQ(service.trainer(), nullptr);
-  service.Observe(Play(1, 10, 100));
-  RecRequest request;
-  request.user = 1;
-  request.now = 200;
-  EXPECT_TRUE(service.Recommend(request).ok());
 }
 
 TEST(RecommendationServiceTest, MetricsCountTraffic) {
@@ -177,7 +167,6 @@ TEST(RecommendationServiceTest, CheckpointRestoreRoundTrip) {
   restored.RegisterProfile(1, MaleYoung());  // Profiles re-registered.
   ASSERT_TRUE(restored.Restore(dir).ok());
 
-  ASSERT_NE(restored.trainer(), nullptr);
   EXPECT_EQ(restored.trainer()->ActiveGroups().size(), 1u);
   RecEngine* group_engine = restored.trainer()->GetEngine(
       DemographicGrouper::GroupFor(MaleYoung()));
@@ -190,30 +179,32 @@ TEST(RecommendationServiceTest, CheckpointRestoreRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RecommendationServiceTest, GlobalModeCheckpointRoundTrip) {
+TEST(RecommendationServiceTest, GlobalOnlySnapshotRestoresIntoGlobalEngine) {
+  // A snapshot whose manifest lists only the global group (the layout
+  // any single-engine writer produces) restores into the trainer's
+  // global engine and materializes no group engine.
   const std::string dir =
       "/tmp/rtrec_service_gckpt_" + std::to_string(::getpid());
-  RecommendationService::Options options = FastOptions();
-  options.demographic_training = false;
-  RecommendationService original(OneType(), options);
+  RecEngine engine(OneType(), FastOptions().engine);
   for (int i = 0; i < 30; ++i) {
-    original.Observe(Play(1 + i % 3, 1 + i % 5, i * 100));
+    engine.Observe(Play(1 + i % 3, 1 + i % 5, i * 100));
   }
-  ASSERT_TRUE(original.Checkpoint(dir).ok());
-  RecommendationService restored(OneType(), options);
+  ASSERT_TRUE(SaveGroupCheckpoint(dir, {{kGlobalGroup, &engine}}).ok());
+
+  RecommendationService restored(OneType(), FastOptions());
   ASSERT_TRUE(restored.Restore(dir).ok());
+  EXPECT_TRUE(restored.trainer()->ActiveGroups().empty());
+  RecEngine* global = restored.trainer()->GetEngine(kGlobalGroup);
+  ASSERT_NE(global, nullptr);
+  EXPECT_EQ(global->factors().NumVideos(), engine.factors().NumVideos());
+  EXPECT_TRUE(global->factors().GetVideo(3).ok());
   std::filesystem::remove_all(dir);
 }
 
 TEST(RecommendationServiceTest, RestoreFromMissingDirectoryIsNotFound) {
   // examples/serve starts fresh on NotFound and exits on any other error.
-  for (const bool demographic : {true, false}) {
-    RecommendationService::Options options = FastOptions();
-    options.demographic_training = demographic;
-    RecommendationService service(OneType(), options);
-    EXPECT_TRUE(service.Restore("/nonexistent/rtrec_ckpts").IsNotFound())
-        << "demographic_training=" << demographic;
-  }
+  RecommendationService service(OneType(), FastOptions());
+  EXPECT_TRUE(service.Restore("/nonexistent/rtrec_ckpts").IsNotFound());
 }
 
 TEST(RecommendationServiceTest, FallbackExcludesRequestSeeds) {
@@ -230,22 +221,6 @@ TEST(RecommendationServiceTest, FallbackExcludesRequestSeeds) {
   std::vector<ScoredVideo> recs = service.FallbackRecommend(request);
   ASSERT_FALSE(recs.empty());
   EXPECT_EQ(recs[0].video, 101u);
-}
-
-TEST(RecommendationServiceTest, FallbackExcludesWatchedWhenConfigured) {
-  RecommendationService::Options options = FastOptions();
-  options.engine.recommend.exclude_watched = true;
-  RecommendationService service(OneType(), options);
-  for (UserId u = 1; u <= 5; ++u) service.Observe(Play(u, 100, 1000));
-  for (UserId u = 1; u <= 3; ++u) service.Observe(Play(u, 101, 2000));
-  service.Observe(Play(7, 100, 2500));  // User 7 already watched 100.
-  RecRequest request;
-  request.user = 7;
-  request.top_n = 2;
-  request.now = 3000;
-  std::vector<ScoredVideo> recs = service.FallbackRecommend(request);
-  ASSERT_FALSE(recs.empty());
-  for (const auto& r : recs) EXPECT_NE(r.video, 100u);
 }
 
 TEST(RecommendationServiceTest, FallbackStillFullWhenSeedsOverlapHotList) {
@@ -271,7 +246,6 @@ TEST(RecommendationServiceTest, ProfilesRouteToGroupEngines) {
   service.RegisterProfile(1, MaleYoung());
   service.Observe(Play(1, 10, 100));   // Male group engine.
   service.Observe(Play(99, 20, 100));  // Unregistered -> global only.
-  ASSERT_NE(service.trainer(), nullptr);
   EXPECT_EQ(service.trainer()->ActiveGroups().size(), 1u);
 }
 
