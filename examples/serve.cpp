@@ -10,7 +10,7 @@
 //             [--native-histograms]
 //             [--quality-holdout-every-n=N] [--quality-arms=N]
 //             [--host=ADDR] [--cluster-manifest=FILE] [--shard-id=I]
-//             [--num-shards=N] [--shm=NAME] [--shm-slots=N]
+//             [--num-shards=N]
 //
 // Defaults: port 7471, 4 workers, no checkpointing, no deadline, no
 // stats endpoint, trace sampling 1-in-64, quality holdout 1-in-100,
@@ -30,13 +30,6 @@
 //    the first action);
 //  - export cluster.shard_id / cluster.num_shards gauges so scrapes
 //    identify the shard.
-//
-// With --shm=NAME the server additionally serves the same-host
-// shared-memory transport (docs/WIRE_PROTOCOL.md §9): clients on this
-// machine connect with host "rec://shm/NAME" instead of TCP and skip
-// the socket stack entirely. --shm-slots bounds concurrent shm client
-// attachments. TCP stays on regardless — shm is an extra front door,
-// not a replacement.
 //
 // With --stats-port the server also exposes its metrics registry over
 // plain HTTP in Prometheus text format (curl http://127.0.0.1:N/metrics
@@ -96,7 +89,6 @@
 #include "common/trace.h"
 #include "obs/span_collector.h"
 #include "net/rec_server.h"
-#include "net/shm_transport.h"
 #include "net/stats_server.h"
 #include "service/checkpointer.h"
 #include "service/recommendation_service.h"
@@ -144,8 +136,6 @@ int main(int argc, char** argv) {
   std::string manifest_path;
   int shard_id = -1;    // -1 = standalone.
   int num_shards = 0;   // 0 = derive (manifest size, or 1).
-  std::string shm_address;  // Empty = TCP only.
-  int shm_slots = 8;
 
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
@@ -178,10 +168,6 @@ int main(int argc, char** argv) {
       shard_id = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "--num-shards", &value)) {
       num_shards = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--shm", &value)) {
-      shm_address = value;
-    } else if (ParseFlag(argv[i], "--shm-slots", &value)) {
-      shm_slots = std::atoi(value.c_str());
     } else {
       positional.push_back(argv[i]);
     }
@@ -323,32 +309,12 @@ int main(int argc, char** argv) {
   options.tracer = &tracer;
   options.spans = &spans;
   options.trace_slow_us = trace_slow_us;
-  if (!shm_address.empty()) {
-    // Accept the client-side spelling ("rec://shm/NAME") or a bare NAME.
-    auto parsed = rtrec::ParseShmAddress(shm_address);
-    if (!parsed.has_value()) parsed = rtrec::ParseShmAddress("shm:" + shm_address);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "--shm=%s is not a valid shm name\n",
-                   shm_address.c_str());
-      return 1;
-    }
-    options.shm_name = *parsed;
-    options.shm_slot_count =
-        shm_slots < 1 ? 1u : static_cast<std::uint32_t>(shm_slots);
-  }
   rtrec::RecServer server(&service, options);
   rtrec::Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "failed to start: %s\n",
                  started.ToString().c_str());
     return 1;
-  }
-  if (!options.shm_name.empty()) {
-    // "/rtrec.NAME" -> the client-side "rec://shm/NAME" spelling.
-    const std::string bare =
-        options.shm_name.substr(std::strlen("/rtrec."));
-    std::printf("shm transport on %s (connect with rec://shm/%s)\n",
-                options.shm_name.c_str(), bare.c_str());
   }
   if (sharded) {
     // Scrapes must identify the shard — the merged cluster scrape and

@@ -1,10 +1,8 @@
 #include "common/fault_injection.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/random.h"
 
@@ -55,12 +53,6 @@ FaultSpec FaultSpec::Latency(int ms) {
   FaultSpec spec;
   spec.action = Action::kLatency;
   spec.latency_ms = ms;
-  return spec;
-}
-
-FaultSpec FaultSpec::Abort() {
-  FaultSpec spec;
-  spec.action = Action::kAbort;
   return spec;
 }
 
@@ -142,9 +134,6 @@ Status FaultInjector::Fire(std::string_view point, PointState& state) {
     case FaultSpec::Action::kLatency:
       std::this_thread::sleep_for(std::chrono::milliseconds(spec.latency_ms));
       return Status::OK();
-    case FaultSpec::Action::kAbort:
-      RTREC_LOG(kError) << "fault point " << point << " aborting process";
-      std::abort();
   }
   return Status::OK();  // Unreachable; silences -Wreturn-type.
 }

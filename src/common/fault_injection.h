@@ -25,7 +25,6 @@ struct FaultSpec {
   enum class Action {
     kError,    ///< Hit() returns `Status(error_code, error_message)`.
     kLatency,  ///< Hit() sleeps `latency_ms` then returns OK.
-    kAbort,    ///< Hit() calls std::abort() — simulates a hard crash.
   };
 
   Action action = Action::kError;
@@ -41,7 +40,6 @@ struct FaultSpec {
   ///       FaultSpec::Error(StatusCode::kUnavailable).WithProbability(0.01));
   static FaultSpec Error(StatusCode code = StatusCode::kUnavailable);
   static FaultSpec Latency(int ms);
-  static FaultSpec Abort();
 
   FaultSpec& WithProbability(double p) {
     probability = p;
@@ -98,9 +96,9 @@ class FaultInjector {
   }
 
   /// Evaluates the named point: returns a non-OK Status iff an armed
-  /// kError fault fired. kLatency sleeps; kAbort never returns. Callers
-  /// should go through RTREC_FAULT_POINT, which short-circuits via
-  /// AnyArmed().
+  /// kError fault fired; a kLatency fault sleeps, then returns OK.
+  /// Callers should go through RTREC_FAULT_POINT, which short-circuits
+  /// via AnyArmed().
   Status Hit(std::string_view point);
 
   /// Times the named point's fault has fired since it was last armed.

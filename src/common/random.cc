@@ -1,5 +1,6 @@
 #include "common/random.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "common/types.h"

@@ -1,7 +1,6 @@
 #ifndef RTREC_COMMON_RANDOM_H_
 #define RTREC_COMMON_RANDOM_H_
 
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -47,13 +46,6 @@ class Rng {
       std::size_t j = static_cast<std::size_t>(NextUint64(i));
       std::swap(v[i - 1], v[j]);
     }
-  }
-
-  /// Picks one element uniformly. Requires non-empty input.
-  template <typename T>
-  const T& Pick(const std::vector<T>& v) {
-    assert(!v.empty());
-    return v[static_cast<std::size_t>(NextUint64(v.size()))];
   }
 
  private:

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -37,25 +36,6 @@ std::uint64_t JitterMillis(std::int64_t bound_ms) {
                        (seed_counter.fetch_add(1, std::memory_order_relaxed) +
                         1));
   return rng.NextUint64(static_cast<std::uint64_t>(bound_ms) + 1);
-}
-
-/// The items of a BatchRecommend reply, or the status that fails every
-/// item of the chunk: a transport error, a typed error frame, or an
-/// undecodable or unexpected reply.
-StatusOr<std::vector<BatchRecommendItem>> BatchItemsOf(
-    const StatusOr<Frame>& frame) {
-  if (!frame.ok()) return frame.status();
-  if (frame->type == MessageType::kBatchRecommendResponse) {
-    return DecodeBatchRecommendResponse(*frame);
-  }
-  if (frame->type == MessageType::kErrorResponse) {
-    auto error = DecodeErrorResponse(*frame);
-    if (!error.ok()) return error.status();
-    return WireErrorToStatus(*error);
-  }
-  return Status::Internal(
-      StringPrintf("unexpected response %s to batch recommend",
-                   MessageTypeToString(frame->type)));
 }
 
 }  // namespace
@@ -165,24 +145,13 @@ Status RecClient::EnsureConnectedLocked(std::unique_lock<std::mutex>& lock,
 Status RecClient::OpenTransportLocked(int timeout_ms) {
   const std::int64_t deadline_ms =
       SteadyMillis() + std::max(1, timeout_ms);
-  std::optional<std::string> shm_name = ParseShmAddress(options_.host);
-  if (shm_name.has_value()) {
-    ShmClient::Options shm_options;
-    shm_options.max_frame_bytes = options_.max_frame_bytes;
-    shm_options.metrics = options_.metrics;
-    auto attached = ShmClient::Attach(*shm_name, shm_options);
-    if (!attached.ok()) return attached.status();
-    shm_ = std::move(*attached);
-  } else {
-    auto fd = ConnectTcp(options_.host, options_.port, timeout_ms);
-    if (!fd.ok()) return fd.status();
-    fd_ = std::move(*fd);
-  }
+  auto fd = ConnectTcp(options_.host, options_.port, timeout_ms);
+  if (!fd.ok()) return fd.status();
+  fd_ = std::move(*fd);
   decoder_ = FrameDecoder(options_.max_frame_bytes);
   Status handshake = HandshakeLocked(deadline_ms);
   if (!handshake.ok()) {
     fd_.Reset();
-    shm_.reset();
     return handshake;
   }
   ++conn_epoch_;
@@ -231,17 +200,12 @@ void RecClient::CleanupBrokenLocked(std::unique_lock<std::mutex>& lock) {
     cleanup_in_progress_ = true;
     reader_stop_.store(true, std::memory_order_release);
     // Wake the reader out of its poll so the join below is prompt.
-    if (shm_ != nullptr) {
-      shm_->ShutdownRead();
-    } else if (fd_.valid()) {
-      ::shutdown(fd_.get(), SHUT_RDWR);
-    }
+    if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
     std::thread dead = std::move(reader_);
     lock.unlock();  // Never join while holding mu_ — the reader takes it.
     if (dead.joinable()) dead.join();
     lock.lock();
     fd_.Reset();
-    shm_.reset();
     decoder_ = FrameDecoder(options_.max_frame_bytes);
     for (auto& [id, waiter] : pending_) {
       waiter->result = Status::Unavailable("connection closed");
@@ -263,17 +227,13 @@ void RecClient::FailPendingLocked(const Status& status) {
   pending_.clear();
   if (state_ == ConnState::kUp) state_ = ConnState::kBroken;
   reader_stop_.store(true, std::memory_order_release);
-  if (shm_ != nullptr) {
-    shm_->ShutdownRead();
-  } else if (fd_.valid()) {
-    ::shutdown(fd_.get(), SHUT_RDWR);
-  }
+  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
   cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------
 // Reader: one background thread per live connection. It owns the
-// receive side of the transport (decoder_/fd_/shm_ reads) and touches
+// receive side of the socket (decoder_/fd_ reads) and touches
 // shared state only through mu_-guarded completion calls.
 
 void RecClient::ReaderLoop(std::uint64_t epoch) {
@@ -290,7 +250,6 @@ void RecClient::ReaderLoop(std::uint64_t epoch) {
 }
 
 StatusOr<Frame> RecClient::ReadPoll(int timeout_ms) {
-  if (shm_ != nullptr) return shm_->NextFrame(SteadyMillis() + timeout_ms);
   StatusOr<Frame> frame = decoder_.Next();
   if (frame.ok() || !frame.status().IsNotFound()) return frame;
   Status ready = WaitReady(fd_.get(), /*for_read=*/true, timeout_ms);
@@ -419,7 +378,6 @@ StatusOr<Frame> RecClient::CallOnce(const EncodeFn& encode,
 
 Status RecClient::SendLocked(const std::string& bytes,
                              std::int64_t deadline_ms) {
-  if (shm_ != nullptr) return shm_->Send(bytes, deadline_ms);
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const std::int64_t remaining = deadline_ms - SteadyMillis();
@@ -503,46 +461,6 @@ StatusOr<RecommendReply> RecClient::RecommendDetailed(
   }
   return Status::Internal(StringPrintf("unexpected response %s to recommend",
                                        MessageTypeToString(frame->type)));
-}
-
-StatusOr<std::vector<RecClient::BatchItem>> RecClient::RecommendBatch(
-    const std::vector<RecRequest>& requests) {
-  std::vector<BatchItem> out(requests.size());
-  if (requests.empty()) return out;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    RTREC_RETURN_IF_ERROR(
-        EnsureConnectedLocked(lock, options_.connect_timeout_ms));
-  }
-  for (std::size_t pos = 0; pos < requests.size();
-       pos += kMaxBatchedRequests) {
-    const std::size_t chunk_len =
-        std::min(kMaxBatchedRequests, requests.size() - pos);
-    const std::vector<RecRequest> chunk(
-        requests.begin() + static_cast<std::ptrdiff_t>(pos),
-        requests.begin() + static_cast<std::ptrdiff_t>(pos + chunk_len));
-    StatusOr<std::vector<BatchRecommendItem>> items =
-        BatchItemsOf(Call([&chunk](std::uint64_t id) {
-          return EncodeBatchRecommendRequest(id, chunk);
-        }));
-    for (std::size_t i = 0; i < chunk_len; ++i) {
-      BatchItem& slot = out[pos + i];
-      if (!items.ok()) {
-        slot.status = items.status();
-      } else if (i >= items->size()) {
-        slot.status =
-            Status::Internal("batch response shorter than the request batch");
-      } else if ((*items)[i].ok()) {
-        slot.reply = std::move((*items)[i].reply);
-      } else {
-        WireErrorInfo info;
-        info.code = static_cast<WireError>((*items)[i].error);
-        info.message = "batched recommend item failed";
-        slot.status = WireErrorToStatus(info);
-      }
-    }
-  }
-  return out;
 }
 
 Status RecClient::Observe(const UserAction& action) {

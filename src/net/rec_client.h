@@ -14,15 +14,12 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "net/shm_transport.h"
 #include "net/socket.h"
 #include "net/wire.h"
 
 namespace rtrec {
 
-/// Client for the rtrec wire protocol over TCP or the same-host
-/// shared-memory transport (Options::host accepts "rec://shm/NAME",
-/// "shm:NAME", or a TCP hostname — see net/shm_transport.h).
+/// Client for the rtrec wire protocol over TCP.
 ///
 /// Each connection sends a Hello at connect to negotiate trace
 /// propagation (docs/WIRE_PROTOCOL.md §5); a Hello error fails the
@@ -54,8 +51,6 @@ namespace rtrec {
 class RecClient {
  public:
   struct Options {
-    /// TCP hostname, or an shm address ("rec://shm/NAME" / "shm:NAME");
-    /// port is ignored for shm.
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
     int connect_timeout_ms = 1'000;
@@ -77,13 +72,6 @@ class RecClient {
     /// Counter sink for "client.retries" / "client.stale_responses";
     /// null disables.
     MetricsRegistry* metrics = nullptr;
-  };
-
-  /// Per-request result of RecommendBatch: the reply is meaningful only
-  /// when status is OK.
-  struct BatchItem {
-    Status status;
-    RecommendReply reply;
   };
 
   explicit RecClient(Options options);
@@ -143,13 +131,6 @@ class RecClient {
   /// flag, so callers can tell a fallback answer from an engine answer.
   StatusOr<RecommendReply> RecommendDetailed(const RecRequest& request);
 
-  /// Many Recommends in one round trip (BatchRecommend, §7). Chunks of
-  /// kMaxBatchedRequests per frame; per-item success/failure in the
-  /// returned vector (index-aligned with `requests`). A non-OK return
-  /// means the whole batch failed (e.g. could not connect).
-  StatusOr<std::vector<BatchItem>> RecommendBatch(
-      const std::vector<RecRequest>& requests);
-
   /// Remote RecommendationService::Observe. Acknowledged (the server
   /// replies after applying), so a returned OK means the action landed.
   Status Observe(const UserAction& action);
@@ -196,7 +177,7 @@ class RecClient {
   StatusOr<Frame> Call(const EncodeFn& encode);
   StatusOr<Frame> CallOnce(const EncodeFn& encode, int connect_timeout_ms,
                            int request_timeout_ms);
-  /// Blocking raw-byte send on the live transport. Caller holds mu_.
+  /// Blocking raw-byte send on the live socket. Caller holds mu_.
   Status SendLocked(const std::string& bytes, std::int64_t deadline_ms);
   /// Blocking raw frame read; only legal while the reader is not
   /// running (handshake). Caller holds mu_.
@@ -214,9 +195,8 @@ class RecClient {
   std::condition_variable cv_;
   ConnState state_ = ConnState::kDown;
   bool cleanup_in_progress_ = false;
-  UniqueFd fd_;                      // TCP transport (exclusive with shm_)
-  std::unique_ptr<ShmClient> shm_;   // shm transport
-  FrameDecoder decoder_;             // TCP reader/handshake only
+  UniqueFd fd_;
+  FrameDecoder decoder_;             // Reader/handshake only
   std::thread reader_;
   std::atomic<bool> reader_stop_{false};
   std::uint64_t conn_epoch_ = 0;     // bumped per successful connect

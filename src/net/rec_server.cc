@@ -17,7 +17,6 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "net/shm_transport.h"
 #include "obs/span_collector.h"
 
 namespace rtrec {
@@ -154,7 +153,6 @@ class RecServer::Worker {
       }
       auto conn = std::make_unique<Connection>(
           fd, server_->options_.max_frame_bytes);
-      conn->ctx.rpc_latency = &server_->tcp_latency_;
       conn->last_active_ms = SteadyMillis();
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -164,7 +162,7 @@ class RecServer::Worker {
         continue;  // UniqueFd closes the socket.
       }
       conns_.emplace(fd, std::move(conn));
-      server_->metrics_->GetGauge("net.server.connections.active")->Add(1);
+      server_->active_connections_->Add(1);
     }
   }
 
@@ -216,9 +214,8 @@ class RecServer::Worker {
         // Structurally corrupt stream: framing is lost, so answer once
         // (request id unknowable -> 0) and drop the connection.
         server_->protocol_errors_->Increment();
-        QueueResponse(conn,
-                      EncodeErrorResponse(0, WireError::kMalformedFrame,
-                                          frame.status().message()));
+        conn->outq.push_back(EncodeErrorResponse(
+            0, WireError::kMalformedFrame, frame.status().message()));
         conn->close_after_flush = true;
       }
     }
@@ -226,15 +223,8 @@ class RecServer::Worker {
   }
 
   void HandleFrame(Connection* conn, const Frame& frame) {
-    server_->DispatchFrame(frame, &conn->ctx,
-                           [this, conn](std::string&& bytes) {
-                             QueueResponse(conn, std::move(bytes));
-                           });
+    server_->DispatchFrame(frame, &conn->ctx, &conn->outq);
     if (conn->ctx.close_connection) conn->close_after_flush = true;
-  }
-
-  void QueueResponse(Connection* conn, std::string bytes) {
-    conn->outq.push_back(std::move(bytes));
   }
 
   /// Writes as much buffered output as the socket accepts, gathering up
@@ -293,7 +283,7 @@ class RecServer::Worker {
     if (it == conns_.end()) return;
     epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
     conns_.erase(it);  // UniqueFd closes the socket.
-    server_->metrics_->GetGauge("net.server.connections.active")->Add(-1);
+    server_->active_connections_->Add(-1);
   }
 
   void SweepIdle() {
@@ -308,8 +298,7 @@ class RecServer::Worker {
       if (now - conn->last_active_ms > timeout_ms) idle.push_back(fd);
     }
     for (int fd : idle) {
-      server_->metrics_->GetCounter("net.server.connections.idle_closed")
-          ->Increment();
+      server_->idle_closed_->Increment();
       CloseConnection(fd);
     }
   }
@@ -329,27 +318,6 @@ class RecServer::Worker {
 // ---------------------------------------------------------------------------
 // RecServer.
 
-namespace {
-
-/// Resolves "<transport>.<rpc>.latency_us" for every RPC the server
-/// times.
-RecServer::RpcLatency ResolveRpcLatency(MetricsRegistry* metrics,
-                                        const std::string& transport) {
-  const auto histogram = [&](const char* rpc) {
-    return metrics->GetHistogram(transport + "." + rpc + ".latency_us");
-  };
-  RecServer::RpcLatency latency;
-  latency.ping = histogram("ping");
-  latency.stats = histogram("stats");
-  latency.recommend = histogram("recommend");
-  latency.batch_recommend = histogram("batch_recommend");
-  latency.observe = histogram("observe");
-  latency.register_profile = histogram("register_profile");
-  return latency;
-}
-
-}  // namespace
-
 RecServer::RecServer(RecommendationService* service, Options options)
     : service_(service), options_(std::move(options)) {
   if (options_.metrics != nullptr) {
@@ -361,20 +329,30 @@ RecServer::RecServer(RecommendationService* service, Options options)
   requests_ = metrics_->GetCounter("net.server.requests");
   hellos_ = metrics_->GetCounter("net.v2.hellos");
   protocol_errors_ = metrics_->GetCounter("net.server.protocol_errors");
-  batched_requests_ = metrics_->GetCounter("net.v2.batched_requests");
+  shed_ = metrics_->GetCounter("net.server.requests.shed");
+  deadline_breaches_ = metrics_->GetCounter("net.server.deadline_breaches");
+  degraded_responses_ = metrics_->GetCounter("server.degraded_responses");
+  stats_scrapes_ = metrics_->GetCounter("net.server.stats_scrapes");
+  breaker_trips_ = metrics_->GetCounter("net.server.breaker_trips");
+  accepted_ = metrics_->GetCounter("net.server.connections.accepted");
+  idle_closed_ = metrics_->GetCounter("net.server.connections.idle_closed");
+  active_connections_ = metrics_->GetGauge("net.server.connections.active");
   bytes_in_ = metrics_->GetCounter("net.server.bytes.in");
   bytes_out_ = metrics_->GetCounter("net.server.bytes.out");
   pipelined_inflight_ = metrics_->GetGauge("net.server.pipelined_inflight");
-  tcp_latency_ = ResolveRpcLatency(metrics_, "net.server.rpc");
-  if (!options_.shm_name.empty()) {
-    shm_latency_ = ResolveRpcLatency(metrics_, "shm.rpc");
-  }
+  ping_latency_ = metrics_->GetHistogram("net.server.rpc.ping.latency_us");
+  stats_latency_ = metrics_->GetHistogram("net.server.rpc.stats.latency_us");
+  recommend_latency_ =
+      metrics_->GetHistogram("net.server.rpc.recommend.latency_us");
+  observe_latency_ =
+      metrics_->GetHistogram("net.server.rpc.observe.latency_us");
+  register_profile_latency_ =
+      metrics_->GetHistogram("net.server.rpc.register_profile.latency_us");
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_in_flight < 1) options_.max_in_flight = 1;
   if (options_.spans != nullptr) {
     obs::SpanCollector* spans = options_.spans;
     span_names_.rpc_recommend = spans->InternName("rpc.recommend");
-    span_names_.rpc_batch = spans->InternName("rpc.batch_recommend");
     span_names_.rpc_observe = spans->InternName("rpc.observe");
     span_names_.rpc_register = spans->InternName("rpc.register_profile");
     span_names_.decode = spans->InternName("decode");
@@ -384,7 +362,7 @@ RecServer::RecServer(RecommendationService* service, Options options)
 }
 
 void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
-                              const SendFn& send) {
+                              std::deque<std::string>* out) {
   // Hello is connection setup, not traffic: keeping it out of
   // net.server.requests preserves that counter's meaning (RPCs served).
   if (frame.type == MessageType::kHelloRequest) {
@@ -393,9 +371,9 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
     requests_->Increment();
   }
   // Sampled by scrapes: how many decoded-but-unanswered requests exist
-  // right now across all connections and transports. With inline
-  // handling this tracks handler concurrency, and it spikes when
-  // pipelined batches queue up behind a slow RPC.
+  // right now across all connections. With inline handling this tracks
+  // handler concurrency, and it spikes when pipelined bursts queue up
+  // behind a slow RPC.
   pipelined_inflight_->Add(1);
 
   // Version gate (docs/WIRE_PROTOCOL.md §2): every frame carries
@@ -407,7 +385,7 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
       (ctx->negotiated_features & kFeatureTracePropagation) != 0;
   if (frame.version != kWireVersionV2 || !trace_ok) {
     protocol_errors_->Increment();
-    send(EncodeErrorResponse(
+    out->push_back(EncodeErrorResponse(
         frame.request_id, WireError::kBadVersion,
         frame.version != kWireVersionV2
             ? StringPrintf("frame version %u unsupported; server speaks %u",
@@ -421,61 +399,62 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
   switch (frame.type) {
     case MessageType::kPingRequest: {
       // Health checks bypass admission control by design.
-      ScopedLatencyTimer timer(ctx->rpc_latency->ping);
-      send(EncodePongResponse(frame.request_id));
+      ScopedLatencyTimer timer(ping_latency_);
+      out->push_back(EncodePongResponse(frame.request_id));
       break;
     }
     case MessageType::kStatsRequest: {
       // Observability bypasses admission control like ping does: a
       // scrape must still answer while the server is shedding load.
-      ScopedLatencyTimer timer(ctx->rpc_latency->stats);
-      metrics_->GetCounter("net.server.stats_scrapes")->Increment();
+      ScopedLatencyTimer timer(stats_latency_);
+      stats_scrapes_->Increment();
       // Keep the whole frame under the peer's likely cap: leave room
       // for the length prefix, header, and body length field.
       const std::size_t max_text = options_.max_frame_bytes > 64
                                        ? options_.max_frame_bytes - 64
                                        : 0;
-      send(EncodeStatsResponse(frame.request_id, metrics_->PrometheusText(),
-                               max_text));
+      out->push_back(EncodeStatsResponse(
+          frame.request_id, metrics_->PrometheusText(), max_text));
       break;
     }
     case MessageType::kHelloRequest:
-      HandleHello(frame, ctx, send);
+      HandleHello(frame, ctx, out);
       break;
-    case MessageType::kBatchRecommendRequest:
     case MessageType::kRecommendRequest:
     case MessageType::kObserveRequest:
     case MessageType::kRegisterProfileRequest:
-      HandleServiceRpc(frame, ctx, send);
+      HandleServiceRpc(frame, ctx, out);
       break;
     default:
-      SendUnknownType(frame, send);
+      SendUnknownType(frame, out);
       break;
   }
   pipelined_inflight_->Add(-1);
 }
 
-void RecServer::SendUnknownType(const Frame& frame, const SendFn& send) {
+void RecServer::SendUnknownType(const Frame& frame,
+                                std::deque<std::string>* out) {
   protocol_errors_->Increment();
-  send(EncodeErrorResponse(
+  out->push_back(EncodeErrorResponse(
       frame.request_id, WireError::kUnknownType,
       StringPrintf("server does not handle type 0x%02x",
                    static_cast<unsigned>(frame.type))));
 }
 
 void RecServer::HandleHello(const Frame& frame, RequestContext* ctx,
-                            const SendFn& send) {
+                            std::deque<std::string>* out) {
   StatusOr<HelloRequest> hello = DecodeHelloRequest(frame);
   if (!hello.ok()) {
     protocol_errors_->Increment();
-    send(EncodeErrorResponse(frame.request_id, WireError::kMalformedFrame,
-                             hello.status().message()));
+    out->push_back(EncodeErrorResponse(frame.request_id,
+                                       WireError::kMalformedFrame,
+                                       hello.status().message()));
     return;
   }
   if (hello->min_version > kWireVersionV2 ||
       hello->max_version < kWireVersionV2) {
     protocol_errors_->Increment();
-    send(EncodeErrorResponse(
+    out->push_back(EncodeErrorResponse(
         frame.request_id, WireError::kBadVersion,
         StringPrintf("client speaks wire versions [%u, %u]; server speaks "
                      "only %u",
@@ -490,17 +469,16 @@ void RecServer::HandleHello(const Frame& frame, RequestContext* ctx,
   HelloReply reply;
   reply.features = ctx->negotiated_features;
   reply.max_in_flight_hint = static_cast<std::uint32_t>(options_.max_in_flight);
-  reply.max_batch = static_cast<std::uint32_t>(kMaxBatchedRequests);
-  send(EncodeHelloResponse(frame.request_id, reply));
+  out->push_back(EncodeHelloResponse(frame.request_id, reply));
 }
 
 /// The RPCs that reach the RecommendationService; all sit behind the
-/// in-flight admission gate (a batch holds one slot for its whole run).
+/// in-flight admission gate.
 void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
-                                 const SendFn& send) {
+                                 std::deque<std::string>* out) {
   if (!TryAcquireInFlight()) {
-    metrics_->GetCounter("net.server.requests.shed")->Increment();
-    send(EncodeErrorResponse(
+    shed_->Increment();
+    out->push_back(EncodeErrorResponse(
         frame.request_id, WireError::kOverloaded,
         StringPrintf("in-flight cap %d reached; retry later",
                      options_.max_in_flight)));
@@ -528,16 +506,16 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
   // trace is sampled or the request turns out slow (tail capture).
   obs::RequestRecorder recorder(options_.spans, trace, options_.trace_slow_us,
                                 adopt ? obs::kSpanFlagAdopted : 0);
-  const auto send_decode_error = [this, &frame, &send](const Status& status) {
+  const auto send_decode_error = [this, &frame, out](const Status& status) {
     // Parsed structurally but the body would not decode: the stream is
     // still framed, so answer and keep the connection.
     protocol_errors_->Increment();
-    send(EncodeErrorResponse(frame.request_id, WireError::kMalformedFrame,
-                             status.message()));
+    out->push_back(EncodeErrorResponse(
+        frame.request_id, WireError::kMalformedFrame, status.message()));
   };
   switch (frame.type) {
     case MessageType::kRecommendRequest: {
-      ScopedLatencyTimer timer(ctx->rpc_latency->recommend);
+      ScopedLatencyTimer timer(recommend_latency_);
       StatusOr<RecRequest> request = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeRecommendRequest(frame);
@@ -553,50 +531,17 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
       {
         const auto span = recorder.Span(span_names_.respond);
         if (outcome.ok) {
-          send(EncodeRecommendResponse(frame.request_id, outcome.videos,
-                                       outcome.flags));
+          out->push_back(EncodeRecommendResponse(
+              frame.request_id, outcome.videos, outcome.flags));
         } else {
-          send(EncodeErrorResponse(frame.request_id, WireError::kBadRequest,
-                                   outcome.message));
+          out->push_back(EncodeErrorResponse(
+              frame.request_id, WireError::kBadRequest, outcome.message));
         }
-      }
-      break;
-    }
-    case MessageType::kBatchRecommendRequest: {
-      ScopedLatencyTimer timer(ctx->rpc_latency->batch_recommend);
-      StatusOr<std::vector<RecRequest>> batch = [&] {
-        const auto span = recorder.Span(span_names_.decode);
-        return DecodeBatchRecommendRequest(frame);
-      }();
-      if (!batch.ok()) {
-        send_decode_error(batch.status());
-        break;
-      }
-      batched_requests_->Increment(batch->size());
-      std::vector<BatchRecommendItem> items;
-      items.reserve(batch->size());
-      {
-        const auto span = recorder.Span(span_names_.engine);
-        for (const RecRequest& request : *batch) {
-          RecommendOutcome outcome = RecommendWithFallback(request);
-          BatchRecommendItem item;
-          if (outcome.ok) {
-            item.reply.flags = outcome.flags;
-            item.reply.videos = std::move(outcome.videos);
-          } else {
-            item.error = static_cast<std::uint8_t>(WireError::kBadRequest);
-          }
-          items.push_back(std::move(item));
-        }
-      }
-      {
-        const auto span = recorder.Span(span_names_.respond);
-        send(EncodeBatchRecommendResponse(frame.request_id, items));
       }
       break;
     }
     case MessageType::kObserveRequest: {
-      ScopedLatencyTimer timer(ctx->rpc_latency->observe);
+      ScopedLatencyTimer timer(observe_latency_);
       StatusOr<UserAction> action = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeObserveRequest(frame);
@@ -609,11 +554,11 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
         const auto span = recorder.Span(span_names_.engine);
         service_->Observe(*action);
       }
-      send(EncodeAckResponse(frame.request_id));
+      out->push_back(EncodeAckResponse(frame.request_id));
       break;
     }
     case MessageType::kRegisterProfileRequest: {
-      ScopedLatencyTimer timer(ctx->rpc_latency->register_profile);
+      ScopedLatencyTimer timer(register_profile_latency_);
       StatusOr<ProfileUpdate> update = [&] {
         const auto span = recorder.Span(span_names_.decode);
         return DecodeRegisterProfileRequest(frame);
@@ -626,7 +571,7 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
         const auto span = recorder.Span(span_names_.engine);
         service_->RegisterProfile(update->user, update->profile);
       }
-      send(EncodeAckResponse(frame.request_id));
+      out->push_back(EncodeAckResponse(frame.request_id));
       break;
     }
     default:
@@ -634,8 +579,6 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
   }
   recorder.Finish(
       frame.type == MessageType::kRecommendRequest ? span_names_.rpc_recommend
-      : frame.type == MessageType::kBatchRecommendRequest
-          ? span_names_.rpc_batch
       : frame.type == MessageType::kObserveRequest ? span_names_.rpc_observe
                                                    : span_names_.rpc_register);
   ReleaseInFlight();
@@ -661,7 +604,7 @@ RecServer::RecommendOutcome RecServer::RecommendWithFallback(
     const int deadline_ms = options_.recommend_deadline_ms;
     const bool late = deadline_ms > 0 && elapsed_ms > deadline_ms;
     if (late) {
-      metrics_->GetCounter("net.server.deadline_breaches")->Increment();
+      deadline_breaches_->Increment();
     }
     if (recs.ok() && !late) {
       RecordEngineSuccess();
@@ -674,7 +617,7 @@ RecServer::RecommendOutcome RecServer::RecommendWithFallback(
   if (degraded) {
     out.videos = service_->FallbackRecommend(request);
     out.flags |= kRecommendFlagDegraded;
-    metrics_->GetCounter("server.degraded_responses")->Increment();
+    degraded_responses_->Increment();
   }
   out.ok = true;
   return out;
@@ -703,49 +646,18 @@ Status RecServer::Start() {
     workers_.push_back(std::move(worker));
   }
 
-  if (!options_.shm_name.empty()) {
-    ShmServer::Options shm_options;
-    shm_options.slot_count = options_.shm_slot_count;
-    shm_options.max_frame_bytes = options_.max_frame_bytes;
-    shm_options.metrics = metrics_;
-    auto shm = ShmServer::Create(
-        options_.shm_name, shm_options,
-        [this](const Frame& frame, ShmServer::ConnState* conn,
-               const ShmServer::SendFn& send) {
-          // Bridge the shm attachment's feature bits into the shared
-          // dispatch path, timed by the shm latency histograms.
-          RequestContext ctx;
-          ctx.negotiated_features = conn->negotiated_features;
-          ctx.rpc_latency = &shm_latency_;
-          DispatchFrame(frame, &ctx,
-                        [&send](std::string&& bytes) { send(std::move(bytes)); });
-          conn->negotiated_features = ctx.negotiated_features;
-          if (ctx.close_connection) conn->close = true;
-        });
-    if (!shm.ok()) {
-      workers_.clear();
-      listen_fd_.Reset();
-      port_ = 0;
-      return shm.status();
-    }
-    shm_server_ = std::move(*shm);
-  }
-
   for (auto& worker : workers_) worker->StartThread();
   acceptor_ = std::thread([this] { AcceptLoop(); });
   running_.store(true, std::memory_order_release);
   RTREC_LOG(kInfo) << "RecServer listening on " << options_.host << ":"
                    << port_ << " (" << options_.num_workers << " workers, "
-                   << options_.max_in_flight << " in-flight cap"
-                   << (shm_server_ ? ", shm " + options_.shm_name : "")
-                   << ")";
+                   << options_.max_in_flight << " in-flight cap)";
   return Status::OK();
 }
 
 void RecServer::Stop() {
   stopping_.store(true, std::memory_order_release);
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  shm_server_.reset();  // Marks the segment down; clients see Unavailable.
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& worker : workers_) worker->RequestStop();
   for (auto& worker : workers_) worker->Join();
@@ -781,7 +693,7 @@ void RecServer::AcceptLoop() {
         continue;
       }
       SetTcpNoDelay(fd);  // Best effort; a failure only costs latency.
-      metrics_->GetCounter("net.server.connections.accepted")->Increment();
+      accepted_->Increment();
       const std::size_t target =
           next_worker_.fetch_add(1, std::memory_order_relaxed) %
           workers_.size();
@@ -820,7 +732,7 @@ void RecServer::RecordEngineFailure(std::int64_t now_ms) {
     degraded_until_ms_.store(now_ms + options_.breaker_cooldown_ms,
                              std::memory_order_release);
     consecutive_engine_failures_.store(0, std::memory_order_relaxed);
-    metrics_->GetCounter("net.server.breaker_trips")->Increment();
+    breaker_trips_->Increment();
     RTREC_LOG(kWarn) << "Recommend circuit breaker tripped; serving "
                         "degraded fallback for "
                      << options_.breaker_cooldown_ms << " ms";

@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,13 +22,9 @@ namespace obs {
 class SpanCollector;
 }  // namespace obs
 
-class ShmServer;
-
 /// The network front of the serving stack: an epoll-based TCP server
 /// speaking the rtrec wire protocol (net/wire.h) over a
-/// RecommendationService, optionally doubled by a same-host
-/// shared-memory transport (Options::shm_name) that funnels into the
-/// same dispatch path.
+/// RecommendationService.
 ///
 /// Threading model:
 ///  - one acceptor thread owns the listening socket and hands accepted
@@ -88,9 +84,8 @@ class RecServer {
     /// service RPC is a trace root (sampled 1-in-N by the tracer);
     /// sampled requests install a thread-current trace for the handler's
     /// duration, so service / engine / KV spans attach to it. The RPC's
-    /// own latency is the per-transport "<transport>.<rpc>.latency_us"
-    /// histogram, recorded for every request. Null disables tracing at
-    /// zero cost.
+    /// own latency is the "net.server.rpc.<rpc>.latency_us" histogram,
+    /// recorded for every request. Null disables tracing at zero cost.
     Tracer* tracer = nullptr;
     /// Structured span recording (obs/span_collector.h): when set, every
     /// traced request stages per-stage spans and commits them to the
@@ -118,44 +113,7 @@ class RecServer {
     /// disables the breaker.
     int breaker_failure_threshold = 8;
     int breaker_cooldown_ms = 2'000;
-
-    /// When non-empty, also serve the same RPCs over the same-host
-    /// shared-memory transport (net/shm_transport.h) under this POSIX
-    /// shm object name (e.g. from ParseShmAddress). Empty disables.
-    std::string shm_name;
-    /// Concurrent same-host clients (slots) for the shm transport.
-    std::uint32_t shm_slot_count = 8;
   };
-
-  /// One transport's per-RPC latency histograms,
-  /// "<transport>.<rpc>.latency_us" with transport "net.server.rpc"
-  /// (TCP) or "shm.rpc" (shm). Resolved once at construction; every
-  /// request records into exactly one of them.
-  struct RpcLatency {
-    Histogram* ping = nullptr;
-    Histogram* stats = nullptr;
-    Histogram* recommend = nullptr;
-    Histogram* batch_recommend = nullptr;
-    Histogram* observe = nullptr;
-    Histogram* register_profile = nullptr;
-  };
-
-  /// Per-connection protocol state shared by every transport.
-  struct RequestContext {
-    /// Feature bits acked in this connection's Hello (net/wire.h
-    /// kFeature*); 0 until a Hello succeeds. A frame carrying the trace
-    /// extension on a connection that did not negotiate
-    /// kFeatureTracePropagation is a version violation.
-    std::uint32_t negotiated_features = 0;
-    /// The latency histograms of the transport the connection rides.
-    const RpcLatency* rpc_latency = nullptr;
-    /// Set by dispatch when the connection must be torn down after the
-    /// queued responses flush (framing lost, version violation).
-    bool close_connection = false;
-  };
-
-  /// Queues one encoded response frame on the originating connection.
-  using SendFn = std::function<void(std::string&&)>;
 
   RecServer(RecommendationService* service, Options options);
   ~RecServer();  ///< Stops the server if still running.
@@ -181,25 +139,35 @@ class RecServer {
  private:
   class Worker;
 
+  /// Per-connection protocol state.
+  struct RequestContext {
+    /// Feature bits acked in this connection's Hello (net/wire.h
+    /// kFeature*); 0 until a Hello succeeds. A frame carrying the trace
+    /// extension on a connection that did not negotiate
+    /// kFeatureTracePropagation is a version violation.
+    std::uint32_t negotiated_features = 0;
+    /// Set by dispatch when the connection must be torn down after the
+    /// queued responses flush (framing lost, version violation).
+    bool close_connection = false;
+  };
+
   void AcceptLoop();
 
-  /// Transport-independent RPC dispatch: decodes nothing about how the
-  /// frame arrived, only what it says. Both the TCP workers and the shm
-  /// poller funnel every decoded frame through here, so the version gate,
-  /// admission, batching, and the degraded ladder behave identically on
-  /// both transports. Thread-safe (workers + shm poller call it
-  /// concurrently).
+  /// Handles one decoded frame from a worker's connection: the version
+  /// gate, Hello, admission and the degraded ladder, then appends the
+  /// encoded answer to the connection's output queue `out`. Thread-safe
+  /// (every worker calls it concurrently, each with its own queues).
   void DispatchFrame(const Frame& frame, RequestContext* ctx,
-                     const SendFn& send);
+                     std::deque<std::string>* out);
   void HandleHello(const Frame& frame, RequestContext* ctx,
-                   const SendFn& send);
-  void SendUnknownType(const Frame& frame, const SendFn& send);
+                   std::deque<std::string>* out);
+  void SendUnknownType(const Frame& frame, std::deque<std::string>* out);
   void HandleServiceRpc(const Frame& frame, RequestContext* ctx,
-                        const SendFn& send);
+                        std::deque<std::string>* out);
 
   /// Result of one Recommend through the breaker/deadline/fallback
-  /// ladder; shared by the single and batched RPC paths. Not ok only
-  /// when the service rejected the request as invalid (BAD_REQUEST).
+  /// ladder. Not ok only when the service rejected the request as
+  /// invalid (BAD_REQUEST).
   struct RecommendOutcome {
     bool ok = false;
     std::uint8_t flags = 0;
@@ -225,7 +193,6 @@ class RecServer {
   /// the handler path must not). All zero when Options::spans is null.
   struct SpanNames {
     std::uint16_t rpc_recommend = 0;
-    std::uint16_t rpc_batch = 0;
     std::uint16_t rpc_observe = 0;
     std::uint16_t rpc_register = 0;
     std::uint16_t decode = 0;
@@ -236,17 +203,29 @@ class RecServer {
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // When options.metrics==0.
   MetricsRegistry* metrics_ = nullptr;
-  // Metrics every request or socket read touches, resolved once at
-  // construction (registry lookups take its lock).
+  // Every metric the server records, resolved once at construction:
+  // registry lookups take its lock, so no request or socket event may.
   Counter* requests_ = nullptr;            // net.server.requests
   Counter* hellos_ = nullptr;              // net.v2.hellos
   Counter* protocol_errors_ = nullptr;     // net.server.protocol_errors
-  Counter* batched_requests_ = nullptr;    // net.v2.batched_requests
+  Counter* shed_ = nullptr;                // net.server.requests.shed
+  Counter* deadline_breaches_ = nullptr;   // net.server.deadline_breaches
+  Counter* degraded_responses_ = nullptr;  // server.degraded_responses
+  Counter* stats_scrapes_ = nullptr;       // net.server.stats_scrapes
+  Counter* breaker_trips_ = nullptr;       // net.server.breaker_trips
   Counter* bytes_in_ = nullptr;            // net.server.bytes.in
   Counter* bytes_out_ = nullptr;           // net.server.bytes.out
   Gauge* pipelined_inflight_ = nullptr;    // net.server.pipelined_inflight
-  RpcLatency tcp_latency_;
-  RpcLatency shm_latency_;  // Unresolved unless Options::shm_name is set.
+  // net.server.connections.{accepted,idle_closed,active}.
+  Counter* accepted_ = nullptr;
+  Counter* idle_closed_ = nullptr;
+  Gauge* active_connections_ = nullptr;
+  // "net.server.rpc.<rpc>.latency_us", one per RPC the server times.
+  Histogram* ping_latency_ = nullptr;
+  Histogram* stats_latency_ = nullptr;
+  Histogram* recommend_latency_ = nullptr;
+  Histogram* observe_latency_ = nullptr;
+  Histogram* register_profile_latency_ = nullptr;
 
   UniqueFd listen_fd_;
   std::uint16_t port_ = 0;
@@ -259,7 +238,6 @@ class RecServer {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
-  std::unique_ptr<ShmServer> shm_server_;  // When Options::shm_name set.
 };
 
 }  // namespace rtrec

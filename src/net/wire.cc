@@ -143,15 +143,12 @@ const char* MessageTypeToString(MessageType type) {
     case MessageType::kRegisterProfileRequest: return "register_profile_request";
     case MessageType::kStatsRequest: return "stats_request";
     case MessageType::kHelloRequest: return "hello_request";
-    case MessageType::kBatchRecommendRequest: return "batch_recommend_request";
     case MessageType::kPongResponse: return "pong_response";
     case MessageType::kRecommendResponse: return "recommend_response";
     case MessageType::kAckResponse: return "ack_response";
     case MessageType::kErrorResponse: return "error_response";
     case MessageType::kStatsResponse: return "stats_response";
     case MessageType::kHelloResponse: return "hello_response";
-    case MessageType::kBatchRecommendResponse:
-      return "batch_recommend_response";
   }
   return "unknown";
 }
@@ -276,47 +273,16 @@ std::string EncodeStatsRequest(std::uint64_t request_id) {
   return EncodeEmpty(MessageType::kStatsRequest, request_id);
 }
 
-namespace {
-
-void AppendRecommendBody(const RecRequest& request, std::string* body) {
-  PutU64(request.user, body);
-  PutI64(request.now, body);
-  PutU32(static_cast<std::uint32_t>(request.top_n), body);
-  PutU32(static_cast<std::uint32_t>(request.seed_videos.size()), body);
-  for (VideoId seed : request.seed_videos) PutU64(seed, body);
-}
-
-Status ReadRecommendBody(BodyReader& reader, const char* what,
-                         RecRequest* request) {
-  std::uint32_t top_n = 0;
-  std::uint32_t num_seeds = 0;
-  if (!reader.ReadU64(&request->user) || !reader.ReadI64(&request->now) ||
-      !reader.ReadU32(&top_n) || !reader.ReadU32(&num_seeds)) {
-    return Truncated(what);
-  }
-  if (num_seeds > kMaxListedVideos) {
-    return Status::InvalidArgument(StringPrintf(
-        "%s lists %u seeds (cap %zu)", what, num_seeds, kMaxListedVideos));
-  }
-  request->top_n = top_n;
-  request->seed_videos.clear();
-  request->seed_videos.reserve(num_seeds);
-  for (std::uint32_t i = 0; i < num_seeds; ++i) {
-    VideoId seed = 0;
-    if (!reader.ReadU64(&seed)) return Truncated(what);
-    request->seed_videos.push_back(seed);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 std::string EncodeRecommendRequest(std::uint64_t request_id,
                                    const RecRequest& request) {
   Frame frame;
   frame.type = MessageType::kRecommendRequest;
   frame.request_id = request_id;
-  AppendRecommendBody(request, &frame.body);
+  PutU64(request.user, &frame.body);
+  PutI64(request.now, &frame.body);
+  PutU32(static_cast<std::uint32_t>(request.top_n), &frame.body);
+  PutU32(static_cast<std::uint32_t>(request.seed_videos.size()), &frame.body);
+  for (VideoId seed : request.seed_videos) PutU64(seed, &frame.body);
   std::string out;
   AppendFrame(frame, &out);
   return out;
@@ -328,8 +294,24 @@ StatusOr<RecRequest> DecodeRecommendRequest(const Frame& frame) {
   }
   BodyReader reader(frame.body);
   RecRequest request;
-  RTREC_RETURN_IF_ERROR(
-      ReadRecommendBody(reader, "recommend_request", &request));
+  std::uint32_t top_n = 0;
+  std::uint32_t num_seeds = 0;
+  if (!reader.ReadU64(&request.user) || !reader.ReadI64(&request.now) ||
+      !reader.ReadU32(&top_n) || !reader.ReadU32(&num_seeds)) {
+    return Truncated("recommend_request");
+  }
+  if (num_seeds > kMaxListedVideos) {
+    return Status::InvalidArgument(
+        StringPrintf("recommend_request lists %u seeds (cap %zu)", num_seeds,
+                     kMaxListedVideos));
+  }
+  request.top_n = top_n;
+  request.seed_videos.reserve(num_seeds);
+  for (std::uint32_t i = 0; i < num_seeds; ++i) {
+    VideoId seed = 0;
+    if (!reader.ReadU64(&seed)) return Truncated("recommend_request");
+    request.seed_videos.push_back(seed);
+  }
   if (!reader.AtEnd()) return TrailingGarbage("recommend_request");
   return request;
 }
@@ -364,45 +346,6 @@ StatusOr<HelloRequest> DecodeHelloRequest(const Frame& frame) {
   }
   if (!reader.AtEnd()) return TrailingGarbage("hello_request");
   return hello;
-}
-
-std::string EncodeBatchRecommendRequest(std::uint64_t request_id,
-                                        const std::vector<RecRequest>& batch) {
-  Frame frame;
-  frame.type = MessageType::kBatchRecommendRequest;
-  frame.request_id = request_id;
-  PutU32(static_cast<std::uint32_t>(batch.size()), &frame.body);
-  for (const RecRequest& request : batch) {
-    AppendRecommendBody(request, &frame.body);
-  }
-  std::string out;
-  AppendFrame(frame, &out);
-  return out;
-}
-
-StatusOr<std::vector<RecRequest>> DecodeBatchRecommendRequest(
-    const Frame& frame) {
-  if (frame.type != MessageType::kBatchRecommendRequest) {
-    return WrongType("batch_recommend_request", frame.type);
-  }
-  BodyReader reader(frame.body);
-  std::uint32_t count = 0;
-  if (!reader.ReadU32(&count)) return Truncated("batch_recommend_request");
-  if (count == 0 || count > kMaxBatchedRequests) {
-    return Status::InvalidArgument(StringPrintf(
-        "batch_recommend_request carries %u items (cap %zu, min 1)", count,
-        kMaxBatchedRequests));
-  }
-  std::vector<RecRequest> batch;
-  batch.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    RecRequest request;
-    RTREC_RETURN_IF_ERROR(
-        ReadRecommendBody(reader, "batch_recommend_request", &request));
-    batch.push_back(std::move(request));
-  }
-  if (!reader.AtEnd()) return TrailingGarbage("batch_recommend_request");
-  return batch;
 }
 
 std::string EncodeObserveRequest(std::uint64_t request_id,
@@ -549,7 +492,6 @@ std::string EncodeHelloResponse(std::uint64_t request_id,
   PutU8(reply.version, &frame.body);
   PutU32(reply.features, &frame.body);
   PutU32(reply.max_in_flight_hint, &frame.body);
-  PutU32(reply.max_batch, &frame.body);
   std::string out;
   AppendFrame(frame, &out);
   return out;
@@ -562,8 +504,7 @@ StatusOr<HelloReply> DecodeHelloResponse(const Frame& frame) {
   BodyReader reader(frame.body);
   HelloReply reply;
   if (!reader.ReadU8(&reply.version) || !reader.ReadU32(&reply.features) ||
-      !reader.ReadU32(&reply.max_in_flight_hint) ||
-      !reader.ReadU32(&reply.max_batch)) {
+      !reader.ReadU32(&reply.max_in_flight_hint)) {
     return Truncated("hello_response");
   }
   if (reply.version != kWireVersionV2) {
@@ -572,71 +513,6 @@ StatusOr<HelloReply> DecodeHelloResponse(const Frame& frame) {
   }
   if (!reader.AtEnd()) return TrailingGarbage("hello_response");
   return reply;
-}
-
-std::string EncodeBatchRecommendResponse(
-    std::uint64_t request_id, const std::vector<BatchRecommendItem>& items) {
-  Frame frame;
-  frame.type = MessageType::kBatchRecommendResponse;
-  frame.request_id = request_id;
-  PutU32(static_cast<std::uint32_t>(items.size()), &frame.body);
-  for (const BatchRecommendItem& item : items) {
-    PutU8(item.error, &frame.body);
-    PutU8(item.reply.flags, &frame.body);
-    // A failed item carries no videos regardless of what the handler left
-    // in the reply — keeps the frame small and the contract unambiguous.
-    const std::size_t num_videos = item.ok() ? item.reply.videos.size() : 0;
-    PutU32(static_cast<std::uint32_t>(num_videos), &frame.body);
-    for (std::size_t j = 0; j < num_videos; ++j) {
-      PutU64(item.reply.videos[j].video, &frame.body);
-      PutF64(item.reply.videos[j].score, &frame.body);
-    }
-  }
-  std::string out;
-  AppendFrame(frame, &out);
-  return out;
-}
-
-StatusOr<std::vector<BatchRecommendItem>> DecodeBatchRecommendResponse(
-    const Frame& frame) {
-  if (frame.type != MessageType::kBatchRecommendResponse) {
-    return WrongType("batch_recommend_response", frame.type);
-  }
-  BodyReader reader(frame.body);
-  std::uint32_t count = 0;
-  if (!reader.ReadU32(&count)) return Truncated("batch_recommend_response");
-  if (count == 0 || count > kMaxBatchedRequests) {
-    return Status::InvalidArgument(StringPrintf(
-        "batch_recommend_response carries %u items (cap %zu, min 1)", count,
-        kMaxBatchedRequests));
-  }
-  std::vector<BatchRecommendItem> items;
-  items.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    BatchRecommendItem item;
-    std::uint32_t num_videos = 0;
-    if (!reader.ReadU8(&item.error) || !reader.ReadU8(&item.reply.flags) ||
-        !reader.ReadU32(&num_videos)) {
-      return Truncated("batch_recommend_response");
-    }
-    if (num_videos > kMaxListedVideos) {
-      return Status::InvalidArgument(
-          StringPrintf("batch_recommend_response item %u lists %u videos "
-                       "(cap %zu)",
-                       i, num_videos, kMaxListedVideos));
-    }
-    item.reply.videos.reserve(num_videos);
-    for (std::uint32_t j = 0; j < num_videos; ++j) {
-      ScoredVideo r;
-      if (!reader.ReadU64(&r.video) || !reader.ReadF64(&r.score)) {
-        return Truncated("batch_recommend_response");
-      }
-      item.reply.videos.push_back(r);
-    }
-    items.push_back(std::move(item));
-  }
-  if (!reader.AtEnd()) return TrailingGarbage("batch_recommend_response");
-  return items;
 }
 
 std::string EncodeStatsResponse(std::uint64_t request_id,

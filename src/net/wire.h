@@ -41,13 +41,10 @@ namespace rtrec {
 /// its first byte:
 ///
 ///  - features: an optional Hello negotiates feature bits (today only
-///    trace propagation) and returns the server's in-flight and batch
-///    hints (WIRE_PROTOCOL.md §5);
+///    trace propagation) and returns the server's in-flight hint
+///    (WIRE_PROTOCOL.md §5);
 ///  - pipelining: any number of requests may be in flight; responses
-///    correlate by request id and MAY arrive in any order (§6);
-///  - batching: BatchRecommend carries up to kMaxBatchedRequests
-///    Recommend bodies in one frame and is answered by one
-///    BatchRecommendResponse with per-item status (§7).
+///    correlate by request id and MAY arrive in any order (§6).
 
 /// The protocol version every frame carries.
 inline constexpr std::uint8_t kWireVersionV2 = 2;
@@ -84,11 +81,6 @@ inline constexpr std::size_t kDefaultMaxFrameBytes = 1 << 20;  // 1 MiB
 /// RecommendResponse; a peer exceeding it is sending garbage.
 inline constexpr std::size_t kMaxListedVideos = 4096;
 
-/// Cap on Recommend bodies per BatchRecommendRequest. One batch frame
-/// occupies one admission-control slot on the server, so the cap bounds
-/// the work a single slot can demand.
-inline constexpr std::size_t kMaxBatchedRequests = 64;
-
 /// Message discriminator. Requests have the high bit clear, responses set.
 enum class MessageType : std::uint8_t {
   kPingRequest = 0x01,
@@ -97,7 +89,6 @@ enum class MessageType : std::uint8_t {
   kRegisterProfileRequest = 0x04,
   kStatsRequest = 0x05,
   kHelloRequest = 0x06,           ///< Optional feature negotiation.
-  kBatchRecommendRequest = 0x07,
 
   kPongResponse = 0x81,
   kRecommendResponse = 0x82,
@@ -105,7 +96,6 @@ enum class MessageType : std::uint8_t {
   kErrorResponse = 0x84,
   kStatsResponse = 0x85,
   kHelloResponse = 0x86,
-  kBatchRecommendResponse = 0x87,
 };
 
 /// Stable name for logs ("recommend_request", ...); "unknown" if invalid.
@@ -216,15 +206,6 @@ std::string EncodeHelloRequest(std::uint64_t request_id,
                                const HelloRequest& hello);
 StatusOr<HelloRequest> DecodeHelloRequest(const Frame& frame);
 
-/// BatchRecommend body: u32 count, then `count` Recommend bodies
-/// (u64 user, i64 now, u32 top_n, u32 seed count, u64 seeds...). The
-/// whole batch shares one request id; per-item outcomes travel in the
-/// BatchRecommendResponse.
-std::string EncodeBatchRecommendRequest(std::uint64_t request_id,
-                                        const std::vector<RecRequest>& batch);
-StatusOr<std::vector<RecRequest>> DecodeBatchRecommendRequest(
-    const Frame& frame);
-
 /// RegisterProfile body: u64 user, u8 registered, u8 gender, u8 age
 /// bucket, u8 education.
 struct ProfileUpdate {
@@ -265,38 +246,16 @@ std::string EncodeRecommendResponse(std::uint64_t request_id,
 StatusOr<RecommendReply> DecodeRecommendReply(const Frame& frame);
 
 /// Hello body (response): u8 version (always 2), u32 acked feature bits,
-/// u32 max in-flight hint (the server's admission cap; 0 = no hint),
-/// u32 batch cap (kMaxBatchedRequests of the server). A Hello whose
-/// range excludes 2 gets BAD_VERSION instead.
+/// u32 max in-flight hint (the server's admission cap; 0 = no hint). A
+/// Hello whose range excludes 2 gets BAD_VERSION instead.
 struct HelloReply {
   std::uint8_t version = kWireVersionV2;
   std::uint32_t features = 0;
   std::uint32_t max_in_flight_hint = 0;
-  std::uint32_t max_batch = 0;
 };
 std::string EncodeHelloResponse(std::uint64_t request_id,
                                 const HelloReply& reply);
 StatusOr<HelloReply> DecodeHelloResponse(const Frame& frame);
-
-/// One item of a BatchRecommendResponse: a typed wire error (kNone for
-/// success) plus, on success, the flags byte and ranked videos of a
-/// plain RecommendResponse.
-struct BatchRecommendItem {
-  /// 0 = OK; otherwise a WireError value scoped to this item only.
-  std::uint8_t error = 0;
-  RecommendReply reply;
-
-  bool ok() const { return error == 0; }
-};
-
-/// BatchRecommendResponse body: u32 count, then per item: u8 error
-/// code (0 = OK), u8 flags, u32 video count, (u64 video, f64 score)
-/// pairs. Failed items carry zero videos. Item order matches the
-/// request; count always equals the request's count.
-std::string EncodeBatchRecommendResponse(
-    std::uint64_t request_id, const std::vector<BatchRecommendItem>& items);
-StatusOr<std::vector<BatchRecommendItem>> DecodeBatchRecommendResponse(
-    const Frame& frame);
 
 /// StatsResponse body: u32 text length, then that many bytes of
 /// Prometheus text-format (0.0.4) metrics. The encoder truncates at the

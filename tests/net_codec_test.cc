@@ -296,7 +296,7 @@ TEST(NetCodecTest, SeedCountCapRejectsAbsurdClaims) {
   EXPECT_TRUE(DecodeRecommendRequest(frame).status().IsInvalidArgument());
 }
 
-// --- Hello and batching (docs/WIRE_PROTOCOL.md §5-§7) -----------------------
+// --- Hello (docs/WIRE_PROTOCOL.md §5) ----------------------------------------
 // Conformance checklist items below cite the spec section they verify.
 
 TEST(NetCodecTest, HelloRequestRoundtripIsV2Framed) {
@@ -333,19 +333,22 @@ TEST(NetCodecTest, HelloRequestRejectsBadVersionRange) {
 }
 
 TEST(NetCodecTest, HelloResponseRoundtrip) {
-  // §5.3: reply carries version 2 plus capability hints.
+  // §5.3: u8 version | u32 features | u32 max_in_flight_hint.
   HelloReply reply;
   reply.version = kWireVersionV2;
+  reply.features = kFeatureTracePropagation;
   reply.max_in_flight_hint = 256;
-  reply.max_batch = static_cast<std::uint32_t>(kMaxBatchedRequests);
   Frame frame = DecodeOne(EncodeHelloResponse(12, reply));
   EXPECT_EQ(frame.type, MessageType::kHelloResponse);
   EXPECT_EQ(frame.version, kWireVersionV2);
+  // Nine body bytes: version 2, features 0x1, hint 256.
+  EXPECT_EQ(frame.body,
+            std::string("\x02" "\x00\x00\x00\x01" "\x00\x00\x01\x00", 9));
   auto decoded = DecodeHelloResponse(frame);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->version, kWireVersionV2);
+  EXPECT_EQ(decoded->features, kFeatureTracePropagation);
   EXPECT_EQ(decoded->max_in_flight_hint, 256u);
-  EXPECT_EQ(decoded->max_batch, kMaxBatchedRequests);
 }
 
 TEST(NetCodecTest, HelloResponseRejectsImpossibleVersion) {
@@ -360,67 +363,6 @@ TEST(NetCodecTest, HelloResponseRejectsImpossibleVersion) {
   }
 }
 
-TEST(NetCodecTest, BatchRecommendRequestRoundtripIsV2Framed) {
-  // §7.1: the batch request is a version-2 frame carrying back-to-back
-  // Recommend bodies under one request id.
-  std::vector<RecRequest> batch(3);
-  batch[0].user = 1;
-  batch[0].seed_videos = {10, 20};
-  batch[0].top_n = 5;
-  batch[1].user = 2;
-  batch[1].now = -42;
-  batch[2].user = 0xFFFFFFFFFFFFFFFFull;
-  batch[2].top_n = 1;
-  Frame frame = DecodeOne(EncodeBatchRecommendRequest(77, batch));
-  EXPECT_EQ(frame.type, MessageType::kBatchRecommendRequest);
-  EXPECT_EQ(frame.version, kWireVersionV2);
-  EXPECT_EQ(frame.request_id, 77u);
-  auto decoded = DecodeBatchRecommendRequest(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_EQ((*decoded)[0].seed_videos, batch[0].seed_videos);
-  EXPECT_EQ((*decoded)[1].now, -42);
-  EXPECT_EQ((*decoded)[2].user, 0xFFFFFFFFFFFFFFFFull);
-}
-
-TEST(NetCodecTest, BatchRecommendRequestRejectsEmptyAndOversize) {
-  // §7.1: count must be in [1, kMaxBatchedRequests].
-  Frame empty;
-  empty.type = MessageType::kBatchRecommendRequest;
-  empty.body = std::string(4, '\x00');  // count = 0
-  EXPECT_TRUE(DecodeBatchRecommendRequest(empty).status().IsInvalidArgument());
-
-  std::vector<RecRequest> too_many(kMaxBatchedRequests + 1);
-  Frame oversize = DecodeOne(EncodeBatchRecommendRequest(1, too_many));
-  EXPECT_TRUE(
-      DecodeBatchRecommendRequest(oversize).status().IsInvalidArgument());
-}
-
-TEST(NetCodecTest, BatchRecommendResponseRoundtripWithMixedOutcomes) {
-  // §7.2: per-item error codes; failed items carry zero videos.
-  std::vector<BatchRecommendItem> items(3);
-  items[0].reply.videos = {{100, 0.9}, {101, 0.5}};
-  items[1].error = static_cast<std::uint8_t>(WireError::kBadRequest);
-  items[1].reply.videos = {{999, 1.0}};  // Must NOT survive encoding.
-  items[2].reply.flags = kRecommendFlagDegraded;
-  items[2].reply.videos = {{102, 0.1}};
-  Frame frame = DecodeOne(EncodeBatchRecommendResponse(88, items));
-  EXPECT_EQ(frame.type, MessageType::kBatchRecommendResponse);
-  EXPECT_EQ(frame.version, kWireVersionV2);
-  auto decoded = DecodeBatchRecommendResponse(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), 3u);
-  EXPECT_TRUE((*decoded)[0].ok());
-  ASSERT_EQ((*decoded)[0].reply.videos.size(), 2u);
-  EXPECT_EQ((*decoded)[0].reply.videos[0].video, 100u);
-  EXPECT_FALSE((*decoded)[1].ok());
-  EXPECT_EQ((*decoded)[1].error,
-            static_cast<std::uint8_t>(WireError::kBadRequest));
-  EXPECT_TRUE((*decoded)[1].reply.videos.empty());
-  EXPECT_TRUE((*decoded)[2].ok());
-  EXPECT_TRUE((*decoded)[2].reply.degraded());
-}
-
 TEST(NetCodecTest, V2FramesRejectTruncationAndTrailingGarbage) {
   HelloRequest hello;
   std::string bytes = EncodeHelloRequest(5, hello);
@@ -431,11 +373,12 @@ TEST(NetCodecTest, V2FramesRejectTruncationAndTrailingGarbage) {
   padded.body += '\x00';
   EXPECT_TRUE(DecodeHelloRequest(padded).status().IsInvalidArgument());
 
-  std::vector<RecRequest> batch(2);
-  Frame batch_padded = DecodeOne(EncodeBatchRecommendRequest(6, batch));
-  batch_padded.body += '\x00';
+  RecRequest request;
+  request.seed_videos = {1, 2};
+  Frame recommend_padded = DecodeOne(EncodeRecommendRequest(6, request));
+  recommend_padded.body += '\x00';
   EXPECT_TRUE(
-      DecodeBatchRecommendRequest(batch_padded).status().IsInvalidArgument());
+      DecodeRecommendRequest(recommend_padded).status().IsInvalidArgument());
 }
 
 // --- Trace extension (docs/WIRE_PROTOCOL.md §2.1) --------------------------

@@ -710,7 +710,7 @@ TEST(RecServerTest, QualityMetricsVisibleViaStatsRpc) {
   EXPECT_NE(stats->find("quality_alerts_logloss_total "), std::string::npos);
 }
 
-// --- Hello, batching, pipelining (docs/WIRE_PROTOCOL.md §5-§7) -------------
+// --- Hello, pipelining (docs/WIRE_PROTOCOL.md §5-§6) -------------------------
 
 TEST(RecServerTest, V2NegotiatedAtConnect) {
   LiveServer live;
@@ -722,64 +722,91 @@ TEST(RecServerTest, V2NegotiatedAtConnect) {
   EXPECT_EQ(live.metrics.GetCounter("net.server.requests")->value(), 1);
 }
 
-TEST(RecServerTest, BatchNeedsNoHello) {
-  // Hello only negotiates features (§7.3): a peer that never sends one
-  // may batch and pipeline from its first frame.
+TEST(RecServerTest, PipelineNeedsNoHello) {
+  // Hello only negotiates features (§5): a peer that never sends one may
+  // pipeline from its first frame.
   LiveServer live;
   Timestamp t = 0;
   for (UserId user = 1; user <= 5; ++user) {
     live.service.Observe(Play(user, 100, t += 1000));
   }
   RawPeer peer(live.server->port());
-  std::vector<RecRequest> batch(2);
-  for (RecRequest& request : batch) {
-    request.user = 999;
-    request.top_n = 3;
-    request.now = t;
+  RecRequest request;
+  request.user = 999;
+  request.top_n = 3;
+  request.now = t;
+  peer.Send(EncodeRecommendRequest(9, request) + EncodePingRequest(10));
+  std::map<std::uint64_t, Frame> answers;
+  for (int i = 0; i < 2; ++i) {
+    StatusOr<Frame> frame = peer.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    answers[frame->request_id] = *frame;
   }
-  peer.Send(EncodeBatchRecommendRequest(9, batch) + EncodePingRequest(10));
-  StatusOr<Frame> frame = peer.ReadFrame();
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  ASSERT_EQ(frame->type, MessageType::kBatchRecommendResponse);
-  EXPECT_EQ(frame->request_id, 9u);
-  auto items = DecodeBatchRecommendResponse(*frame);
-  ASSERT_TRUE(items.ok()) << items.status().ToString();
-  ASSERT_EQ(items->size(), batch.size());
-  for (const BatchRecommendItem& item : *items) {
-    ASSERT_TRUE(item.ok());
-    ASSERT_FALSE(item.reply.videos.empty());
-    EXPECT_EQ(item.reply.videos[0].video, 100u);
-  }
-  StatusOr<Frame> pong = peer.ReadFrame();
-  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
-  EXPECT_EQ(pong->type, MessageType::kPongResponse);
-  EXPECT_EQ(pong->request_id, 10u);
+  ASSERT_EQ(answers.count(9), 1u);
+  ASSERT_EQ(answers[9].type, MessageType::kRecommendResponse);
+  auto reply = DecodeRecommendReply(answers[9]);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_FALSE(reply->videos.empty());
+  EXPECT_EQ(reply->videos[0].video, 100u);
+  ASSERT_EQ(answers.count(10), 1u);
+  EXPECT_EQ(answers[10].type, MessageType::kPongResponse);
   EXPECT_EQ(live.metrics.GetCounter("net.v2.hellos")->value(), 0);
 }
 
-TEST(RecServerTest, BatchRecommendRoundTripsAndChunks) {
+TEST(RecServerTest, RetiredBatchTypeGetsUnknownTypeAndConnectionSurvives) {
+  // 0x07 (once the batched Recommend) is not a message type: a well-formed
+  // batch of one Recommend body is answered like any other unknown type,
+  // and the connection stays usable.
   LiveServer live;
-  Timestamp t = 0;
-  for (UserId user = 1; user <= 5; ++user) {
-    live.service.Observe(Play(user, 100, t += 1000));
-  }
+  RawPeer peer(live.server->port());
+  RecRequest request;
+  request.user = 1;
+  request.top_n = 3;
+  FrameDecoder encoded;
+  encoded.Append(EncodeRecommendRequest(0, request));
+  Frame retired;
+  retired.type = static_cast<MessageType>(0x07);
+  retired.request_id = 21;
+  retired.body = std::string("\x00\x00\x00\x01", 4) + encoded.Next()->body;
+  std::string bytes;
+  AppendFrame(retired, &bytes);
+  peer.Send(bytes);
+  StatusOr<Frame> frame = peer.ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_EQ(frame->type, MessageType::kErrorResponse);
+  EXPECT_EQ(frame->request_id, 21u);
+  auto error = DecodeErrorResponse(*frame);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->code, WireError::kUnknownType);
+
+  peer.Send(EncodePingRequest(22));
+  StatusOr<Frame> pong = peer.ReadFrame();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->type, MessageType::kPongResponse);
+  EXPECT_EQ(pong->request_id, 22u);
+}
+
+TEST(RecServerTest, OneRecommendIsOneSampleOfTheRecommendHistogram) {
+  // perfbench reads net.server.rpc.recommend.latency_us as the server's
+  // own time per Recommend: every Recommend records exactly one sample
+  // and counts as exactly one request.
+  LiveServer live;
   RecClient client(live.ClientOptions());
-  // 70 requests > kMaxBatchedRequests forces two wire batches.
-  std::vector<RecRequest> requests(70);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].user = 999;
-    requests[i].top_n = 3;
-    requests[i].now = t;
-  }
-  auto items = client.RecommendBatch(requests);
-  ASSERT_TRUE(items.ok()) << items.status().ToString();
-  ASSERT_EQ(items->size(), requests.size());
-  for (const auto& item : *items) {
-    ASSERT_TRUE(item.status.ok()) << item.status.ToString();
-    ASSERT_FALSE(item.reply.videos.empty());
-    EXPECT_EQ(item.reply.videos[0].video, 100u);
-  }
-  EXPECT_EQ(live.metrics.GetCounter("net.v2.batched_requests")->value(), 70);
+  // Connect (and Hello) first, so only the Recommend below moves the
+  // metrics under test.
+  ASSERT_TRUE(client.Connect().ok());
+  Histogram* latency =
+      live.metrics.GetHistogram("net.server.rpc.recommend.latency_us");
+  Counter* requests = live.metrics.GetCounter("net.server.requests");
+  const std::uint64_t samples_before = latency->count();
+  const std::int64_t requests_before = requests->value();
+
+  RecRequest request;
+  request.user = 1;
+  request.top_n = 3;
+  ASSERT_TRUE(client.Recommend(request).ok());
+  EXPECT_EQ(latency->count() - samples_before, 1u);
+  EXPECT_EQ(requests->value() - requests_before, 1);
 }
 
 TEST(RecServerTest, PipelinedThreadsShareOneConnection) {

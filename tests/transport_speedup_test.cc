@@ -1,9 +1,8 @@
 // Pipelining must beat a lock-step baseline (one request in flight) on
-// one connection (docs/WIRE_PROTOCOL.md §6, §9). Every leg speaks raw
-// wire frames from the test thread, over a TCP fd or an shm slot, not
-// through RecClient, so the comparison isolates transport mechanics
-// (round trips, syscalls, wakeups) from client-library threads and
-// locks.
+// one TCP connection (docs/WIRE_PROTOCOL.md §6). Both legs speak raw
+// wire frames from the test thread, not through RecClient, so the
+// comparison isolates transport mechanics (round trips, syscalls,
+// wakeups) from client-library threads and locks.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,12 +10,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <unordered_set>
 
 #include "net/rec_server.h"
-#include "net/shm_transport.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "service/recommendation_service.h"
@@ -26,21 +23,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::int64_t SteadyMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
-/// One raw wire connection: a blocking TCP fd + FrameDecoder, or an shm
-/// slot.
+/// One raw wire connection: a blocking TCP fd + FrameDecoder.
 struct RawConnection {
   UniqueFd fd;
   FrameDecoder decoder;
-  std::unique_ptr<ShmClient> shm;
 
   bool Send(const std::string& bytes) {
-    if (shm) return shm->Send(bytes, SteadyMillis() + 2000).ok();
     std::size_t sent = 0;
     while (sent < bytes.size()) {
       const ssize_t n =
@@ -55,7 +43,6 @@ struct RawConnection {
   }
 
   StatusOr<Frame> Next() {
-    if (shm) return shm->NextFrame(SteadyMillis() + 2000);
     char buf[16384];
     while (true) {
       StatusOr<Frame> frame = decoder.Next();
@@ -140,13 +127,10 @@ TEST(TransportSpeedupTest, PipeliningBeatsLockStepOnOneConnection) {
       service.Observe(Play(user, 11 + user % 5, t += 1000));
     }
   }
-  const std::string shm_name =
-      "/rtrec.test-speedup-" + std::to_string(getpid());
   RecServer::Options server_options;
   server_options.port = 0;
   server_options.num_workers = 2;
   server_options.metrics = &metrics;
-  server_options.shm_name = shm_name;
   RecServer server(&service, server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -165,23 +149,12 @@ TEST(TransportSpeedupTest, PipeliningBeatsLockStepOnOneConnection) {
   ASSERT_TRUE(tcp_fd.ok()) << tcp_fd.status().ToString();
   tcp.fd = std::move(*tcp_fd);
   const double tcp_qps = WindowedQps(tcp, kWindow, kSeconds);
-
-  RawConnection shm;
-  auto attached = ShmClient::Attach(shm_name, {});
-  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
-  shm.shm = std::move(*attached);
-  const double shm_qps = WindowedQps(shm, kWindow, kSeconds);
   server.Stop();
 
-  std::printf("lock-step %.0f QPS | tcp pipelined %.0f (x%.2f) | shm "
-              "pipelined %.0f (x%.2f)\n",
-              lockstep_qps, tcp_qps, tcp_qps / lockstep_qps, shm_qps,
-              shm_qps / lockstep_qps);
+  std::printf("lock-step %.0f QPS | tcp pipelined %.0f (x%.2f)\n",
+              lockstep_qps, tcp_qps, tcp_qps / lockstep_qps);
   ASSERT_GT(lockstep_qps, 0.0);
   EXPECT_GT(tcp_qps / lockstep_qps, 1.0);
-  EXPECT_GT(shm_qps / lockstep_qps, 1.0);
-  EXPECT_GT(metrics.GetCounter("shm.ring.polls")->value(), 0);
-  EXPECT_EQ(metrics.GetCounter("shm.ring.attach_errors")->value(), 0);
 }
 
 }  // namespace
