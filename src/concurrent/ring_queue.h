@@ -2,11 +2,9 @@
 #define RTREC_CONCURRENT_RING_QUEUE_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
@@ -22,12 +20,13 @@ namespace rtrec::concurrent {
 
 /// Blocking bounded queue over a lock-free ring — the stream engine's
 /// task queue. The data path (push, pop, batch drain) is the underlying
-/// SPSC or MPSC ring and never takes a lock; the mutex/condvar pair is
-/// only the *parking lot* for a side that found the ring full (producer
-/// backpressure) or empty (idle consumer) after an adaptive
-/// spin-then-yield phase. A push into an empty ring therefore costs a
-/// ring write plus one relaxed flag load; the wake syscall fires only
-/// when the counterpart actually parked.
+/// SPSC or MPSC ring and never takes a lock. A side that found the ring
+/// full (producer backpressure) or empty (idle consumer) after an
+/// adaptive spin-then-yield phase parks with std::atomic::wait on the
+/// other side's change counter: `pushes_` for the consumer, `pops_` for
+/// producers. A push into an empty ring therefore costs a ring write
+/// plus one counter increment and one flag load; the wake syscall fires
+/// only when the counterpart actually parked.
 ///
 /// Semantics mirror the mutex BoundedQueue it replaces:
 ///   - Push / PushBatch block when full (end-to-end backpressure) and
@@ -40,11 +39,17 @@ namespace rtrec::concurrent {
 /// Options::single_producer promised it (the ring is chosen
 /// accordingly).
 ///
-/// Lost-wakeup note: parking uses the Dekker pattern (park flag store →
-/// seq_cst fence → ring recheck on one side; ring write → seq_cst fence
-/// → park flag load on the other). The parked waits are additionally
-/// time-bounded (kParkWait) so even a platform where the fence
-/// reasoning failed would degrade to a bounded stall, never a hang.
+/// Lost-wakeup note: every step of the handshake is a seq_cst atomic
+/// operation, so ThreadSanitizer sees all of it. The parking side raises
+/// its flag, reads the counter, rechecks the ring and waits on the value
+/// it read. The waking side moves items, increments the counter, then
+/// notifies if the flag is up. If the recheck missed the other side's
+/// push or pop, the counter has already moved past the value read and
+/// the wait returns at once. If the waking side saw the flag down, the
+/// parking side's counter read saw the increment, so its recheck sees
+/// the items. The flag check keeps notify off the fast path: waiters on
+/// every queue share a few hashed wait slots, so an unconditional notify
+/// would make a futex call whenever any other queue's consumer sleeps.
 template <typename T>
 class RingQueue {
  public:
@@ -91,10 +96,10 @@ class RingQueue {
   /// Moves every item of `items` into the ring in order, blocking while
   /// it is full like Push. Each run of items that fits costs one ring
   /// claim (SPSC: one release store; MPSC: one CAS for the whole run),
-  /// one fence and one consumer wake check. A batch larger than the free
-  /// space goes in piecewise as the consumer drains. Returns false iff
-  /// the queue closed first; items not yet in the ring are then dropped.
-  /// One producer's batches keep their order.
+  /// one counter increment and one consumer wake check. A batch larger
+  /// than the free space goes in piecewise as the consumer drains.
+  /// Returns false iff the queue closed first; items not yet in the ring
+  /// are then dropped. One producer's batches keep their order.
   bool PushBatch(std::span<T> items) {
     if (closed_.load(std::memory_order_acquire)) return false;
     std::size_t done = 0;
@@ -109,36 +114,18 @@ class RingQueue {
         std::this_thread::yield();
         if (PushMore(items, done)) return true;
       }
-      // Park. The retry after raising producers_parked_ (inside the
-      // lock) closes the race against a consumer that drained the ring
-      // and checked the flag before we raised it.
-      std::unique_lock<std::mutex> lock(park_mu_);
+      // Park (see the lost-wakeup note): flag, counter, recheck, wait.
       producers_parked_.fetch_add(1, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const std::size_t pushed = RingPushBatch(items.subspan(done));
-      if (pushed > 0) {
-        done += pushed;
-        producers_parked_.fetch_sub(1, std::memory_order_relaxed);
-        lock.unlock();
-        WakeConsumerIfParked();
-        if (done == items.size()) return true;
-        continue;
-      }
-      if (!closed_.load(std::memory_order_acquire)) {
-        producer_cv_.wait_for(lock, kParkWait);
+      const std::uint32_t seen = pops_.load(std::memory_order_seq_cst);
+      const std::size_t before = done;
+      const bool all_in = PushMore(items, done);
+      if (done == before && !closed_.load(std::memory_order_acquire)) {
+        pops_.wait(seen, std::memory_order_seq_cst);
       }
       producers_parked_.fetch_sub(1, std::memory_order_relaxed);
+      if (all_in) return true;
     }
     return false;
-  }
-
-  /// Non-blocking push; false when full or closed. `item` is left
-  /// untouched when the push fails.
-  bool TryPush(T&& item) {
-    if (closed_.load(std::memory_order_acquire)) return false;
-    if (RingPushBatch(std::span<T>(&item, 1)) == 0) return false;
-    WakeConsumerIfParked();
-    return true;
   }
 
   /// Blocks until at least one item is available, appends up to
@@ -174,16 +161,14 @@ class RingQueue {
         std::this_thread::yield();
         continue;
       }
-      std::unique_lock<std::mutex> lock(park_mu_);
+      // Park (see the lost-wakeup note): flag, counter, recheck, wait.
       consumer_parked_.store(true, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (SizeApprox() != 0 || closed_.load(std::memory_order_acquire)) {
-        consumer_parked_.store(false, std::memory_order_relaxed);
-        continue;
+      const std::uint32_t seen = pushes_.load(std::memory_order_seq_cst);
+      if (SizeApprox() == 0 && !closed_.load(std::memory_order_acquire)) {
+        pushes_.wait(seen, std::memory_order_seq_cst);
+        Bump(options_.stats.parked_wakeups);
       }
-      consumer_cv_.wait_for(lock, kParkWait);
       consumer_parked_.store(false, std::memory_order_relaxed);
-      Bump(options_.stats.parked_wakeups);
     }
   }
 
@@ -195,21 +180,15 @@ class RingQueue {
     return std::move(one.front());
   }
 
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    T out;
-    if (!RingTryPop(out)) return std::nullopt;
-    WakeProducersIfParked();
-    return out;
-  }
-
   /// Closes the queue: pending and future pushes return false, pops
-  /// drain then report exhaustion. Idempotent.
+  /// drain then report exhaustion. Idempotent. Moving both counters
+  /// releases every wait, parked or about to park.
   void Close() {
-    closed_.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(park_mu_);
-    consumer_cv_.notify_all();
-    producer_cv_.notify_all();
+    closed_.store(true, std::memory_order_seq_cst);
+    pushes_.fetch_add(1, std::memory_order_seq_cst);
+    pushes_.notify_all();
+    pops_.fetch_add(1, std::memory_order_seq_cst);
+    pops_.notify_all();
   }
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -225,8 +204,6 @@ class RingQueue {
   bool single_producer() const { return options_.single_producer; }
 
  private:
-  static constexpr std::chrono::milliseconds kParkWait{1};
-
   static Options MakeOptions(std::size_t capacity) {
     Options options;
     options.capacity = capacity;
@@ -243,8 +220,8 @@ class RingQueue {
   }
 
   // Pushes what fits of items[done..], waking the consumer on any
-  // progress (a partial batch must not wait on a parked consumer's
-  // timeout). True once every item is in.
+  // progress (a partial batch must not wait for the rest to fit). True
+  // once every item is in.
   bool PushMore(std::span<T> items, std::size_t& done) {
     const std::size_t pushed = RingPushBatch(items.subspan(done));
     if (pushed == 0) return false;
@@ -252,27 +229,20 @@ class RingQueue {
     WakeConsumerIfParked();
     return done == items.size();
   }
-  bool RingTryPop(T& out) {
-    return spsc_ != nullptr ? spsc_->TryPop(out) : mpsc_->TryPop(out);
-  }
   std::size_t RingPopBatch(std::vector<T>& out, std::size_t max_items) {
     return spsc_ != nullptr ? spsc_->TryPopBatch(out, max_items)
                             : mpsc_->TryPopBatch(out, max_items);
   }
 
   void WakeConsumerIfParked() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (consumer_parked_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      consumer_cv_.notify_one();
-    }
+    pushes_.fetch_add(1, std::memory_order_seq_cst);
+    if (consumer_parked_.load(std::memory_order_seq_cst)) pushes_.notify_one();
   }
 
   void WakeProducersIfParked() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (producers_parked_.load(std::memory_order_relaxed) > 0) {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      producer_cv_.notify_all();
+    pops_.fetch_add(1, std::memory_order_seq_cst);
+    if (producers_parked_.load(std::memory_order_seq_cst) > 0) {
+      pops_.notify_all();
     }
   }
 
@@ -284,9 +254,11 @@ class RingQueue {
   std::atomic<bool> closed_{false};
   std::atomic<bool> consumer_parked_{false};
   std::atomic<int> producers_parked_{0};
-  std::mutex park_mu_;
-  std::condition_variable consumer_cv_;
-  std::condition_variable producer_cv_;
+  // Change counters the parked sides wait on, each bumped after every
+  // push (pop) that moved items and by Close. On their own cache lines:
+  // producers write one, the consumer the other.
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> pushes_{0};
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> pops_{0};
 };
 
 }  // namespace rtrec::concurrent

@@ -26,8 +26,8 @@ inline void CpuPause() {
 #endif
 }
 
-/// How long a ring-queue side busy-waits before parking on a
-/// condition variable. Spins are CpuPause iterations (no syscall),
+/// How long a ring-queue side busy-waits before parking on an atomic
+/// wait. Spins are CpuPause iterations (no syscall),
 /// yields are sched_yield rounds (cheap syscall, lets the counterpart
 /// run on an oversubscribed host); after both are exhausted the caller
 /// parks. The zero-spin configuration is what a single-CPU host wants:

@@ -26,10 +26,9 @@ const HotVideoTracker::GroupState* HotVideoTracker::FindState(
   return it == groups_.end() ? nullptr : it->second.get();
 }
 
-double HotVideoTracker::NormalizedIncrement(double weight,
-                                            Timestamp now) const {
-  return weight *
-         std::exp2(static_cast<double>(now) / options_.half_life_millis);
+double HotVideoTracker::Age(const GroupState& state, Timestamp now) const {
+  return (static_cast<double>(now) - state.landmark) /
+         options_.half_life_millis;
 }
 
 void HotVideoTracker::Record(GroupId group, VideoId video, double weight,
@@ -37,7 +36,17 @@ void HotVideoTracker::Record(GroupId group, VideoId video, double weight,
   if (weight <= 0.0) return;
   GroupState& state = StateFor(group);
   std::lock_guard<std::mutex> lock(state.mu);
-  const double increment = NormalizedIncrement(weight, now);
+  double age = Age(state, now);
+  if (age > kRescaleHalfLives) {
+    // Move the landmark a whole number of half-lives forward. Scores
+    // decayed past 2^−1074 underflow to 0, which is their value at `now`.
+    const double k = std::floor(age);
+    const double scale = std::exp2(-k);
+    state.top.TransformScores([scale](double score) { return score * scale; });
+    state.landmark += k * options_.half_life_millis;
+    age = Age(state, now);
+  }
+  const double increment = weight * std::exp2(age);
   const double* existing = state.top.Find(video);
   state.top.Upsert(video, (existing ? *existing : 0.0) + increment);
 }
@@ -47,11 +56,10 @@ std::vector<ScoredVideo> HotVideoTracker::Hottest(GroupId group,
                                                   Timestamp now) const {
   const GroupState* state = FindState(group);
   if (state == nullptr) return {};
-  // Convert normalized scores back to decayed-at-now scores.
-  const double denom =
-      std::exp2(static_cast<double>(now) / options_.half_life_millis);
   std::vector<ScoredVideo> out;
   std::lock_guard<std::mutex> lock(state->mu);
+  // Convert normalized scores back to decayed-at-now scores.
+  const double denom = std::exp2(Age(*state, now));
   const auto& entries = state->top.entries();
   out.reserve(std::min(n, entries.size()));
   for (std::size_t i = 0; i < entries.size() && i < n; ++i) {

@@ -18,10 +18,13 @@ namespace rtrec {
 /// (DB) algorithm of Section 5.2.1. kGlobalGroup tracks global
 /// popularity, used for brand-new unregistered users.
 ///
-/// Decay uses the standard normalized-score trick: a hit at time t adds
-/// w·2^(t/half_life) to the raw score, so all raw scores share one
-/// reference epoch (t = 0) and relative order equals decayed order
-/// without rescans. Thread-safe (one mutex per group).
+/// Decay is forward decay (Cormode et al., ICDE 2009): a hit at time t
+/// adds w·2^((t−L)/half_life) to the raw score, so all of a group's raw
+/// scores share one landmark L and relative order equals decayed order
+/// without rescans. L starts at 0. Once a hit lands more than
+/// kRescaleHalfLives after it, Record rescales the group's scores by
+/// 2^−k and advances L by k half-lives, so raw scores stay finite at any
+/// clock, epoch milliseconds included. Thread-safe (one mutex per group).
 class HotVideoTracker {
  public:
   struct Options {
@@ -51,17 +54,23 @@ class HotVideoTracker {
   const Options& options() const { return options_; }
 
  private:
+  /// Half-lives past the landmark after which Record moves it; far
+  /// below the 1024 at which 2^age overflows a double.
+  static constexpr double kRescaleHalfLives = 256.0;
+
   struct GroupState {
     mutable std::mutex mu;
     TopK<VideoId> top;
+    /// Forward-decay landmark L in milliseconds. Guarded by `mu`.
+    double landmark = 0.0;
     GroupState(std::size_t k) : top(k) {}
   };
 
   GroupState& StateFor(GroupId group);
   const GroupState* FindState(GroupId group) const;
 
-  /// Normalized score increment for weight at `now`.
-  double NormalizedIncrement(double weight, Timestamp now) const;
+  /// Half-lives from the group's landmark to `now`. Caller holds `mu`.
+  double Age(const GroupState& state, Timestamp now) const;
 
   Options options_;
   mutable std::mutex groups_mu_;  // Guards the group map only.

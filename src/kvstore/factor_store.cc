@@ -107,7 +107,6 @@ const FactorStore::PackedFactorEntry& FactorStore::FindOrInit(
   if (inserted) {
     const FactorEntry initial = MakeInitialEntry(id, is_user);
     PackInto(initial.vec, initial.bias, it->second);
-    if (!is_user) BumpVideoVersion(id);
   }
   return it->second;
 }
@@ -160,7 +159,7 @@ std::vector<FactorStore::VideoBatchEntry> FactorStore::GetVideos(
 
   // Group positions by stripe so each stripe lock is taken once. Stripe
   // counts are small powers of two; sorting (stripe, position) pairs is
-  // cheaper than per-stripe buckets for the ~200-key batches the serving
+  // cheaper than per-stripe buckets for the ~24-key batches the serving
   // path issues.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> order;
   order.reserve(ids.size());
@@ -185,9 +184,6 @@ std::vector<FactorStore::VideoBatchEntry> FactorStore::GetVideos(
       if (it == stripe.map.end()) continue;  // found stays false.
       VideoBatchEntry& result = results[pos];
       result.found = true;
-      // Read under the stripe lock: writers bump inside the same lock,
-      // so the (entry, version) pair is consistent.
-      result.version = VideoVersion(id);
       result.entry = Unpack(it->second);
       ++hits;
     }
@@ -210,36 +206,25 @@ void FactorStore::PutVideo(VideoId i, std::span<const float> vec,
   Stripe& stripe = videos_.StripeFor(i);
   std::lock_guard<std::mutex> lock(stripe.mu);
   PackInto(vec, bias, stripe.map[i]);
-  // Bumped under the stripe lock, so a GetVideos snapshot can never pair
-  // the new entry with the old version (or vice versa).
-  BumpVideoVersion(i);
 }
 
 void FactorStore::ObserveRating(double rating) {
-  // Seqlock write: serialize writers, mark the window odd, update both
-  // halves, mark it even. Readers that overlap the window retry.
   std::lock_guard<std::mutex> lock(rating_mu_);
-  rating_seq_.fetch_add(1, std::memory_order_acq_rel);
-  rating_sum_.store(rating_sum_.load(std::memory_order_relaxed) + rating,
-                    std::memory_order_relaxed);
-  rating_count_.store(rating_count_.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-  rating_seq_.fetch_add(1, std::memory_order_release);
+  rating_sum_ += rating;
+  ++rating_count_;
+  PublishGlobalMean();
 }
 
-double FactorStore::GlobalMean() const {
-  double sum = 0.0;
-  std::uint64_t count = 0;
-  GetRatingStats(&sum, &count);
-  if (count == 0) return 0.0;
-  return sum / static_cast<double>(count);
+void FactorStore::PublishGlobalMean() {
+  global_mean_.store(rating_count_ == 0
+                         ? 0.0
+                         : rating_sum_ / static_cast<double>(rating_count_),
+                     std::memory_order_relaxed);
 }
 
 std::uint64_t FactorStore::RatingCount() const {
-  double sum = 0.0;
-  std::uint64_t count = 0;
-  GetRatingStats(&sum, &count);
-  return count;
+  std::lock_guard<std::mutex> lock(rating_mu_);
+  return rating_count_;
 }
 
 std::size_t FactorStore::NumUsers() const {
@@ -297,32 +282,20 @@ bool FactorStore::PutVideoPacked(VideoId i, float bias, float scale,
   Stripe& stripe = videos_.StripeFor(i);
   std::lock_guard<std::mutex> lock(stripe.mu);
   StorePacked(bias, scale, data, stripe.map[i]);
-  BumpVideoVersion(i);
   return true;
 }
 
 void FactorStore::RestoreRatingStats(double sum, std::uint64_t count) {
   std::lock_guard<std::mutex> lock(rating_mu_);
-  rating_seq_.fetch_add(1, std::memory_order_acq_rel);
-  rating_sum_.store(sum, std::memory_order_relaxed);
-  rating_count_.store(count, std::memory_order_relaxed);
-  rating_seq_.fetch_add(1, std::memory_order_release);
+  rating_sum_ = sum;
+  rating_count_ = count;
+  PublishGlobalMean();
 }
 
 void FactorStore::GetRatingStats(double* sum, std::uint64_t* count) const {
-  // Seqlock read: retry until a stable even sequence brackets the loads.
-  for (;;) {
-    const std::uint32_t before = rating_seq_.load(std::memory_order_acquire);
-    if (before & 1u) continue;  // Write in progress.
-    const double s = rating_sum_.load(std::memory_order_relaxed);
-    const std::uint64_t c = rating_count_.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (rating_seq_.load(std::memory_order_relaxed) == before) {
-      *sum = s;
-      *count = c;
-      return;
-    }
-  }
+  std::lock_guard<std::mutex> lock(rating_mu_);
+  *sum = rating_sum_;
+  *count = rating_count_;
 }
 
 }  // namespace rtrec

@@ -1,7 +1,6 @@
 #ifndef RTREC_KVSTORE_FACTOR_STORE_H_
 #define RTREC_KVSTORE_FACTOR_STORE_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -115,9 +114,6 @@ class FactorStore {
     /// False when the id has no stored entry (the caller scores it with
     /// MakeInitialEntry instead).
     bool found = false;
-    /// The id's version (see VideoVersion) read under the same stripe
-    /// lock as `entry`, so (entry, version) is consistent.
-    std::uint64_t version = 0;
     FactorEntry entry;
   };
 
@@ -125,15 +121,6 @@ class FactorStore {
   /// them by stripe and taking each stripe lock exactly once instead of
   /// once per id. Results are aligned with `ids`.
   std::vector<VideoBatchEntry> GetVideos(std::span<const VideoId> ids) const;
-
-  /// Monotone per-video write version, bumped whenever the video's entry
-  /// is (re)written (PutVideo / PutVideoPacked / first GetOrInitVideo).
-  /// Versions are tracked in hashed buckets, so two videos may share a
-  /// version stream: an unchanged version means the video is unchanged,
-  /// a bumped one that it may have changed. Lock-free read.
-  std::uint64_t VideoVersion(VideoId i) const {
-    return video_versions_[VersionBucket(i)].load(std::memory_order_acquire);
-  }
 
   /// Overwrites the user entry (MFStorage bolt write path). The vector
   /// is quantized to the store's precision, into the existing payload
@@ -149,8 +136,10 @@ class FactorStore {
   void ObserveRating(double rating);
 
   /// Running global average rating μ of Eq. 2 (0 until first observation).
-  /// Reads (sum, count) as a consistent pair via the rating seqlock.
-  double GlobalMean() const;
+  /// One atomic load of the value the last writer published.
+  double GlobalMean() const {
+    return global_mean_.load(std::memory_order_relaxed);
+  }
 
   /// Number of ratings folded into μ.
   std::uint64_t RatingCount() const;
@@ -186,7 +175,7 @@ class FactorStore {
   bool PutUserPacked(UserId u, float bias, float scale,
                      const std::byte* data, std::size_t size);
 
-  /// Video-side PutUserPacked; bumps the video version.
+  /// Video-side PutUserPacked.
   bool PutVideoPacked(VideoId i, float bias, float scale,
                       const std::byte* data, std::size_t size);
 
@@ -194,7 +183,7 @@ class FactorStore {
   void RestoreRatingStats(double sum, std::uint64_t count);
 
   /// Current running-mean accumulator (checkpoint save path), read as a
-  /// consistent pair.
+  /// consistent pair under the rating mutex.
   void GetRatingStats(double* sum, std::uint64_t* count) const;
 
   /// Deterministically initializes an entry for `id` without storing it.
@@ -240,27 +229,20 @@ class FactorStore {
   void UnpackInto(const PackedFactorEntry& packed, float* vec) const;
   FactorEntry Unpack(const PackedFactorEntry& packed) const;
 
-  /// The stored entry for `id`, created from MakeInitialEntry if absent
-  /// (bumping the version of a new video). Caller holds `stripe.mu`.
+  /// The stored entry for `id`, created from MakeInitialEntry if absent.
+  /// Caller holds `stripe.mu`.
   const PackedFactorEntry& FindOrInit(Stripe& stripe, std::uint64_t id,
                                       bool is_user);
 
-  static constexpr std::size_t kVersionBuckets = 4096;  // Power of two.
-  static std::size_t VersionBucket(VideoId i) {
-    return MixHash64(i) & (kVersionBuckets - 1);
-  }
-  void BumpVideoVersion(VideoId i) {
-    video_versions_[VersionBucket(i)].fetch_add(1, std::memory_order_acq_rel);
-  }
+  /// Stores sum/count (0 with no ratings) into global_mean_. Caller holds
+  /// rating_mu_.
+  void PublishGlobalMean();
 
   Options options_;
   /// num_factors * FactorWidthBytes(precision), cached at construction.
   std::size_t payload_bytes_ = 0;
   Table users_;
   Table videos_;
-
-  // Hashed per-video write versions (see VideoVersion).
-  std::array<std::atomic<std::uint64_t>, kVersionBuckets> video_versions_{};
 
   // Batch-read instrumentation: `<prefix>multiget.*` and its trace stage.
   Counter* multiget_calls_ = nullptr;
@@ -269,17 +251,14 @@ class FactorStore {
   Counter* multiget_shard_batches_ = nullptr;
   Histogram* multiget_span_ = nullptr;
 
-  // Running mean μ. (sum, count) must be read as a pair — a sum from one
-  // rating and a count from another skews the mean every reader sees —
-  // so the pair sits behind a seqlock: writers serialize on rating_mu_
-  // and bracket their two stores with seq increments (odd = write in
-  // progress); readers retry until they see the same even sequence on
-  // both sides of the loads. The payload stays in atomics with relaxed
-  // ordering so the retry loop is race-free under TSan.
+  // Running mean μ. (sum, count) change together under rating_mu_; the
+  // writer then publishes sum/count into global_mean_, so readers on the
+  // SGD and scoring paths never see a sum from one rating paired with a
+  // count from another, and never take the lock.
   mutable std::mutex rating_mu_;
-  std::atomic<std::uint32_t> rating_seq_{0};
-  std::atomic<double> rating_sum_{0.0};
-  std::atomic<std::uint64_t> rating_count_{0};
+  double rating_sum_ = 0.0;
+  std::uint64_t rating_count_ = 0;
+  std::atomic<double> global_mean_{0.0};
 };
 
 }  // namespace rtrec

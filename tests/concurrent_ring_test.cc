@@ -405,7 +405,7 @@ TEST(RingQueueTest, StatsCountersPopulate) {
 // Multi-producer soak through the blocking wrapper: exercises the
 // park/wake handshake from both sides under contention. TSan builds run
 // this too (tests share the sanitizer CI matrix), which is the
-// data-race check for the Dekker-pattern parking protocol.
+// data-race check for the atomic wait/notify parking protocol.
 TEST(RingQueueTest, MpscSoakExactAccounting) {
   constexpr int kProducers = 3;
   constexpr std::int64_t kPerProducer = 20000;
@@ -436,6 +436,60 @@ TEST(RingQueueTest, MpscSoakExactAccounting) {
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(queue.SizeApprox(), 0u);
+}
+
+// Hand-off stress for the park/wake handshake: a 2-slot ring and 10^6
+// single-item hand-offs, so producers find the ring full and the
+// consumer finds it empty over and over, and either side parks once its
+// spin budget runs out. Parked waits have no timeout, so a lost wakeup
+// hangs this test (ctest's TIMEOUT turns that into a failure) instead of
+// slowing it down.
+void HandOffStress(int producers_count, bool single_producer) {
+  constexpr std::int64_t kHandOffs = 1'000'000;
+  const std::int64_t per_producer = kHandOffs / producers_count;
+  MetricsRegistry metrics;
+  RingQueue<std::int64_t>::Options options;
+  options.capacity = 2;
+  options.single_producer = single_producer;
+  options.stats.push_retries = metrics.GetCounter("q.push_retries");
+  RingQueue<std::int64_t> queue(options);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < producers_count; ++p) {
+    producers.emplace_back([&queue, p, per_producer] {
+      for (std::int64_t i = 0; i < per_producer; ++i) {
+        ASSERT_TRUE(queue.Push(p * per_producer + i));
+      }
+    });
+  }
+  std::vector<std::int64_t> next_seq(producers_count, 0);
+  std::int64_t received = 0;
+  std::vector<std::int64_t> batch;
+  while (received < per_producer * producers_count) {
+    batch.clear();
+    ASSERT_GT(queue.PopBatch(batch, 2), 0u);
+    for (const std::int64_t v : batch) {
+      const int p = static_cast<int>(v / per_producer);
+      ASSERT_EQ(v % per_producer, next_seq[p]);  // Per-producer FIFO.
+      ++next_seq[p];
+      ++received;
+    }
+  }
+  for (auto& t : producers) t.join();
+  queue.Close();
+  EXPECT_FALSE(queue.Pop().has_value());  // Nothing extra, nothing left.
+  for (int p = 0; p < producers_count; ++p) {
+    EXPECT_EQ(next_seq[p], per_producer);
+  }
+  // A 2-slot ring fills, so the full-ring path ran.
+  EXPECT_GT(metrics.GetCounter("q.push_retries")->value(), 0);
+}
+
+TEST(RingQueueTest, SpscHandOffStressThroughTwoSlots) {
+  HandOffStress(/*producers_count=*/1, /*single_producer=*/true);
+}
+
+TEST(RingQueueTest, MpscHandOffStressThroughTwoSlots) {
+  HandOffStress(/*producers_count=*/3, /*single_producer=*/false);
 }
 
 // --- SpinPolicy ------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace rtrec {
 namespace {
 
@@ -78,6 +80,37 @@ TEST(HotVideoTrackerTest, NRequestTruncates) {
   HotVideoTracker tracker(SmallOptions());
   for (VideoId v = 1; v <= 5; ++v) tracker.Record(0, v, 1.0, 0);
   EXPECT_EQ(tracker.Hottest(0, 2, 0).size(), 2u);
+}
+
+// 2^(t/half_life) overflows a double past 1024 half-lives; with the
+// default one-day half-life that is under three years of clock, and
+// epoch milliseconds are ~20k half-lives in. Scores must stay finite and
+// ordered by weight at any clock, including after the landmark moves
+// several times within one tracker.
+TEST(HotVideoTrackerTest, RealClocksGiveFiniteScoresInWeightOrder) {
+  HotVideoTracker tracker;  // Default one-day half-life.
+  for (const Timestamp now :
+       {Timestamp{0}, 1100 * kMillisPerDay, Timestamp{1'760'000'000'000}}) {
+    tracker.Record(0, 1, 1.0, now);
+    tracker.Record(0, 2, 3.0, now);
+    tracker.Record(0, 3, 2.0, now);
+    const auto hot = tracker.Hottest(0, 10, now);
+    ASSERT_EQ(hot.size(), 3u) << "now=" << now;
+    EXPECT_EQ(hot[0].video, 2u) << "now=" << now;
+    EXPECT_EQ(hot[1].video, 3u) << "now=" << now;
+    EXPECT_EQ(hot[2].video, 1u) << "now=" << now;
+    for (const ScoredVideo& s : hot) {
+      EXPECT_TRUE(std::isfinite(s.score)) << "now=" << now;
+    }
+    // Earlier hits have decayed to nothing; the fresh ones are exact.
+    EXPECT_NEAR(hot[0].score, 3.0, 1e-9) << "now=" << now;
+    EXPECT_NEAR(hot[2].score, 1.0, 1e-9) << "now=" << now;
+  }
+  // Half a half-life past an epoch-ms landmark the decay still applies.
+  const auto later =
+      tracker.Hottest(0, 10, 1'760'000'000'000 + kMillisPerDay / 2);
+  ASSERT_EQ(later.size(), 3u);
+  EXPECT_NEAR(later[0].score, 3.0 / std::sqrt(2.0), 1e-9);
 }
 
 TEST(HotRecommenderViewTest, ServesTrackerContent) {
