@@ -57,10 +57,9 @@ struct MfModelConfig {
   /// Storage precision of factor vectors in the FactorStore. Training
   /// and serving always see float32; this controls the at-rest format
   /// (quantize on write, dequantize on read). kFloat16 halves factor
-  /// memory for <1% recall cost (QuantizedRecallTest holds it to that);
-  /// kInt8 quarters it but its per-step resolution
-  /// (max|x|/127) can round away small SGD updates — check the recall
-  /// guardrail before trusting it on a new workload.
+  /// memory for <1% recall cost (QuantizedRecallTest holds it to that).
+  /// A checkpoint restores only into a store of the precision it was
+  /// written at.
   FactorPrecision precision = FactorPrecision::kFloat32;
   /// Action-to-confidence mapping (Table 1, Eq. 6).
   FeedbackConfig feedback;

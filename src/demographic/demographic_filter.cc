@@ -1,6 +1,5 @@
 #include "demographic/demographic_filter.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -57,27 +56,9 @@ StatusOr<std::vector<ScoredVideo>> DemographicFilter::Recommend(
   StatusOr<std::vector<ScoredVideo>> primary = primary_->Recommend(request);
   if (!primary.ok()) return primary.status();
 
-  // The hot list never carries a request seed: a page must not repeat
-  // the video the user is on (RecommendationService::FallbackRecommend
-  // applies the same rule). Seeds are dropped before the blend, from a
-  // list fetched long enough to still offer n videos.
-  const std::vector<VideoId>& seeds = request.seed_videos;
-  const auto hottest = [&](GroupId g) {
-    std::vector<ScoredVideo> hot =
-        tracker_->Hottest(g, n + seeds.size(), request.now);
-    std::erase_if(hot, [&seeds](const ScoredVideo& v) {
-      return std::find(seeds.begin(), seeds.end(), v.video) != seeds.end();
-    });
-    if (hot.size() > n) hot.resize(n);
-    return hot;
-  };
-  GroupId group = grouper_->GroupOf(request.user);
-  std::vector<ScoredVideo> hot = hottest(group);
-  if (hot.empty() && group != kGlobalGroup) {
-    // The group has no traffic yet — fall back to global popularity, the
-    // rule the paper applies to new unregistered users.
-    hot = hottest(kGlobalGroup);
-  }
+  // RecommendationService::FallbackRecommend serves this same page.
+  const std::vector<ScoredVideo> hot = tracker_->HotPage(
+      grouper_->GroupOf(request.user), n, request.now, request.seed_videos);
 
   if (primary->size() < options_.min_primary_results) {
     // Cold start: the MF path cannot produce enough efficient

@@ -1,5 +1,6 @@
 #include "demographic/hot_videos.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -58,8 +59,10 @@ std::vector<ScoredVideo> HotVideoTracker::Hottest(GroupId group,
   if (state == nullptr) return {};
   std::vector<ScoredVideo> out;
   std::lock_guard<std::mutex> lock(state->mu);
-  // Convert normalized scores back to decayed-at-now scores.
-  const double denom = std::exp2(Age(*state, now));
+  // Convert normalized scores back to decayed-at-now scores. A `now`
+  // more than 1024 half-lives before the landmark would divide by
+  // exp2(age) == 0, so a clock behind the landmark reads as the landmark.
+  const double denom = std::exp2(std::max(0.0, Age(*state, now)));
   const auto& entries = state->top.entries();
   out.reserve(std::min(n, entries.size()));
   for (std::size_t i = 0; i < entries.size() && i < n; ++i) {
@@ -68,17 +71,20 @@ std::vector<ScoredVideo> HotVideoTracker::Hottest(GroupId group,
   return out;
 }
 
-HotRecommenderView::HotRecommenderView(HotVideoTracker* tracker,
-                                       GroupId group, std::size_t top_n)
-    : tracker_(tracker), group_(group), top_n_(top_n) {
-  assert(tracker_ != nullptr);
-  assert(top_n_ > 0);
-}
-
-StatusOr<std::vector<ScoredVideo>> HotRecommenderView::Recommend(
-    const RecRequest& request) {
-  const std::size_t n = request.top_n > 0 ? request.top_n : top_n_;
-  return tracker_->Hottest(group_, n, request.now);
+std::vector<ScoredVideo> HotVideoTracker::HotPage(
+    GroupId group, std::size_t n, Timestamp now,
+    const std::vector<VideoId>& seeds) const {
+  const auto page = [&](GroupId g) {
+    std::vector<ScoredVideo> hot = Hottest(g, n + seeds.size(), now);
+    std::erase_if(hot, [&seeds](const ScoredVideo& v) {
+      return std::find(seeds.begin(), seeds.end(), v.video) != seeds.end();
+    });
+    if (hot.size() > n) hot.resize(n);
+    return hot;
+  };
+  std::vector<ScoredVideo> hot = page(group);
+  if (hot.empty() && group != kGlobalGroup) hot = page(kGlobalGroup);
+  return hot;
 }
 
 }  // namespace rtrec

@@ -47,9 +47,19 @@ class HotVideoTracker {
   void Record(GroupId group, VideoId video, double weight, Timestamp now);
 
   /// The group's hottest videos at `now`, best first, scores decayed to
-  /// `now` (comparable across groups).
+  /// `now` (comparable across groups). A `now` before the group's
+  /// landmark reads the scores as of the landmark.
   std::vector<ScoredVideo> Hottest(GroupId group, std::size_t n,
                                    Timestamp now) const;
+
+  /// The hot page a request gets: `group`'s hottest videos, or the
+  /// global list when the group has none left (the rule the paper
+  /// applies to new unregistered users), with `seeds` removed — a page
+  /// never repeats the video the user is on — and cut to `n`. The list
+  /// is fetched `seeds.size()` longer so it still offers `n` videos.
+  std::vector<ScoredVideo> HotPage(GroupId group, std::size_t n,
+                                   Timestamp now,
+                                   const std::vector<VideoId>& seeds) const;
 
   const Options& options() const { return options_; }
 
@@ -75,25 +85,6 @@ class HotVideoTracker {
   Options options_;
   mutable std::mutex groups_mu_;  // Guards the group map only.
   std::unordered_map<GroupId, std::unique_ptr<GroupState>> groups_;
-};
-
-/// Recommender facade over a HotVideoTracker group — the "Hot method" of
-/// Section 6.2 when bound to kGlobalGroup.
-class HotRecommenderView : public Recommender {
- public:
-  /// `tracker` is shared, not owned.
-  HotRecommenderView(HotVideoTracker* tracker, GroupId group,
-                     std::size_t top_n);
-
-  StatusOr<std::vector<ScoredVideo>> Recommend(
-      const RecRequest& request) override;
-
-  std::string name() const override { return "Hot"; }
-
- private:
-  HotVideoTracker* tracker_;
-  GroupId group_;
-  std::size_t top_n_;
 };
 
 }  // namespace rtrec

@@ -20,9 +20,9 @@ namespace rtrec {
 
 namespace {
 
-// v3 stores the quantized payload raw (precision tag + per-entry scale),
-// so a quantized store round-trips bit-exactly. Any other magic, the
-// retired float32 v2 included, is rejected.
+// v3 stores the quantized payload raw behind a precision tag, so a
+// quantized store round-trips bit-exactly. Any other magic, the retired
+// float32 v2 included, is rejected.
 constexpr char kMagic[8] = {'R', 'T', 'R', 'E', 'C', 'C', 'P', '3'};
 
 // Little-endian raw encoding; the library targets little-endian hosts
@@ -70,13 +70,14 @@ class SectionReader {
   std::size_t pos_ = 0;
 };
 
-/// Per-entry frame: id, bias, int8 scale, payload length, raw
-/// quantized payload.
+/// Per-entry frame: id, bias, scale, payload length, raw quantized
+/// payload. The f32 scale slot served the retired int8 precision; it is
+/// written as 0 so fp32 and fp16 files keep their v3 bytes.
 void WritePackedEntry(SectionWriter& out, std::uint64_t id,
                       const FactorStore::PackedView& view) {
   out.Write(id);
   out.Write(view.bias);
-  out.Write(view.scale);
+  out.Write(0.0f);
   out.Write(static_cast<std::uint32_t>(view.size));
   out.WriteBytes(view.data, view.size);
 }
@@ -124,7 +125,6 @@ Status NextSection(std::string_view file, std::size_t* pos,
 struct RawFactorEntry {
   std::uint64_t id = 0;
   float bias = 0.0f;
-  float scale = 0.0f;
   std::vector<std::byte> data;
 };
 
@@ -150,7 +150,8 @@ bool ReadPackedEntry(SectionReader& in, RawFactorEntry* entry,
                      std::size_t expected_bytes) {
   if (!in.Read(&entry->id)) return false;
   if (!in.Read(&entry->bias)) return false;
-  if (!in.Read(&entry->scale)) return false;
+  float unused_scale = 0.0f;
+  if (!in.Read(&unused_scale)) return false;
   std::uint32_t n = 0;
   if (!in.Read(&n)) return false;
   if (n != expected_bytes) return false;
@@ -167,7 +168,7 @@ Status ParseFactorSection(std::string_view bytes, FactorStaging* out) {
       !in.Read(&num_users) || !in.Read(&num_videos)) {
     return Status::Corruption("truncated factor header");
   }
-  if (precision_tag > static_cast<std::uint8_t>(FactorPrecision::kInt8)) {
+  if (precision_tag > static_cast<std::uint8_t>(FactorPrecision::kFloat16)) {
     return Status::Corruption("unknown factor precision tag " +
                               std::to_string(precision_tag));
   }
@@ -192,31 +193,6 @@ Status ParseFactorSection(std::string_view bytes, FactorStaging* out) {
   }
   if (!in.AtEnd()) return Status::Corruption("trailing bytes after factors");
   return Status::OK();
-}
-
-/// Installs one staged entry. Same precision: raw install, bit-exact.
-/// Cross-precision (e.g. an fp16 checkpoint into an int8 store):
-/// dequantize with the file's codec, requantize through the Put path.
-void ApplyRawEntry(FactorStore* factors, bool is_user, RawFactorEntry& e,
-                   FactorPrecision file_precision) {
-  if (file_precision == factors->precision()) {
-    const bool ok =
-        is_user ? factors->PutUserPacked(e.id, e.bias, e.scale,
-                                         e.data.data(), e.data.size())
-                : factors->PutVideoPacked(e.id, e.bias, e.scale,
-                                          e.data.data(), e.data.size());
-    if (ok) return;
-  }
-  FactorEntry entry;
-  entry.bias = e.bias;
-  entry.vec.resize(static_cast<std::size_t>(factors->num_factors()));
-  DequantizeVector(file_precision, e.data.data(), entry.vec.size(), e.scale,
-                   entry.vec.data());
-  if (is_user) {
-    factors->PutUser(e.id, entry.vec, entry.bias);
-  } else {
-    factors->PutVideo(e.id, entry.vec, entry.bias);
-  }
 }
 
 Status ParseSimSection(std::string_view bytes, SimStaging* out) {
@@ -456,25 +432,33 @@ Status LoadCheckpoint(const std::string& path, FactorStore* factors,
   RTREC_RETURN_IF_ERROR(ParseSimSection(sim_bytes, &sim_staging));
   RTREC_RETURN_IF_ERROR(ParseHistorySection(history_bytes, &history_staging));
 
-  if (factors != nullptr && factor_staging.num_factors != 0 &&
-      static_cast<int>(factor_staging.num_factors) !=
-          factors->num_factors()) {
-    return Status::InvalidArgument(
-        "checkpoint dimensionality " +
-        std::to_string(factor_staging.num_factors) +
-        " != store dimensionality " +
-        std::to_string(factors->num_factors()));
+  if (factors != nullptr && factor_staging.num_factors != 0) {
+    if (static_cast<int>(factor_staging.num_factors) !=
+        factors->num_factors()) {
+      return Status::InvalidArgument(
+          "checkpoint dimensionality " +
+          std::to_string(factor_staging.num_factors) +
+          " != store dimensionality " +
+          std::to_string(factors->num_factors()));
+    }
+    if (factor_staging.precision != factors->precision()) {
+      return Status::InvalidArgument(
+          std::string("checkpoint precision ") +
+          FactorPrecisionToString(factor_staging.precision) +
+          " != store precision " +
+          FactorPrecisionToString(factors->precision()));
+    }
   }
 
-  // Phase 2: everything verified — apply the staged state.
+  // Phase 2: everything verified — apply the staged state. Payload sizes
+  // were checked against num_factors and the precision above, so every
+  // raw install succeeds.
   if (factors != nullptr) {
-    for (auto& entry : factor_staging.users) {
-      ApplyRawEntry(factors, /*is_user=*/true, entry,
-                    factor_staging.precision);
+    for (const RawFactorEntry& e : factor_staging.users) {
+      factors->PutUserPacked(e.id, e.bias, e.data.data(), e.data.size());
     }
-    for (auto& entry : factor_staging.videos) {
-      ApplyRawEntry(factors, /*is_user=*/false, entry,
-                    factor_staging.precision);
+    for (const RawFactorEntry& e : factor_staging.videos) {
+      factors->PutVideoPacked(e.id, e.bias, e.data.data(), e.data.size());
     }
     factors->RestoreRatingStats(factor_staging.rating_sum,
                                 factor_staging.rating_count);

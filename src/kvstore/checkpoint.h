@@ -25,12 +25,14 @@ namespace rtrec {
 /// of it is interpreted.
 ///
 /// Factor vectors are persisted as the store's *raw quantized payload*
-/// (precision tag in the header, per-entry int8 scale), so a quantized
-/// store round-trips bit-exactly instead of through a dequantize/
-/// requantize hop. The loader converts across precisions when a
-/// checkpoint written at one precision is loaded into a store configured
-/// with another. Any other magic, the retired float32 v2 format
-/// included, is Corruption.
+/// (precision tag in the header), so a quantized store round-trips
+/// bit-exactly instead of through a dequantize/requantize hop. Each
+/// entry still carries the f32 scale slot of the retired int8 precision,
+/// always 0, so fp32 and fp16 files keep their v3 bytes. A file whose
+/// dimensionality or precision differs from the target store's is
+/// InvalidArgument; an unknown precision tag (2, the int8 tag, included)
+/// is Corruption, as is any other magic, the retired float32 v2 format
+/// included.
 ///
 /// Crash safety: SaveCheckpoint serializes to memory, writes `path`.tmp,
 /// fsyncs it, and atomically renames it over `path` (then fsyncs the
@@ -50,8 +52,9 @@ Status SaveCheckpoint(const std::string& path, const FactorStore* factors,
                       const HistoryStore* history);
 
 /// Restores into the given stores; null targets skip their section.
-/// `factors` must be configured with the same num_factors as the saved
-/// state. On any non-OK return the target stores are untouched.
+/// `factors` must be configured with the same num_factors and precision
+/// as the saved state. On any non-OK return the target stores are
+/// untouched.
 Status LoadCheckpoint(const std::string& path, FactorStore* factors,
                       SimTableStore* sim_table, HistoryStore* history);
 

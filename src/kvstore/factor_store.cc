@@ -1,7 +1,6 @@
 #include "kvstore/factor_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -11,13 +10,8 @@
 
 namespace rtrec {
 
-void FactorStore::InitTable(Table& table, std::size_t num_shards) {
-  const std::size_t n = std::bit_ceil(std::max<std::size_t>(1, num_shards));
-  table.stripes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    table.stripes.push_back(std::make_unique<Stripe>());
-  }
-  table.mask = n - 1;
+FactorStore::Table::Table() {
+  for (auto& stripe : stripes) stripe = std::make_unique<Stripe>();
 }
 
 FactorStore::FactorStore() : FactorStore(Options{}) {}
@@ -25,8 +19,6 @@ FactorStore::FactorStore() : FactorStore(Options{}) {}
 FactorStore::FactorStore(Options options) : options_(std::move(options)) {
   payload_bytes_ = static_cast<std::size_t>(options_.num_factors) *
                    FactorWidthBytes(options_.precision);
-  InitTable(users_, options_.num_shards);
-  InitTable(videos_, options_.num_shards);
   if (options_.metrics != nullptr) {
     multiget_calls_ = options_.metrics->GetCounter("kvstore.multiget.calls");
     multiget_keys_ = options_.metrics->GetCounter("kvstore.multiget.keys");
@@ -46,8 +38,7 @@ void FactorStore::PackInto(std::span<const float> vec, float bias,
   packed.bias = bias;
   const std::size_t f = static_cast<std::size_t>(options_.num_factors);
   if (vec.size() == f) {
-    QuantizeVector(options_.precision, vec.data(), f, packed.data.get(),
-                   &packed.scale);
+    QuantizeVector(options_.precision, vec.data(), f, packed.data.get());
     return;
   }
   // Off-size vectors are truncated / zero-padded to num_factors so the
@@ -56,15 +47,13 @@ void FactorStore::PackInto(std::span<const float> vec, float bias,
   std::vector<float> fixed(f, 0.0f);
   std::memcpy(fixed.data(), vec.data(),
               std::min(vec.size(), f) * sizeof(float));
-  QuantizeVector(options_.precision, fixed.data(), f, packed.data.get(),
-                 &packed.scale);
+  QuantizeVector(options_.precision, fixed.data(), f, packed.data.get());
 }
 
 void FactorStore::UnpackInto(const PackedFactorEntry& packed,
                              float* vec) const {
   DequantizeVector(options_.precision, packed.data.get(),
-                   static_cast<std::size_t>(options_.num_factors),
-                   packed.scale, vec);
+                   static_cast<std::size_t>(options_.num_factors), vec);
 }
 
 FactorEntry FactorStore::Unpack(const PackedFactorEntry& packed) const {
@@ -75,13 +64,12 @@ FactorEntry FactorStore::Unpack(const PackedFactorEntry& packed) const {
   return entry;
 }
 
-void FactorStore::StorePacked(float bias, float scale, const std::byte* data,
+void FactorStore::StorePacked(float bias, const std::byte* data,
                               PackedFactorEntry& packed) const {
   if (packed.data == nullptr) {
     packed.data = std::make_unique<std::byte[]>(payload_bytes_);
   }
   packed.bias = bias;
-  packed.scale = scale;
   std::memcpy(packed.data.get(), data, payload_bytes_);
 }
 
@@ -165,7 +153,7 @@ std::vector<FactorStore::VideoBatchEntry> FactorStore::GetVideos(
   order.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     order.emplace_back(
-        static_cast<std::uint32_t>(MixHash64(ids[i]) & videos_.mask),
+        static_cast<std::uint32_t>(Table::IndexOf(ids[i])),
         static_cast<std::uint32_t>(i));
   }
   std::sort(order.begin(), order.end());
@@ -250,8 +238,7 @@ void FactorStore::ForEachUserPacked(
   for (const auto& stripe : users_.stripes) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [id, entry] : stripe->map) {
-      fn(id, PackedView{entry.bias, entry.scale, entry.data.get(),
-                        payload_bytes_});
+      fn(id, PackedView{entry.bias, entry.data.get(), payload_bytes_});
     }
   }
 }
@@ -261,27 +248,26 @@ void FactorStore::ForEachVideoPacked(
   for (const auto& stripe : videos_.stripes) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     for (const auto& [id, entry] : stripe->map) {
-      fn(id, PackedView{entry.bias, entry.scale, entry.data.get(),
-                        payload_bytes_});
+      fn(id, PackedView{entry.bias, entry.data.get(), payload_bytes_});
     }
   }
 }
 
-bool FactorStore::PutUserPacked(UserId u, float bias, float scale,
-                                const std::byte* data, std::size_t size) {
+bool FactorStore::PutUserPacked(UserId u, float bias, const std::byte* data,
+                                std::size_t size) {
   if (size != payload_bytes_) return false;
   Stripe& stripe = users_.StripeFor(u);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  StorePacked(bias, scale, data, stripe.map[u]);
+  StorePacked(bias, data, stripe.map[u]);
   return true;
 }
 
-bool FactorStore::PutVideoPacked(VideoId i, float bias, float scale,
-                                 const std::byte* data, std::size_t size) {
+bool FactorStore::PutVideoPacked(VideoId i, float bias, const std::byte* data,
+                                 std::size_t size) {
   if (size != payload_bytes_) return false;
   Stripe& stripe = videos_.StripeFor(i);
   std::lock_guard<std::mutex> lock(stripe.mu);
-  StorePacked(bias, scale, data, stripe.map[i]);
+  StorePacked(bias, data, stripe.map[i]);
   return true;
 }
 

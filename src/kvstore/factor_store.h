@@ -1,6 +1,7 @@
 #ifndef RTREC_KVSTORE_FACTOR_STORE_H_
 #define RTREC_KVSTORE_FACTOR_STORE_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -34,12 +35,11 @@ struct FactorEntry {
 /// for a reader-writer lock's extra atomics to pay for themselves.
 ///
 /// Entries are stored packed: vectors are quantized on write to
-/// `Options::precision` (float32 / float16 / int8) and dequantized on
-/// read, so the whole training and serving stack keeps speaking float
+/// `Options::precision` (float32 / float16) and dequantized on read, so the whole training and serving stack keeps speaking float
 /// `FactorEntry`s while a million-entry store holds 80 bytes per entry
 /// at fp16 instead of 144 at fp32 (16-byte packed struct + payload; see
-/// BytesPerEntry). Every read decodes, so at fp16/int8 the serving path
-/// pays one decode per candidate per request.
+/// BytesPerEntry). Every read decodes, so at fp16 the serving path pays
+/// one decode per candidate per request.
 ///
 /// New ids are lazily initialized with small random values drawn from a
 /// deterministic per-id stream, so "new users and items can be easily
@@ -51,6 +51,9 @@ struct FactorEntry {
 /// so the steady-state update path allocates nothing here.
 class FactorStore {
  public:
+  /// Lock stripes per id space (a power of two).
+  static constexpr std::size_t kStripes = 16;
+
   struct Options {
     /// Latent dimensionality f.
     int num_factors = 32;
@@ -58,8 +61,6 @@ class FactorStore {
     double init_scale = 0.1;
     /// Seed mixed with each id to derive its initial vector.
     std::uint64_t seed = 1;
-    /// Lock-stripe count (rounded up to a power of two).
-    std::size_t num_shards = 16;
     /// Storage precision of factor vectors. Biases stay float32 (one
     /// scalar per entry — quantizing it saves nothing and the bias
     /// carries the per-item popularity signal).
@@ -80,8 +81,8 @@ class FactorStore {
   int num_factors() const { return options_.num_factors; }
   FactorPrecision precision() const { return options_.precision; }
 
-  /// Fixed storage cost of one entry: the packed struct (pointer + bias
-  /// + scale) plus the quantized payload. Hash-map node and bucket
+  /// Fixed storage cost of one entry: the packed struct (pointer + bias,
+  /// padded to 16 bytes) plus the quantized payload. Hash-map node and bucket
   /// overhead is excluded — the bench's RSS rows carry the honest total.
   std::size_t BytesPerEntry() const {
     return sizeof(PackedFactorEntry) + payload_bytes_;
@@ -149,13 +150,9 @@ class FactorStore {
 
   /// Borrowed view of one packed (quantized) entry — valid only inside
   /// the ForEach*Packed callback that produced it. Checkpoints persist
-  /// these raw bytes so a quantized store round-trips bit-exactly
-  /// (dequantize→requantize is stable for fp16/int8 but memcmp-identical
-  /// only via the raw payload).
+  /// these raw bytes so a quantized store round-trips bit-exactly.
   struct PackedView {
     float bias = 0.0f;
-    /// int8 dequantization scale; 0 for float32/float16.
-    float scale = 0.0f;
     const std::byte* data = nullptr;
     /// Payload size: num_factors * FactorWidthBytes(precision).
     std::size_t size = 0;
@@ -172,12 +169,12 @@ class FactorStore {
   /// Installs a raw packed payload (checkpoint load path). `size` must
   /// equal num_factors * FactorWidthBytes(precision()); returns false
   /// (and stores nothing) otherwise.
-  bool PutUserPacked(UserId u, float bias, float scale,
-                     const std::byte* data, std::size_t size);
+  bool PutUserPacked(UserId u, float bias, const std::byte* data,
+                     std::size_t size);
 
   /// Video-side PutUserPacked.
-  bool PutVideoPacked(VideoId i, float bias, float scale,
-                      const std::byte* data, std::size_t size);
+  bool PutVideoPacked(VideoId i, float bias, const std::byte* data,
+                      std::size_t size);
 
   /// Restores the running-mean accumulator (checkpoint load path).
   void RestoreRatingStats(double sum, std::uint64_t count);
@@ -190,41 +187,41 @@ class FactorStore {
   FactorEntry MakeInitialEntry(std::uint64_t id, bool is_user) const;
 
  private:
-  /// Quantized in-memory form of one entry: 16 bytes of struct plus the
-  /// payload the unique_ptr owns (num_factors * factor width).
+  /// Quantized in-memory form of one entry: 16 bytes of struct (the
+  /// bias is padded to the pointer's alignment) plus the payload the
+  /// unique_ptr owns (num_factors * factor width).
   struct PackedFactorEntry {
     std::unique_ptr<std::byte[]> data;
     float bias = 0.0f;
-    /// int8 dequantization scale; unused (0) for float32/float16.
-    float scale = 0.0f;
   };
+  static_assert(sizeof(PackedFactorEntry) == 16);
 
   struct Stripe {
     mutable std::mutex mu;
     std::unordered_map<std::uint64_t, PackedFactorEntry> map;
   };
 
-  /// One id space (users or videos) split over lock stripes.
+  /// One id space (users or videos) split over kStripes lock stripes.
   struct Table {
-    std::vector<std::unique_ptr<Stripe>> stripes;
-    std::size_t mask = 0;
+    Table();
 
-    Stripe& StripeFor(std::uint64_t id) {
-      return *stripes[MixHash64(id) & mask];
+    static std::size_t IndexOf(std::uint64_t id) {
+      return MixHash64(id) & (kStripes - 1);
     }
+    Stripe& StripeFor(std::uint64_t id) { return *stripes[IndexOf(id)]; }
     const Stripe& StripeFor(std::uint64_t id) const {
-      return *stripes[MixHash64(id) & mask];
+      return *stripes[IndexOf(id)];
     }
-  };
 
-  static void InitTable(Table& table, std::size_t num_shards);
+    std::array<std::unique_ptr<Stripe>, kStripes> stripes;
+  };
 
   /// Quantizes `vec` into `packed`'s payload, allocating the payload only
   /// for a new entry.
   void PackInto(std::span<const float> vec, float bias,
                 PackedFactorEntry& packed) const;
   /// Installs a raw payload of payload_bytes_ into `packed` (same reuse).
-  void StorePacked(float bias, float scale, const std::byte* data,
+  void StorePacked(float bias, const std::byte* data,
                    PackedFactorEntry& packed) const;
   void UnpackInto(const PackedFactorEntry& packed, float* vec) const;
   FactorEntry Unpack(const PackedFactorEntry& packed) const;

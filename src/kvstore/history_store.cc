@@ -1,20 +1,13 @@
 #include "kvstore/history_store.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace rtrec {
 
 HistoryStore::HistoryStore() : HistoryStore(Options{}) {}
 
 HistoryStore::HistoryStore(Options options) : options_(options) {
-  const std::size_t n =
-      std::bit_ceil(std::max<std::size_t>(1, options_.num_shards));
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-  mask_ = n - 1;
+  for (auto& stripe : stripes_) stripe = std::make_unique<Stripe>();
 }
 
 void HistoryStore::Append(UserId user, HistoryEntry entry) {

@@ -1,6 +1,7 @@
 #ifndef RTREC_KVSTORE_HISTORY_STORE_H_
 #define RTREC_KVSTORE_HISTORY_STORE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -32,9 +33,10 @@ class HistoryStore {
   struct Options {
     /// Per-user retention; the paper only needs recent co-watches.
     std::size_t max_entries_per_user = 64;
-    /// Lock-stripe count (rounded up to a power of two).
-    std::size_t num_shards = 16;
   };
+
+  /// Lock stripes (a power of two).
+  static constexpr std::size_t kStripes = 16;
 
   /// Constructs with default options.
   HistoryStore();
@@ -88,14 +90,15 @@ class HistoryStore {
   /// Append's body; caller holds the stripe lock.
   void AppendLocked(Stripe& stripe, UserId user, const HistoryEntry& entry);
 
-  Stripe& StripeFor(UserId u) { return *stripes_[MixHash64(u) & mask_]; }
+  Stripe& StripeFor(UserId u) {
+    return *stripes_[MixHash64(u) & (kStripes - 1)];
+  }
   const Stripe& StripeFor(UserId u) const {
-    return *stripes_[MixHash64(u) & mask_];
+    return *stripes_[MixHash64(u) & (kStripes - 1)];
   }
 
   Options options_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;
+  std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
 };
 
 }  // namespace rtrec

@@ -1,9 +1,7 @@
 #ifndef RTREC_KVSTORE_QUANTIZATION_H_
 #define RTREC_KVSTORE_QUANTIZATION_H_
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -18,43 +16,23 @@ namespace rtrec {
 ///  - kFloat32 — lossless, 4 bytes/factor (the pre-quantization format);
 ///  - kFloat16 — IEEE 754 half, 2 bytes/factor, ~3 decimal digits.
 ///    Round-trips through float32 exactly, so repeated read-modify-write
-///    cycles never drift beyond the initial rounding;
-///  - kInt8   — symmetric per-vector scaling (scale = max|x| / 127),
-///    1 byte/factor. The max element always maps to ±127, which makes
-///    dequantize→requantize a fixed point — stable under read-modify-
-///    write — but the resolution (max|x|/127 per step) is coarse enough
-///    that tiny SGD updates can be rounded away; comparing its recall@10
-///    with float32's, as QuantizedRecallTest does for float16, is the
-///    honest check.
+///    cycles never drift beyond the initial rounding.
+///
+/// The values are the checkpoint's precision tag. Tag 2 was an int8
+/// store with a per-vector scale; nothing deployed it, and a file that
+/// carries it is now rejected as corrupt.
 enum class FactorPrecision : std::uint8_t {
   kFloat32 = 0,
   kFloat16 = 1,
-  kInt8 = 2,
 };
 
 inline const char* FactorPrecisionToString(FactorPrecision precision) {
-  switch (precision) {
-    case FactorPrecision::kFloat32:
-      return "float32";
-    case FactorPrecision::kFloat16:
-      return "float16";
-    case FactorPrecision::kInt8:
-      return "int8";
-  }
-  return "unknown";
+  return precision == FactorPrecision::kFloat16 ? "float16" : "float32";
 }
 
 /// Bytes per factor under `precision`.
 inline std::size_t FactorWidthBytes(FactorPrecision precision) {
-  switch (precision) {
-    case FactorPrecision::kFloat32:
-      return 4;
-    case FactorPrecision::kFloat16:
-      return 2;
-    case FactorPrecision::kInt8:
-      return 1;
-  }
-  return 4;
+  return precision == FactorPrecision::kFloat16 ? 2 : 4;
 }
 
 /// float32 -> IEEE 754 binary16, round-to-nearest-even, with subnormal
@@ -118,63 +96,27 @@ inline float DecodeHalf(std::uint16_t half) {
 }
 
 /// Quantizes `n` floats into `out` (n * FactorWidthBytes(precision)
-/// bytes). For kInt8 the symmetric per-vector scale (max|x| / 127) is
-/// written to `*scale`; other precisions set it to 0. NaN/Inf inputs are
-/// the caller's bug — training keeps factors finite.
+/// bytes). NaN/Inf inputs are the caller's bug — training keeps factors
+/// finite.
 inline void QuantizeVector(FactorPrecision precision, const float* in,
-                           std::size_t n, std::byte* out, float* scale) {
-  *scale = 0.0f;
-  switch (precision) {
-    case FactorPrecision::kFloat32:
-      std::memcpy(out, in, n * sizeof(float));
-      return;
-    case FactorPrecision::kFloat16: {
-      auto* half = reinterpret_cast<std::uint16_t*>(out);
-      for (std::size_t i = 0; i < n; ++i) half[i] = EncodeHalf(in[i]);
-      return;
-    }
-    case FactorPrecision::kInt8: {
-      float max_abs = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        max_abs = std::max(max_abs, std::fabs(in[i]));
-      }
-      auto* q = reinterpret_cast<std::int8_t*>(out);
-      if (max_abs == 0.0f) {
-        std::memset(out, 0, n);
-        return;
-      }
-      const float s = max_abs / 127.0f;
-      *scale = s;
-      const float inv = 127.0f / max_abs;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float v = std::nearbyintf(in[i] * inv);
-        q[i] = static_cast<std::int8_t>(std::clamp(v, -127.0f, 127.0f));
-      }
-      return;
-    }
+                           std::size_t n, std::byte* out) {
+  if (precision == FactorPrecision::kFloat32) {
+    std::memcpy(out, in, n * sizeof(float));
+    return;
   }
+  auto* half = reinterpret_cast<std::uint16_t*>(out);
+  for (std::size_t i = 0; i < n; ++i) half[i] = EncodeHalf(in[i]);
 }
 
-/// Inverse of QuantizeVector; `scale` must be the value it produced.
+/// Inverse of QuantizeVector.
 inline void DequantizeVector(FactorPrecision precision, const std::byte* in,
-                             std::size_t n, float scale, float* out) {
-  switch (precision) {
-    case FactorPrecision::kFloat32:
-      std::memcpy(out, in, n * sizeof(float));
-      return;
-    case FactorPrecision::kFloat16: {
-      const auto* half = reinterpret_cast<const std::uint16_t*>(in);
-      for (std::size_t i = 0; i < n; ++i) out[i] = DecodeHalf(half[i]);
-      return;
-    }
-    case FactorPrecision::kInt8: {
-      const auto* q = reinterpret_cast<const std::int8_t*>(in);
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<float>(q[i]) * scale;
-      }
-      return;
-    }
+                             std::size_t n, float* out) {
+  if (precision == FactorPrecision::kFloat32) {
+    std::memcpy(out, in, n * sizeof(float));
+    return;
   }
+  const auto* half = reinterpret_cast<const std::uint16_t*>(in);
+  for (std::size_t i = 0; i < n; ++i) out[i] = DecodeHalf(half[i]);
 }
 
 }  // namespace rtrec

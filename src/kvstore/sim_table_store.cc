@@ -1,7 +1,6 @@
 #include "kvstore/sim_table_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numbers>
@@ -19,13 +18,7 @@ SimTableStore::SimTableStore() : SimTableStore(Options{}) {}
 SimTableStore::SimTableStore(Options options) : options_(options) {
   small_slots_ = std::min<std::size_t>(kSmallSlabSlots,
                                       std::max<std::size_t>(1, options_.top_k));
-  const std::size_t n =
-      std::bit_ceil(std::max<std::size_t>(1, options_.num_shards));
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-  mask_ = n - 1;
+  for (auto& stripe : stripes_) stripe = std::make_unique<Stripe>();
 }
 
 SimilarVideo* SimTableStore::Arena::Alloc(std::size_t slots,
@@ -85,16 +78,14 @@ bool SimTableStore::Prunable(const SimilarVideo& entry, Timestamp now) const {
   // whose linear lower bound already clears the threshold, by a relative
   // margin that absorbs exp2's and this expression's rounding, survives
   // without evaluating exp2. Every other entry takes the exact decay, so
-  // the decision always equals Decay(...) < prune_threshold.
+  // the decision always equals Decay(...) < kPruneThreshold.
   const double dt = static_cast<double>(now - entry.update_time);
   if (entry.similarity > 0.0 && dt > 0.0) {
     const double lower =
         entry.similarity * (1.0 - dt / options_.xi_millis * std::numbers::ln2);
-    const double threshold = options_.prune_threshold;
-    if (lower >= threshold + std::abs(threshold) * 1e-9) return false;
+    if (lower >= kPruneThreshold + kPruneThreshold * 1e-9) return false;
   }
-  return Decay(entry.similarity, entry.update_time, now) <
-         options_.prune_threshold;
+  return Decay(entry.similarity, entry.update_time, now) < kPruneThreshold;
 }
 
 void SimTableStore::Update(VideoId a, VideoId b, double sim, Timestamp now) {
@@ -162,7 +153,7 @@ std::vector<SimilarVideo> SimTableStore::Query(VideoId video, Timestamp now,
     for (std::uint32_t i = 0; i < list.size; ++i) {
       const SimilarVideo& e = list.slots[i];
       const double s = Decay(e.similarity, e.update_time, now);
-      if (s >= options_.prune_threshold) {
+      if (s >= kPruneThreshold) {
         decayed.push_back(SimilarVideo{e.video, s, e.update_time});
       }
     }
@@ -186,7 +177,7 @@ double SimTableStore::GetDecayedSimilarity(VideoId a, VideoId b,
     const SimilarVideo& e = list.slots[i];
     if (e.video == b) {
       const double s = Decay(e.similarity, e.update_time, now);
-      return s < options_.prune_threshold ? 0.0 : s;
+      return s < kPruneThreshold ? 0.0 : s;
     }
   }
   return 0.0;

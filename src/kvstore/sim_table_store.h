@@ -1,6 +1,7 @@
 #ifndef RTREC_KVSTORE_SIM_TABLE_STORE_H_
 #define RTREC_KVSTORE_SIM_TABLE_STORE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -49,17 +50,17 @@ class SimTableStore {
   static constexpr std::size_t kSmallSlabSlots = 8;
   /// Slabs in a stripe's first chunk of either size class.
   static constexpr std::size_t kFirstChunkSlabs = 4;
+  /// Lock stripes (a power of two); each owns its own slab arena.
+  static constexpr std::size_t kStripes = 16;
+  /// Entries whose decayed similarity drops below this are pruned on
+  /// touch, and Query and GetDecayedSimilarity read them as absent.
+  static constexpr double kPruneThreshold = 1e-4;
 
   struct Options {
     /// Per-video list length K (candidate pool per seed).
     std::size_t top_k = 50;
     /// Half-life ξ of the time decay, in milliseconds (Eq. 11).
     double xi_millis = 3.0 * kMillisPerDay;
-    /// Entries whose decayed similarity drops below this are pruned on
-    /// touch.
-    double prune_threshold = 1e-4;
-    /// Lock-stripe count (rounded up to a power of two).
-    std::size_t num_shards = 16;
   };
 
   /// Constructs with default options.
@@ -148,21 +149,22 @@ class SimTableStore {
   void UpdateOneDirection(VideoId from, VideoId to, double sim,
                           Timestamp now);
   double Decay(double sim, Timestamp update_time, Timestamp now) const;
-  /// Decay(entry, now) < prune_threshold, skipping exp2 where a lower
+  /// Decay(entry, now) < kPruneThreshold, skipping exp2 where a lower
   /// bound on the decay already decides it.
   bool Prunable(const SimilarVideo& entry, Timestamp now) const;
 
-  Stripe& StripeFor(VideoId v) { return *stripes_[MixHash64(v) & mask_]; }
-  const Stripe& StripeFor(VideoId v) const {
-    return *stripes_[MixHash64(v) & mask_];
+  /// The stripe index of `video`.
+  static std::size_t StripeOf(VideoId v) {
+    return MixHash64(v) & (kStripes - 1);
   }
+  Stripe& StripeFor(VideoId v) { return *stripes_[StripeOf(v)]; }
+  const Stripe& StripeFor(VideoId v) const { return *stripes_[StripeOf(v)]; }
 
   Options options_;
   /// Small-class slab width: full lists are rare in sparse catalogs, so
   /// new lists start at min(kSmallSlabSlots, top_k) slots.
   std::size_t small_slots_ = 0;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;
+  std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
 };
 
 }  // namespace rtrec

@@ -41,14 +41,21 @@ std::uint64_t JitterMillis(std::int64_t bound_ms) {
 }  // namespace
 
 RecClient::RecClient(Options options)
-    : options_(std::move(options)), decoder_(options_.max_frame_bytes) {
+    : options_(std::move(options)) {
   if (options_.metrics != nullptr) {
     retries_ = options_.metrics->GetCounter("client.retries");
     stale_counter_ = options_.metrics->GetCounter("client.stale_responses");
   }
 }
 
-RecClient::~RecClient() { Disconnect(); }
+RecClient::~RecClient() {
+  // Fails every request still in flight, then joins the reader.
+  std::unique_lock<std::mutex> lock(mu_);
+  if (state_ == ConnState::kUp) {
+    FailPendingLocked(Status::Unavailable("client disconnected"));
+  }
+  CleanupBrokenLocked(lock);
+}
 
 Status RecClient::Connect() {
   // The connect path gets the same retry treatment as requests: a
@@ -80,18 +87,6 @@ Status RecClient::Connect() {
     status = EnsureConnectedLocked(lock, options_.connect_timeout_ms);
   }
   return status;
-}
-
-void RecClient::Disconnect() {
-  std::unique_lock<std::mutex> lock(mu_);
-  DisconnectLocked(lock);
-}
-
-void RecClient::DisconnectLocked(std::unique_lock<std::mutex>& lock) {
-  if (state_ == ConnState::kUp) {
-    FailPendingLocked(Status::Unavailable("client disconnected"));
-  }
-  CleanupBrokenLocked(lock);
 }
 
 bool RecClient::connected() const {
@@ -148,7 +143,7 @@ Status RecClient::OpenTransportLocked(int timeout_ms) {
   auto fd = ConnectTcp(options_.host, options_.port, timeout_ms);
   if (!fd.ok()) return fd.status();
   fd_ = std::move(*fd);
-  decoder_ = FrameDecoder(options_.max_frame_bytes);
+  decoder_ = FrameDecoder();
   Status handshake = HandshakeLocked(deadline_ms);
   if (!handshake.ok()) {
     fd_.Reset();
@@ -206,7 +201,7 @@ void RecClient::CleanupBrokenLocked(std::unique_lock<std::mutex>& lock) {
     if (dead.joinable()) dead.join();
     lock.lock();
     fd_.Reset();
-    decoder_ = FrameDecoder(options_.max_frame_bytes);
+    decoder_ = FrameDecoder();
     for (auto& [id, waiter] : pending_) {
       waiter->result = Status::Unavailable("connection closed");
       waiter->done = true;

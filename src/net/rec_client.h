@@ -55,7 +55,6 @@ class RecClient {
     std::uint16_t port = 0;
     int connect_timeout_ms = 1'000;
     int request_timeout_ms = 5'000;
-    std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /// Master switch for transport-level retries.
     bool auto_reconnect = true;
     /// Retries after the first attempt (so max_retries + 1 attempts).
@@ -75,7 +74,7 @@ class RecClient {
   };
 
   explicit RecClient(Options options);
-  ~RecClient();
+  ~RecClient();  ///< Fails in-flight calls with Unavailable and closes.
 
   RecClient(const RecClient&) = delete;
   RecClient& operator=(const RecClient&) = delete;
@@ -87,10 +86,6 @@ class RecClient {
   /// restarting) succeeds as soon as it binds. Set auto_reconnect false
   /// to fail fast at startup instead.
   Status Connect();
-
-  /// Closes the connection; the next call reconnects. Fails every
-  /// request currently in flight with Unavailable.
-  void Disconnect();
 
   bool connected() const;
 
@@ -160,7 +155,6 @@ class RecClient {
   /// kBroken -> kDown: joins the dead reader (outside the lock) and
   /// resets transport state. Safe to race from several callers.
   void CleanupBrokenLocked(std::unique_lock<std::mutex>& lock);
-  void DisconnectLocked(std::unique_lock<std::mutex>& lock);
 
   /// Background reader: drains frames, completes waiters by request id.
   void ReaderLoop(std::uint64_t epoch);

@@ -90,8 +90,7 @@ class RecServer::Worker {
 
  private:
   struct Connection {
-    explicit Connection(int raw_fd, std::size_t max_frame_bytes)
-        : fd(raw_fd), decoder(max_frame_bytes) {}
+    explicit Connection(int raw_fd) : fd(raw_fd) {}
 
     bool HasPendingOutput() const { return !outq.empty(); }
 
@@ -151,8 +150,7 @@ class RecServer::Worker {
         ::close(fd);
         continue;
       }
-      auto conn = std::make_unique<Connection>(
-          fd, server_->options_.max_frame_bytes);
+      auto conn = std::make_unique<Connection>(fd);
       conn->last_active_ms = SteadyMillis();
       epoll_event ev{};
       ev.events = EPOLLIN;
@@ -408,13 +406,11 @@ void RecServer::DispatchFrame(const Frame& frame, RequestContext* ctx,
       // scrape must still answer while the server is shedding load.
       ScopedLatencyTimer timer(stats_latency_);
       stats_scrapes_->Increment();
-      // Keep the whole frame under the peer's likely cap: leave room
-      // for the length prefix, header, and body length field.
-      const std::size_t max_text = options_.max_frame_bytes > 64
-                                       ? options_.max_frame_bytes - 64
-                                       : 0;
-      out->push_back(EncodeStatsResponse(
-          frame.request_id, metrics_->PrometheusText(), max_text));
+      // Keep the whole frame under the frame cap: leave room for the
+      // length prefix, header, and body length field.
+      out->push_back(EncodeStatsResponse(frame.request_id,
+                                         metrics_->PrometheusText(),
+                                         kDefaultMaxFrameBytes - 64));
       break;
     }
     case MessageType::kHelloRequest:

@@ -75,8 +75,6 @@ class RecServer {
     int max_in_flight = 256;
     /// Connections idle longer than this are closed. <= 0 disables.
     int idle_timeout_ms = 60'000;
-    /// Frames with a larger payload are rejected as corrupt.
-    std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /// Registry for server metrics (counters, gauges, histograms under
     /// "net.server."). Null falls back to an internal registry.
     MetricsRegistry* metrics = nullptr;

@@ -32,7 +32,7 @@ namespace rtrec {
 /// pattern as a big-endian u64. The payload length covers version, type,
 /// request id, and body, so the minimum legal value is
 /// kFrameHeaderBytes (10) and the maximum is enforced by the receiver
-/// (Options::max_frame_bytes; kDefaultMaxFrameBytes by default). A peer
+/// (kDefaultMaxFrameBytes, 1 MiB, on both server and client). A peer
 /// that sends a length outside those bounds is structurally corrupt and
 /// gets disconnected after a typed ErrorResponse.
 ///

@@ -146,7 +146,7 @@ void SpanCollector::DrainLoop() {
   std::unique_lock<std::mutex> lock(stop_mu_);
   while (!stop_) {
     stop_cv_.wait_for(lock,
-                      std::chrono::milliseconds(options_.drain_interval_ms));
+                      std::chrono::milliseconds(kDrainIntervalMs));
     if (stop_) break;
     lock.unlock();
     DrainOnce();
@@ -191,7 +191,7 @@ void SpanCollector::DrainOnce() {
   // Rootless strays (direct Record calls that never finish a request)
   // must not pin memory forever: evict anything untouched for a while
   // once the map outgrows the retention budget.
-  if (pending_.size() > options_.max_traces * 4) {
+  if (pending_.size() > kMaxTraces * 4) {
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (it->second.drain_generation + 2 < drain_generation_) {
         traces_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -230,7 +230,7 @@ void SpanCollector::FinalizeTrace(std::uint64_t trace_id,
 
   std::lock_guard<std::mutex> lock(export_mu_);
   finished_.push_back(finished);
-  while (finished_.size() > options_.max_traces) {
+  while (finished_.size() > kMaxTraces) {
     finished_.pop_front();
     traces_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -240,9 +240,9 @@ void SpanCollector::FinalizeTrace(std::uint64_t trace_id,
       [](const FinishedTrace& a, const FinishedTrace& b) {
         return a.total_us > b.total_us;
       });
-  if (pos != slow_.end() || slow_.size() < options_.slow_keep) {
+  if (pos != slow_.end() || slow_.size() < kSlowKeep) {
     slow_.insert(pos, std::move(finished));
-    if (slow_.size() > options_.slow_keep) slow_.pop_back();
+    if (slow_.size() > kSlowKeep) slow_.pop_back();
   }
 }
 

@@ -63,15 +63,17 @@ inline constexpr std::uint8_t kSpanFlagAdopted = 0x04;
 
 class SpanCollector {
  public:
+  /// Finished traces retained for /traces, oldest evicted first.
+  static constexpr std::size_t kMaxTraces = 256;
+  /// Slowest-N finished traces retained for /traces/slow.
+  static constexpr std::size_t kSlowKeep = 32;
+  /// Period of the background drain of the per-thread rings.
+  static constexpr int kDrainIntervalMs = 5;
+
   struct Options {
-    /// Finished traces retained for /traces, oldest evicted first.
-    std::size_t max_traces = 256;
-    /// Slowest-N finished traces retained for /traces/slow.
-    std::size_t slow_keep = 32;
     /// Stamped into every span (pid in the Chrome export) so traces
     /// stitched across a cluster attribute spans to shards.
     int shard_id = 0;
-    int drain_interval_ms = 5;
     MetricsRegistry* metrics = nullptr;  ///< Null = MetricsRegistry::Default().
   };
 

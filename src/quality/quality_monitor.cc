@@ -41,7 +41,6 @@ void QualityMonitor::CtrSegment::Impress(std::int64_t n) const {
 QualityMonitor::QualityMonitor(MetricsRegistry* metrics, Options options)
     : metrics_(metrics), options_(std::move(options)) {
   assert(metrics_ != nullptr);
-  assert(options_.ring_size > 0);
   assert(options_.num_arms > 0);
   if (!options_.group_name) {
     options_.group_name = [](GroupId g) { return std::to_string(g); };
@@ -66,7 +65,7 @@ QualityMonitor::QualityMonitor(MetricsRegistry* metrics, Options options)
   holdout_evaluated_ = metrics_->GetCounter("quality.holdout.evaluated");
   holdout_hits_ = metrics_->GetCounter("quality.holdout.hits");
   online_recall_ = metrics_->GetDoubleGauge(
-      "quality.online_recall@" + std::to_string(options_.recall_top_n));
+      "quality.online_recall@" + std::to_string(kRecallTopN));
 
   auto segment = [this](const std::string& suffix) {
     CtrSegment s;
@@ -100,18 +99,16 @@ QualityMonitor::QualityMonitor(MetricsRegistry* metrics, Options options)
   alert_staleness_ = metrics_->GetCounter("quality.alerts.staleness");
   alert_coverage_ = metrics_->GetCounter("quality.alerts.coverage");
 
-  ring_.resize(options_.ring_size);
+  ring_.resize(kRingSize);
 }
 
 void QualityMonitor::Alert(Counter* counter, const char* kind,
                            const std::string& detail) {
   counter->Increment();
-  // Sampled structured quality events: one warning per log_every_n
+  // Sampled structured quality events: one warning per kLogEveryN
   // firings per alert type, so a stuck-bad signal cannot flood stderr.
   const std::int64_t n = counter->value();
-  const std::int64_t every =
-      static_cast<std::int64_t>(std::max<std::size_t>(1, options_.log_every_n));
-  if (n % every == 1 || every == 1) {
+  if (n % static_cast<std::int64_t>(kLogEveryN) == 1) {
     RTREC_LOG(kWarn) << "quality-event alert=" << kind << " count=" << n
                      << " " << detail;
   }
@@ -124,7 +121,7 @@ void QualityMonitor::OnMfSample(const MfSample& sample) {
   const double y = engaged ? 1.0 : 0.0;
   const GroupId group =
       options_.group_of ? options_.group_of(sample.action.user) : kGlobalGroup;
-  const double a = options_.ewma_alpha;
+  const double a = kEwmaAlpha;
 
   samples_->Increment();
   if (engaged) {
@@ -167,39 +164,36 @@ void QualityMonitor::OnMfSample(const MfSample& sample) {
   // the full fast-vs-slow horizon gap. The binary labels make this pair
   // noisy at loss-EWMA timescales (σ ≈ √(α/2)·σ_y), which is why it
   // runs 50× slower: a real shift is sustained, noise averages out.
-  label_fast_.Update(y, 0.02 * a);
-  label_slow_.Update(y, 0.002 * a);
+  label_fast_.Update(y, kLabelFastAlpha);
+  label_slow_.Update(y, kLabelSlowAlpha);
   label_shift_gauge_->Set(label_fast_.value - label_slow_.value);
 
-  if (++progressive_count_ % std::max<std::size_t>(1, options_.watchdog_every_n)
-      == 0) {
+  if (++progressive_count_ % kWatchdogEveryN == 0) {
     CheckTrainingWatchdog();
   }
 }
 
 void QualityMonitor::CheckTrainingWatchdog() {
-  if (logloss_.seeded && logloss_.value > options_.logloss_alert) {
+  if (logloss_.seeded && logloss_.value > kLoglossAlert) {
     Alert(alert_logloss_, "logloss",
           "ewma=" + std::to_string(logloss_.value) +
-              " threshold=" + std::to_string(options_.logloss_alert));
+              " threshold=" + std::to_string(kLoglossAlert));
   }
-  if (calibration_.seeded &&
-      std::abs(calibration_.value) > options_.calibration_alert) {
+  if (calibration_.seeded && std::abs(calibration_.value) > kCalibrationAlert) {
     Alert(alert_calibration_, "calibration",
           "ewma=" + std::to_string(calibration_.value) +
-              " threshold=" + std::to_string(options_.calibration_alert));
+              " threshold=" + std::to_string(kCalibrationAlert));
   }
-  if (embedding_norm_.seeded &&
-      embedding_norm_.value > options_.embedding_norm_alert) {
+  if (embedding_norm_.seeded && embedding_norm_.value > kEmbeddingNormAlert) {
     Alert(alert_embedding_norm_, "embedding_norm",
           "ewma=" + std::to_string(embedding_norm_.value) +
-              " threshold=" + std::to_string(options_.embedding_norm_alert));
+              " threshold=" + std::to_string(kEmbeddingNormAlert));
   }
   const double drift = prediction_fast_.value - prediction_slow_.value;
-  if (prediction_slow_.seeded && std::abs(drift) > options_.bias_drift_alert) {
+  if (prediction_slow_.seeded && std::abs(drift) > kBiasDriftAlert) {
     Alert(alert_bias_drift_, "bias_drift",
           "drift=" + std::to_string(drift) +
-              " threshold=" + std::to_string(options_.bias_drift_alert));
+              " threshold=" + std::to_string(kBiasDriftAlert));
   }
   // The label-shift check waits for the slow EWMA to mature (five time
   // constants of samples, residual < 1% of the seed offset): both EWMAs
@@ -207,13 +201,12 @@ void QualityMonitor::CheckTrainingWatchdog() {
   // different speeds, so the warm-up gap is an artifact of cold start,
   // not a shift.
   const double label_shift = label_fast_.value - label_slow_.value;
-  const double slow_alpha = 0.002 * options_.ewma_alpha;
   if (label_slow_.seeded &&
-      static_cast<double>(progressive_count_) * slow_alpha >= 5.0 &&
-      std::abs(label_shift) > options_.label_shift_alert) {
+      static_cast<double>(progressive_count_) * kLabelSlowAlpha >= 5.0 &&
+      std::abs(label_shift) > kLabelShiftAlert) {
     Alert(alert_label_shift_, "label_shift",
           "shift=" + std::to_string(label_shift) +
-              " threshold=" + std::to_string(options_.label_shift_alert));
+              " threshold=" + std::to_string(kLabelShiftAlert));
   }
 }
 
@@ -294,11 +287,10 @@ void QualityMonitor::OnServed(UserId user,
       static_cast<double>(served_video_counts_.size()) /
       static_cast<double>(ring_occupied_);
   served_coverage_->Set(coverage);
-  if (ring_occupied_ * 2 >= ring_.size() &&
-      coverage < options_.coverage_alert) {
+  if (ring_occupied_ * 2 >= kRingSize && coverage < kCoverageAlert) {
     Alert(alert_coverage_, "coverage",
           "coverage=" + std::to_string(coverage) +
-              " threshold=" + std::to_string(options_.coverage_alert));
+              " threshold=" + std::to_string(kCoverageAlert));
   }
   const Timestamp last_train =
       last_train_time_.load(std::memory_order_relaxed);
@@ -310,10 +302,10 @@ void QualityMonitor::OnServed(UserId user,
         0, static_cast<std::int64_t>(now) -
                static_cast<std::int64_t>(last_train));
     sim_staleness_ms_->Set(staleness);
-    if (staleness > options_.staleness_alert_ms) {
+    if (staleness > kStalenessAlertMs) {
       Alert(alert_staleness_, "staleness",
             "staleness_ms=" + std::to_string(staleness) + " threshold_ms=" +
-                std::to_string(options_.staleness_alert_ms));
+                std::to_string(kStalenessAlertMs));
     }
   }
 }
@@ -330,7 +322,7 @@ void QualityMonitor::OnEngagement(const UserAction& action) {
       Slot& slot = ring_[*idx];
       if (!slot.occupied || slot.video != action.video) continue;
       if (action.time < slot.served_at ||
-          action.time - slot.served_at > options_.join_window_ms) {
+          action.time - slot.served_at > kJoinWindowMs) {
         continue;
       }
       match = &slot;
@@ -355,7 +347,7 @@ void QualityMonitor::OnEngagement(const UserAction& action) {
   (match->degraded ? degraded_ : primary_).Click();
   arms_[match->arm].Click();
   weighted_clicks_ +=
-      std::pow(options_.position_bias, -static_cast<double>(match->position));
+      std::pow(kPositionBias, -static_cast<double>(match->position));
   const double impressions =
       static_cast<double>(overall_.impressions->value());
   if (impressions > 0.0) {

@@ -41,7 +41,7 @@ namespace rtrec {
 ///  4. Drift watchdog — embedding-norm / prediction-drift /
 ///     engagement-rate (label-shift) EWMAs from the training stream plus
 ///     serving-side staleness and served-catalog coverage, checked
-///     against thresholds on a fixed cadence;
+///     against the fixed k*Alert thresholds below on a fixed cadence;
 ///     violations bump `quality.alerts.*` and emit sampled structured
 ///     "quality-event" warnings.
 ///
@@ -49,61 +49,64 @@ namespace rtrec {
 /// small critical sections, no allocation at steady state).
 class QualityMonitor : public MfValidationHook {
  public:
-  struct Options {
-    /// EWMA smoothing factor for the progressive-validation statistics.
-    double ewma_alpha = 0.02;
+  // Tuning: fixed values, listed with the alerts in docs/OPERATIONS.md.
 
+  /// EWMA smoothing factor for the progressive-validation statistics.
+  static constexpr double kEwmaAlpha = 0.02;
+  /// N of online recall@N (`quality.online_recall@10`).
+  static constexpr std::size_t kRecallTopN = 10;
+  /// Served-impression slots retained for the CTR join.
+  static constexpr std::size_t kRingSize = 4096;
+  /// An engagement joins an impression only within this window (6 h).
+  static constexpr std::int64_t kJoinWindowMs = 6 * 60 * 60 * 1000;
+  /// Position-bias base: a click at position k counts 1/bias^k in the
+  /// position-weighted CTR (matches AbTestHarness::Options).
+  static constexpr double kPositionBias = 0.85;
+  /// Watchdog cadence: thresholds are checked every N progressive
+  /// samples (and staleness/coverage on every served page).
+  static constexpr std::size_t kWatchdogEveryN = 256;
+  /// At most one structured warning per alert type per N firings.
+  static constexpr std::size_t kLogEveryN = 64;
+  /// Alert when the logloss EWMA exceeds this (untrained baseline is
+  /// ln 2 ≈ 0.693; a healthy model trends well below it).
+  static constexpr double kLoglossAlert = 1.0;
+  /// Alert when |calibration bias EWMA| (y − p) exceeds this.
+  static constexpr double kCalibrationAlert = 0.5;
+  /// Alert when the embedding-norm EWMA exceeds this (norm blow-up is
+  /// the classic SGD divergence signature).
+  static constexpr double kEmbeddingNormAlert = 10.0;
+  /// Alert when the fast and slow prediction EWMAs diverge by more
+  /// than this (sudden shift of the model's operating point).
+  static constexpr double kBiasDriftAlert = 2.0;
+  /// Alert when the fast and slow *engagement-rate* EWMAs diverge by
+  /// more than this: label shift — P(engage | impression) moved. This
+  /// is how a population-wide preference (demographic) drift shows up
+  /// in the training stream even after per-entity SGD biases have
+  /// re-calibrated the loss signals away. The pair runs 50× slower
+  /// than the loss EWMAs (binary labels are noisy; a real shift is
+  /// sustained) and is checked only once the slow EWMA has matured
+  /// (5 / kLabelSlowAlpha samples, 125,000), so the cold-start
+  /// warm-up, where the two EWMAs converge at different speeds from the
+  /// same seed, cannot fire it.
+  static constexpr double kLabelShiftAlert = 0.04;
+  /// Smoothing factors of the label-shift pair.
+  static constexpr double kLabelFastAlpha = 0.02 * kEwmaAlpha;
+  static constexpr double kLabelSlowAlpha = 0.002 * kEwmaAlpha;
+  /// Alert when serving time runs this far ahead of the newest trained
+  /// action (stale model / stalled ingest), 24 h.
+  static constexpr std::int64_t kStalenessAlertMs = 24 * 60 * 60 * 1000;
+  /// Alert when distinct videos / occupied ring slots drops below this
+  /// with the ring at least half full (the system keeps serving the
+  /// same few videos).
+  static constexpr double kCoverageAlert = 0.01;
+
+  struct Options {
     /// Hold out one in N engaged actions for online recall (0 disables).
     /// Selection is a deterministic hash of (user, video, time), so it is
     /// stable under concurrency and across replays.
     std::size_t holdout_every_n = 100;
-    /// N of online recall@N.
-    std::size_t recall_top_n = 10;
-
-    /// Served-impression slots retained for the CTR join.
-    std::size_t ring_size = 4096;
-    /// An engagement joins an impression only within this window.
-    std::int64_t join_window_ms = 6 * 60 * 60 * 1000;
     /// A/B arms for CTR segmentation (users hashed via AbArmOf).
     std::size_t num_arms = 2;
-    /// Position-bias base: a click at position k counts 1/bias^k in the
-    /// position-weighted CTR (matches AbTestHarness::Options).
-    double position_bias = 0.85;
-
-    /// Watchdog cadence: thresholds are checked every N progressive
-    /// samples (and staleness/coverage on every served page).
-    std::size_t watchdog_every_n = 256;
-    /// At most one structured warning per alert type per N firings.
-    std::size_t log_every_n = 64;
-    /// Alert when the logloss EWMA exceeds this (untrained baseline is
-    /// ln 2 ≈ 0.693; a healthy model trends well below it).
-    double logloss_alert = 1.0;
-    /// Alert when |calibration bias EWMA| (y − p) exceeds this.
-    double calibration_alert = 0.5;
-    /// Alert when the embedding-norm EWMA exceeds this (norm blow-up is
-    /// the classic SGD divergence signature).
-    double embedding_norm_alert = 10.0;
-    /// Alert when the fast and slow prediction EWMAs diverge by more
-    /// than this (sudden shift of the model's operating point).
-    double bias_drift_alert = 2.0;
-    /// Alert when the fast and slow *engagement-rate* EWMAs diverge by
-    /// more than this: label shift — P(engage | impression) moved. This
-    /// is how a population-wide preference (demographic) drift shows up
-    /// in the training stream even after per-entity SGD biases have
-    /// re-calibrated the loss signals away. The pair runs 50× slower
-    /// than the loss EWMAs (binary labels are noisy; a real shift is
-    /// sustained) and is checked only once the slow EWMA has matured
-    /// (5 / slow-alpha samples), so the cold-start warm-up, where the
-    /// two EWMAs converge at different speeds from the same seed,
-    /// cannot fire it.
-    double label_shift_alert = 0.04;
-    /// Alert when serving time runs this far ahead of the newest trained
-    /// action (stale model / stalled ingest).
-    std::int64_t staleness_alert_ms = 24 * 60 * 60 * 1000;
-    /// Alert when distinct videos / occupied ring slots drops below this
-    /// with the ring at least half full (the system keeps serving the
-    /// same few videos).
-    double coverage_alert = 0.01;
 
     /// Demographic identity for per-group segmentation; when unset all
     /// samples land in the global segment. Must be thread-safe.
@@ -137,7 +140,6 @@ class QualityMonitor : public MfValidationHook {
   /// a served slot clicked or count as unmatched.
   void OnEngagement(const UserAction& action);
 
-  const Options& options() const { return options_; }
 
  private:
   /// Exponentially weighted moving average seeded by its first sample.

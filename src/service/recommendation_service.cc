@@ -1,7 +1,5 @@
 #include "service/recommendation_service.h"
 
-#include <unordered_set>
-
 #include "common/fault_injection.h"
 
 namespace rtrec {
@@ -72,7 +70,7 @@ void RecommendationService::Observe(const UserAction& action) {
       // impressions.
       RecRequest probe;
       probe.user = action.user;
-      probe.top_n = quality_->options().recall_top_n;
+      probe.top_n = QualityMonitor::kRecallTopN;
       probe.now = action.time;
       StatusOr<std::vector<ScoredVideo>> page = filter_->Recommend(probe);
       bool hit = false;
@@ -107,26 +105,10 @@ std::vector<ScoredVideo> RecommendationService::FallbackRecommend(
     const RecRequest& request) const {
   const std::size_t n =
       request.top_n > 0 ? request.top_n : options_.filter.top_n;
-  const GroupId group = grouper_.GroupOf(request.user);
-
-  // Honour the primary path's exclusion: never hand back the video the
-  // user is watching (request seeds) — a degraded answer must not be
-  // "the page you are on".
-  std::unordered_set<VideoId> excluded(request.seed_videos.begin(),
-                                       request.seed_videos.end());
-
-  // Over-fetch so the list survives filtering at full length.
-  const std::size_t fetch = n + excluded.size();
-  std::vector<ScoredVideo> hot = hot_.Hottest(group, fetch, request.now);
-  if (hot.empty() && group != kGlobalGroup) {
-    hot = hot_.Hottest(kGlobalGroup, fetch, request.now);
-  }
-  if (!excluded.empty()) {
-    std::erase_if(hot, [&excluded](const ScoredVideo& v) {
-      return excluded.contains(v.video);
-    });
-  }
-  if (hot.size() > n) hot.resize(n);
+  // The same page the filter blends in: a degraded answer must not be
+  // "the page you are on" either.
+  std::vector<ScoredVideo> hot = hot_.HotPage(
+      grouper_.GroupOf(request.user), n, request.now, request.seed_videos);
   if (quality_ != nullptr) {
     // Degraded answers are impressions too: a fallback page the user
     // never clicks is exactly the regression the CTR segmentation is

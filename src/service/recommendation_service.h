@@ -81,7 +81,6 @@ class RecommendationService : public Recommender {
 
   DemographicGrouper& grouper() { return grouper_; }
   DemographicTrainer* trainer() { return trainer_.get(); }  // Never null.
-  HotVideoTracker& hot_tracker() { return hot_; }
   /// Null when the service was built without a metrics registry.
   QualityMonitor* quality() { return quality_.get(); }
 

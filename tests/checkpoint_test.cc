@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
+#include "common/crc32.h"
 #include "core/engine.h"
 
 namespace rtrec {
@@ -128,6 +131,61 @@ TEST_F(CheckpointTest, FullEngineStateSurvivesRestart) {
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*before, *after);
+}
+
+TEST_F(CheckpointTest, V3BytesArePinned) {
+  // The v3 layout, the stores' stripe layout and iteration order, and the
+  // codecs all show up in the saved bytes. The state is written through
+  // the stores' Put paths, with no training, so the file depends on
+  // nothing but those. A change to any of them changes the length or
+  // the CRC below and breaks every snapshot already on disk.
+  struct Pinned {
+    FactorPrecision precision;
+    std::uintmax_t size;
+    std::uint32_t crc;
+  };
+  // Recorded from the v3 writer that also wrote int8 stores.
+  const Pinned pins[] = {
+      {FactorPrecision::kFloat32, 3045, 3885862144u},
+      {FactorPrecision::kFloat16, 2533, 3133279618u},
+  };
+  for (const Pinned& pinned : pins) {
+    RecEngine::Options options;
+    options.model.num_factors = 8;
+    options.model.precision = pinned.precision;
+    RecEngine engine([](VideoId) -> VideoType { return 0; }, options);
+    for (UserId u = 1; u <= 12; ++u) {
+      std::vector<float> vec(8);
+      for (int k = 0; k < 8; ++k) {
+        vec[static_cast<std::size_t>(k)] =
+            static_cast<float>(static_cast<int>(u) * 3 - k * 5) / 37.0f;
+      }
+      engine.factors().PutUser(u, vec, static_cast<float>(u) * 0.125f);
+    }
+    for (VideoId v = 1; v <= 20; ++v) engine.factors().GetOrInitVideo(v);
+    engine.factors().ObserveRating(1.0);
+    engine.factors().ObserveRating(0.25);
+    for (VideoId v = 1; v <= 10; ++v) {
+      engine.sim_table().Update(v, v + 3, 0.05 * static_cast<double>(v),
+                                1000 * static_cast<Timestamp>(v));
+    }
+    for (UserId u = 1; u <= 6; ++u) {
+      for (VideoId v = u; v < u + 4; ++v) {
+        engine.history().Append(u, {v, 0.5 * static_cast<double>(v),
+                                    static_cast<Timestamp>(100 * v)});
+      }
+    }
+    ASSERT_TRUE(SaveCheckpoint(path_.string(), &engine.factors(),
+                               &engine.sim_table(), &engine.history())
+                    .ok());
+
+    std::ifstream in(path_, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    SCOPED_TRACE(FactorPrecisionToString(pinned.precision));
+    EXPECT_EQ(bytes.size(), pinned.size);
+    EXPECT_EQ(Crc32(bytes), pinned.crc);
+  }
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {

@@ -73,7 +73,6 @@ struct Shard {
     tracer_options.metrics = &metrics;
     tracer = std::make_unique<Tracer>(tracer_options);
     obs::SpanCollector::Options span_options;
-    span_options.drain_interval_ms = 1;
     span_options.metrics = &metrics;
     spans = std::make_unique<obs::SpanCollector>(span_options);
     server->Stop();

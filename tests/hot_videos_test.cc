@@ -113,19 +113,44 @@ TEST(HotVideoTrackerTest, RealClocksGiveFiniteScoresInWeightOrder) {
   EXPECT_NEAR(later[0].score, 3.0 / std::sqrt(2.0), 1e-9);
 }
 
-TEST(HotRecommenderViewTest, ServesTrackerContent) {
+// A `now` far behind the landmark, such as a simulation clock asking a
+// tracker fed epoch milliseconds, reads the scores as of the landmark:
+// 2^age underflows to 0 past 1024 half-lives, so dividing by it would
+// return inf.
+TEST(HotVideoTrackerTest, ClockFarBehindTheLandmarkGivesFiniteScores) {
+  HotVideoTracker tracker;  // Default one-day half-life.
+  const Timestamp epoch_ms = 1'760'000'000'000;
+  tracker.Record(0, 1, 1.0, epoch_ms);
+  tracker.Record(0, 2, 3.0, epoch_ms);
+  const auto hot = tracker.Hottest(0, 10, /*now=*/0);
+  ASSERT_EQ(hot.size(), 2u);
+  EXPECT_EQ(hot[0].video, 2u);
+  EXPECT_EQ(hot[1].video, 1u);
+  for (const ScoredVideo& s : hot) EXPECT_TRUE(std::isfinite(s.score));
+  EXPECT_GT(hot[0].score, hot[1].score);
+}
+
+TEST(HotVideoTrackerTest, HotPageDropsSeedsAndFallsBackToGlobal) {
   HotVideoTracker tracker(SmallOptions());
-  tracker.Record(kGlobalGroup, 7, 3.0, 0);
-  tracker.Record(kGlobalGroup, 8, 1.0, 0);
-  HotRecommenderView view(&tracker, kGlobalGroup, 10);
-  RecRequest request;
-  request.user = 1;
-  request.now = 0;
-  auto recs = view.Recommend(request);
-  ASSERT_TRUE(recs.ok());
-  ASSERT_EQ(recs->size(), 2u);
-  EXPECT_EQ((*recs)[0].video, 7u);
-  EXPECT_EQ(view.name(), "Hot");
+  for (VideoId v = 1; v <= 4; ++v) {
+    tracker.Record(kGlobalGroup, v, static_cast<double>(v), 0);
+  }
+  tracker.Record(3, 9, 1.0, 0);  // Group 3's only hot video.
+
+  // Seeds leave the page, which still holds n videos.
+  const auto page = tracker.HotPage(kGlobalGroup, 2, 0, {4});
+  ASSERT_EQ(page.size(), 2u);
+  EXPECT_EQ(page[0].video, 3u);
+  EXPECT_EQ(page[1].video, 2u);
+
+  EXPECT_EQ(tracker.HotPage(3, 2, 0, {})[0].video, 9u);
+  // A group whose whole list is seeds, or that has no list, gets the
+  // global page.
+  for (const GroupId group : {GroupId{3}, GroupId{7}}) {
+    const auto fallback = tracker.HotPage(group, 2, 0, {9});
+    ASSERT_EQ(fallback.size(), 2u) << "group " << group;
+    EXPECT_EQ(fallback[0].video, 4u);
+  }
 }
 
 }  // namespace

@@ -45,11 +45,11 @@ std::int64_t Count(MetricsRegistry& metrics, const std::string& name) {
 // ---------------------------------------------------------------------
 // Signal 1: progressive validation.
 
+constexpr double kAlpha = QualityMonitor::kEwmaAlpha;
+
 TEST(QualityMonitorTest, ProgressiveLoglossExactValues) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.ewma_alpha = 0.5;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
 
   // prediction 0 → p = 0.5 → logloss ln 2 for either label.
   monitor.OnMfSample(Sample(1, ActionType::kClick, 0.0, 1.0));
@@ -62,26 +62,27 @@ TEST(QualityMonitorTest, ProgressiveLoglossExactValues) {
   EXPECT_EQ(Count(metrics, "quality.progressive.samples"), 1);
 
   // An impression (negative) at prediction 0: loss ln 2 again, bias
-  // EWMA moves to 0.5·0.5 + 0.5·(0 − 0.5) = 0.
+  // EWMA moves to (1 − α)·0.5 + α·(0 − 0.5).
   monitor.OnMfSample(Sample(1, ActionType::kImpress, 0.0, 0.0));
   EXPECT_NEAR(Gauge(metrics, "quality.progressive.logloss"), ln2, 1e-12);
-  EXPECT_NEAR(Gauge(metrics, "quality.progressive.bias"), 0.0, 1e-12);
+  EXPECT_NEAR(Gauge(metrics, "quality.progressive.bias"),
+              (1.0 - kAlpha) * 0.5 - kAlpha * 0.5, 1e-12);
   EXPECT_EQ(Count(metrics, "quality.progressive.samples"), 2);
 
   // A confident correct positive: p = σ(2), EWMA averages in its loss.
   const double p2 = 1.0 / (1.0 + std::exp(-2.0));
   monitor.OnMfSample(Sample(1, ActionType::kClick, 2.0, 1.0));
-  const double expected = 0.5 * ln2 + 0.5 * -std::log(p2);
+  const double expected = (1.0 - kAlpha) * ln2 + kAlpha * -std::log(p2);
   EXPECT_NEAR(Gauge(metrics, "quality.progressive.logloss"), expected, 1e-12);
-  // The per-type EWMA only saw the two clicks.
-  EXPECT_NEAR(Gauge(metrics, "quality.progressive.logloss.click"),
-              0.5 * ln2 + 0.5 * -std::log(p2), 1e-12);
+  // The per-type EWMA only saw the two clicks: the same two losses.
+  EXPECT_NEAR(Gauge(metrics, "quality.progressive.logloss.click"), expected,
+              1e-12);
 }
 
 TEST(QualityMonitorTest, ProgressiveSegmentsByGroup) {
   MetricsRegistry metrics;
   QualityMonitor::Options options;
-  options.ewma_alpha = 1.0;  // Gauge == last sample, no averaging.
+  // One sample per group: each group's EWMA is seeded by it.
   options.group_of = [](UserId user) -> GroupId {
     return user < 100 ? 1 : 2;
   };
@@ -110,15 +111,13 @@ TEST(QualityMonitorTest, HookSeesPreStepPredictionFromOnlineMf) {
   OnlineMf model(&store, config);
 
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.ewma_alpha = 1.0;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
   model.set_validation_hook(&monitor);
 
   const UserAction action = Act(3, 5, ActionType::kPlayTime, 500);
   // Progressive validation: the sample's prediction must equal the
   // model's prediction BEFORE the action trains it. p = σ(r̂), and the
-  // bias gauge stores y − p with alpha 1.
+  // bias gauge, seeded by this first sample, stores y − p.
   const double pre = model.Predict(3, 5);
   const double p = 1.0 / (1.0 + std::exp(-pre));
   model.Update(action);
@@ -259,28 +258,31 @@ TEST(QualityMonitorTest, EngagementWithoutImpressionNeverCountsAsClick) {
 
 TEST(QualityMonitorTest, JoinWindowExpiresImpressions) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.join_window_ms = 100;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
+  constexpr Timestamp kWindow = QualityMonitor::kJoinWindowMs;
 
   monitor.OnServed(1, Page({10}), false, 1000);
-  monitor.OnEngagement(Act(1, 10, ActionType::kClick, 1101));  // Too late.
-  monitor.OnEngagement(Act(1, 10, ActionType::kClick, 900));   // Too early.
+  monitor.OnEngagement(
+      Act(1, 10, ActionType::kClick, 1000 + kWindow + 1));  // Too late.
+  monitor.OnEngagement(Act(1, 10, ActionType::kClick, 900));  // Too early.
   EXPECT_EQ(Count(metrics, "quality.ctr.clicks"), 0);
   EXPECT_EQ(Count(metrics, "quality.ctr.unmatched_engagements"), 2);
 
-  monitor.OnEngagement(Act(1, 10, ActionType::kClick, 1100));  // In window.
+  monitor.OnEngagement(
+      Act(1, 10, ActionType::kClick, 1000 + kWindow));  // In window.
   EXPECT_EQ(Count(metrics, "quality.ctr.clicks"), 1);
 }
 
 TEST(QualityMonitorTest, RingEvictionUnlinksOldImpressions) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.ring_size = 2;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
+  constexpr std::size_t kRing = QualityMonitor::kRingSize;
 
   monitor.OnServed(1, Page({10, 11}), false, 1000);
-  monitor.OnServed(2, Page({20, 21}), false, 1000);  // Evicts user 1.
+  // A full ring of user 2's impressions evicts both of user 1's.
+  for (std::size_t k = 0; k < kRing / 2; ++k) {
+    monitor.OnServed(2, Page({20 + 2 * k, 21 + 2 * k}), false, 1000);
+  }
   monitor.OnEngagement(Act(1, 10, ActionType::kClick, 1100));
   EXPECT_EQ(Count(metrics, "quality.ctr.clicks"), 0);
   EXPECT_EQ(Count(metrics, "quality.ctr.unmatched_engagements"), 1);
@@ -289,7 +291,10 @@ TEST(QualityMonitorTest, RingEvictionUnlinksOldImpressions) {
   EXPECT_EQ(Count(metrics, "quality.ctr.clicks"), 1);
   // Impressions counters are cumulative; CTR derives from them, so the
   // ratio reflects all served impressions, not just live slots.
-  EXPECT_EQ(Count(metrics, "quality.ctr.impressions"), 4);
+  EXPECT_EQ(Count(metrics, "quality.ctr.impressions"),
+            static_cast<std::int64_t>(2 + kRing));
+  // Every live slot holds a distinct video.
+  EXPECT_NEAR(Gauge(metrics, "quality.drift.served_coverage"), 1.0, 1e-12);
 }
 
 // ---------------------------------------------------------------------
@@ -297,20 +302,19 @@ TEST(QualityMonitorTest, RingEvictionUnlinksOldImpressions) {
 
 TEST(QualityMonitorTest, WatchdogFiresLoglossAndNormAlerts) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.ewma_alpha = 1.0;
-  options.watchdog_every_n = 1;
-  options.logloss_alert = 0.5;
-  options.embedding_norm_alert = 5.0;
-  // y − p ≈ 0.95 for the sample below; keep calibration out of the way.
-  options.calibration_alert = 1.5;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
 
-  // A badly wrong confident prediction: engaged but r̂ = −3.
-  MfSample bad = Sample(1, ActionType::kClick, -3.0, 1.0);
-  bad.user_norm = 20.0;
-  bad.video_norm = 20.0;
-  monitor.OnMfSample(bad);
+  // Badly wrong confident predictions, alternating an engagement at
+  // r̂ = −3 and an impression at r̂ = +3: each loses −ln σ(−3) ≈ 3.05
+  // (> kLoglossAlert), while y − p alternates ±0.95 and its EWMA stays
+  // far inside kCalibrationAlert by the first watchdog check.
+  for (std::size_t i = 0; i < QualityMonitor::kWatchdogEveryN; ++i) {
+    MfSample bad = i % 2 == 0 ? Sample(1, ActionType::kClick, -3.0, 1.0)
+                              : Sample(1, ActionType::kImpress, 3.0, 0.0);
+    bad.user_norm = 20.0;  // Twice kEmbeddingNormAlert.
+    bad.video_norm = 20.0;
+    monitor.OnMfSample(bad);
+  }
 
   EXPECT_GE(Count(metrics, "quality.alerts.logloss"), 1);
   EXPECT_GE(Count(metrics, "quality.alerts.embedding_norm"), 1);
@@ -320,23 +324,29 @@ TEST(QualityMonitorTest, WatchdogFiresLoglossAndNormAlerts) {
 
 TEST(QualityMonitorTest, WatchdogFiresStalenessAndCoverageAlerts) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.ring_size = 4;
-  options.staleness_alert_ms = 1000;
-  options.coverage_alert = 0.5;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
+  constexpr std::size_t kRing = QualityMonitor::kRingSize;
 
-  // Train at t=1000, serve at t=5000 → 4000ms staleness > 1000ms.
+  // Train at t=1000, serve 4 s past the staleness threshold.
+  const Timestamp now = 1000 + QualityMonitor::kStalenessAlertMs + 4000;
   monitor.OnMfSample(Sample(1, ActionType::kClick, 0.0, 1.0, 1000));
-  // The same single video fills the whole ring → coverage 1/4 < 0.5.
-  monitor.OnServed(1, Page({10, 10}), false, 5000);
-  monitor.OnServed(2, Page({10, 10}), false, 5000);
+  // Before the ring is half full, one video everywhere is not an alert.
+  for (std::size_t k = 0; k + 1 < kRing / 2; ++k) {
+    monitor.OnServed(k, Page({10}), false, now);
+  }
+  EXPECT_EQ(Count(metrics, "quality.alerts.coverage"), 0);
+  // The same single video fills the whole ring → coverage 1/kRingSize,
+  // under kCoverageAlert.
+  for (std::size_t k = kRing / 2 - 1; k < kRing; ++k) {
+    monitor.OnServed(k, Page({10}), false, now);
+  }
 
   EXPECT_GE(Count(metrics, "quality.alerts.staleness"), 1);
   EXPECT_GE(Count(metrics, "quality.alerts.coverage"), 1);
   EXPECT_EQ(metrics.GetGauge("quality.drift.sim_staleness_ms")->value(),
-            4000);
-  EXPECT_NEAR(Gauge(metrics, "quality.drift.served_coverage"), 0.25, 1e-12);
+            QualityMonitor::kStalenessAlertMs + 4000);
+  EXPECT_NEAR(Gauge(metrics, "quality.drift.served_coverage"),
+              1.0 / static_cast<double>(kRing), 1e-12);
 }
 
 TEST(QualityMonitorTest, StalenessNeverReadsNegative) {
@@ -355,18 +365,15 @@ TEST(QualityMonitorTest, StalenessNeverReadsNegative) {
 
 TEST(QualityMonitorTest, WatchdogFiresLabelShiftOnEngagementRateJump) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  // ewma_alpha 0.5 → label pair runs at α 0.01 (fast) / 0.001 (slow),
-  // warm-up guard 5 / 0.001 = 5000 samples.
-  options.ewma_alpha = 0.5;
-  options.watchdog_every_n = 1;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
+  // The warm-up guard: 5 / kLabelSlowAlpha = 125,000 samples.
+  const int warmup = static_cast<int>(5.0 / QualityMonitor::kLabelSlowAlpha);
 
   // A stationary stream: engagement rate pinned at 0.5 by strict
   // alternation. Covers the warm-up guard and then some — the label
   // EWMAs sit within one ripple (α · 0.5) of each other, far under the
   // alert threshold, so a steady stream never fires.
-  for (int i = 0; i < 12000; ++i) {
+  for (int i = 0; i < warmup + 25000; ++i) {
     monitor.OnMfSample(i % 2 == 0
                            ? Sample(1, ActionType::kClick, 0.0, 1.0)
                            : Sample(1, ActionType::kImpress, 0.0, 0.0));
@@ -377,7 +384,7 @@ TEST(QualityMonitorTest, WatchdogFiresLabelShiftOnEngagementRateJump) {
   // races ahead of the slow one and the gap crosses the threshold while
   // per-sample losses stay individually unremarkable — exactly the
   // drift signature SGD re-calibration hides from the loss channels.
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < 1000; ++i) {
     monitor.OnMfSample(Sample(1, ActionType::kClick, 0.0, 1.0));
   }
   EXPECT_GT(Count(metrics, "quality.alerts.label_shift"), 0);
@@ -474,15 +481,16 @@ TEST(QualityMonitorTest, ServiceEndToEndRecallCtrAndScrape) {
 
 TEST(QualityMonitorTest, ConcurrentMixedTrafficSmoke) {
   MetricsRegistry metrics;
-  QualityMonitor::Options options;
-  options.ring_size = 64;
-  options.watchdog_every_n = 16;
-  QualityMonitor monitor(&metrics, options);
+  QualityMonitor monitor(&metrics, QualityMonitor::Options{});
 
+  // 4 × 1500 pages of two slots wrap the ring about three times, and
+  // 6000 samples run the watchdog 23 times, all under contention.
+  constexpr int kRounds = 1500;
+  static_assert(4 * kRounds * 2 > 2 * QualityMonitor::kRingSize);
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&monitor, i] {
-      for (int n = 0; n < 500; ++n) {
+      for (int n = 0; n < kRounds; ++n) {
         const UserId user = static_cast<UserId>(i * 1000 + n % 17);
         const VideoId video = static_cast<VideoId>(n % 31);
         monitor.OnServed(user, Page({video, video + 1}), n % 5 == 0,
@@ -499,13 +507,13 @@ TEST(QualityMonitorTest, ConcurrentMixedTrafficSmoke) {
 
   // Conservation: every engagement either joined, was a duplicate, or
   // was unmatched.
-  const std::int64_t engagements = 4 * 500;
+  const std::int64_t engagements = 4 * kRounds;
   EXPECT_EQ(Count(metrics, "quality.ctr.clicks") +
                 Count(metrics, "quality.ctr.duplicate_clicks") +
                 Count(metrics, "quality.ctr.unmatched_engagements"),
             engagements);
-  EXPECT_EQ(Count(metrics, "quality.progressive.samples"), 4 * 500);
-  EXPECT_EQ(Count(metrics, "quality.holdout.evaluated"), 4 * 500);
+  EXPECT_EQ(Count(metrics, "quality.progressive.samples"), 4 * kRounds);
+  EXPECT_EQ(Count(metrics, "quality.holdout.evaluated"), 4 * kRounds);
 }
 
 }  // namespace

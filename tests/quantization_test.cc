@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -78,65 +80,11 @@ TEST(QuantizeVectorTest, Float32IsLossless) {
   const std::vector<float> in = {0.1f, -2.5f, 3.75f, 0.0f};
   std::vector<std::byte> packed(in.size() * 4);
   std::vector<float> out(in.size());
-  float scale = -1.0f;
   QuantizeVector(FactorPrecision::kFloat32, in.data(), in.size(),
-                 packed.data(), &scale);
-  EXPECT_EQ(scale, 0.0f);
-  DequantizeVector(FactorPrecision::kFloat32, packed.data(), in.size(), scale,
+                 packed.data());
+  DequantizeVector(FactorPrecision::kFloat32, packed.data(), in.size(),
                    out.data());
   EXPECT_EQ(out, in);
-}
-
-TEST(QuantizeVectorTest, Int8ErrorWithinHalfStep) {
-  // Symmetric scaling: step = max|x| / 127, rounding to nearest keeps
-  // every element within step/2; the max element maps exactly.
-  std::vector<float> in;
-  for (int i = 0; i < 64; ++i) {
-    in.push_back(0.31f * std::sin(0.7 * i) - 0.05f * i / 64.0f);
-  }
-  std::vector<std::byte> packed(in.size());
-  std::vector<float> out(in.size());
-  float scale = 0.0f;
-  QuantizeVector(FactorPrecision::kInt8, in.data(), in.size(), packed.data(),
-                 &scale);
-  float max_abs = 0.0f;
-  for (float v : in) max_abs = std::max(max_abs, std::fabs(v));
-  EXPECT_FLOAT_EQ(scale, max_abs / 127.0f);
-  DequantizeVector(FactorPrecision::kInt8, packed.data(), in.size(), scale,
-                   out.data());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_LE(std::fabs(out[i] - in[i]), scale / 2.0f + 1e-7f) << "i=" << i;
-  }
-}
-
-TEST(QuantizeVectorTest, Int8RequantizationIsFixedPoint) {
-  // Dequantize -> requantize must be stable, or every read-modify-write
-  // through the store would drift the vector.
-  std::vector<float> in = {0.2f, -0.9f, 0.45f, 0.0f, 0.9f, -0.13f};
-  std::vector<std::byte> p1(in.size()), p2(in.size());
-  std::vector<float> mid(in.size());
-  float s1 = 0.0f, s2 = 0.0f;
-  QuantizeVector(FactorPrecision::kInt8, in.data(), in.size(), p1.data(),
-                 &s1);
-  DequantizeVector(FactorPrecision::kInt8, p1.data(), in.size(), s1,
-                   mid.data());
-  QuantizeVector(FactorPrecision::kInt8, mid.data(), in.size(), p2.data(),
-                 &s2);
-  EXPECT_FLOAT_EQ(s2, s1);
-  EXPECT_EQ(std::memcmp(p1.data(), p2.data(), in.size()), 0);
-}
-
-TEST(QuantizeVectorTest, Int8ZeroVector) {
-  std::vector<float> in(8, 0.0f);
-  std::vector<std::byte> packed(in.size());
-  std::vector<float> out(in.size(), 1.0f);
-  float scale = 1.0f;
-  QuantizeVector(FactorPrecision::kInt8, in.data(), in.size(), packed.data(),
-                 &scale);
-  EXPECT_EQ(scale, 0.0f);
-  DequantizeVector(FactorPrecision::kInt8, packed.data(), in.size(), scale,
-                   out.data());
-  for (float v : out) EXPECT_EQ(v, 0.0f);
 }
 
 // --- Quantized FactorStore -------------------------------------------------
@@ -176,34 +124,15 @@ TEST(QuantizedFactorStoreTest, Fp16RoundTripWithinBound) {
   }
 }
 
-TEST(QuantizedFactorStoreTest, Int8RoundTripWithinHalfStep) {
-  FactorStore store(StoreOptions(FactorPrecision::kInt8));
-  const std::vector<float> want = TestVector(7);
-  float max_abs = 0.0f;
-  for (float v : want) max_abs = std::max(max_abs, std::fabs(v));
-  const float step = max_abs / 127.0f;
-  FactorEntry e;
-  e.vec = want;
-  store.PutVideo(3, e.vec, e.bias);
-  const auto got = store.GetVideo(3);
-  ASSERT_TRUE(got.ok());
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_LE(std::fabs(got->vec[i] - want[i]), step / 2.0f + 1e-7f);
-  }
-}
-
 TEST(QuantizedFactorStoreTest, GetOrInitIsReadYourWriteConsistent) {
   // The lazily-initialized entry a reader sees must equal what a second
   // read returns — initialization goes through the same quantized
   // payload, not a float side channel.
-  for (FactorPrecision p : {FactorPrecision::kFloat16,
-                            FactorPrecision::kInt8}) {
-    FactorStore store(StoreOptions(p));
-    const FactorEntry first = store.GetOrInitUser(42);
-    const FactorEntry second = store.GetOrInitUser(42);
-    EXPECT_EQ(first.vec, second.vec) << FactorPrecisionToString(p);
-    EXPECT_EQ(first.bias, second.bias);
-  }
+  FactorStore store(StoreOptions(FactorPrecision::kFloat16));
+  const FactorEntry first = store.GetOrInitUser(42);
+  const FactorEntry second = store.GetOrInitUser(42);
+  EXPECT_EQ(first.vec, second.vec);
+  EXPECT_EQ(first.bias, second.bias);
 }
 
 TEST(QuantizedFactorStoreTest, BytesPerEntryShrinks) {
@@ -211,13 +140,13 @@ TEST(QuantizedFactorStoreTest, BytesPerEntryShrinks) {
   fp32.num_factors = 32;
   FactorStore::Options fp16 = StoreOptions(FactorPrecision::kFloat16);
   fp16.num_factors = 32;
-  FactorStore::Options int8 = StoreOptions(FactorPrecision::kInt8);
-  int8.num_factors = 32;
-  const FactorStore s32(fp32), s16(fp16), s8(int8);
-  // The ISSUE guardrail: >=40% smaller per entry than float32.
+  const FactorStore s32(fp32), s16(fp16);
+  // A 16-byte packed struct plus the payload.
+  EXPECT_EQ(s32.BytesPerEntry(), 16u + 32u * 4u);
+  EXPECT_EQ(s16.BytesPerEntry(), 16u + 32u * 2u);
+  // The fp16 guardrail: >=40% smaller per entry than float32.
   EXPECT_LE(static_cast<double>(s16.BytesPerEntry()),
             0.6 * static_cast<double>(s32.BytesPerEntry()));
-  EXPECT_LT(s8.BytesPerEntry(), s16.BytesPerEntry());
 }
 
 TEST(QuantizedFactorStoreTest, ApproxFactorBytesCountsEntries) {
@@ -243,8 +172,8 @@ class QuantizedCheckpointTest : public ::testing::Test {
 };
 
 TEST_F(QuantizedCheckpointTest, SamePrecisionIsBitExact) {
-  for (FactorPrecision p : {FactorPrecision::kFloat16,
-                            FactorPrecision::kInt8}) {
+  for (FactorPrecision p : {FactorPrecision::kFloat32,
+                            FactorPrecision::kFloat16}) {
     FactorStore source(StoreOptions(p));
     for (UserId u = 1; u <= 12; ++u) {
       FactorEntry e;
@@ -274,36 +203,81 @@ TEST_F(QuantizedCheckpointTest, SamePrecisionIsBitExact) {
   }
 }
 
-TEST_F(QuantizedCheckpointTest, CrossPrecisionConverts) {
-  // fp32 checkpoint -> fp16 store: every loaded vector is the fp16
-  // rounding of the saved one.
-  FactorStore fp32(StoreOptions(FactorPrecision::kFloat32));
-  for (UserId u = 1; u <= 6; ++u) {
-    FactorEntry e;
-    e.vec = TestVector(static_cast<int>(u));
-    fp32.PutUser(u, e.vec, e.bias);
-  }
-  ASSERT_TRUE(SaveCheckpoint(path_.string(), &fp32, nullptr, nullptr).ok());
+// A live store no failed load may touch: one user and a rating mean.
+void ExpectPriorStateOnly(const FactorStore& target,
+                          const std::vector<float>& prior) {
+  EXPECT_EQ(target.NumUsers(), 1u);
+  EXPECT_EQ(target.NumVideos(), 0u);
+  EXPECT_DOUBLE_EQ(target.GlobalMean(), 3.0);
+  const auto entry = target.GetUser(3);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_FLOAT_EQ(entry->bias, 0.25f);
+  EXPECT_EQ(entry->vec, prior);
+}
 
-  FactorStore fp16(StoreOptions(FactorPrecision::kFloat16));
-  ASSERT_TRUE(LoadCheckpoint(path_.string(), &fp16, nullptr, nullptr).ok());
-  for (UserId u = 1; u <= 6; ++u) {
-    const std::vector<float> want = fp32.GetUser(u)->vec;
-    const std::vector<float> got = fp16.GetUser(u)->vec;
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_FLOAT_EQ(got[i], DecodeHalf(EncodeHalf(want[i])));
+TEST_F(QuantizedCheckpointTest, PrecisionMismatchIsInvalidArgument) {
+  // A checkpoint restores only into a store of its own precision, like
+  // its own dimensionality: the mismatch fails before anything is
+  // applied, in both directions.
+  for (const FactorPrecision saved :
+       {FactorPrecision::kFloat32, FactorPrecision::kFloat16}) {
+    const FactorPrecision other = saved == FactorPrecision::kFloat32
+                                      ? FactorPrecision::kFloat16
+                                      : FactorPrecision::kFloat32;
+    SCOPED_TRACE(FactorPrecisionToString(saved));
+    FactorStore source(StoreOptions(saved));
+    for (UserId u = 1; u <= 6; ++u) {
+      source.PutUser(u, TestVector(static_cast<int>(u)), 0.5f);
     }
-  }
+    source.GetOrInitVideo(9);
+    source.ObserveRating(1.0);
+    ASSERT_TRUE(
+        SaveCheckpoint(path_.string(), &source, nullptr, nullptr).ok());
 
-  // And back: an fp16 checkpoint loads into an fp32 store losslessly
-  // (halves are exactly representable as floats).
-  ASSERT_TRUE(SaveCheckpoint(path_.string(), &fp16, nullptr, nullptr).ok());
-  FactorStore widened(StoreOptions(FactorPrecision::kFloat32));
-  ASSERT_TRUE(LoadCheckpoint(path_.string(), &widened, nullptr, nullptr)
-                  .ok());
-  for (UserId u = 1; u <= 6; ++u) {
-    EXPECT_EQ(widened.GetUser(u)->vec, fp16.GetUser(u)->vec);
+    FactorStore target(StoreOptions(other));
+    // Vectors exact at fp16, so the prior state reads back the same at
+    // either precision.
+    const std::vector<float> prior = {0.5f, -0.25f, 0.125f, 1.0f,
+                                      -1.0f, 0.0f,  0.75f,  -0.5f};
+    target.PutUser(3, prior, 0.25f);
+    target.RestoreRatingStats(12.0, 4);
+
+    const Status status =
+        LoadCheckpoint(path_.string(), &target, nullptr, nullptr);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    ExpectPriorStateOnly(target, prior);
   }
+}
+
+TEST_F(QuantizedCheckpointTest, UnknownPrecisionTagIsCorruption) {
+  // Tag 2 was the retired int8 precision. A file carrying it, with a
+  // valid CRC, is corrupt: no store can hold its payloads.
+  FactorStore source(StoreOptions(FactorPrecision::kFloat32));
+  source.PutUser(7, TestVector(1), 0.5f);
+  ASSERT_TRUE(SaveCheckpoint(path_.string(), &source, nullptr, nullptr).ok());
+  std::string file;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  // magic(8) | u64 section length | u32 num_factors | u8 precision | ...
+  std::uint64_t len = 0;
+  std::memcpy(&len, file.data() + 8, sizeof(len));
+  ASSERT_EQ(file[20], 0);  // kFloat32.
+  file[20] = 2;
+  const std::uint32_t crc = Crc32(file.data() + 16, len);
+  std::memcpy(file.data() + 16 + len, &crc, sizeof(crc));
+  ASSERT_TRUE(WriteFileAtomic(path_.string(), file).ok());
+
+  FactorStore target(StoreOptions(FactorPrecision::kFloat32));
+  const std::vector<float> prior = TestVector(2);
+  target.PutUser(3, prior, 0.25f);
+  target.RestoreRatingStats(12.0, 4);
+  const Status status =
+      LoadCheckpoint(path_.string(), &target, nullptr, nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  ExpectPriorStateOnly(target, prior);
 }
 
 TEST_F(QuantizedCheckpointTest, RejectsRetiredV2Magic) {
@@ -352,14 +326,7 @@ TEST_F(QuantizedCheckpointTest, RejectsRetiredV2Magic) {
   const Status status =
       LoadCheckpoint(path_.string(), &target, nullptr, nullptr);
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
-  EXPECT_EQ(target.NumUsers(), 1u);
-  EXPECT_EQ(target.NumVideos(), 0u);
-  EXPECT_DOUBLE_EQ(target.GlobalMean(), 3.0);
-  EXPECT_FALSE(target.GetUser(7).ok());
-  const auto entry = target.GetUser(3);
-  ASSERT_TRUE(entry.ok());
-  EXPECT_FLOAT_EQ(entry->bias, 0.25f);
-  EXPECT_EQ(entry->vec, prior);
+  ExpectPriorStateOnly(target, prior);
 }
 
 // --- Recall guardrail ------------------------------------------------------

@@ -19,6 +19,16 @@ SimTableStore::Options SmallOptions(std::size_t k = 4,
   return o;
 }
 
+// The first `n` video ids from `from` on that hash to stripe 0, so their
+// lists share one stripe's arena.
+std::vector<VideoId> OneStripeIds(std::size_t n, VideoId from = 1) {
+  std::vector<VideoId> ids;
+  for (VideoId v = from; ids.size() < n; ++v) {
+    if ((MixHash64(v) & (SimTableStore::kStripes - 1)) == 0) ids.push_back(v);
+  }
+  return ids;
+}
+
 TEST(SimTableStoreTest, UpdateIsBidirectional) {
   SimTableStore table(SmallOptions());
   table.Update(1, 2, 0.8, 0);
@@ -121,7 +131,7 @@ TEST(SimTableStoreTest, PruneDecisionEqualsExactDecayBelowThreshold) {
   // Whatever the shortcut, the decision must equal the exact rule:
   // prune iff sim · 2^(-age/ξ) < prune_threshold (no decay for age <= 0).
   const double xi = 1000.0;
-  const double threshold = SimTableStore::Options{}.prune_threshold;
+  const double threshold = SimTableStore::kPruneThreshold;
   const std::vector<Timestamp> ages = {-500, 0,   1,   10,    250,
                                        693,  999, 1000, 5000, 30000};
   std::size_t pruned = 0;
@@ -216,9 +226,11 @@ TEST(SimTableStoreTest, ArenaRecyclesPromotedSlabs) {
   // growth is bounded by live slabs, not by promotion count: new small
   // lists reuse the freed slabs and the arena does not grow. LoadList
   // writes one directed list, which makes the slab accounting exact.
-  SimTableStore::Options o = SmallOptions(32, 1000.0);
-  o.num_shards = 1;  // One stripe so every list shares one arena.
-  SimTableStore table(o);
+  // Every list lives in one stripe, so they all share one arena.
+  SimTableStore table(SmallOptions(32, 1000.0));
+  const std::vector<VideoId> ids = OneStripeIds(128);
+  const std::span<const VideoId> first(ids.data(), 64);
+  const std::span<const VideoId> second(ids.data() + 64, 64);
   auto entries = [](std::size_t n) {
     std::vector<SimilarVideo> out;
     for (std::size_t i = 0; i < n; ++i) {
@@ -227,12 +239,12 @@ TEST(SimTableStoreTest, ArenaRecyclesPromotedSlabs) {
     return out;
   };
   // 64 small lists, then promote all of them to full slabs.
-  for (VideoId v = 1; v <= 64; ++v) table.LoadList(v, entries(1));
-  for (VideoId v = 1; v <= 64; ++v) table.LoadList(v, entries(12));
+  for (const VideoId v : first) table.LoadList(v, entries(1));
+  for (const VideoId v : first) table.LoadList(v, entries(12));
   const std::size_t after_promotions = table.ArenaBytes();
   EXPECT_GT(after_promotions, 0u);
   // A second wave of small lists fits entirely in the recycled slabs.
-  for (VideoId v = 101; v <= 164; ++v) table.LoadList(v, entries(1));
+  for (const VideoId v : second) table.LoadList(v, entries(1));
   EXPECT_EQ(table.ArenaBytes(), after_promotions);
 }
 
@@ -254,9 +266,8 @@ TEST(SimTableStoreTest, ArenaGrowsWithItsLists) {
   };
 
   // One small list per stripe carves one small chunk per stripe.
-  const SimTableStore::Options sparse_options = SmallOptions(kTopK, 1000.0);
-  SimTableStore sparse(sparse_options);
-  const std::size_t stripes = sparse_options.num_shards;
+  SimTableStore sparse(SmallOptions(kTopK, 1000.0));
+  const std::size_t stripes = SimTableStore::kStripes;
   std::vector<bool> taken(stripes, false);
   for (VideoId v = 1, lists = 0; lists < stripes; ++v) {
     const std::size_t stripe = MixHash64(v) & (stripes - 1);
@@ -278,15 +289,14 @@ TEST(SimTableStoreTest, ArenaGrowsWithItsLists) {
   // reaches the first chunk, n >= kFirstChunkSlabs / 2 + 1.
   static_assert(SimTableStore::kFirstChunkSlabs * kSmallSlab <=
                 2 * kFullSlab);
-  SimTableStore::Options dense_options = SmallOptions(kTopK, 1000.0);
-  dense_options.num_shards = 1;
-  SimTableStore dense(dense_options);
-  for (VideoId n = 1; n <= 200; ++n) {
-    dense.LoadList(n, entries(kTopK));
+  SimTableStore dense(SmallOptions(kTopK, 1000.0));
+  const std::vector<VideoId> dense_ids = OneStripeIds(200);
+  for (std::size_t n = 1; n <= dense_ids.size(); ++n) {
+    dense.LoadList(dense_ids[n - 1], entries(kTopK));
     if (n < SimTableStore::kFirstChunkSlabs / 2 + 1) continue;
     ASSERT_LE(dense.ArenaBytes(), 2 * n * kFullSlab) << "lists: " << n;
   }
-  EXPECT_EQ(dense.Query(200, 0, kTopK).size(), kTopK);
+  EXPECT_EQ(dense.Query(dense_ids.back(), 0, kTopK).size(), kTopK);
 }
 
 TEST(SimTableStoreTest, ConcurrentGrowthKeepsListsWhole) {

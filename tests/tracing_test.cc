@@ -351,7 +351,6 @@ TEST(TracerAdoptTest, MintedTraceIdsAreDistinctAcrossTracers) {
 obs::SpanCollector::Options CollectorOptions(MetricsRegistry* metrics) {
   obs::SpanCollector::Options options;
   options.metrics = metrics;
-  options.drain_interval_ms = 1;
   return options;
 }
 
@@ -416,29 +415,36 @@ TEST(SpanCollectorTest, AssemblesAndExportsFinishedTraces) {
 
 TEST(SpanCollectorTest, SlowListIsSortedSlowestFirstAndBounded) {
   MetricsRegistry metrics;
-  obs::SpanCollector::Options options = CollectorOptions(&metrics);
-  options.slow_keep = 3;
-  obs::SpanCollector collector(options);
+  obs::SpanCollector collector(CollectorOptions(&metrics));
   const std::uint16_t rpc = collector.InternName("rpc");
   const std::uint16_t stage = collector.InternName("stage");
-  for (std::int64_t total : {100, 900, 300, 700, 500}) {
+  // Totals 1001..1000+2K in a shuffled order (odd totals first, then
+  // even), so inserts land at both ends and in the middle.
+  constexpr std::int64_t kKeep = obs::SpanCollector::kSlowKeep;
+  std::vector<std::int64_t> totals;
+  for (std::int64_t i = 1; i <= 2 * kKeep; i += 2) totals.push_back(1000 + i);
+  for (std::int64_t i = 2 * kKeep; i >= 2; i -= 2) totals.push_back(1000 + i);
+  for (const std::int64_t total : totals) {
     RecordSyntheticTrace(&collector, static_cast<std::uint64_t>(total), total,
                          rpc, stage);
   }
   collector.Flush();
 
   const std::string json = collector.ExportSlowJson();
-  // Only the slowest 3 survive, slowest first.
-  const std::size_t p900 = json.find("\"total_us\":900");
-  const std::size_t p700 = json.find("\"total_us\":700");
-  const std::size_t p500 = json.find("\"total_us\":500");
-  ASSERT_NE(p900, std::string::npos) << json;
-  ASSERT_NE(p700, std::string::npos);
-  ASSERT_NE(p500, std::string::npos);
-  EXPECT_LT(p900, p700);
-  EXPECT_LT(p700, p500);
-  EXPECT_EQ(json.find("\"total_us\":100"), std::string::npos);
-  EXPECT_EQ(json.find("\"total_us\":300"), std::string::npos);
+  // Only the slowest kSlowKeep survive, slowest first.
+  std::size_t last = 0;
+  for (std::int64_t total = 1000 + 2 * kKeep; total > 1000 + kKeep; --total) {
+    const std::size_t pos =
+        json.find("\"total_us\":" + std::to_string(total));
+    ASSERT_NE(pos, std::string::npos) << total << " in " << json;
+    EXPECT_GT(pos, last) << total;
+    last = pos;
+  }
+  for (std::int64_t total = 1001; total <= 1000 + kKeep; ++total) {
+    EXPECT_EQ(json.find("\"total_us\":" + std::to_string(total)),
+              std::string::npos)
+        << total;
+  }
   // Per-stage breakdown rides along.
   EXPECT_NE(json.find("\"stages\":[{\"name\":\"stage\""), std::string::npos)
       << json;
@@ -446,19 +452,24 @@ TEST(SpanCollectorTest, SlowListIsSortedSlowestFirstAndBounded) {
 
 TEST(SpanCollectorTest, FinishedTraceRetentionIsBounded) {
   MetricsRegistry metrics;
-  obs::SpanCollector::Options options = CollectorOptions(&metrics);
-  options.max_traces = 4;
-  obs::SpanCollector collector(options);
+  obs::SpanCollector collector(CollectorOptions(&metrics));
   const std::uint16_t rpc = collector.InternName("rpc");
   const std::uint16_t stage = collector.InternName("stage");
-  for (std::uint64_t id = 1; id <= 20; ++id) {
+  constexpr std::uint64_t kMax = obs::SpanCollector::kMaxTraces;
+  constexpr std::uint64_t kTraces = kMax + 20;
+  for (std::uint64_t id = 1; id <= kTraces; ++id) {
     RecordSyntheticTrace(&collector, id, 100, rpc, stage);
+    // Flush in batches well inside the per-thread span ring.
+    if (id % 64 == 0) collector.Flush();
   }
   collector.Flush();
-  // Oldest evicted: only the newest max_traces remain.
+  // Oldest evicted: only the newest kMaxTraces remain.
   EXPECT_FALSE(collector.HasTrace(1));
-  EXPECT_TRUE(collector.HasTrace(20));
-  EXPECT_EQ(collector.GetStats().traces_finished, 20u);
+  EXPECT_FALSE(collector.HasTrace(kTraces - kMax));
+  EXPECT_TRUE(collector.HasTrace(kTraces - kMax + 1));
+  EXPECT_TRUE(collector.HasTrace(kTraces));
+  EXPECT_EQ(collector.GetStats().traces_finished, kTraces);
+  EXPECT_EQ(collector.GetStats().traces_dropped, kTraces - kMax);
 }
 
 // ---------------------------------------------------------------------------
