@@ -144,33 +144,6 @@ void BM_RecommendFullCatalogScan(benchmark::State& state) {
 }
 BENCHMARK(BM_RecommendFullCatalogScan);
 
-// YouTube-style limited transitive closure (2-hop candidate expansion):
-// the paper's Section 5.2.1 rejects it for latency in favour of
-// demographic filtering; this measures the cost it was avoiding.
-void BM_RecommendTwoHopClosure(benchmark::State& state) {
-  static RecEngine& engine = *[]() -> RecEngine* {
-    ServingFixture& f = Serving();
-    RecEngine::Options options = f.engine->options();
-    options.recommend.candidate_hops = 2;
-    RecEngine* e = new RecEngine(f.world.TypeResolver(), options);
-    for (const UserAction& action : f.world.GenerateDays(0, 3)) {
-      e->Observe(action);
-    }
-    return e;
-  }();
-  ServingFixture& f = Serving();
-  Rng rng(5);
-  for (auto _ : state) {
-    RecRequest request;
-    request.user = 1 + rng.NextUint64(f.world.population().size());
-    request.top_n = 10;
-    request.now = 3 * kMillisPerDay;
-    benchmark::DoNotOptimize(engine.Recommend(request));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RecommendTwoHopClosure);
-
 // ---------------------------------------------------------------------
 // Store primitives.
 void BM_SimTableUpdate(benchmark::State& state) {

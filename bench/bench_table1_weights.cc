@@ -33,9 +33,12 @@ int main() {
   full_watch.view_fraction = 1.0;
   UserAction min_watch = full_watch;
   min_watch.view_fraction = config.min_view_rate;
-  table.AddRow({"play_time",
-                "[" + Cell(ActionConfidence(min_watch, config), 2) + ", " +
-                    Cell(ActionConfidence(full_watch, config), 2) + "]"});
+  std::string range = "[";
+  range += Cell(ActionConfidence(min_watch, config), 2);
+  range += ", ";
+  range += Cell(ActionConfidence(full_watch, config), 2);
+  range += "]";
+  table.AddRow({"play_time", range});
   table.Print(std::cout);
 
   std::printf("\nEq. 6 PlayTime weight vs view rate "

@@ -93,8 +93,7 @@ int main() {
   PrintRecs("Guess Carol likes (after her drama detour):",
             engine.Recommend(carol));
 
-  std::printf("\nmodel state: %zu users, %zu videos, mu=%.3f\n",
-              engine.factors().NumUsers(), engine.factors().NumVideos(),
-              engine.factors().GlobalMean());
+  std::printf("\nmodel state: %zu users, %zu videos\n",
+              engine.factors().NumUsers(), engine.factors().NumVideos());
   return 0;
 }

@@ -82,8 +82,7 @@ int main() {
   // Serving path runs concurrently with ingestion — recommendations are
   // generated per request, not precomputed (Section 4.1).
   OnlineMf model(&factors, model_config);
-  MfRecommender recommender(&model, &history, &sim_table, nullptr,
-                            RecommendConfig{});
+  MfRecommender recommender(&model, &history, &sim_table, RecommendConfig{});
 
   std::atomic<bool> stop_serving{false};
   std::atomic<std::uint64_t> requests{0};

@@ -22,10 +22,10 @@ AssociationRuleRecommender::AssociationRuleRecommender(Options options)
 
 void AssociationRuleRecommender::Observe(const UserAction& action) {
   const double confidence = ActionConfidence(action, options_.feedback);
-  if (confidence < options_.min_action_confidence) return;
+  if (confidence < kMinActionConfidence) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto& basket = baskets_[BasketKey(action.user, action.time)];
-  if (basket.size() < options_.max_basket) basket.insert(action.video);
+  if (basket.size() < kMaxBasket) basket.insert(action.video);
 
   auto& recent = recent_[action.user];
   if (std::find(recent.begin(), recent.end(), action.video) == recent.end()) {
@@ -88,8 +88,8 @@ void AssociationRuleRecommender::RetrainBatch(Timestamp now) {
                 if (sa != sb) return sa > sb;
                 return a.consequent < b.consequent;
               });
-    if (rule_list.size() > options_.max_rules_per_video) {
-      rule_list.resize(options_.max_rules_per_video);
+    if (rule_list.size() > kMaxRulesPerVideo) {
+      rule_list.resize(kMaxRulesPerVideo);
     }
   }
 }

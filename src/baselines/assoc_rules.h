@@ -22,23 +22,24 @@ namespace rtrec {
 /// updates. Thread-safe.
 class AssociationRuleRecommender : public Recommender {
  public:
+  /// Per-antecedent retained consequents.
+  static constexpr std::size_t kMaxRulesPerVideo = 50;
+  /// Per-session basket size cap (bounds the quadratic pair blowup of
+  /// heavy users).
+  static constexpr std::size_t kMaxBasket = 32;
+  /// Actions below this confidence weight do not enter baskets.
+  static constexpr double kMinActionConfidence = 1.0;
+
   struct Options {
     std::size_t top_n = 10;
     /// Minimum co-occurrence count for a rule to be kept.
     std::size_t min_support_count = 2;
     /// Minimum rule confidence.
     double min_confidence = 0.05;
-    /// Per-antecedent retained consequents.
-    std::size_t max_rules_per_video = 50;
     /// Score rules by lift = confidence / P(consequent) instead of raw
     /// confidence. Raw confidence is popularity-biased (everything
     /// implies the head videos); lift measures the actual association.
     bool use_lift = true;
-    /// Per-session basket size cap (bounds the quadratic pair blowup of
-    /// heavy users).
-    std::size_t max_basket = 32;
-    /// Actions below this confidence weight do not enter baskets.
-    double min_action_confidence = 1.0;
     /// Maps actions to confidence weights.
     FeedbackConfig feedback;
   };

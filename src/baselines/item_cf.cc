@@ -37,7 +37,7 @@ void ItemCfRecommender::BumpPair(VideoId a, VideoId b) {
 
 void ItemCfRecommender::Observe(const UserAction& action) {
   const double confidence = ActionConfidence(action, options_.feedback);
-  if (confidence < options_.min_action_confidence) return;
+  if (confidence < kMinActionConfidence) return;
 
   const std::vector<HistoryEntry> partners =
       history_.GetRecent(action.user, options_.max_pairs_per_action);

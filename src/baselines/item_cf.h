@@ -23,14 +23,15 @@ namespace rtrec {
 /// reference the paper argues model-based CF beats.
 class ItemCfRecommender : public Recommender {
  public:
+  /// Actions below this confidence are ignored.
+  static constexpr double kMinActionConfidence = 1.0;
+
   struct Options {
     std::size_t top_n = 10;
     /// Neighbour list length per video.
     std::size_t top_k = 50;
     /// History entries paired with each new action.
     std::size_t max_pairs_per_action = 16;
-    /// Actions below this confidence are ignored.
-    double min_action_confidence = 1.0;
     /// Per-user history retention.
     std::size_t history_per_user = 64;
     FeedbackConfig feedback;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <unordered_set>
 
@@ -36,28 +35,23 @@ SimHashCfRecommender::SimHashCfRecommender()
     : SimHashCfRecommender(Options{}) {}
 
 SimHashCfRecommender::SimHashCfRecommender(Options options)
-    : options_(options) {
-  assert(options_.num_bands > 0 && 64 % options_.num_bands == 0);
-  buckets_.resize(options_.num_bands);
-}
+    : options_(options) {}
 
 std::uint64_t SimHashCfRecommender::BandKey(std::uint64_t signature,
-                                            std::size_t band) const {
-  const std::size_t band_bits = 64 / options_.num_bands;
-  const std::uint64_t mask =
-      band_bits == 64 ? ~0ull : ((1ull << band_bits) - 1);
-  return (signature >> (band * band_bits)) & mask;
+                                            std::size_t band) {
+  constexpr std::size_t kBandBits = 64 / kNumBands;
+  return (signature >> (band * kBandBits)) & ((1ull << kBandBits) - 1);
 }
 
 void SimHashCfRecommender::Observe(const UserAction& action) {
   const double confidence = ActionConfidence(action, options_.feedback);
-  if (confidence < options_.min_action_confidence) return;
+  if (confidence < kMinActionConfidence) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto& profile = profiles_[action.user];
   auto it = profile.find(action.video);
   if (it != profile.end()) {
     it->second = std::max(it->second, confidence);
-  } else if (profile.size() < options_.max_profile) {
+  } else if (profile.size() < kMaxProfile) {
     profile.emplace(action.video, confidence);
   }
 }
@@ -73,7 +67,7 @@ void SimHashCfRecommender::RetrainBatch(Timestamp now) {
     weighted.assign(profile.begin(), profile.end());
     const std::uint64_t signature = ComputeSimHash(weighted);
     signatures_[user] = signature;
-    for (std::size_t band = 0; band < options_.num_bands; ++band) {
+    for (std::size_t band = 0; band < kNumBands; ++band) {
       buckets_[band][BandKey(signature, band)].push_back(user);
     }
   }
@@ -92,7 +86,7 @@ StatusOr<std::vector<ScoredVideo>> SimHashCfRecommender::Recommend(
 
   // LSH candidate lookup: users sharing at least one band value.
   std::unordered_set<UserId> candidates;
-  for (std::size_t band = 0; band < options_.num_bands; ++band) {
+  for (std::size_t band = 0; band < kNumBands; ++band) {
     auto it = buckets_[band].find(BandKey(signature, band));
     if (it == buckets_[band].end()) continue;
     for (UserId u : it->second) {
@@ -112,8 +106,8 @@ StatusOr<std::vector<ScoredVideo>> SimHashCfRecommender::Recommend(
               if (a.second != b.second) return a.second > b.second;
               return a.first < b.first;
             });
-  if (neighbors.size() > options_.max_neighbors) {
-    neighbors.resize(options_.max_neighbors);
+  if (neighbors.size() > kMaxNeighbors) {
+    neighbors.resize(kMaxNeighbors);
   }
 
   const auto& own_profile = profiles_[request.user];

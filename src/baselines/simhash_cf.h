@@ -1,6 +1,7 @@
 #ifndef RTREC_BASELINES_SIMHASH_CF_H_
 #define RTREC_BASELINES_SIMHASH_CF_H_
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -39,16 +40,17 @@ double CosineFromSimHash(std::uint64_t a, std::uint64_t b);
 /// who engaged v of HammingSimilarity(user, neighbour) · weight.
 class SimHashCfRecommender : public Recommender {
  public:
+  /// LSH bands of 64 / kNumBands signature bits each.
+  static constexpr std::size_t kNumBands = 8;
+  /// Neighbours actually scored per request.
+  static constexpr std::size_t kMaxNeighbors = 32;
+  /// Per-user profile size cap.
+  static constexpr std::size_t kMaxProfile = 64;
+  /// Actions below this confidence do not enter profiles.
+  static constexpr double kMinActionConfidence = 1.0;
+
   struct Options {
     std::size_t top_n = 10;
-    /// LSH bands (bands × band_bits must equal 64).
-    std::size_t num_bands = 8;
-    /// Neighbours actually scored per request.
-    std::size_t max_neighbors = 32;
-    /// Per-user profile size cap.
-    std::size_t max_profile = 64;
-    /// Actions below this confidence do not enter profiles.
-    double min_action_confidence = 1.0;
     FeedbackConfig feedback;
   };
 
@@ -72,7 +74,7 @@ class SimHashCfRecommender : public Recommender {
   std::uint64_t GetSignature(UserId user) const;
 
  private:
-  std::uint64_t BandKey(std::uint64_t signature, std::size_t band) const;
+  static std::uint64_t BandKey(std::uint64_t signature, std::size_t band);
 
   Options options_;
 
@@ -82,7 +84,8 @@ class SimHashCfRecommender : public Recommender {
   // Built at retrain:
   std::unordered_map<UserId, std::uint64_t> signatures_;
   // band index -> band value -> users.
-  std::vector<std::unordered_map<std::uint64_t, std::vector<UserId>>>
+  std::array<std::unordered_map<std::uint64_t, std::vector<UserId>>,
+             kNumBands>
       buckets_;
 };
 

@@ -46,12 +46,13 @@ RecEngine::RecEngine(VideoTypeResolver type_resolver, Options options)
       std::move(type_resolver), options_.similarity,
       options_.model.feedback);
   recommender_ = std::make_unique<MfRecommender>(
-      model_.get(), history_.get(), sim_table_.get(), updater_.get(),
-      options_.recommend);
+      model_.get(), history_.get(), sim_table_.get(), options_.recommend);
 }
 
 void RecEngine::Observe(const UserAction& action) {
-  recommender_->Observe(action);
+  model_->Update(action);
+  // The updater also appends the action to the user's history.
+  updater_->OnAction(action);
 }
 
 StatusOr<std::vector<ScoredVideo>> RecEngine::Recommend(

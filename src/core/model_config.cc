@@ -51,12 +51,6 @@ Status RecommendConfig::Validate() const {
   if (max_candidates < top_n) {
     return Status::InvalidArgument("max_candidates must be >= top_n");
   }
-  if (candidate_hops < 1 || candidate_hops > 3) {
-    return Status::InvalidArgument("candidate_hops must lie in [1, 3]");
-  }
-  if (hop_fanout == 0) {
-    return Status::InvalidArgument("hop_fanout must be positive");
-  }
   return Status::OK();
 }
 

@@ -43,13 +43,6 @@ struct MfModelConfig {
   double alpha = 0.0034;
   /// Update policy (BinaryModel / ConfModel / CombineModel).
   UpdatePolicy policy = UpdatePolicy::kCombine;
-  /// Whether Eq. 2's global-average term μ enters the online objective.
-  /// Off by default: an implicit-feedback stream trains on positive
-  /// ratings only (Algorithm 1 skips r_ui = 0), so a running mean of the
-  /// *trained* ratings converges to the positive constant and soaks up
-  /// the whole signal — biases and factors then learn nothing. μ is kept
-  /// in the API for explicit-feedback uses of the library.
-  bool use_global_mean = false;
   /// Scale of random vector initialization.
   double init_scale = 0.05;
   /// Seed for deterministic initialization.
@@ -82,13 +75,6 @@ struct SimilarityConfig {
   /// Minimum confidence for an action to touch the similarity tables
   /// (impressions and weak signals do not imply co-interest).
   double min_confidence = 1.0;
-  /// Per-task LRU cache of recent pair similarities in the ItemPairSim
-  /// bolt — the "cache technique" of Section 5.1, enabled by the
-  /// pair-key fields grouping. 0 disables. A cached pair skips the
-  /// vector fetch + Eq. 9-12 recomputation while its entry is fresher
-  /// than `pair_cache_ttl_millis`.
-  std::size_t pair_cache_size = 4096;
-  double pair_cache_ttl_millis = 60.0 * 1000.0;
 
   Status Validate() const;
 };
@@ -104,13 +90,6 @@ struct RecommendConfig {
   std::size_t candidates_per_seed = 20;
   /// Hard cap on the ranked candidate set (keeps latency bounded).
   std::size_t max_candidates = 200;
-  /// Candidate-expansion depth through the similar-video graph. 1 is the
-  /// paper's production setting; 2 is the YouTube-style limited
-  /// transitive closure (Section 5.2.1 discusses it and rejects it for
-  /// latency — kept here for the ablation). Each extra hop expands the
-  /// top `hop_fanout` neighbours of the previous frontier.
-  int candidate_hops = 1;
-  std::size_t hop_fanout = 5;
 
   Status Validate() const;
 };

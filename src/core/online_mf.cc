@@ -11,23 +11,27 @@ namespace rtrec {
 
 namespace {
 
+/// Eq. 2 with μ = 0: r̂_ui = b_u + b_i + x_uᵀ y_i, summed in double (the
+/// float biases are widened before they are added).
+double Eq2Prediction(const FactorEntry& user, const FactorEntry& video) {
+  return double{user.bias} + video.bias + Dot(user.vec, video.vec);
+}
+
 /// Fills the pre-step (progressive validation) fields of an MfSample from
 /// entries the upcoming SGD step has not touched yet.
 MfSample MakeSample(const UserAction& action, const FactorEntry& user,
                     const FactorEntry& video, double rating,
-                    double confidence, double global_mean) {
+                    double confidence) {
   MfSample sample;
   sample.action = action;
   sample.rating = rating;
   sample.confidence = confidence;
-  sample.global_mean = global_mean;
   sample.user_bias = user.bias;
   sample.video_bias = video.bias;
   sample.user_norm = std::sqrt(NormSquared(user.vec));
   sample.video_norm = std::sqrt(NormSquared(video.vec));
   // Eq. 2 on the pre-step entries: an honest out-of-sample prediction.
-  sample.prediction =
-      global_mean + user.bias + video.bias + Dot(user.vec, video.vec);
+  sample.prediction = Eq2Prediction(user, video);
   return sample;
 }
 
@@ -65,11 +69,11 @@ void ResolveUpdateStep(const MfModelConfig& config, double confidence,
 
 double OnlineMf::ApplySgdStep(FactorEntry& user, FactorEntry& video,
                               double rating, double learning_rate,
-                              double lambda, double global_mean) {
+                              double lambda) {
   assert(user.vec.size() == video.vec.size());
-  // Eq. 4: e_ui = r_ui − μ − b_u − b_i − x_uᵀ y_i.
-  const double error = rating - global_mean - user.bias - video.bias -
-                       Dot(user.vec, video.vec);
+  // Eq. 4 with μ = 0: e_ui = r_ui − b_u − b_i − x_uᵀ y_i.
+  const double error =
+      rating - user.bias - video.bias - Dot(user.vec, video.vec);
   const double eta = learning_rate;
 
   // Eq. 5 (with the corrected interaction gradient; see header).
@@ -96,7 +100,6 @@ OnlineMf::UpdateResult OnlineMf::ComputeStep(
   ResolveUpdateStep(config, result.confidence, &rating, &eta);
   result.rating = rating;
   result.learning_rate = eta;
-  const double mean = config.use_global_mean ? store.GlobalMean() : 0.0;
   if (rating <= 0.0) {
     // Impression records (r_ui = 0) do not influence the model
     // (Section 3.3) — but they are the negatives of progressive
@@ -112,7 +115,7 @@ OnlineMf::UpdateResult OnlineMf::ComputeStep(
           v.ok() ? std::move(v).value()
                  : store.MakeInitialEntry(action.video, /*is_user=*/false);
       hook->OnMfSample(MakeSample(action, user_entry, video_entry,
-                                  /*rating=*/0.0, result.confidence, mean));
+                                  /*rating=*/0.0, result.confidence));
     }
     return result;
   }
@@ -123,11 +126,10 @@ OnlineMf::UpdateResult OnlineMf::ComputeStep(
     // Progressive validation (predict-then-train): sample before the
     // step below mutates the entries.
     hook->OnMfSample(
-        MakeSample(action, *user, *video, rating, result.confidence, mean));
+        MakeSample(action, *user, *video, rating, result.confidence));
   }
-  result.error = ApplySgdStep(*user, *video, rating, eta, config.lambda, mean);
+  result.error = ApplySgdStep(*user, *video, rating, eta, config.lambda);
   result.updated = true;
-  store.ObserveRating(rating);
   return result;
 }
 
@@ -158,10 +160,7 @@ double OnlineMf::Predict(UserId u, VideoId i) const {
 
 double OnlineMf::PredictWithEntries(const FactorEntry& user,
                                     const FactorEntry& video) const {
-  // Eq. 2: r̂_ui = μ + b_u + b_i + x_uᵀ y_i.
-  const double mean =
-      config_.use_global_mean ? store_->GlobalMean() : 0.0;
-  return mean + user.bias + video.bias + Dot(user.vec, video.vec);
+  return Eq2Prediction(user, video);
 }
 
 }  // namespace rtrec

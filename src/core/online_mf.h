@@ -32,7 +32,6 @@ struct MfSample {
   double video_norm = 0.0;
   double user_bias = 0.0;
   double video_bias = 0.0;
-  double global_mean = 0.0;
 };
 
 /// Observer of the online training stream. Implementations must be
@@ -49,7 +48,13 @@ class MfValidationHook {
 /// SGD step, with a learning rate scaled by the action's confidence level
 /// (Eq. 8) under the CombineModel policy.
 ///
-/// The model state (x_u, y_i, b_u, b_i, μ) lives in a FactorStore shared
+/// Eq. 2's global mean μ is fixed at 0. Algorithm 1 trains on positive
+/// ratings only (r_ui = 0 actions are skipped), so a running mean of the
+/// trained ratings converges to the positive constant and soaks up the
+/// whole signal: biases and factors then learn nothing (DESIGN.md,
+/// decision 2). The bias terms carry the per-user and per-video offsets.
+///
+/// The model state (x_u, y_i, b_u, b_i) lives in a FactorStore shared
 /// with the serving path, so every update is visible to recommendation
 /// requests immediately. Update follows the production read-compute-write
 /// protocol of the ComputeMF → MFStorage bolts: entries are read, the step
@@ -84,9 +89,9 @@ class OnlineMf {
   /// Algorithm 1: folds one user action into the model.
   UpdateResult Update(const UserAction& action);
 
-  /// Predicted preference r̂_ui = μ + b_u + b_i + x_uᵀy_i (Eq. 2).
+  /// Predicted preference r̂_ui = b_u + b_i + x_uᵀy_i (Eq. 2, μ = 0).
   /// Unknown users/videos are scored with their deterministic initial
-  /// entries, so cold ids produce near-μ scores rather than errors.
+  /// entries, so cold ids produce near-zero scores rather than errors.
   double Predict(UserId u, VideoId i) const;
 
   /// Eq. 2 on explicit entries; used by the serving path, which batches
@@ -97,11 +102,11 @@ class OnlineMf {
   /// The read-compute half of Algorithm 1's step, shared by Update and
   /// the ComputeMF bolt: resolves (r_ui, η_ui) for the action, reads both
   /// entries from `store` (initializing new ids, lines 3–8), hands `hook`
-  /// (may be null) its pre-step sample, applies the SGD step to `*user`
-  /// and `*video`, and folds r_ui into μ. Writing the entries back is the
-  /// caller's: Update puts them itself, the topology ships them to
-  /// MFStorage. An action without positive preference leaves the model
-  /// and `*user`/`*video` untouched and returns `updated == false`.
+  /// (may be null) its pre-step sample and applies the SGD step to
+  /// `*user` and `*video`. Writing the entries back is the caller's:
+  /// Update puts them itself, the topology ships them to MFStorage. An
+  /// action without positive preference leaves the model and
+  /// `*user`/`*video` untouched and returns `updated == false`.
   static UpdateResult ComputeStep(FactorStore& store,
                                   const MfModelConfig& config,
                                   MfValidationHook* hook,
@@ -109,8 +114,8 @@ class OnlineMf {
                                   FactorEntry* video);
 
   /// One in-place SGD step (the update block of Algorithm 1) on caller-
-  /// provided entries: computes e_ui against `global_mean` and applies
-  /// Eq. 5 with the regularized gradient. Returns e_ui.
+  /// provided entries: computes e_ui (Eq. 4, μ = 0) and applies Eq. 5
+  /// with the regularized gradient. Returns e_ui.
   ///
   /// Note: the paper's Eq. 5 prints the interaction gradients as
   /// x_u ← x_u + η(e·x_u − λx_u); the correct SGD gradient of Eq. 3 (and
@@ -119,7 +124,7 @@ class OnlineMf {
   /// independent of the other side's vector).
   static double ApplySgdStep(FactorEntry& user, FactorEntry& video,
                              double rating, double learning_rate,
-                             double lambda, double global_mean);
+                             double lambda);
 
   const MfModelConfig& config() const { return config_; }
   FactorStore& store() { return *store_; }

@@ -7,13 +7,13 @@
 
 namespace rtrec {
 
-MfRecommender::MfRecommender(OnlineMf* model, HistoryStore* history,
-                             SimTableStore* table, SimTableUpdater* updater,
+MfRecommender::MfRecommender(const OnlineMf* model,
+                             const HistoryStore* history,
+                             const SimTableStore* table,
                              RecommendConfig config)
     : model_(model),
       history_(history),
       table_(table),
-      updater_(updater),
       config_(std::move(config)) {
   assert(model_ != nullptr);
   assert(history_ != nullptr);
@@ -40,63 +40,22 @@ StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
     return std::vector<ScoredVideo>{};
   }
 
-  // 2. Candidate expansion through the similar-video tables; keeping the
-  //    best decayed similarity per candidate dedupes across seeds.
-  //    Explicitly-requested seeds (the video on screen) are never
-  //    recommended back; history is not excluded, so "guess you like"
-  //    can resurface favourites.
+  // 2. Candidate expansion through the similar-video tables, one hop
+  //    from each seed (Section 5.2.1 rejects YouTube-style multi-hop
+  //    closure for latency); keeping the best decayed similarity per
+  //    candidate dedupes across seeds. Explicitly-requested seeds (the
+  //    video on screen) are never recommended back; history is not
+  //    excluded, so "guess you like" can resurface favourites.
   const std::unordered_set<VideoId> excluded(request.seed_videos.begin(),
                                              request.seed_videos.end());
   std::unordered_map<VideoId, double> candidate_sim;
-  std::vector<VideoId> frontier = seeds;
-  for (int hop = 0; hop < config_.candidate_hops; ++hop) {
-    // Hop 0 expands every seed fully; deeper hops (the YouTube-style
-    // limited transitive closure) expand a bounded fan-out of the best
-    // candidates found so far, with similarity damped multiplicatively
-    // along the path.
-    const std::size_t per_node =
-        hop == 0 ? config_.candidates_per_seed : config_.hop_fanout;
-    // Candidates improved this hop, each recorded once: a node whose best
-    // path similarity improves several times (reached from several
-    // frontier nodes) must not occupy several frontier slots or be
-    // expanded more than once next hop.
-    std::unordered_set<VideoId> improved;
-    for (VideoId node : frontier) {
-      const double base =
-          hop == 0 ? 1.0 : candidate_sim[node];
-      for (const SimilarVideo& similar :
-           table_->Query(node, request.now, per_node)) {
-        if (excluded.contains(similar.video)) continue;
-        const double path_sim = base * similar.similarity;
-        double& best = candidate_sim[similar.video];
-        if (path_sim > best) {
-          best = path_sim;
-          improved.insert(similar.video);
-        }
-      }
+  for (VideoId seed : seeds) {
+    for (const SimilarVideo& similar :
+         table_->Query(seed, request.now, config_.candidates_per_seed)) {
+      if (excluded.contains(similar.video)) continue;
+      double& best = candidate_sim[similar.video];
+      best = std::max(best, similar.similarity);
     }
-    if (hop + 1 >= config_.candidate_hops) break;
-    // Next frontier: strongest newly-improved candidates, capped by
-    // distinct candidate count.
-    std::vector<std::pair<VideoId, double>> next_frontier;
-    next_frontier.reserve(improved.size());
-    for (VideoId video : improved) {
-      next_frontier.emplace_back(video, candidate_sim[video]);
-    }
-    const std::size_t cap = config_.hop_fanout * seeds.size();
-    if (next_frontier.size() > cap) {
-      std::nth_element(
-          next_frontier.begin(),
-          next_frontier.begin() + static_cast<std::ptrdiff_t>(cap),
-          next_frontier.end(), [](const auto& a, const auto& b) {
-            if (a.second != b.second) return a.second > b.second;
-            return a.first < b.first;  // Deterministic tie-break.
-          });
-      next_frontier.resize(cap);
-    }
-    frontier.clear();
-    for (const auto& [video, sim] : next_frontier) frontier.push_back(video);
-    if (frontier.empty()) break;
   }
   if (candidate_sim.empty()) return std::vector<ScoredVideo>{};
 
@@ -118,7 +77,7 @@ StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
   //    fetched once; video entries arrive in one batched VectorsGet
   //    (Fig. 1) — candidates are deduped already, so each vector is read
   //    at most once per request.
-  FactorStore& store = model_->store();
+  const FactorStore& store = model_->store();
   StatusOr<FactorEntry> user_entry = store.GetUser(request.user);
   const FactorEntry user =
       user_entry.ok()
@@ -155,21 +114,6 @@ StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
   }
   std::sort(scored.begin(), scored.end(), better);
   return scored;
-}
-
-void MfRecommender::Observe(const UserAction& action) {
-  model_->Update(action);
-  if (updater_ != nullptr) {
-    // The updater also appends to the history store.
-    updater_->OnAction(action);
-  } else {
-    const double confidence =
-        ActionConfidence(action, model_->config().feedback);
-    if (confidence > 0.0) {
-      history_->Append(action.user,
-                       HistoryEntry{action.video, confidence, action.time});
-    }
-  }
 }
 
 }  // namespace rtrec

@@ -9,7 +9,6 @@
 #include "core/action.h"
 #include "core/model_config.h"
 #include "core/online_mf.h"
-#include "core/sim_table.h"
 #include "kvstore/history_store.h"
 #include "kvstore/sim_table_store.h"
 
@@ -64,28 +63,23 @@ class Recommender {
 /// the online MF model. Thread-safe given its thread-safe dependencies.
 class MfRecommender : public Recommender {
  public:
-  /// All dependencies are shared, not owned. `updater` may be null if the
-  /// caller maintains the similarity tables elsewhere (e.g. the topology);
-  /// then Observe only updates the MF model and history.
-  MfRecommender(OnlineMf* model, HistoryStore* history, SimTableStore* table,
-                SimTableUpdater* updater, RecommendConfig config);
+  /// All dependencies are shared, not owned. The recommender only reads
+  /// them; whoever owns the stores trains them (RecEngine::Observe, or
+  /// the Fig. 2 topology).
+  MfRecommender(const OnlineMf* model, const HistoryStore* history,
+                const SimTableStore* table, RecommendConfig config);
 
   StatusOr<std::vector<ScoredVideo>> Recommend(
       const RecRequest& request) override;
-
-  /// Folds the action into the MF model and the similarity tables — the
-  /// full real-time update path.
-  void Observe(const UserAction& action) override;
 
   std::string name() const override { return "rMF"; }
 
   const RecommendConfig& config() const { return config_; }
 
  private:
-  OnlineMf* model_;
-  HistoryStore* history_;
-  SimTableStore* table_;
-  SimTableUpdater* updater_;
+  const OnlineMf* model_;
+  const HistoryStore* history_;
+  const SimTableStore* table_;
   RecommendConfig config_;
 };
 

@@ -58,8 +58,8 @@ class SimTableUpdater {
   /// pairs refreshed.
   std::size_t OnAction(const UserAction& action);
 
-  /// Recomputes and stores the similarity of one explicit pair at `now`.
-  /// Used by tests and by backfill jobs.
+  /// Recomputes and stores the similarity of one explicit pair at `now`:
+  /// OnAction's step for each partner. Returns the fused similarity.
   double RefreshPair(VideoId a, VideoId b, Timestamp now);
 
   const SimilarityConfig& config() const { return config_; }

@@ -262,15 +262,21 @@ class GetItemPairsBolt : public stream::Bolt {
 /// Section 5.1's "cache technique": because tuples are fields-grouped by
 /// pair key, every occurrence of a pair reaches the same task, so a
 /// task-local LRU of recent results skips the KV-store vector fetches and
-/// the similarity recomputation for hot pairs.
+/// the similarity recomputation for hot pairs. A cached pair is reused
+/// while its entry is at most kCacheTtlMillis older than the tuple.
 class ItemPairSimBolt : public stream::Bolt {
  public:
+  /// LRU entries per task.
+  static constexpr std::size_t kCacheSize = 4096;
+  /// Event-time age up to which a cached similarity is reused.
+  static constexpr double kCacheTtlMillis = 60.0 * 1000.0;
+
   ItemPairSimBolt(FactorStore* factors, VideoTypeResolver type_resolver,
                   SimilarityConfig config)
       : factors_(factors),
         type_resolver_(std::move(type_resolver)),
         config_(std::move(config)),
-        cache_(config_.pair_cache_size == 0 ? 1 : config_.pair_cache_size) {}
+        cache_(kCacheSize) {}
 
   void Prepare(const stream::TaskContext& context) override {
     if (context.metrics != nullptr) {
@@ -296,20 +302,16 @@ class ItemPairSimBolt : public stream::Bolt {
     double fused = 0.0;
     bool cached = false;
     const VideoPair key(a, b);
-    if (config_.pair_cache_size > 0) {
-      if (CachedSim* entry = cache_.Get(key); entry != nullptr) {
-        const double age = static_cast<double>(*time - entry->computed_at);
-        if (age >= 0.0 && age <= config_.pair_cache_ttl_millis) {
-          fused = entry->sim;
-          cached = true;
-        }
+    if (CachedSim* entry = cache_.Get(key); entry != nullptr) {
+      const double age = static_cast<double>(*time - entry->computed_at);
+      if (age >= 0.0 && age <= kCacheTtlMillis) {
+        fused = entry->sim;
+        cached = true;
       }
     }
     if (!cached) {
       fused = PairSimilarity(*factors_, type_resolver_, config_, a, b);
-      if (config_.pair_cache_size > 0) {
-        cache_.Put(key, CachedSim{fused, *time});
-      }
+      cache_.Put(key, CachedSim{fused, *time});
     }
     ++(cached ? unpublished_hits_ : unpublished_misses_);
     if (unpublished_hits_ + unpublished_misses_ >= kPublishEvery) {

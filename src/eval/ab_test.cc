@@ -66,9 +66,9 @@ std::vector<ArmResult> AbTestHarness::Run(
         for (std::size_t k = 0; k < recs->size(); ++k) {
           const VideoId video = (*recs)[k].video;
           if (measuring) ++day_impressions[arm];
-          const double p_click = options_.click_scale * bias *
+          const double p_click = kClickScale * bias *
                                  world_->TrueAffinity(user.id, video);
-          bias *= options_.position_bias;
+          bias *= kPositionBias;
           if (!rng.NextBool(p_click)) continue;
           if (measuring) ++day_clicks[arm];
           // The click feeds back into the arm's model in real time.

@@ -52,7 +52,7 @@ struct ArmResult {
 ///  - every simulated day, each arm's users produce organic actions
 ///    (fed to that arm's model only) and issue recommendation requests;
 ///  - a recommended video at position k is clicked with probability
-///    position_bias^k · TrueAffinity(u, v) · click_scale;
+///    kPositionBias^k · TrueAffinity(u, v) · kClickScale;
 ///  - clicks feed back into the arm's model as Click/Play actions, so
 ///    real-time models benefit within the day while batch baselines wait
 ///    for their nightly RetrainBatch.
@@ -60,6 +60,11 @@ struct ArmResult {
 /// CTR per day per arm is the reported metric, exactly Figure 7's axes.
 class AbTestHarness {
  public:
+  /// Multiplicative position bias per rank position.
+  static constexpr double kPositionBias = 0.85;
+  /// Global click-probability scale.
+  static constexpr double kClickScale = 0.8;
+
   struct Options {
     int num_days = 10;
     /// Warm-up days before day 0 of the measurement window (all arms see
@@ -68,10 +73,6 @@ class AbTestHarness {
     /// Recommendation requests per user per day.
     int requests_per_user = 2;
     std::size_t top_n = 10;
-    /// Multiplicative position bias per rank position.
-    double position_bias = 0.85;
-    /// Global click-probability scale.
-    double click_scale = 0.8;
     std::uint64_t seed = 99;
   };
 

@@ -19,11 +19,6 @@ void OfflineEvaluator::Train(Recommender& model, const Dataset& train) const {
       model.RetrainBatch(current_day * kMillisPerDay + kMillisPerDay);
     }
     current_day = day;
-    if (options_.train_threshold > 0.0 &&
-        ActionConfidence(action, options_.feedback) <
-            options_.train_threshold) {
-      continue;
-    }
     model.Observe(action);
   }
   if (options_.retrain_daily && current_day >= 0) {
@@ -72,7 +67,7 @@ std::vector<UserEvalData> OfflineEvaluator::CollectEvalData(
 
     RecRequest request;
     request.user = user;
-    request.top_n = options_.rank_list_n;
+    request.top_n = kRankListN;
     request.now = test_start;
     StatusOr<std::vector<ScoredVideo>> recs = model.Recommend(request);
 
@@ -97,7 +92,7 @@ OfflineResult OfflineEvaluator::Evaluate(Recommender& model,
 
   OfflineResult result;
   result.model_name = model.name();
-  result.recall_at = RecallCurve(data, options_.max_n);
+  result.recall_at = RecallCurve(data, kRecallMaxN);
   result.avg_rank = AverageRank(data);
   for (const UserEvalData& u : data) {
     if (!u.liked.empty()) ++result.users_evaluated;

@@ -14,7 +14,7 @@ namespace rtrec {
 /// six days train, one day test).
 struct OfflineResult {
   std::string model_name;
-  /// recall@N for N = 1..max_n (index N-1).
+  /// recall@N for N = 1..OfflineEvaluator::kRecallMaxN (index N-1).
   std::vector<double> recall_at;
   /// Average percentile rank (Eq. 14); lower is better.
   double avg_rank = 0.5;
@@ -30,19 +30,17 @@ struct OfflineResult {
 /// benches and the integration tests.
 class OfflineEvaluator {
  public:
+  /// Maximum N of the recall curve (Fig. 4 sweeps 1..10).
+  static constexpr std::size_t kRecallMaxN = 10;
+  /// Length of the full serving list used for the rank metric (the
+  /// "ordered list of all videos recommended for user u").
+  static constexpr std::size_t kRankListN = 50;
+
   struct Options {
-    /// Maximum N of the recall curve (Fig. 4 sweeps 1..10).
-    std::size_t max_n = 10;
-    /// Length of the full serving list used for the rank metric (the
-    /// "ordered list of all videos recommended for user u").
-    std::size_t rank_list_n = 50;
     /// Minimum confidence for a test action to count as "liked".
     /// 2.0 = a PlayTime action covering roughly a third of the video —
     /// solid engagement, above the accidental-click noise floor.
     double like_threshold = 2.0;
-    /// Actions below this are not even replayed at train time (keeps the
-    /// impressions out, as Algorithm 1 does anyway).
-    double train_threshold = 0.0;
     /// Feedback mapping used to weight test actions.
     FeedbackConfig feedback;
     /// Calls RetrainBatch on the model at each day boundary while
@@ -56,7 +54,7 @@ class OfflineEvaluator {
 
   /// Streams `train` through model.Observe (time order), then evaluates
   /// on `test`: for every user with liked test videos, requests a
-  /// `rank_list_n`-long recommendation (seeds from the model's own state,
+  /// kRankListN-long recommendation (seeds from the model's own state,
   /// i.e. empty seed list) and scores it against the ordered liked list.
   OfflineResult Evaluate(Recommender& model, const Dataset& train,
                          const Dataset& test) const;

@@ -132,8 +132,6 @@ struct FactorStaging {
   std::uint32_t num_factors = 0;
   /// Precision the file's payloads are encoded in.
   FactorPrecision precision = FactorPrecision::kFloat32;
-  double rating_sum = 0.0;
-  std::uint64_t rating_count = 0;
   std::vector<RawFactorEntry> users;
   std::vector<RawFactorEntry> videos;
 };
@@ -162,10 +160,12 @@ bool ReadPackedEntry(SectionReader& in, RawFactorEntry* entry,
 Status ParseFactorSection(std::string_view bytes, FactorStaging* out) {
   SectionReader in(bytes);
   std::uint8_t precision_tag = 0;
+  // The two reserved rating slots (f64, u64): required, values ignored.
+  std::uint64_t reserved = 0;
   std::uint64_t num_users = 0, num_videos = 0;
   if (!in.Read(&out->num_factors) || !in.Read(&precision_tag) ||
-      !in.Read(&out->rating_sum) || !in.Read(&out->rating_count) ||
-      !in.Read(&num_users) || !in.Read(&num_videos)) {
+      !in.Read(&reserved) || !in.Read(&reserved) || !in.Read(&num_users) ||
+      !in.Read(&num_videos)) {
     return Status::Corruption("truncated factor header");
   }
   if (precision_tag > static_cast<std::uint8_t>(FactorPrecision::kFloat16)) {
@@ -326,11 +326,9 @@ Status SaveCheckpoint(const std::string& path, const FactorStore* factors,
           ? 0
           : static_cast<std::uint8_t>(factors->precision());
   factor_section.Write(precision_tag);
-  double rating_sum = 0.0;
-  std::uint64_t rating_count = 0;
-  if (factors != nullptr) factors->GetRatingStats(&rating_sum, &rating_count);
-  factor_section.Write(rating_sum);
-  factor_section.Write(rating_count);
+  // Reserved slots of the retired rating mean μ (sum, count), always 0.
+  factor_section.Write(0.0);
+  factor_section.Write(std::uint64_t{0});
   std::uint64_t num_users = factors == nullptr ? 0 : factors->NumUsers();
   std::uint64_t num_videos = factors == nullptr ? 0 : factors->NumVideos();
   factor_section.Write(num_users);
@@ -460,8 +458,6 @@ Status LoadCheckpoint(const std::string& path, FactorStore* factors,
     for (const RawFactorEntry& e : factor_staging.videos) {
       factors->PutVideoPacked(e.id, e.bias, e.data.data(), e.data.size());
     }
-    factors->RestoreRatingStats(factor_staging.rating_sum,
-                                factor_staging.rating_count);
   }
   if (sim_table != nullptr) {
     for (auto& [id, entries] : sim_staging.lists) {

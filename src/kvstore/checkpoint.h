@@ -17,9 +17,9 @@ namespace rtrec {
 /// exists only as KV-store contents.
 ///
 /// Format: little-endian, magic "RTRECCP3", then three length-prefixed
-/// sections — factor (dimensionality, storage precision, μ accumulator,
-/// user entries, video entries), similar-video (directed lists), and
-/// history — each framed as
+/// sections — factor (dimensionality, storage precision, two reserved
+/// rating slots, user entries, video entries), similar-video (directed
+/// lists), and history — each framed as
 ///   u64 section_length | section bytes | u32 CRC-32 of the bytes
 /// so corruption anywhere in a section is detected before a single byte
 /// of it is interpreted.
@@ -28,11 +28,14 @@ namespace rtrec {
 /// (precision tag in the header), so a quantized store round-trips
 /// bit-exactly instead of through a dequantize/requantize hop. Each
 /// entry still carries the f32 scale slot of the retired int8 precision,
-/// always 0, so fp32 and fp16 files keep their v3 bytes. A file whose
-/// dimensionality or precision differs from the target store's is
-/// InvalidArgument; an unknown precision tag (2, the int8 tag, included)
-/// is Corruption, as is any other magic, the retired float32 v2 format
-/// included.
+/// always 0, so fp32 and fp16 files keep their v3 bytes. The factor
+/// header's f64 sum and u64 count once held the running rating mean μ;
+/// μ is 0 now (see OnlineMf), so the writer puts 0 in both and the reader
+/// requires them but ignores their values, and older files still load.
+/// A file whose dimensionality or precision differs from the target
+/// store's is InvalidArgument; an unknown precision tag (2, the int8 tag,
+/// included) is Corruption, as is any other magic, the retired float32 v2
+/// format included.
 ///
 /// Crash safety: SaveCheckpoint serializes to memory, writes `path`.tmp,
 /// fsyncs it, and atomically renames it over `path` (then fsyncs the

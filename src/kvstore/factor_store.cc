@@ -196,25 +196,6 @@ void FactorStore::PutVideo(VideoId i, std::span<const float> vec,
   PackInto(vec, bias, stripe.map[i]);
 }
 
-void FactorStore::ObserveRating(double rating) {
-  std::lock_guard<std::mutex> lock(rating_mu_);
-  rating_sum_ += rating;
-  ++rating_count_;
-  PublishGlobalMean();
-}
-
-void FactorStore::PublishGlobalMean() {
-  global_mean_.store(rating_count_ == 0
-                         ? 0.0
-                         : rating_sum_ / static_cast<double>(rating_count_),
-                     std::memory_order_relaxed);
-}
-
-std::uint64_t FactorStore::RatingCount() const {
-  std::lock_guard<std::mutex> lock(rating_mu_);
-  return rating_count_;
-}
-
 std::size_t FactorStore::NumUsers() const {
   std::size_t total = 0;
   for (const auto& stripe : users_.stripes) {
@@ -269,19 +250,6 @@ bool FactorStore::PutVideoPacked(VideoId i, float bias, const std::byte* data,
   std::lock_guard<std::mutex> lock(stripe.mu);
   StorePacked(bias, data, stripe.map[i]);
   return true;
-}
-
-void FactorStore::RestoreRatingStats(double sum, std::uint64_t count) {
-  std::lock_guard<std::mutex> lock(rating_mu_);
-  rating_sum_ = sum;
-  rating_count_ = count;
-  PublishGlobalMean();
-}
-
-void FactorStore::GetRatingStats(double* sum, std::uint64_t* count) const {
-  std::lock_guard<std::mutex> lock(rating_mu_);
-  *sum = rating_sum_;
-  *count = rating_count_;
 }
 
 }  // namespace rtrec

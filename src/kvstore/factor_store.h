@@ -2,7 +2,6 @@
 #define RTREC_KVSTORE_FACTOR_STORE_H_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -27,12 +26,13 @@ struct FactorEntry {
 };
 
 /// Stores the matrix-factorization state: one FactorEntry per user and per
-/// video, plus the running global average rating μ. This is the typed view
-/// over the paper's distributed KV store that the ComputeMF / MFStorage
-/// bolts read and write. Hash-sharded with one mutex per stripe;
-/// operations on distinct keys proceed in parallel. A critical section is
-/// one hash lookup plus a (de)quantize of num_factors floats, too short
-/// for a reader-writer lock's extra atomics to pay for themselves.
+/// video (Eq. 2's global mean μ is 0 and stored nowhere; see OnlineMf).
+/// This is the typed view over the paper's distributed KV store that the
+/// ComputeMF / MFStorage bolts read and write. Hash-sharded with one mutex
+/// per stripe; operations on distinct keys proceed in parallel. A critical
+/// section is one hash lookup plus a (de)quantize of num_factors floats,
+/// too short for a reader-writer lock's extra atomics to pay for
+/// themselves.
 ///
 /// Entries are stored packed: vectors are quantized on write to
 /// `Options::precision` (float32 / float16) and dequantized on read, so the whole training and serving stack keeps speaking float
@@ -133,18 +133,6 @@ class FactorStore {
   /// Overwrites the video entry (MFStorage bolt write path).
   void PutVideo(VideoId i, std::span<const float> vec, float bias);
 
-  /// Folds one observed rating into the running global mean μ.
-  void ObserveRating(double rating);
-
-  /// Running global average rating μ of Eq. 2 (0 until first observation).
-  /// One atomic load of the value the last writer published.
-  double GlobalMean() const {
-    return global_mean_.load(std::memory_order_relaxed);
-  }
-
-  /// Number of ratings folded into μ.
-  std::uint64_t RatingCount() const;
-
   std::size_t NumUsers() const;
   std::size_t NumVideos() const;
 
@@ -175,13 +163,6 @@ class FactorStore {
   /// Video-side PutUserPacked.
   bool PutVideoPacked(VideoId i, float bias, const std::byte* data,
                       std::size_t size);
-
-  /// Restores the running-mean accumulator (checkpoint load path).
-  void RestoreRatingStats(double sum, std::uint64_t count);
-
-  /// Current running-mean accumulator (checkpoint save path), read as a
-  /// consistent pair under the rating mutex.
-  void GetRatingStats(double* sum, std::uint64_t* count) const;
 
   /// Deterministically initializes an entry for `id` without storing it.
   FactorEntry MakeInitialEntry(std::uint64_t id, bool is_user) const;
@@ -231,10 +212,6 @@ class FactorStore {
   const PackedFactorEntry& FindOrInit(Stripe& stripe, std::uint64_t id,
                                       bool is_user);
 
-  /// Stores sum/count (0 with no ratings) into global_mean_. Caller holds
-  /// rating_mu_.
-  void PublishGlobalMean();
-
   Options options_;
   /// num_factors * FactorWidthBytes(precision), cached at construction.
   std::size_t payload_bytes_ = 0;
@@ -247,15 +224,6 @@ class FactorStore {
   Counter* multiget_hits_ = nullptr;
   Counter* multiget_shard_batches_ = nullptr;
   Histogram* multiget_span_ = nullptr;
-
-  // Running mean μ. (sum, count) change together under rating_mu_; the
-  // writer then publishes sum/count into global_mean_, so readers on the
-  // SGD and scoring paths never see a sum from one rating paired with a
-  // count from another, and never take the lock.
-  mutable std::mutex rating_mu_;
-  double rating_sum_ = 0.0;
-  std::uint64_t rating_count_ = 0;
-  std::atomic<double> global_mean_{0.0};
 };
 
 }  // namespace rtrec

@@ -509,6 +509,14 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
     out->push_back(EncodeErrorResponse(
         frame.request_id, WireError::kMalformedFrame, status.message()));
   };
+  // Clocks are milliseconds >= 0 from any epoch (WIRE_PROTOCOL §7.1,
+  // §7.2). With both operands >= 0, no age `now - t` the stores compute
+  // can overflow.
+  const auto send_negative_clock = [&frame, out](const char* field) {
+    out->push_back(EncodeErrorResponse(
+        frame.request_id, WireError::kBadRequest,
+        StringPrintf("%s must be >= 0 milliseconds", field)));
+  };
   switch (frame.type) {
     case MessageType::kRecommendRequest: {
       ScopedLatencyTimer timer(recommend_latency_);
@@ -518,6 +526,10 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
       }();
       if (!request.ok()) {
         send_decode_error(request.status());
+        break;
+      }
+      if (request->now < 0) {
+        send_negative_clock("now");
         break;
       }
       RecommendOutcome outcome = [&] {
@@ -544,6 +556,10 @@ void RecServer::HandleServiceRpc(const Frame& frame, RequestContext* ctx,
       }();
       if (!action.ok()) {
         send_decode_error(action.status());
+        break;
+      }
+      if (action->time < 0) {
+        send_negative_clock("time");
         break;
       }
       {

@@ -60,8 +60,8 @@ class SpanCollector;
 /// request is always answered from the demographic hot-video fallback
 /// and flagged DEGRADED on the wire instead of failing — recommendations
 /// keep flowing while the engine misbehaves. An engine failure never
-/// becomes a wire error; only a request the service rejects as invalid
-/// gets BAD_REQUEST.
+/// becomes a wire error; only a request the service rejects as invalid,
+/// or one whose clock is negative, gets BAD_REQUEST.
 class RecServer {
  public:
   struct Options {

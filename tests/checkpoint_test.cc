@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 
 #include "common/crc32.h"
 #include "core/engine.h"
@@ -38,8 +40,6 @@ TEST_F(CheckpointTest, FactorRoundTrip) {
                    static_cast<float>(u) * 0.1f);
   }
   for (VideoId v = 1; v <= 30; ++v) source.GetOrInitVideo(v);
-  source.ObserveRating(1.0);
-  source.ObserveRating(0.5);
 
   ASSERT_TRUE(SaveCheckpoint(path_.string(), &source, nullptr, nullptr).ok());
 
@@ -48,8 +48,6 @@ TEST_F(CheckpointTest, FactorRoundTrip) {
       LoadCheckpoint(path_.string(), &restored, nullptr, nullptr).ok());
   EXPECT_EQ(restored.NumUsers(), 20u);
   EXPECT_EQ(restored.NumVideos(), 30u);
-  EXPECT_EQ(restored.RatingCount(), 2u);
-  EXPECT_DOUBLE_EQ(restored.GlobalMean(), 0.75);
   for (UserId u = 1; u <= 20; ++u) {
     auto entry = restored.GetUser(u);
     ASSERT_TRUE(entry.ok());
@@ -137,17 +135,29 @@ TEST_F(CheckpointTest, V3BytesArePinned) {
   // The v3 layout, the stores' stripe layout and iteration order, and the
   // codecs all show up in the saved bytes. The state is written through
   // the stores' Put paths, with no training, so the file depends on
-  // nothing but those. A change to any of them changes the length or
-  // the CRC below and breaks every snapshot already on disk.
+  // nothing but those. A change to any of them changes a length or a
+  // section CRC below and breaks every snapshot already on disk.
+  //
+  // The pins are per section: each section's stored CRC-32 covers its
+  // bytes. A CRC-32 of the whole file would not do: every section is
+  // followed by its own CRC-32, which leaves the register in a state
+  // independent of the section's content, so a whole-file CRC depends
+  // only on the section lengths.
   struct Pinned {
     FactorPrecision precision;
     std::uintmax_t size;
-    std::uint32_t crc;
+    // (length, CRC-32) of the factor, sim-table and history sections.
+    std::pair<std::uint64_t, std::uint32_t> sections[3];
   };
-  // Recorded from the v3 writer that also wrote int8 stores.
+  // Recorded from the v3 writer that also kept the rating mean μ, on the
+  // same store (its rating slots were 0 too).
   const Pinned pins[] = {
-      {FactorPrecision::kFloat32, 3045, 3885862144u},
-      {FactorPrecision::kFloat16, 2533, 3133279618u},
+      {FactorPrecision::kFloat32,
+       3045,
+       {{1701, 3012435058u}, {644, 1734104884u}, {656, 1513543312u}}},
+      {FactorPrecision::kFloat16,
+       2533,
+       {{1189, 224071658u}, {644, 1734104884u}, {656, 1513543312u}}},
   };
   for (const Pinned& pinned : pins) {
     RecEngine::Options options;
@@ -163,8 +173,6 @@ TEST_F(CheckpointTest, V3BytesArePinned) {
       engine.factors().PutUser(u, vec, static_cast<float>(u) * 0.125f);
     }
     for (VideoId v = 1; v <= 20; ++v) engine.factors().GetOrInitVideo(v);
-    engine.factors().ObserveRating(1.0);
-    engine.factors().ObserveRating(0.25);
     for (VideoId v = 1; v <= 10; ++v) {
       engine.sim_table().Update(v, v + 3, 0.05 * static_cast<double>(v),
                                 1000 * static_cast<Timestamp>(v));
@@ -183,8 +191,18 @@ TEST_F(CheckpointTest, V3BytesArePinned) {
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
     SCOPED_TRACE(FactorPrecisionToString(pinned.precision));
-    EXPECT_EQ(bytes.size(), pinned.size);
-    EXPECT_EQ(Crc32(bytes), pinned.crc);
+    ASSERT_EQ(bytes.size(), pinned.size);
+    // magic(8), then three `u64 len | bytes | u32 crc` frames.
+    std::size_t pos = 8;
+    for (const auto& [length, crc] : pinned.sections) {
+      std::uint64_t len = 0;
+      std::memcpy(&len, bytes.data() + pos, sizeof(len));
+      pos += sizeof(len);
+      ASSERT_EQ(len, length);
+      EXPECT_EQ(Crc32(bytes.data() + pos, len), crc);
+      pos += len + sizeof(std::uint32_t);
+    }
+    EXPECT_EQ(pos, bytes.size());
   }
 }
 
@@ -262,7 +280,6 @@ TEST_F(CheckpointTest, BitFlipMidFileRejectedWithLiveStoresUntouched) {
   // Targets that already hold live serving state.
   FactorStore live(FactorOptions());
   live.PutUser(42, live.GetOrInitUser(42).vec, 9.0f);
-  live.ObserveRating(2.0);
   SimTableStore live_sims;
   live_sims.Update(7, 8, 0.9, 500);
   HistoryStore live_history;
@@ -274,7 +291,6 @@ TEST_F(CheckpointTest, BitFlipMidFileRejectedWithLiveStoresUntouched) {
 
   // Every live store is exactly as it was before the failed load.
   EXPECT_EQ(live.NumUsers(), 1u);
-  EXPECT_EQ(live.RatingCount(), 1u);
   auto entry = live.GetUser(42);
   ASSERT_TRUE(entry.ok());
   EXPECT_FLOAT_EQ(entry->bias, 9.0f);

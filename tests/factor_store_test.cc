@@ -101,28 +101,6 @@ TEST(FactorStoreTest, CountsUsersAndVideos) {
   EXPECT_EQ(store.NumVideos(), 5u);
 }
 
-TEST(FactorStoreTest, GlobalMeanTracksObservations) {
-  FactorStore store(SmallOptions());
-  EXPECT_DOUBLE_EQ(store.GlobalMean(), 0.0);
-  store.ObserveRating(1.0);
-  store.ObserveRating(0.0);
-  EXPECT_DOUBLE_EQ(store.GlobalMean(), 0.5);
-  EXPECT_EQ(store.RatingCount(), 2u);
-}
-
-TEST(FactorStoreTest, ConcurrentObserveRatingLosesNothing) {
-  FactorStore store(SmallOptions());
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&store] {
-      for (int i = 0; i < 5000; ++i) store.ObserveRating(1.0);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(store.RatingCount(), 40000u);
-  EXPECT_DOUBLE_EQ(store.GlobalMean(), 1.0);
-}
-
 TEST(FactorStoreTest, ConcurrentUpdatesOnDistinctKeys) {
   FactorStore store(SmallOptions());
   std::vector<std::thread> threads;
@@ -261,31 +239,6 @@ TEST(FactorStoreTest, MultiGetMetricsRegistered) {
   EXPECT_EQ(registry.GetCounter("kvstore.multiget.hits")->value(), 3);
   EXPECT_GT(registry.GetCounter("kvstore.multiget.shard_batches")->value(),
             0);
-}
-
-TEST(FactorStoreTest, GlobalMeanNeverTearsUnderConcurrentWrites) {
-  // Regression for the torn sum/count pair: an older implementation read
-  // the rating sum and count as two independent relaxed loads, so a
-  // reader racing a writer could pair a new sum with an old count. With
-  // every observed rating equal to 5.0 the true mean is always exactly
-  // 5.0; any other value means a reader saw a mean no writer published.
-  // Run under TSan (build-tsan) to also catch the ordering bugs.
-  FactorStore store(SmallOptions());
-  store.ObserveRating(5.0);  // Readers never see the empty store.
-  std::atomic<bool> stop{false};
-  std::thread writer([&store, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) store.ObserveRating(5.0);
-  });
-  std::thread writer2([&store, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) store.ObserveRating(5.0);
-  });
-  for (int i = 0; i < 20000; ++i) {
-    ASSERT_DOUBLE_EQ(store.GlobalMean(), 5.0) << "torn read at i=" << i;
-  }
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
-  writer2.join();
-  EXPECT_GE(store.RatingCount(), 1u);
 }
 
 TEST(FactorStoreTest, ForEachVideoPackedVisitsAll) {

@@ -254,7 +254,9 @@ TEST(MetricsRegistryTest, ReportDoesNotHoldLockAgainstLookups) {
   // the contract worth pinning.
   MetricsRegistry registry;
   for (int i = 0; i < 50; ++i) {
-    registry.GetHistogram("h" + std::to_string(i))->Add(i);
+    std::string name = "h";
+    name += std::to_string(i);
+    registry.GetHistogram(name)->Add(i);
   }
   std::atomic<bool> stop{false};
   std::thread scraper([&] {

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -315,6 +316,50 @@ TEST(RecServerTest, UnknownTypeGetsTypedErrorAndConnectionSurvives) {
   StatusOr<Frame> pong = peer.ReadFrame();
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->type, MessageType::kPongResponse);
+}
+
+TEST(RecServerTest, NegativeClockGetsBadRequestAndConnectionSurvives) {
+  // Clocks are milliseconds >= 0 (§7.1, §7.2): a negative Recommend
+  // `now` or Observe `time` is answered BAD_REQUEST after decode, and
+  // the connection keeps working.
+  LiveServer live;
+  Timestamp t = 0;
+  for (UserId user = 1; user <= 5; ++user) {
+    live.service.Observe(Play(user, 100, t += 1000));
+  }
+  RawPeer peer(live.server->port());
+  auto expect_bad_request = [&peer](std::uint64_t id) {
+    StatusOr<Frame> frame = peer.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->type, MessageType::kErrorResponse) << "id " << id;
+    EXPECT_EQ(frame->request_id, id);
+    auto error = DecodeErrorResponse(*frame);
+    ASSERT_TRUE(error.ok()) << error.status().ToString();
+    EXPECT_EQ(error->code, WireError::kBadRequest) << "id " << id;
+  };
+
+  RecRequest request;
+  request.user = 999;
+  request.top_n = 3;
+  std::uint64_t id = 30;
+  for (Timestamp now : {Timestamp{-1}, std::numeric_limits<Timestamp>::min()}) {
+    request.now = now;
+    peer.Send(EncodeRecommendRequest(++id, request));
+    expect_bad_request(id);
+  }
+  peer.Send(EncodeObserveRequest(++id, Play(6, 200, -1)));
+  expect_bad_request(id);
+  EXPECT_TRUE(live.service.trainer()
+                  ->GetEngine(kGlobalGroup)
+                  ->history()
+                  .Get(6)
+                  .empty());
+
+  peer.Send(EncodePingRequest(++id));
+  StatusOr<Frame> pong = peer.ReadFrame();
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->type, MessageType::kPongResponse);
+  EXPECT_EQ(pong->request_id, id);
 }
 
 TEST(RecServerTest, IdleConnectionsAreReaped) {

@@ -69,7 +69,7 @@ TEST_F(OnlineMfTest, ImpressionDoesNotUpdateModel) {
   EXPECT_FALSE(result.updated);
   EXPECT_EQ(result.rating, 0.0);
   EXPECT_EQ(store_->NumUsers(), 0u);
-  EXPECT_EQ(store_->RatingCount(), 0u);
+  EXPECT_EQ(store_->NumVideos(), 0u);
 }
 
 TEST_F(OnlineMfTest, EngagedActionCreatesEntriesAndUpdates) {
@@ -80,7 +80,6 @@ TEST_F(OnlineMfTest, EngagedActionCreatesEntriesAndUpdates) {
   EXPECT_GT(result.confidence, 0.0);
   EXPECT_EQ(store_->NumUsers(), 1u);
   EXPECT_EQ(store_->NumVideos(), 1u);
-  EXPECT_EQ(store_->RatingCount(), 1u);
 }
 
 TEST_F(OnlineMfTest, RepeatedActionShrinksError) {
@@ -130,17 +129,6 @@ TEST_F(OnlineMfTest, ConfPolicyUsesWeightAsRating) {
   EXPECT_DOUBLE_EQ(result.learning_rate, config_.eta0);
 }
 
-TEST_F(OnlineMfTest, GlobalMeanTracksTrainedRatings) {
-  Init(UpdatePolicy::kCombine);
-  model_->Update(Play(1, 2, 1.0));
-  model_->Update(Play(3, 4, 1.0));
-  EXPECT_DOUBLE_EQ(store_->GlobalMean(), 1.0);  // Binary ratings.
-
-  Init(UpdatePolicy::kConfidenceAsRating);
-  model_->Update(Play(1, 2, 1.0));  // Rating 2.5.
-  EXPECT_NEAR(store_->GlobalMean(), 2.5, 1e-9);
-}
-
 TEST_F(OnlineMfTest, PredictUnknownIdsIsFinite) {
   Init(UpdatePolicy::kCombine);
   const double p = model_->Predict(999, 888);
@@ -183,13 +171,12 @@ TEST_F(OnlineMfTest, ApplySgdStepMatchesManualComputation) {
   video.vec = {0.3f, 0.4f};
   video.bias = -0.1f;
 
-  const double rating = 1.0, eta = 0.1, lambda = 0.01, mean = 0.2;
+  const double rating = 1.0, eta = 0.1, lambda = 0.01;
   const double expected_error =
-      rating - mean - 0.05 - (-0.1) - (0.1 * 0.3 + (-0.2) * 0.4);
+      rating - 0.05 - (-0.1) - (0.1 * 0.3 + (-0.2) * 0.4);
 
   FactorEntry u2 = user, v2 = video;
-  const double error =
-      OnlineMf::ApplySgdStep(u2, v2, rating, eta, lambda, mean);
+  const double error = OnlineMf::ApplySgdStep(u2, v2, rating, eta, lambda);
   EXPECT_NEAR(error, expected_error, 1e-6);
 
   // Bias update: b += eta * (e - lambda * b).
@@ -208,8 +195,8 @@ TEST_F(OnlineMfTest, RegularizationPullsTowardZero) {
   FactorEntry video;
   video.vec = {1.0f};
   video.bias = 0.0f;
-  // rating = mean + dot = 0 + 1 -> error 0.
-  OnlineMf::ApplySgdStep(user, video, 1.0, 0.1, 0.5, 0.0);
+  // rating = dot = 1 -> error 0.
+  OnlineMf::ApplySgdStep(user, video, 1.0, 0.1, 0.5);
   EXPECT_LT(user.vec[0], 1.0f);
   EXPECT_LT(video.vec[0], 1.0f);
 }
@@ -233,45 +220,6 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyParamTest,
                              UpdatePolicy::kBinary,
                              UpdatePolicy::kConfidenceAsRating,
                              UpdatePolicy::kCombine));
-
-TEST(OnlineMfExplicitModeTest, GlobalMeanEntersObjectiveWhenEnabled) {
-  // Explicit-feedback mode: μ is part of Eq. 2 and the error. With
-  // ConfModel ratings ~2.5 and μ tracking them, predictions for unknown
-  // pairs centre on μ rather than 0.
-  MfModelConfig config;
-  config.num_factors = 8;
-  config.policy = UpdatePolicy::kConfidenceAsRating;
-  config.use_global_mean = true;
-  config.eta0 = 0.05;
-  FactorStore::Options store_options;
-  store_options.num_factors = 8;
-  FactorStore store(store_options);
-  OnlineMf model(&store, config);
-  UserAction a;
-  a.type = ActionType::kPlayTime;
-  a.view_fraction = 1.0;  // Weight 2.5.
-  for (int i = 0; i < 40; ++i) {
-    a.user = 1 + static_cast<UserId>(i % 4);
-    a.video = 1 + static_cast<VideoId>(i % 6);
-    a.time = i;
-    model.Update(a);
-  }
-  EXPECT_NEAR(store.GlobalMean(), 2.5, 1e-9);
-  // Unknown pair prediction is pulled to μ (biases ~0, dot ~0).
-  EXPECT_NEAR(model.Predict(999, 888), 2.5, 0.3);
-
-  // Same stream without μ: unknown pairs predict near 0.
-  MfModelConfig config2 = config;
-  config2.use_global_mean = false;
-  FactorStore store2(store_options);
-  OnlineMf model2(&store2, config2);
-  for (int i = 0; i < 40; ++i) {
-    a.user = 1 + static_cast<UserId>(i % 4);
-    a.video = 1 + static_cast<VideoId>(i % 6);
-    model2.Update(a);
-  }
-  EXPECT_LT(model2.Predict(999, 888), 1.0);
-}
 
 TEST(MfModelConfigTest, ValidationCatchesBadValues) {
   MfModelConfig config;

@@ -75,12 +75,19 @@ class PipelineTopologyTest : public ::testing::Test {
     ASSERT_TRUE((*topo)->Start().ok());
     ASSERT_TRUE((*topo)->Join().ok());
     metrics_report_ = (*topo)->metrics().Report();
+    // ComputeMF ships two vectors per SGD step; MFStorage writes each.
+    mf_steps_shipped_ =
+        (*topo)->metrics().GetCounter("compute_mf.emitted")->value() / 2;
+    mf_vectors_written_ =
+        (*topo)->metrics().GetCounter("mf_storage.processed")->value();
   }
 
   std::unique_ptr<FactorStore> factors_;
   std::unique_ptr<HistoryStore> history_;
   std::unique_ptr<SimTableStore> table_;
   std::string metrics_report_;
+  std::int64_t mf_steps_shipped_ = 0;
+  std::int64_t mf_vectors_written_ = 0;
 };
 
 TEST(VectorActionSourceTest, HandsOutEachActionExactlyOnce) {
@@ -143,7 +150,8 @@ TEST_F(PipelineTopologyTest, TrainsModelFromStream) {
   // MF vectors were created and written through MFStorage.
   EXPECT_EQ(factors_->NumUsers(), 5u);
   EXPECT_EQ(factors_->NumVideos(), 2u);
-  EXPECT_GT(factors_->RatingCount(), 0u);
+  EXPECT_EQ(mf_steps_shipped_, 300);
+  EXPECT_EQ(mf_vectors_written_, 600);
 
   // Histories recorded.
   EXPECT_EQ(history_->Get(1).size(), 2u);
@@ -182,8 +190,11 @@ TEST_F(PipelineTopologyTest, HighParallelismMatchesLowParallelismCounts) {
   wide.result_storage = 3;
   RunPipeline(actions, wide);
 
-  // Every engaged action trained the model exactly once.
-  EXPECT_EQ(factors_->RatingCount(), actions.size());
+  // Every engaged action trained the model exactly once: one SGD step,
+  // two vectors written.
+  const auto engaged = static_cast<std::int64_t>(actions.size());
+  EXPECT_EQ(mf_steps_shipped_, engaged);
+  EXPECT_EQ(mf_vectors_written_, 2 * engaged);
   EXPECT_EQ(factors_->NumUsers(), 20u);
   EXPECT_EQ(factors_->NumVideos(), 7u);
 }
@@ -340,10 +351,7 @@ TEST_F(PipelineTopologyTest, PairCacheHitsOnRepeatedCoWatches) {
     }
   }
   auto source = std::make_shared<VectorActionSource>(std::move(actions));
-  PipelineDeps deps = Deps();
-  deps.sim_config.pair_cache_size = 1024;
-  deps.sim_config.pair_cache_ttl_millis = 10'000.0;
-  auto spec = BuildRecommendationTopology(source, deps);
+  auto spec = BuildRecommendationTopology(source, Deps());
   ASSERT_TRUE(spec.ok());
   auto topo = stream::Topology::Create(std::move(spec).value());
   ASSERT_TRUE(topo.ok());
@@ -354,25 +362,6 @@ TEST_F(PipelineTopologyTest, PairCacheHitsOnRepeatedCoWatches) {
             0);
   // The table still holds the pair.
   EXPECT_GT(table_->GetDecayedSimilarity(10, 11, 4000), 0.0);
-}
-
-TEST_F(PipelineTopologyTest, PairCacheDisabledComputesEveryPair) {
-  std::vector<UserAction> actions;
-  for (int round = 0; round < 20; ++round) {
-    actions.push_back(Play(1, 10, round * 100));
-    actions.push_back(Play(1, 11, round * 100 + 50));
-  }
-  auto source = std::make_shared<VectorActionSource>(std::move(actions));
-  PipelineDeps deps = Deps();
-  deps.sim_config.pair_cache_size = 0;
-  auto spec = BuildRecommendationTopology(source, deps);
-  ASSERT_TRUE(spec.ok());
-  auto topo = stream::Topology::Create(std::move(spec).value());
-  ASSERT_TRUE(topo.ok());
-  ASSERT_TRUE((*topo)->Start().ok());
-  ASSERT_TRUE((*topo)->Join().ok());
-  EXPECT_EQ(
-      (*topo)->metrics().GetCounter("item_pair_sim.cache_hits")->value(), 0);
 }
 
 TEST_F(PipelineTopologyTest, ServingPathWorksOverPipelineOutput) {
@@ -390,8 +379,7 @@ TEST_F(PipelineTopologyTest, ServingPathWorksOverPipelineOutput) {
   model_config.num_factors = 8;
   OnlineMf model(factors_.get(), model_config);
   RecommendConfig rec_config;
-  MfRecommender recommender(&model, history_.get(), table_.get(), nullptr,
-                            rec_config);
+  MfRecommender recommender(&model, history_.get(), table_.get(), rec_config);
   RecRequest request;
   request.user = 999;
   request.seed_videos = {10};

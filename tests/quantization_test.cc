@@ -182,15 +182,12 @@ TEST_F(QuantizedCheckpointTest, SamePrecisionIsBitExact) {
       source.PutUser(u, e.vec, e.bias);
     }
     for (VideoId v = 1; v <= 9; ++v) source.GetOrInitVideo(v);
-    source.ObserveRating(2.0);
-    source.ObserveRating(4.0);
     ASSERT_TRUE(SaveCheckpoint(path_.string(), &source, nullptr, nullptr)
                     .ok());
 
     FactorStore restored(StoreOptions(p));
     ASSERT_TRUE(LoadCheckpoint(path_.string(), &restored, nullptr, nullptr)
                     .ok());
-    EXPECT_DOUBLE_EQ(restored.GlobalMean(), 3.0);
     for (UserId u = 1; u <= 12; ++u) {
       // Raw payloads round-trip, so the dequantized views are identical
       // (no second quantization hop).
@@ -203,12 +200,11 @@ TEST_F(QuantizedCheckpointTest, SamePrecisionIsBitExact) {
   }
 }
 
-// A live store no failed load may touch: one user and a rating mean.
+// A live store no failed load may touch: one user.
 void ExpectPriorStateOnly(const FactorStore& target,
                           const std::vector<float>& prior) {
   EXPECT_EQ(target.NumUsers(), 1u);
   EXPECT_EQ(target.NumVideos(), 0u);
-  EXPECT_DOUBLE_EQ(target.GlobalMean(), 3.0);
   const auto entry = target.GetUser(3);
   ASSERT_TRUE(entry.ok());
   EXPECT_FLOAT_EQ(entry->bias, 0.25f);
@@ -230,7 +226,6 @@ TEST_F(QuantizedCheckpointTest, PrecisionMismatchIsInvalidArgument) {
       source.PutUser(u, TestVector(static_cast<int>(u)), 0.5f);
     }
     source.GetOrInitVideo(9);
-    source.ObserveRating(1.0);
     ASSERT_TRUE(
         SaveCheckpoint(path_.string(), &source, nullptr, nullptr).ok());
 
@@ -240,7 +235,6 @@ TEST_F(QuantizedCheckpointTest, PrecisionMismatchIsInvalidArgument) {
     const std::vector<float> prior = {0.5f, -0.25f, 0.125f, 1.0f,
                                       -1.0f, 0.0f,  0.75f,  -0.5f};
     target.PutUser(3, prior, 0.25f);
-    target.RestoreRatingStats(12.0, 4);
 
     const Status status =
         LoadCheckpoint(path_.string(), &target, nullptr, nullptr);
@@ -273,11 +267,59 @@ TEST_F(QuantizedCheckpointTest, UnknownPrecisionTagIsCorruption) {
   FactorStore target(StoreOptions(FactorPrecision::kFloat32));
   const std::vector<float> prior = TestVector(2);
   target.PutUser(3, prior, 0.25f);
-  target.RestoreRatingStats(12.0, 4);
   const Status status =
       LoadCheckpoint(path_.string(), &target, nullptr, nullptr);
   EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
   ExpectPriorStateOnly(target, prior);
+}
+
+TEST_F(QuantizedCheckpointTest, NonzeroRatingSlotsStillLoad) {
+  // A snapshot written while the store kept the rating mean μ carries a
+  // nonzero (sum, count) in the factor header's reserved slots; every
+  // trained store's snapshot looks like this. The slots are read and
+  // ignored, so such a file restores every entry bit-exactly.
+  FactorStore source(StoreOptions(FactorPrecision::kFloat32));
+  for (UserId u = 1; u <= 12; ++u) {
+    source.PutUser(u, TestVector(static_cast<int>(u)), 0.1f * u);
+  }
+  for (VideoId v = 1; v <= 9; ++v) source.GetOrInitVideo(v);
+  ASSERT_TRUE(SaveCheckpoint(path_.string(), &source, nullptr, nullptr).ok());
+  std::string file;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  // magic(8) | u64 section length | u32 num_factors | u8 precision |
+  // f64 rating sum | u64 rating count | ...
+  std::uint64_t len = 0;
+  std::memcpy(&len, file.data() + 8, sizeof(len));
+  const double sum = 6512.25;
+  const std::uint64_t count = 7321;
+  std::memcpy(file.data() + 21, &sum, sizeof(sum));
+  std::memcpy(file.data() + 29, &count, sizeof(count));
+  const std::uint32_t crc = Crc32(file.data() + 16, len);
+  std::memcpy(file.data() + 16 + len, &crc, sizeof(crc));
+  ASSERT_TRUE(WriteFileAtomic(path_.string(), file).ok());
+
+  FactorStore restored(StoreOptions(FactorPrecision::kFloat32));
+  const Status status =
+      LoadCheckpoint(path_.string(), &restored, nullptr, nullptr);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(restored.NumUsers(), 12u);
+  EXPECT_EQ(restored.NumVideos(), 9u);
+  for (UserId u = 1; u <= 12; ++u) {
+    const auto got = restored.GetUser(u);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->vec, source.GetUser(u)->vec) << "user " << u;
+    EXPECT_EQ(got->bias, source.GetUser(u)->bias) << "user " << u;
+  }
+  for (VideoId v = 1; v <= 9; ++v) {
+    const auto got = restored.GetVideo(v);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->vec, source.GetVideo(v)->vec) << "video " << v;
+    EXPECT_EQ(got->bias, source.GetVideo(v)->bias) << "video " << v;
+  }
 }
 
 TEST_F(QuantizedCheckpointTest, RejectsRetiredV2Magic) {
@@ -321,7 +363,6 @@ TEST_F(QuantizedCheckpointTest, RejectsRetiredV2Magic) {
   FactorStore target(StoreOptions(FactorPrecision::kFloat32));
   const std::vector<float> prior = TestVector(2);
   target.PutUser(3, prior, 0.25f);
-  target.RestoreRatingStats(12.0, 4);
 
   const Status status =
       LoadCheckpoint(path_.string(), &target, nullptr, nullptr);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 
 #include "core/engine.h"
@@ -204,38 +203,6 @@ TEST_F(MfRecommenderTest, HugeTopNReturnsWhatExists) {
   EXPECT_LE(recs->size(), 5u);  // Bounded by actual candidates.
 }
 
-TEST(FrontierExpansionTest, RepeatedImprovementDoesNotCrowdOutFrontier) {
-  // Regression: a candidate whose best path similarity improves more than
-  // once within a hop (reached from several frontier nodes) used to be
-  // appended to the next frontier once per improvement, so its duplicates
-  // crowded distinct candidates out of the capped frontier.
-  RecEngine::Options options;
-  options.model.num_factors = 8;
-  options.recommend.candidate_hops = 2;
-  options.recommend.hop_fanout = 1;  // Frontier cap = fanout·|seeds| = 2.
-  RecEngine engine([](VideoId) -> VideoType { return 0; }, options);
-  const Timestamp now = 1000;
-  // Both seeds (100, 101) point at A=200 with different strengths, so A's
-  // best path similarity improves twice in hop 0. Only the weaker branch
-  // B=201 leads on to C=300.
-  SimTableStore& table = engine.sim_table();
-  table.Update(100, 200, 0.90, now);
-  table.Update(101, 200, 0.95, now);
-  table.Update(100, 201, 0.50, now);
-  table.Update(201, 300, 0.80, now);
-
-  RecRequest request;
-  request.user = 999;
-  request.seed_videos = {100, 101};
-  request.now = now;
-  auto recs = engine.Recommend(request);
-  ASSERT_TRUE(recs.ok());
-  bool found_c = false;
-  for (const auto& r : *recs) found_c |= (r.video == 300);
-  EXPECT_TRUE(found_c) << "duplicate frontier slots for video 200 crowded "
-                          "out 201, so 300 was never reached";
-}
-
 TEST(MfRecommenderServingTest, ObserveBetweenRequestsRescoresCandidate) {
   // Recommend reads every candidate's vector from the store, so a write
   // to one candidate between two requests shows in its next score.
@@ -277,66 +244,40 @@ TEST(MfRecommenderServingTest, ObserveBetweenRequestsRescoresCandidate) {
   EXPECT_EQ(after, engine.model().Predict(3, 12));
 }
 
-TEST(TransitiveClosureTest, SecondHopReachesChainNeighbors) {
-  // Similar-video chain 10—11—12 with no direct (10, 12) co-watch:
-  // 1-hop expansion from seed 10 cannot see 12; the YouTube-style 2-hop
-  // closure can.
-  auto build = [](int hops) {
-    RecEngine::Options options;
-    options.model.num_factors = 8;
-    options.model.eta0 = 0.05;
-    options.recommend.candidate_hops = hops;
-    options.recommend.top_n = 10;
-    auto engine = std::make_unique<RecEngine>(
-        [](VideoId) -> VideoType { return 0; }, options);
-    Timestamp t = 0;
-    for (int round = 0; round < 15; ++round) {
-      for (UserId u = 1; u <= 4; ++u) {  // Co-watch 10 and 11.
-        engine->Observe(Play(u, 10, t += 1000));
-        engine->Observe(Play(u, 11, t += 1000));
-      }
-      for (UserId u = 11; u <= 14; ++u) {  // Co-watch 11 and 12.
-        engine->Observe(Play(u, 11, t += 1000));
-        engine->Observe(Play(u, 12, t += 1000));
-      }
+TEST(CandidateExpansionTest, OneHopDoesNotReachChainNeighbors) {
+  // Similar-video chain 10—11—12 with no direct (10, 12) co-watch.
+  // Candidates come one hop from each seed (Section 5.2.1 rejects the
+  // YouTube-style transitive closure), so seed 10 reaches 11 but not 12.
+  RecEngine::Options options;
+  options.model.num_factors = 8;
+  options.model.eta0 = 0.05;
+  options.recommend.top_n = 10;
+  RecEngine engine([](VideoId) -> VideoType { return 0; }, options);
+  Timestamp t = 0;
+  for (int round = 0; round < 15; ++round) {
+    for (UserId u = 1; u <= 4; ++u) {  // Co-watch 10 and 11.
+      engine.Observe(Play(u, 10, t += 1000));
+      engine.Observe(Play(u, 11, t += 1000));
     }
-    return std::make_pair(std::move(engine), t);
-  };
-
-  auto [one_hop, t1] = build(1);
+    for (UserId u = 11; u <= 14; ++u) {  // Co-watch 11 and 12.
+      engine.Observe(Play(u, 11, t += 1000));
+      engine.Observe(Play(u, 12, t += 1000));
+    }
+  }
   RecRequest request;
   request.user = 999;
   request.seed_videos = {10};
-  request.now = t1;
-  auto recs1 = one_hop->Recommend(request);
-  ASSERT_TRUE(recs1.ok());
-  bool found_12 = false;
-  for (const auto& r : *recs1) found_12 |= (r.video == 12);
-  EXPECT_FALSE(found_12) << "1-hop expansion must not reach video 12";
-
-  auto [two_hop, t2] = build(2);
-  request.now = t2;
-  auto recs2 = two_hop->Recommend(request);
-  ASSERT_TRUE(recs2.ok());
-  found_12 = false;
+  request.now = t;
+  auto recs = engine.Recommend(request);
+  ASSERT_TRUE(recs.ok());
   bool found_11 = false;
-  for (const auto& r : *recs2) {
-    found_12 |= (r.video == 12);
+  bool found_12 = false;
+  for (const auto& r : *recs) {
     found_11 |= (r.video == 11);
+    found_12 |= (r.video == 12);
   }
   EXPECT_TRUE(found_11);
-  EXPECT_TRUE(found_12) << "2-hop closure must reach video 12";
-}
-
-TEST(TransitiveClosureTest, HopConfigValidated) {
-  RecommendConfig config;
-  config.candidate_hops = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config.candidate_hops = 4;
-  EXPECT_FALSE(config.Validate().ok());
-  config.candidate_hops = 2;
-  config.hop_fanout = 0;
-  EXPECT_FALSE(config.Validate().ok());
+  EXPECT_FALSE(found_12) << "one-hop expansion must not reach video 12";
 }
 
 TEST(RecEngineOptionsTest, ValidationCascades) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+
 namespace rtrec {
 namespace {
 
@@ -75,19 +78,38 @@ TEST(ReservoirMfTest, ServesLikeAnMfEngine) {
   EXPECT_EQ(model.name(), "ReservoirMF");
 }
 
+/// Counts the SGD steps a model takes: the hook sees one sample per
+/// training action, and an impression's sample has rating 0.
+class StepCounter : public MfValidationHook {
+ public:
+  void OnMfSample(const MfSample& sample) override {
+    if (sample.rating > 0.0) steps_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::uint64_t steps() const { return steps_.load(); }
+
+ private:
+  std::atomic<std::uint64_t> steps_{0};
+};
+
 TEST(ReservoirMfTest, ReplayIncreasesTrainingVolume) {
   // With replay_per_action = 4, the model applies ~5x the SGD steps of
-  // the single-pass strategy; the rating counter shows it.
-  ReservoirMfRecommender replayed(OneType(), SmallOptions(64, 4));
-  ReservoirMfRecommender pure(OneType(), SmallOptions(64, 0));
+  // the single-pass strategy; a validation hook counts them.
+  StepCounter replayed_steps;
+  StepCounter pure_steps;
+  auto replayed_options = SmallOptions(64, 4);
+  replayed_options.engine.validation_hook = &replayed_steps;
+  auto pure_options = SmallOptions(64, 0);
+  pure_options.engine.validation_hook = &pure_steps;
+  ReservoirMfRecommender replayed(OneType(), replayed_options);
+  ReservoirMfRecommender pure(OneType(), pure_options);
   Timestamp t = 0;
   for (int i = 0; i < 50; ++i) {
     const UserAction a = Play(1 + i % 5, 1 + i % 7, t += 100);
     replayed.Observe(a);
     pure.Observe(a);
   }
-  EXPECT_EQ(pure.engine().factors().RatingCount(), 50u);
-  EXPECT_GT(replayed.engine().factors().RatingCount(), 200u);
+  EXPECT_EQ(pure_steps.steps(), 50u);
+  EXPECT_GT(replayed_steps.steps(), 200u);
 }
 
 TEST(ReservoirMfTest, ZeroReplayMatchesPureOnlineTrajectory) {
