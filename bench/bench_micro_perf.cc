@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/engine.h"
 #include "common/lru_cache.h"
@@ -121,6 +122,27 @@ void BM_RecommendWithCandidateSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_RecommendWithCandidateSelection);
 
+// "Guess you like" (Fig. 6) for users with history only, so every read
+// takes the full path: eight history seeds, their similar-video lists,
+// one batched VectorsGet and Eq. 2 scoring, in per-thread buffers.
+void BM_RecommendGuessYouLike(benchmark::State& state) {
+  ServingFixture& f = Serving();
+  std::vector<UserId> users;
+  for (UserId u = 1; u <= f.world.population().size(); ++u) {
+    if (!f.engine->history().Get(u).empty()) users.push_back(u);
+  }
+  Rng rng(5);
+  RecRequest request;
+  request.top_n = 10;
+  request.now = 3 * kMillisPerDay;
+  for (auto _ : state) {
+    request.user = users[rng.NextUint64(users.size())];
+    benchmark::DoNotOptimize(f.engine->recommender().Recommend(request));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecommendGuessYouLike);
+
 void BM_RecommendFullCatalogScan(benchmark::State& state) {
   ServingFixture& f = Serving();
   Rng rng(4);
@@ -172,6 +194,28 @@ void BM_SimTableQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimTableQuery);
+
+// Fig. 1's VectorsGet at the serving path's batch size (~24 candidates a
+// read in perfbench's serve workload), into a caller's row buffer.
+void BM_GetVideosInto24(benchmark::State& state) {
+  constexpr std::size_t kKeys = 24;
+  FactorStore store;
+  const std::size_t f = static_cast<std::size_t>(store.num_factors());
+  for (VideoId v = 1; v <= 25000; ++v) store.GetOrInitVideo(v);
+  Rng rng(9);
+  std::vector<VideoId> ids(kKeys);
+  std::vector<float> rows(kKeys * f);
+  std::vector<float> biases(kKeys);
+  bool found[kKeys];
+  for (auto _ : state) {
+    for (VideoId& id : ids) id = 1 + rng.NextUint64(25000);
+    benchmark::DoNotOptimize(
+        store.GetVideosInto(ids, rows, biases, found));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_GetVideosInto24);
 
 // LRU pair cache (Section 5.1's cache technique).
 void BM_LruCacheHitPath(benchmark::State& state) {

@@ -11,10 +11,9 @@ namespace rtrec {
 
 namespace {
 
-/// Eq. 2 with μ = 0: r̂_ui = b_u + b_i + x_uᵀ y_i, summed in double (the
-/// float biases are widened before they are added).
+/// Eq. 2 with μ = 0 on entries (see OnlineMf::PredictRows).
 double Eq2Prediction(const FactorEntry& user, const FactorEntry& video) {
-  return double{user.bias} + video.bias + Dot(user.vec, video.vec);
+  return OnlineMf::PredictRows(user.bias, user.vec, video.bias, video.vec);
 }
 
 /// Fills the pre-step (progressive validation) fields of an MfSample from
@@ -156,6 +155,16 @@ double OnlineMf::Predict(UserId u, VideoId i) const {
       video.ok() ? std::move(video).value()
                  : store_->MakeInitialEntry(i, /*is_user=*/false);
   return PredictWithEntries(user_entry, video_entry);
+}
+
+double OnlineMf::PredictRows(float user_bias,
+                             std::span<const float> user_vec,
+                             float video_bias,
+                             std::span<const float> video_vec) {
+  assert(user_vec.size() == video_vec.size());
+  // r̂_ui = b_u + b_i + x_uᵀ y_i, summed in double.
+  return double{user_bias} + video_bias +
+         Dot(user_vec.data(), video_vec.data(), user_vec.size());
 }
 
 double OnlineMf::PredictWithEntries(const FactorEntry& user,

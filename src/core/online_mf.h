@@ -1,6 +1,8 @@
 #ifndef RTREC_CORE_ONLINE_MF_H_
 #define RTREC_CORE_ONLINE_MF_H_
 
+#include <span>
+
 #include "common/status.h"
 #include "core/action.h"
 #include "core/model_config.h"
@@ -98,6 +100,14 @@ class OnlineMf {
   /// entry fetches (Fig. 1's VectorsGet step).
   double PredictWithEntries(const FactorEntry& user,
                             const FactorEntry& video) const;
+
+  /// Eq. 2 on bias and vector rows, as the serving path holds them in
+  /// its per-thread buffers; the one implementation PredictWithEntries
+  /// and training's progressive-validation sample also use. The float
+  /// biases are widened to double before they are added.
+  static double PredictRows(float user_bias, std::span<const float> user_vec,
+                            float video_bias,
+                            std::span<const float> video_vec);
 
   /// The read-compute half of Algorithm 1's step, shared by Update and
   /// the ComputeMF bolt: resolves (r_ui, η_ui) for the action, reads both

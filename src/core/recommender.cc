@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <memory>
+#include <span>
+
+#include "common/flat_id_map.h"
 
 namespace rtrec {
 
@@ -21,18 +24,60 @@ MfRecommender::MfRecommender(const OnlineMf* model,
   assert(config_.Validate().ok());
 }
 
+namespace {
+
+/// One candidate of a request: its best decayed similarity over seeds.
+struct Candidate {
+  VideoId video = 0;
+  double similarity = 0.0;
+};
+
+/// The buffers one Recommend call works in. Each serving thread keeps
+/// one and reuses it, so once the buffers have grown to the largest
+/// request a thread has served, a read allocates nothing but its
+/// returned page.
+struct RecommendScratch {
+  std::vector<VideoId> seeds;
+  std::vector<HistoryEntry> history;
+  std::vector<SimilarVideo> similar;
+  /// video → 1 + its index in `candidates`, or kExcluded.
+  FlatIdMap candidate_index;
+  std::vector<Candidate> candidates;
+  std::vector<VideoId> ids;
+  std::vector<float> user_row;
+  std::vector<float> rows;
+  std::vector<float> biases;
+  std::unique_ptr<bool[]> found;
+  std::size_t found_capacity = 0;
+  std::vector<ScoredVideo> scored;
+
+  std::span<bool> Found(std::size_t n) {
+    if (n > found_capacity) {
+      found = std::make_unique<bool[]>(n);
+      found_capacity = n;
+    }
+    return {found.get(), n};
+  }
+};
+
+/// candidate_index value of an explicitly requested seed.
+constexpr std::uint32_t kExcluded = 0xFFFFFFFFu;
+
+}  // namespace
+
 StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
     const RecRequest& request) {
+  thread_local RecommendScratch scratch;
   const std::size_t top_n = request.top_n > 0 ? request.top_n : config_.top_n;
 
   // 1. Seed videos: the one being watched, or the user's recent history
   //    ("guess you like", Section 6.2).
-  std::vector<VideoId> seeds = request.seed_videos;
+  std::vector<VideoId>& seeds = scratch.seeds;
+  seeds.assign(request.seed_videos.begin(), request.seed_videos.end());
   if (seeds.empty()) {
-    for (const HistoryEntry& e :
-         history_->GetRecent(request.user, config_.max_seed_videos)) {
-      seeds.push_back(e.video);
-    }
+    history_->GetRecentInto(request.user, config_.max_seed_videos,
+                            scratch.history);
+    for (const HistoryEntry& e : scratch.history) seeds.push_back(e.video);
   }
   if (seeds.empty()) {
     // Cold user with no seeds: nothing the CF path can do — the caller
@@ -45,75 +90,100 @@ StatusOr<std::vector<ScoredVideo>> MfRecommender::Recommend(
   //    closure for latency); keeping the best decayed similarity per
   //    candidate dedupes across seeds. Explicitly-requested seeds (the
   //    video on screen) are never recommended back; history is not
-  //    excluded, so "guess you like" can resurface favourites.
-  const std::unordered_set<VideoId> excluded(request.seed_videos.begin(),
-                                             request.seed_videos.end());
-  std::unordered_map<VideoId, double> candidate_sim;
+  //    excluded, so "guess you like" can resurface favourites. The
+  //    requested seeds enter the index first, marked excluded, so one
+  //    probe per neighbour both dedupes and excludes.
+  FlatIdMap& index = scratch.candidate_index;
+  std::vector<Candidate>& candidates = scratch.candidates;
+  candidates.clear();
+  index.Reset(request.seed_videos.size() +
+              seeds.size() * config_.candidates_per_seed);
+  for (VideoId seed : request.seed_videos) index.FindOrInsert(seed) = kExcluded;
   for (VideoId seed : seeds) {
-    for (const SimilarVideo& similar :
-         table_->Query(seed, request.now, config_.candidates_per_seed)) {
-      if (excluded.contains(similar.video)) continue;
-      double& best = candidate_sim[similar.video];
-      best = std::max(best, similar.similarity);
+    table_->QueryInto(seed, request.now, config_.candidates_per_seed,
+                      scratch.similar);
+    for (const SimilarVideo& similar : scratch.similar) {
+      std::uint32_t& slot = index.FindOrInsert(similar.video);
+      if (slot == kExcluded) continue;
+      if (slot == 0) {
+        candidates.push_back(Candidate{similar.video, similar.similarity});
+        slot = static_cast<std::uint32_t>(candidates.size());
+      } else {
+        double& best = candidates[slot - 1].similarity;
+        best = std::max(best, similar.similarity);
+      }
     }
   }
-  if (candidate_sim.empty()) return std::vector<ScoredVideo>{};
+  if (candidates.empty()) return std::vector<ScoredVideo>{};
 
   // Cap the candidate set by similarity to bound ranking cost
-  // (Section 4.1's latency argument).
-  std::vector<std::pair<VideoId, double>> candidates(candidate_sim.begin(),
-                                                     candidate_sim.end());
+  // (Section 4.1's latency argument); ties go to the smaller id.
   if (candidates.size() > config_.max_candidates) {
     std::nth_element(
         candidates.begin(),
         candidates.begin() +
             static_cast<std::ptrdiff_t>(config_.max_candidates),
-        candidates.end(),
-        [](const auto& a, const auto& b) { return a.second > b.second; });
+        candidates.end(), [](const Candidate& a, const Candidate& b) {
+          if (a.similarity != b.similarity) {
+            return a.similarity > b.similarity;
+          }
+          return a.video < b.video;
+        });
     candidates.resize(config_.max_candidates);
   }
 
   // 3. Preference prediction (Eq. 2) and ranking. The user entry is
   //    fetched once; video entries arrive in one batched VectorsGet
-  //    (Fig. 1) — candidates are deduped already, so each vector is read
-  //    at most once per request.
+  //    (Fig. 1) into this thread's row buffer — candidates are deduped
+  //    already, so each vector is read at most once per request. An
+  //    unknown user or video scores with its deterministic initial entry.
   const FactorStore& store = model_->store();
-  StatusOr<FactorEntry> user_entry = store.GetUser(request.user);
-  const FactorEntry user =
-      user_entry.ok()
-          ? std::move(user_entry).value()
-          : store.MakeInitialEntry(request.user, /*is_user=*/true);
-
-  std::vector<VideoId> ids;
-  ids.reserve(candidates.size());
-  for (const auto& [video, sim] : candidates) ids.push_back(video);
-  std::vector<FactorStore::VideoBatchEntry> batch = store.GetVideos(ids);
-  std::vector<ScoredVideo> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    // An unknown video scores with its deterministic initial entry.
-    const FactorEntry video =
-        batch[i].found ? std::move(batch[i].entry)
-                       : store.MakeInitialEntry(ids[i], /*is_user=*/false);
-    scored.push_back(
-        ScoredVideo{ids[i], model_->PredictWithEntries(user, video)});
+  const std::size_t f = static_cast<std::size_t>(store.num_factors());
+  const std::size_t n = candidates.size();
+  scratch.user_row.resize(f);
+  float user_bias = 0.0f;
+  if (!store.GetUserInto(request.user, scratch.user_row, user_bias)) {
+    store.MakeInitialEntryInto(request.user, /*is_user=*/true,
+                               scratch.user_row);
+  }
+  std::vector<VideoId>& ids = scratch.ids;
+  ids.clear();
+  for (const Candidate& c : candidates) ids.push_back(c.video);
+  scratch.rows.resize(n * f);
+  scratch.biases.resize(n);
+  const std::span<bool> found = scratch.Found(n);
+  store.GetVideosInto(ids, scratch.rows, scratch.biases, found);
+  std::vector<ScoredVideo>& scored = scratch.scored;
+  scored.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::span<float> row(scratch.rows.data() + k * f, f);
+    if (!found[k]) {
+      store.MakeInitialEntryInto(ids[k], /*is_user=*/false, row);
+      scratch.biases[k] = 0.0f;
+    }
+    scored.push_back(ScoredVideo{
+        ids[k], OnlineMf::PredictRows(user_bias, scratch.user_row,
+                                      scratch.biases[k], row)});
   }
 
   // Partial selection: only the top-N need ordering, so select them with
   // nth_element and sort just that prefix instead of sorting every
-  // candidate (Section 4.1's latency bound).
+  // candidate (Section 4.1's latency bound). The order is total, so the
+  // page does not depend on the candidates' order.
   const auto better = [](const ScoredVideo& a, const ScoredVideo& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.video < b.video;  // Deterministic tie-break.
   };
-  if (scored.size() > top_n) {
+  const std::size_t page = std::min(top_n, scored.size());
+  if (scored.size() > page) {
     std::nth_element(scored.begin(),
-                     scored.begin() + static_cast<std::ptrdiff_t>(top_n),
+                     scored.begin() + static_cast<std::ptrdiff_t>(page),
                      scored.end(), better);
-    scored.resize(top_n);
   }
-  std::sort(scored.begin(), scored.end(), better);
-  return scored;
+  std::sort(scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(page),
+            better);
+  return std::vector<ScoredVideo>(
+      scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(page));
 }
 
 }  // namespace rtrec

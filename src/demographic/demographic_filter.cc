@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/implicit_feedback.h"
 
@@ -27,7 +26,14 @@ std::vector<ScoredVideo> DemographicFilter::Merge(
     const std::vector<ScoredVideo>& hot, std::size_t n, double blend_ratio) {
   std::vector<ScoredVideo> out;
   out.reserve(n);
-  std::unordered_set<VideoId> seen;
+  // A page holds at most n videos, so a scan of the picks so far dedupes
+  // without a hash set.
+  const auto add = [&out](const ScoredVideo& v) {
+    for (const ScoredVideo& picked : out) {
+      if (picked.video == v.video) return;
+    }
+    out.push_back(v);
+  };
 
   const std::size_t hot_slots = static_cast<std::size_t>(
       std::llround(blend_ratio * static_cast<double>(n)));
@@ -35,16 +41,16 @@ std::vector<ScoredVideo> DemographicFilter::Merge(
 
   for (const ScoredVideo& v : primary) {
     if (out.size() >= primary_slots) break;
-    if (seen.insert(v.video).second) out.push_back(v);
+    add(v);
   }
   for (const ScoredVideo& v : hot) {
     if (out.size() >= n) break;
-    if (seen.insert(v.video).second) out.push_back(v);
+    add(v);
   }
   // Shortfall (hot list exhausted): fill from remaining primary results.
   for (const ScoredVideo& v : primary) {
     if (out.size() >= n) break;
-    if (seen.insert(v.video).second) out.push_back(v);
+    add(v);
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -80,6 +81,28 @@ void WritePackedEntry(SectionWriter& out, std::uint64_t id,
   out.Write(0.0f);
   out.Write(static_cast<std::uint32_t>(view.size));
   out.WriteBytes(view.data, view.size);
+}
+
+/// Writes the entries that `for_each` visits (a FactorStore ForEach*Packed
+/// call) in ascending id order, so the section's bytes depend on the
+/// store's contents only, not on its table layout. Every frame of one
+/// store has the same size, so frames are staged once and copied out by
+/// a sorted (id, offset) index.
+template <typename ForEach>
+void WriteEntriesById(SectionWriter& out, ForEach for_each) {
+  SectionWriter frames;
+  std::vector<std::pair<std::uint64_t, std::size_t>> index;
+  for_each([&frames, &index](std::uint64_t id,
+                             const FactorStore::PackedView& view) {
+    index.emplace_back(id, frames.bytes().size());
+    WritePackedEntry(frames, id, view);
+  });
+  if (index.empty()) return;
+  std::sort(index.begin(), index.end());
+  const std::size_t frame_bytes = frames.bytes().size() / index.size();
+  for (const auto& [id, offset] : index) {
+    out.WriteBytes(frames.bytes().data() + offset, frame_bytes);
+  }
 }
 
 /// Appends one `u64 len | bytes | u32 crc` framed section to `file`.
@@ -334,14 +357,12 @@ Status SaveCheckpoint(const std::string& path, const FactorStore* factors,
   factor_section.Write(num_users);
   factor_section.Write(num_videos);
   if (factors != nullptr) {
-    factors->ForEachUserPacked(
-        [&factor_section](UserId id, const FactorStore::PackedView& view) {
-          WritePackedEntry(factor_section, id, view);
-        });
-    factors->ForEachVideoPacked(
-        [&factor_section](VideoId id, const FactorStore::PackedView& view) {
-          WritePackedEntry(factor_section, id, view);
-        });
+    WriteEntriesById(factor_section, [factors](const auto& fn) {
+      factors->ForEachUserPacked(fn);
+    });
+    WriteEntriesById(factor_section, [factors](const auto& fn) {
+      factors->ForEachVideoPacked(fn);
+    });
   }
 
   // --- Similar-video section: count, then per directed list.

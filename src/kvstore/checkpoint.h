@@ -32,6 +32,9 @@ namespace rtrec {
 /// header's f64 sum and u64 count once held the running rating mean μ;
 /// μ is 0 now (see OnlineMf), so the writer puts 0 in both and the reader
 /// requires them but ignores their values, and older files still load.
+/// User and video entries are written in ascending id order, so the
+/// bytes do not depend on the store's table layout; the reader accepts
+/// any order, including the hash-map order older writers produced.
 /// A file whose dimensionality or precision differs from the target
 /// store's is InvalidArgument; an unknown precision tag (2, the int8 tag,
 /// included) is Corruption, as is any other magic, the retired float32 v2

@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -30,25 +30,39 @@ struct FactorEntry {
 /// This is the typed view over the paper's distributed KV store that the
 /// ComputeMF / MFStorage bolts read and write. Hash-sharded with one mutex
 /// per stripe; operations on distinct keys proceed in parallel. A critical
-/// section is one hash lookup plus a (de)quantize of num_factors floats,
-/// too short for a reader-writer lock's extra atomics to pay for
-/// themselves.
+/// section is one probe plus a (de)quantize of num_factors floats, too
+/// short for a reader-writer lock's extra atomics to pay for themselves.
 ///
-/// Entries are stored packed: vectors are quantized on write to
-/// `Options::precision` (float32 / float16) and dequantized on read, so the whole training and serving stack keeps speaking float
-/// `FactorEntry`s while a million-entry store holds 80 bytes per entry
-/// at fp16 instead of 144 at fp32 (16-byte packed struct + payload; see
-/// BytesPerEntry). Every read decodes, so at fp16 the serving path pays
-/// one decode per candidate per request.
+/// Each stripe is one open-addressing table with linear probing. Slot i
+/// is a control byte, ctrl[i], plus a record in one contiguous array:
+///
+///   ctrl[i]:  0x80 empty, else the top 7 bits of the id's hash (a tag)
+///   record i: u64 id | f32 bias | 4 reserved bytes | packed payload
+///
+/// The payload is the vector quantized to `Options::precision` (float32
+/// or float16) and sits inline, so a read is a scan of the control bytes
+/// from the id's home slot, one id compare per tag match, and a
+/// dequantize from the same record: no node, bucket or payload pointer
+/// is chased. Every u64 id is storable; emptiness lives in the control
+/// byte, not in a reserved id. A stripe doubles when an insert would
+/// take it past 7/8 full, so it runs between 7/16 and 7/8 full. Entries
+/// are never erased.
+///
+/// The whole training and serving stack keeps speaking float
+/// `FactorEntry`s (or float rows in a caller's buffer) while a
+/// million-entry store holds an 80-byte record per entry at fp16
+/// instead of 144 at fp32 (see BytesPerEntry). Every read decodes, so at
+/// fp16 the serving path pays one decode per candidate per request.
 ///
 /// New ids are lazily initialized with small random values drawn from a
 /// deterministic per-id stream, so "new users and items can be easily
 /// added" (Section 3.3) and initialization is reproducible regardless of
 /// arrival order.
 ///
-/// Writes to an existing entry quantize into its payload in place, and
-/// GetOrInitVideo has a variant that dequantizes into a caller's buffer,
-/// so the steady-state update path allocates nothing here.
+/// Writes to an existing entry quantize into its record in place, and
+/// the read paths the server runs (GetVideosInto, GetUserInto,
+/// GetOrInitVideo's buffer form) dequantize into a caller's buffer, so
+/// steady-state reads and updates allocate nothing here.
 class FactorStore {
  public:
   /// Lock stripes per id space (a power of two).
@@ -81,12 +95,11 @@ class FactorStore {
   int num_factors() const { return options_.num_factors; }
   FactorPrecision precision() const { return options_.precision; }
 
-  /// Fixed storage cost of one entry: the packed struct (pointer + bias,
-  /// padded to 16 bytes) plus the quantized payload. Hash-map node and bucket
-  /// overhead is excluded — the bench's RSS rows carry the honest total.
-  std::size_t BytesPerEntry() const {
-    return sizeof(PackedFactorEntry) + payload_bytes_;
-  }
+  /// Bytes of one slot's record: the 16-byte header (id, bias, reserved)
+  /// plus the inline quantized payload, rounded up to 8 bytes. The
+  /// control byte and the empty slots of a table between 7/16 and 7/8
+  /// full are excluded; the bench's RSS rows carry the honest total.
+  std::size_t BytesPerEntry() const { return record_bytes_; }
 
   /// BytesPerEntry summed over every stored user and video entry.
   std::size_t ApproxFactorBytes() const {
@@ -107,6 +120,11 @@ class FactorStore {
   /// Returns the user entry, or NotFound without creating it.
   StatusOr<FactorEntry> GetUser(UserId u) const;
 
+  /// GetUser into a caller's buffer: when `u` is stored, writes its
+  /// vector into `vec` (exactly num_factors floats) and its bias into
+  /// `bias` and returns true; otherwise returns false and writes nothing.
+  bool GetUserInto(UserId u, std::span<float> vec, float& bias) const;
+
   /// Returns the video entry, or NotFound without creating it.
   StatusOr<FactorEntry> GetVideo(VideoId i) const;
 
@@ -118,9 +136,20 @@ class FactorStore {
     FactorEntry entry;
   };
 
-  /// Batched VectorsGet (Fig. 1): fetches all ids in one pass, grouping
-  /// them by stripe and taking each stripe lock exactly once instead of
-  /// once per id. Results are aligned with `ids`.
+  /// Batched VectorsGet (Fig. 1) into caller-owned buffers: fetches all
+  /// ids in one pass, grouping them by stripe and taking each stripe lock
+  /// once per pass instead of once per id. For each stored ids[k], writes
+  /// its vector into rows[k * num_factors, (k + 1) * num_factors), its
+  /// bias into biases[k] and true into found[k]; an absent id gets
+  /// found[k] = false and its row and bias are left as they were (the
+  /// caller scores it with MakeInitialEntryInto). `rows` holds at least
+  /// ids.size() * num_factors floats, `biases` and `found` at least
+  /// ids.size(). Returns the number of ids found. Allocates nothing.
+  std::size_t GetVideosInto(std::span<const VideoId> ids,
+                            std::span<float> rows, std::span<float> biases,
+                            std::span<bool> found) const;
+
+  /// GetVideosInto with owned results aligned with `ids`.
   std::vector<VideoBatchEntry> GetVideos(std::span<const VideoId> ids) const;
 
   /// Overwrites the user entry (MFStorage bolt write path). The vector
@@ -167,54 +196,104 @@ class FactorStore {
   /// Deterministically initializes an entry for `id` without storing it.
   FactorEntry MakeInitialEntry(std::uint64_t id, bool is_user) const;
 
- private:
-  /// Quantized in-memory form of one entry: 16 bytes of struct (the
-  /// bias is padded to the pointer's alignment) plus the payload the
-  /// unique_ptr owns (num_factors * factor width).
-  struct PackedFactorEntry {
-    std::unique_ptr<std::byte[]> data;
-    float bias = 0.0f;
-  };
-  static_assert(sizeof(PackedFactorEntry) == 16);
+  /// MakeInitialEntry's vector written into `vec` (exactly num_factors
+  /// floats); the initial bias is always 0.
+  void MakeInitialEntryInto(std::uint64_t id, bool is_user,
+                            std::span<float> vec) const;
 
-  struct Stripe {
+ private:
+  /// A record's fixed fields; the packed payload follows them inline.
+  struct RecordHeader {
+    std::uint64_t id = 0;
+    float bias = 0.0f;
+    std::uint32_t reserved = 0;
+  };
+  static_assert(sizeof(RecordHeader) == 16);
+
+  /// Control byte of an empty slot; a full slot holds a 7-bit tag.
+  static constexpr std::uint8_t kEmpty = 0x80;
+  /// Slots of a stripe's first table.
+  static constexpr std::size_t kMinCapacity = 16;
+
+  /// One lock stripe of an id space: an open-addressing table (see the
+  /// class comment). Aligned so neighbouring stripes' mutexes do not
+  /// share a cache line.
+  struct alignas(64) Stripe {
     mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, PackedFactorEntry> map;
+    /// `capacity` control bytes.
+    std::unique_ptr<std::uint8_t[]> ctrl;
+    /// `capacity` records of record_bytes_ each.
+    std::unique_ptr<std::byte[]> records;
+    /// 0 before the first insert, else a power of two.
+    std::size_t capacity = 0;
+    std::size_t size = 0;
   };
 
   /// One id space (users or videos) split over kStripes lock stripes.
-  struct Table {
-    Table();
+  /// The low bits of an id's hash pick its stripe, the next bits its
+  /// home slot, the top 7 bits its tag.
+  using Table = std::array<Stripe, kStripes>;
 
-    static std::size_t IndexOf(std::uint64_t id) {
-      return MixHash64(id) & (kStripes - 1);
-    }
-    Stripe& StripeFor(std::uint64_t id) { return *stripes[IndexOf(id)]; }
-    const Stripe& StripeFor(std::uint64_t id) const {
-      return *stripes[IndexOf(id)];
-    }
+  static std::size_t StripeIndex(std::uint64_t hash) {
+    return hash & (kStripes - 1);
+  }
+  static std::size_t HomeSlot(std::uint64_t hash) { return hash >> 4; }
+  static std::uint8_t Tag(std::uint64_t hash) {
+    return static_cast<std::uint8_t>(hash >> 57);
+  }
 
-    std::array<std::unique_ptr<Stripe>, kStripes> stripes;
-  };
+  std::byte* RecordAt(const Stripe& stripe, std::size_t slot) const {
+    return stripe.records.get() + slot * record_bytes_;
+  }
+  static RecordHeader& Header(std::byte* record) {
+    return *std::launder(reinterpret_cast<RecordHeader*>(record));
+  }
+  static const RecordHeader& Header(const std::byte* record) {
+    return *std::launder(reinterpret_cast<const RecordHeader*>(record));
+  }
+  static std::byte* Payload(std::byte* record) {
+    return record + sizeof(RecordHeader);
+  }
 
-  /// Quantizes `vec` into `packed`'s payload, allocating the payload only
-  /// for a new entry.
+  /// The record of `id` in `stripe`, or nullptr. Caller holds `stripe.mu`.
+  std::byte* Find(const Stripe& stripe, std::uint64_t id,
+                  std::uint64_t hash) const;
+  /// The record of `id`, inserted with its header set and its payload
+  /// unwritten if absent (`*inserted` says which). Grows the stripe first
+  /// when the insert would take it past 7/8 full. Caller holds `stripe.mu`.
+  std::byte* FindOrInsert(Stripe& stripe, std::uint64_t id,
+                          std::uint64_t hash, bool* inserted) const;
+  /// Rehashes every record of `stripe` into a table of `capacity` slots.
+  void Rehash(Stripe& stripe, std::size_t capacity) const;
+
+  /// Quantizes `vec` (truncated / zero-padded to num_factors) into the
+  /// record's payload and sets its bias.
   void PackInto(std::span<const float> vec, float bias,
-                PackedFactorEntry& packed) const;
-  /// Installs a raw payload of payload_bytes_ into `packed` (same reuse).
-  void StorePacked(float bias, const std::byte* data,
-                   PackedFactorEntry& packed) const;
-  void UnpackInto(const PackedFactorEntry& packed, float* vec) const;
-  FactorEntry Unpack(const PackedFactorEntry& packed) const;
-
-  /// The stored entry for `id`, created from MakeInitialEntry if absent.
-  /// Caller holds `stripe.mu`.
-  const PackedFactorEntry& FindOrInit(Stripe& stripe, std::uint64_t id,
-                                      bool is_user);
+                std::byte* record) const;
+  /// Dequantizes the record's payload into `vec` (num_factors floats).
+  void UnpackInto(const std::byte* record, float* vec) const;
+  /// Reads `id`'s entry from `table` into `vec` and `bias`; false if
+  /// absent.
+  bool ReadInto(const Table& table, std::uint64_t id, float* vec,
+                float& bias) const;
+  /// Writes `id`'s vector from `table` into `vec` and returns its bias,
+  /// storing MakeInitialEntry's first if `id` is absent.
+  float GetOrInitInto(Table& table, std::uint64_t id, bool is_user,
+                      std::span<float> vec);
+  void Put(Table& table, std::uint64_t id, std::span<const float> vec,
+           float bias);
+  bool PutPacked(Table& table, std::uint64_t id, float bias,
+                 const std::byte* data, std::size_t size);
+  void ForEachPacked(
+      const Table& table,
+      const std::function<void(std::uint64_t, const PackedView&)>& fn) const;
+  static std::size_t Count(const Table& table);
 
   Options options_;
   /// num_factors * FactorWidthBytes(precision), cached at construction.
   std::size_t payload_bytes_ = 0;
+  /// sizeof(RecordHeader) + payload_bytes_, rounded up to 8 bytes.
+  std::size_t record_bytes_ = 0;
   Table users_;
   Table videos_;
 

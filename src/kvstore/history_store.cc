@@ -67,19 +67,25 @@ std::vector<HistoryEntry> HistoryStore::Get(UserId user) const {
 
 std::vector<HistoryEntry> HistoryStore::GetRecent(UserId user,
                                                   std::size_t limit) const {
+  std::vector<HistoryEntry> out;
+  GetRecentInto(user, limit, out);
+  return out;
+}
+
+void HistoryStore::GetRecentInto(UserId user, std::size_t limit,
+                                 std::vector<HistoryEntry>& out) const {
+  out.clear();
   const Stripe& stripe = StripeFor(user);
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.map.find(user);
-  if (it == stripe.map.end()) return {};
+  if (it == stripe.map.end()) return;
   const std::vector<HistoryEntry>& history = it->second;
-  std::vector<HistoryEntry> out;
   const std::size_t n = std::min(limit, history.size());
   out.reserve(n);
   // Newest first.
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(history[history.size() - 1 - i]);
   }
-  return out;
 }
 
 std::size_t HistoryStore::NumUsers() const {

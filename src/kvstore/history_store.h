@@ -57,6 +57,11 @@ class HistoryStore {
   /// Most recent at most `limit` entries for `user`, newest first.
   std::vector<HistoryEntry> GetRecent(UserId user, std::size_t limit) const;
 
+  /// GetRecent into a caller's buffer: replaces the contents of `out`,
+  /// reusing its capacity.
+  void GetRecentInto(UserId user, std::size_t limit,
+                     std::vector<HistoryEntry>& out) const;
+
   /// GetRecent followed by Append under one stripe lock: appends to
   /// `recent` the videos of `user`'s most recent at most `limit` entries,
   /// newest first, leaving out `entry.video`; then, if `append`, appends

@@ -66,11 +66,16 @@ bool SimTableStore::EnsureRoom(Stripe& stripe, List& list) {
   return true;
 }
 
+double SimTableStore::DecayFactor(Timestamp update_time,
+                                  Timestamp now) const {
+  const double dt = static_cast<double>(now - update_time);
+  if (dt <= 0) return 1.0;  // Future-stamped entries do not grow.
+  return std::exp2(-dt / options_.xi_millis);
+}
+
 double SimTableStore::Decay(double sim, Timestamp update_time,
                             Timestamp now) const {
-  const double dt = static_cast<double>(now - update_time);
-  if (dt <= 0) return sim;  // Future-stamped entries do not grow.
-  return sim * std::exp2(-dt / options_.xi_millis);
+  return sim * DecayFactor(update_time, now);
 }
 
 bool SimTableStore::Prunable(const SimilarVideo& entry, Timestamp now) const {
@@ -142,28 +147,48 @@ void SimTableStore::UpdateOneDirection(VideoId from, VideoId to, double sim,
 
 std::vector<SimilarVideo> SimTableStore::Query(VideoId video, Timestamp now,
                                                std::size_t limit) const {
+  std::vector<SimilarVideo> out;
+  QueryInto(video, now, limit, out);
+  return out;
+}
+
+void SimTableStore::QueryInto(VideoId video, Timestamp now, std::size_t limit,
+                              std::vector<SimilarVideo>& out) const {
+  out.clear();
   const Stripe& stripe = StripeFor(video);
-  std::vector<SimilarVideo> decayed;
   {
     std::lock_guard<std::mutex> lock(stripe.mu);
     auto it = stripe.map.find(video);
-    if (it == stripe.map.end()) return {};
+    if (it == stripe.map.end()) return;
     const List& list = it->second;
-    decayed.reserve(list.size);
+    // One action refreshes several of a list's pairs at once, so
+    // neighbouring entries often share an update time; their decay
+    // factor is computed once (Decay's value, bit for bit).
+    Timestamp factor_time = 0;
+    double factor = 1.0;
+    bool have_factor = false;
     for (std::uint32_t i = 0; i < list.size; ++i) {
       const SimilarVideo& e = list.slots[i];
-      const double s = Decay(e.similarity, e.update_time, now);
+      if (!have_factor || e.update_time != factor_time) {
+        factor_time = e.update_time;
+        factor = DecayFactor(e.update_time, now);
+        have_factor = true;
+      }
+      const double s = e.similarity * factor;
       if (s >= kPruneThreshold) {
-        decayed.push_back(SimilarVideo{e.video, s, e.update_time});
+        out.push_back(SimilarVideo{e.video, s, e.update_time});
       }
     }
   }
-  std::sort(decayed.begin(), decayed.end(),
+  // Ties in decayed similarity are common (one action refreshes several
+  // pairs at the same time), and which tied entries survive the `limit`
+  // cut is this sort's choice: candidate sets, and so served pages,
+  // depend on it, so a partial sort here would change pages.
+  std::sort(out.begin(), out.end(),
             [](const SimilarVideo& x, const SimilarVideo& y) {
               return x.similarity > y.similarity;
             });
-  if (decayed.size() > limit) decayed.resize(limit);
-  return decayed;
+  if (out.size() > limit) out.resize(limit);
 }
 
 double SimTableStore::GetDecayedSimilarity(VideoId a, VideoId b,

@@ -83,6 +83,12 @@ class SimTableStore {
   std::vector<SimilarVideo> Query(VideoId video, Timestamp now,
                                   std::size_t limit) const;
 
+  /// Query into a caller's buffer: replaces the contents of `out` with
+  /// the same entries in the same order, reusing its capacity, so a
+  /// buffer kept across calls allocates nothing once it has grown.
+  void QueryInto(VideoId video, Timestamp now, std::size_t limit,
+                 std::vector<SimilarVideo>& out) const;
+
   /// Decayed similarity of the (a, b) pair at `now`, or 0 if unknown.
   double GetDecayedSimilarity(VideoId a, VideoId b, Timestamp now) const;
 
@@ -148,6 +154,9 @@ class SimTableStore {
 
   void UpdateOneDirection(VideoId from, VideoId to, double sim,
                           Timestamp now);
+  /// d_ij = 2^(-Δt/ξ) of Eq. 11, 1 for a future-stamped entry.
+  double DecayFactor(Timestamp update_time, Timestamp now) const;
+  /// sim · DecayFactor(update_time, now).
   double Decay(double sim, Timestamp update_time, Timestamp now) const;
   /// Decay(entry, now) < kPruneThreshold, skipping exp2 where a lower
   /// bound on the decay already decides it.

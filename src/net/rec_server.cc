@@ -185,8 +185,9 @@ class RecServer::Worker {
     }
   }
 
-  /// Drains the socket and handles every complete frame. Returns false
-  /// if the connection must be closed now (EOF or fatal error).
+  /// Reads until the socket is drained (a short read or EAGAIN) and
+  /// handles every complete frame. Returns false if the connection must
+  /// be closed now (EOF or fatal error).
   bool ReadAndHandle(Connection* conn) {
     char buf[64 * 1024];
     while (!conn->close_after_flush) {
@@ -216,6 +217,10 @@ class RecServer::Worker {
             0, WireError::kMalformedFrame, frame.status().message()));
         conn->close_after_flush = true;
       }
+      // A short read drained the socket: stop without the read that
+      // would only return EAGAIN. Epoll is level-triggered, so bytes
+      // that arrive later report the socket readable again.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
     }
     return true;
   }

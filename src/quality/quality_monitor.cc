@@ -100,6 +100,8 @@ QualityMonitor::QualityMonitor(MetricsRegistry* metrics, Options options)
   alert_coverage_ = metrics_->GetCounter("quality.alerts.coverage");
 
   ring_.resize(kRingSize);
+  user_heads_.Reset(kRingSize);
+  served_video_counts_.Reset(kRingSize);
 }
 
 void QualityMonitor::Alert(Counter* counter, const char* kind,
@@ -242,26 +244,10 @@ void QualityMonitor::OnServed(UserId user,
 
   std::lock_guard<std::mutex> lock(ring_mu_);
   for (std::size_t k = 0; k < results.size(); ++k) {
-    Slot& slot = ring_[ring_next_];
+    const std::uint32_t index = static_cast<std::uint32_t>(ring_next_);
     ring_next_ = (ring_next_ + 1) % ring_.size();
-    if (slot.occupied) {
-      // Eagerly unlink the evicted impression from both side indexes so
-      // the join stays O(slots-per-user), not O(ring).
-      auto it = slots_by_user_.find(slot.user);
-      if (it != slots_by_user_.end()) {
-        auto& indices = it->second;
-        const std::uint32_t evicted = static_cast<std::uint32_t>(
-            (&slot - ring_.data()));
-        indices.erase(std::remove(indices.begin(), indices.end(), evicted),
-                      indices.end());
-        if (indices.empty()) slots_by_user_.erase(it);
-      }
-      auto vit = served_video_counts_.find(slot.video);
-      if (vit != served_video_counts_.end() && --vit->second == 0) {
-        served_video_counts_.erase(vit);
-      }
-      --ring_occupied_;
-    }
+    Slot& slot = ring_[index];
+    if (slot.occupied) Evict(index);
     slot.user = user;
     slot.video = results[k].video;
     slot.served_at = now;
@@ -271,9 +257,13 @@ void QualityMonitor::OnServed(UserId user,
     slot.clicked = false;
     slot.occupied = true;
     ++ring_occupied_;
-    slots_by_user_[user].push_back(
-        static_cast<std::uint32_t>(&slot - ring_.data()));
-    ++served_video_counts_[slot.video];
+    // The new slot becomes the head of its user's chain.
+    std::uint32_t& head = user_heads_.FindOrInsert(user);
+    slot.older = head == 0 ? kNoSlot : head - 1;
+    slot.newer = kNoSlot;
+    if (head != 0) ring_[head - 1].newer = index;
+    head = index + 1;
+    ++served_video_counts_.FindOrInsert(slot.video);
   }
 
   const std::int64_t n = static_cast<std::int64_t>(results.size());
@@ -310,24 +300,38 @@ void QualityMonitor::OnServed(UserId user,
   }
 }
 
+void QualityMonitor::Evict(std::uint32_t index) {
+  Slot& slot = ring_[index];
+  assert(slot.occupied && slot.older == kNoSlot);
+  if (slot.newer != kNoSlot) {
+    ring_[slot.newer].older = kNoSlot;
+  } else {
+    user_heads_.Erase(slot.user);  // The user's last live slot.
+  }
+  std::uint32_t* count = served_video_counts_.Find(slot.video);
+  assert(count != nullptr);
+  if (--*count == 0) served_video_counts_.Erase(slot.video);
+  slot.occupied = false;
+  --ring_occupied_;
+}
+
 void QualityMonitor::OnEngagement(const UserAction& action) {
   if (action.type == ActionType::kImpress) return;
 
   std::lock_guard<std::mutex> lock(ring_mu_);
-  auto it = slots_by_user_.find(action.user);
   Slot* match = nullptr;
-  if (it != slots_by_user_.end()) {
-    // Most-recent first: a re-served video joins its newest impression.
-    for (auto idx = it->second.rbegin(); idx != it->second.rend(); ++idx) {
-      Slot& slot = ring_[*idx];
-      if (!slot.occupied || slot.video != action.video) continue;
-      if (action.time < slot.served_at ||
-          action.time - slot.served_at > kJoinWindowMs) {
-        continue;
-      }
-      match = &slot;
-      break;
+  const std::uint32_t* head = user_heads_.Find(action.user);
+  // Most-recent first: a re-served video joins its newest impression.
+  for (std::uint32_t index = head == nullptr ? kNoSlot : *head - 1;
+       index != kNoSlot; index = ring_[index].older) {
+    Slot& slot = ring_[index];
+    if (slot.video != action.video) continue;
+    if (action.time < slot.served_at ||
+        action.time - slot.served_at > kJoinWindowMs) {
+      continue;
     }
+    match = &slot;
+    break;
   }
   if (match == nullptr) {
     // An engagement we never served (organic traffic, expired slot, or a

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "common/metrics.h"
 #include "common/types.h"
 #include "core/action.h"
@@ -161,17 +162,29 @@ class QualityMonitor : public MfValidationHook {
     void Impress(std::int64_t n) const;
   };
 
-  /// One served impression awaiting its engagement.
+  /// Ring index that ends a user's slot chain.
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// One served impression awaiting its engagement. A user's live slots
+  /// form a chain through the ring, newest first: the chain's head is in
+  /// user_heads_, `older` and `newer` link its members.
   struct Slot {
     UserId user = 0;
     VideoId video = 0;
     Timestamp served_at = 0;
     std::uint32_t position = 0;
     std::uint32_t arm = 0;
+    std::uint32_t older = kNoSlot;
+    std::uint32_t newer = kNoSlot;
     bool degraded = false;
     bool clicked = false;
     bool occupied = false;
   };
+
+  /// Drops the occupied slot `index` from both indexes. The ring evicts
+  /// in serve order, so it is the oldest slot of its user's chain.
+  /// Requires ring_mu_.
+  void Evict(std::uint32_t index);
 
   void CheckTrainingWatchdog();  // Requires progressive_mu_.
   void Alert(Counter* counter, const char* kind, const std::string& detail);
@@ -215,10 +228,12 @@ class QualityMonitor : public MfValidationHook {
   std::vector<Slot> ring_;
   std::size_t ring_next_ = 0;
   std::size_t ring_occupied_ = 0;
-  /// user → indices of their live slots (eagerly pruned on overwrite).
-  std::unordered_map<UserId, std::vector<std::uint32_t>> slots_by_user_;
+  /// user → 1 + ring index of their newest live slot. Sized once for
+  /// kRingSize keys (every live slot could belong to a distinct user),
+  /// so serving never allocates or frees under ring_mu_.
+  FlatIdMap user_heads_;
   /// video → live-slot count; its size is the distinct served catalog.
-  std::unordered_map<VideoId, std::uint32_t> served_video_counts_;
+  FlatIdMap served_video_counts_;
   double weighted_clicks_ = 0.0;  // Σ over clicks of position_bias^-k.
   CtrSegment overall_;
   CtrSegment primary_;

@@ -131,12 +131,44 @@ TEST_F(CheckpointTest, FullEngineStateSurvivesRestart) {
   EXPECT_EQ(*before, *after);
 }
 
+/// The state V3BytesArePinned saves and ParentWrittenV3FixturesLoad
+/// expects back, written through the stores' Put paths with no training.
+void FillPinnedState(RecEngine& engine) {
+  for (UserId u = 1; u <= 12; ++u) {
+    std::vector<float> vec(8);
+    for (int k = 0; k < 8; ++k) {
+      vec[static_cast<std::size_t>(k)] =
+          static_cast<float>(static_cast<int>(u) * 3 - k * 5) / 37.0f;
+    }
+    engine.factors().PutUser(u, vec, static_cast<float>(u) * 0.125f);
+  }
+  for (VideoId v = 1; v <= 20; ++v) engine.factors().GetOrInitVideo(v);
+  for (VideoId v = 1; v <= 10; ++v) {
+    engine.sim_table().Update(v, v + 3, 0.05 * static_cast<double>(v),
+                              1000 * static_cast<Timestamp>(v));
+  }
+  for (UserId u = 1; u <= 6; ++u) {
+    for (VideoId v = u; v < u + 4; ++v) {
+      engine.history().Append(u, {v, 0.5 * static_cast<double>(v),
+                                  static_cast<Timestamp>(100 * v)});
+    }
+  }
+}
+
+RecEngine::Options PinnedOptions(FactorPrecision precision) {
+  RecEngine::Options options;
+  options.model.num_factors = 8;
+  options.model.precision = precision;
+  return options;
+}
+
 TEST_F(CheckpointTest, V3BytesArePinned) {
-  // The v3 layout, the stores' stripe layout and iteration order, and the
-  // codecs all show up in the saved bytes. The state is written through
-  // the stores' Put paths, with no training, so the file depends on
-  // nothing but those. A change to any of them changes a length or a
-  // section CRC below and breaks every snapshot already on disk.
+  // The v3 layout, the factor entries' id order, the sim-table and
+  // history stores' iteration order, and the codecs all show up in the
+  // saved bytes. The state is written through the stores' Put paths,
+  // with no training, so the file depends on nothing but those. A change
+  // to any of them changes a length or a section CRC below and breaks
+  // every snapshot already on disk.
   //
   // The pins are per section: each section's stored CRC-32 covers its
   // bytes. A CRC-32 of the whole file would not do: every section is
@@ -149,40 +181,21 @@ TEST_F(CheckpointTest, V3BytesArePinned) {
     // (length, CRC-32) of the factor, sim-table and history sections.
     std::pair<std::uint64_t, std::uint32_t> sections[3];
   };
-  // Recorded from the v3 writer that also kept the rating mean μ, on the
-  // same store (its rating slots were 0 too).
+  // The factor CRCs are those of the files in tests/data (written when
+  // factor entries came out in hash-map order) with each id space's
+  // entries sorted by id; the other pins are unchanged.
   const Pinned pins[] = {
       {FactorPrecision::kFloat32,
        3045,
-       {{1701, 3012435058u}, {644, 1734104884u}, {656, 1513543312u}}},
+       {{1701, 4087493669u}, {644, 1734104884u}, {656, 1513543312u}}},
       {FactorPrecision::kFloat16,
        2533,
-       {{1189, 224071658u}, {644, 1734104884u}, {656, 1513543312u}}},
+       {{1189, 3712527984u}, {644, 1734104884u}, {656, 1513543312u}}},
   };
   for (const Pinned& pinned : pins) {
-    RecEngine::Options options;
-    options.model.num_factors = 8;
-    options.model.precision = pinned.precision;
-    RecEngine engine([](VideoId) -> VideoType { return 0; }, options);
-    for (UserId u = 1; u <= 12; ++u) {
-      std::vector<float> vec(8);
-      for (int k = 0; k < 8; ++k) {
-        vec[static_cast<std::size_t>(k)] =
-            static_cast<float>(static_cast<int>(u) * 3 - k * 5) / 37.0f;
-      }
-      engine.factors().PutUser(u, vec, static_cast<float>(u) * 0.125f);
-    }
-    for (VideoId v = 1; v <= 20; ++v) engine.factors().GetOrInitVideo(v);
-    for (VideoId v = 1; v <= 10; ++v) {
-      engine.sim_table().Update(v, v + 3, 0.05 * static_cast<double>(v),
-                                1000 * static_cast<Timestamp>(v));
-    }
-    for (UserId u = 1; u <= 6; ++u) {
-      for (VideoId v = u; v < u + 4; ++v) {
-        engine.history().Append(u, {v, 0.5 * static_cast<double>(v),
-                                    static_cast<Timestamp>(100 * v)});
-      }
-    }
+    RecEngine engine([](VideoId) -> VideoType { return 0; },
+                     PinnedOptions(pinned.precision));
+    FillPinnedState(engine);
     ASSERT_TRUE(SaveCheckpoint(path_.string(), &engine.factors(),
                                &engine.sim_table(), &engine.history())
                     .ok());
@@ -203,6 +216,83 @@ TEST_F(CheckpointTest, V3BytesArePinned) {
       pos += len + sizeof(std::uint32_t);
     }
     EXPECT_EQ(pos, bytes.size());
+  }
+}
+
+TEST_F(CheckpointTest, ParentWrittenV3FixturesLoad) {
+  // tests/data holds V3BytesArePinned's state as written by the v3 writer
+  // that emitted factor entries in hash-map order. Every snapshot of that
+  // writer must keep loading bit-exactly.
+  for (const FactorPrecision precision :
+       {FactorPrecision::kFloat32, FactorPrecision::kFloat16}) {
+    SCOPED_TRACE(FactorPrecisionToString(precision));
+    const std::string fixture =
+        std::string(RTREC_TEST_DATA_DIR) + "/checkpoint_v3_" +
+        (precision == FactorPrecision::kFloat32 ? "fp32" : "fp16") + ".bin";
+    const auto resolver = [](VideoId) -> VideoType { return 0; };
+    RecEngine expected(resolver, PinnedOptions(precision));
+    FillPinnedState(expected);
+    RecEngine loaded(resolver, PinnedOptions(precision));
+    ASSERT_TRUE(LoadCheckpoint(fixture, &loaded.factors(), &loaded.sim_table(),
+                               &loaded.history())
+                    .ok());
+
+    EXPECT_EQ(loaded.factors().NumUsers(), 12u);
+    EXPECT_EQ(loaded.factors().NumVideos(), 20u);
+    const auto same_bits = [](const FactorEntry& a, const FactorEntry& b) {
+      return a.bias == b.bias && a.vec.size() == b.vec.size() &&
+             std::memcmp(a.vec.data(), b.vec.data(),
+                         a.vec.size() * sizeof(float)) == 0;
+    };
+    for (UserId u = 1; u <= 12; ++u) {
+      auto want = expected.factors().GetUser(u);
+      auto got = loaded.factors().GetUser(u);
+      ASSERT_TRUE(want.ok() && got.ok()) << u;
+      EXPECT_TRUE(same_bits(*want, *got)) << "user " << u;
+    }
+    for (VideoId v = 1; v <= 20; ++v) {
+      auto want = expected.factors().GetVideo(v);
+      auto got = loaded.factors().GetVideo(v);
+      ASSERT_TRUE(want.ok() && got.ok()) << v;
+      EXPECT_TRUE(same_bits(*want, *got)) << "video " << v;
+    }
+    for (VideoId v = 1; v <= 13; ++v) {
+      for (VideoId w = 1; w <= 13; ++w) {
+        EXPECT_EQ(loaded.sim_table().GetDecayedSimilarity(v, w, 20000),
+                  expected.sim_table().GetDecayedSimilarity(v, w, 20000));
+      }
+    }
+    for (UserId u = 1; u <= 6; ++u) {
+      const std::vector<HistoryEntry> want = expected.history().Get(u);
+      const std::vector<HistoryEntry> got = loaded.history().Get(u);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].video, want[i].video);
+        EXPECT_EQ(got[i].weight, want[i].weight);
+        EXPECT_EQ(got[i].time, want[i].time);
+      }
+    }
+
+    // Saved again, the same state comes out in id order: the file is
+    // V3BytesArePinned's, so its bytes match a fresh save of `expected`.
+    ASSERT_TRUE(SaveCheckpoint(path_.string(), &loaded.factors(),
+                               &loaded.sim_table(), &loaded.history())
+                    .ok());
+    std::ifstream resaved_in(path_, std::ios::binary);
+    const std::string resaved((std::istreambuf_iterator<char>(resaved_in)),
+                              std::istreambuf_iterator<char>());
+    ASSERT_TRUE(SaveCheckpoint(path_.string(), &expected.factors(),
+                               &expected.sim_table(), &expected.history())
+                    .ok());
+    std::ifstream fresh_in(path_, std::ios::binary);
+    const std::string fresh((std::istreambuf_iterator<char>(fresh_in)),
+                            std::istreambuf_iterator<char>());
+    // magic(8), u64 factor length, the factor section, its CRC.
+    std::uint64_t factor_len = 0;
+    std::memcpy(&factor_len, fresh.data() + 8, sizeof(factor_len));
+    const std::size_t factor_end = 8 + 8 + factor_len + 4;
+    EXPECT_EQ(resaved.substr(0, factor_end), fresh.substr(0, factor_end))
+        << "factor sections differ";
   }
 }
 

@@ -5,9 +5,15 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
+#include "common/types.h"
 
 namespace rtrec {
 namespace {
@@ -251,6 +257,198 @@ TEST(FactorStoreTest, ForEachVideoPackedVisitsAll) {
         ++visited;
       });
   EXPECT_EQ(visited, 20u);
+}
+
+/// A vector of `f` floats every one of which is `value`, so a torn read
+/// (halves of two writes) shows as a row that is not uniform.
+std::vector<float> Uniform(std::size_t f, float value) {
+  return std::vector<float>(f, value);
+}
+
+/// GetVideosInto for `ids` into fresh buffers; the found flags as bytes.
+struct BatchRead {
+  std::vector<float> rows;
+  std::vector<float> biases;
+  std::unique_ptr<bool[]> found;
+  std::size_t hits = 0;
+};
+BatchRead ReadBatch(const FactorStore& store, const std::vector<VideoId>& ids) {
+  BatchRead out;
+  const std::size_t f = static_cast<std::size_t>(store.num_factors());
+  out.rows.assign(ids.size() * f, -1.0f);
+  out.biases.assign(ids.size(), -1.0f);
+  out.found = std::make_unique<bool[]>(ids.size());
+  out.hits = store.GetVideosInto(ids, out.rows, out.biases,
+                                 {out.found.get(), ids.size()});
+  return out;
+}
+
+TEST(FlatFactorTableTest, InterleavedPutGetMatchesMapThroughRehashes) {
+  // 6,000 ids over 16 stripes: each stripe's table grows 16 → 32 → … →
+  // 512 slots, rehashing five times, while puts, overwrites and reads
+  // interleave. Every read must match a std::map of the last writes.
+  FactorStore store(SmallOptions());
+  std::map<VideoId, std::pair<float, float>> reference;  // id → (value, bias)
+  Rng rng(77);
+  std::vector<VideoId> pool;
+  for (int i = 0; i < 6000; ++i) pool.push_back(rng.NextUint64());
+  for (int step = 0; step < 20000; ++step) {
+    const VideoId id =
+        pool[rng.NextUint64(std::min<std::size_t>(pool.size(), 300 + step / 3))];
+    if (rng.NextUint64(3) != 0) {
+      const float value = static_cast<float>(step);
+      store.PutVideo(id, Uniform(8, value), -value);
+      reference[id] = {value, -value};
+    }
+    const VideoId probe = pool[rng.NextUint64(pool.size())];
+    auto got = store.GetVideo(probe);
+    auto want = reference.find(probe);
+    ASSERT_EQ(got.ok(), want != reference.end()) << "step " << step;
+    if (got.ok()) {
+      EXPECT_EQ(got->vec, Uniform(8, want->second.first));
+      EXPECT_EQ(got->bias, want->second.second);
+    }
+  }
+  EXPECT_EQ(store.NumVideos(), reference.size());
+  EXPECT_EQ(store.NumUsers(), 0u);
+
+  // One batch over every pool id (absent ones included) agrees too.
+  const BatchRead batch = ReadBatch(store, pool);
+  EXPECT_EQ(batch.hits, reference.size());
+  for (std::size_t k = 0; k < pool.size(); ++k) {
+    auto want = reference.find(pool[k]);
+    ASSERT_EQ(batch.found[k], want != reference.end()) << k;
+    if (!batch.found[k]) {
+      EXPECT_EQ(batch.rows[k * 8], -1.0f);  // Left as it was.
+      EXPECT_EQ(batch.biases[k], -1.0f);
+      continue;
+    }
+    for (std::size_t j = 0; j < 8; ++j) {
+      EXPECT_EQ(batch.rows[k * 8 + j], want->second.first);
+    }
+    EXPECT_EQ(batch.biases[k], want->second.second);
+  }
+
+  std::size_t visited = 0;
+  store.ForEachVideoPacked([&](VideoId id, const FactorStore::PackedView& v) {
+    ++visited;
+    auto want = reference.find(id);
+    ASSERT_NE(want, reference.end());
+    EXPECT_EQ(v.bias, want->second.second);
+  });
+  EXPECT_EQ(visited, reference.size());
+}
+
+TEST(FlatFactorTableTest, ExtremeIdsAreStoredAndFound) {
+  // No id is reserved as an empty marker: 0 and UINT64_MAX are ids like
+  // any other, in both id spaces.
+  FactorStore store(SmallOptions());
+  const VideoId max_id = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_FALSE(store.GetVideo(0).ok());
+  EXPECT_FALSE(store.GetUser(max_id).ok());
+  store.PutVideo(0, Uniform(8, 1.0f), 0.5f);
+  store.PutVideo(max_id, Uniform(8, 2.0f), 1.5f);
+  store.PutUser(0, Uniform(8, 3.0f), 2.5f);
+  store.PutUser(max_id, Uniform(8, 4.0f), 3.5f);
+  EXPECT_EQ(store.NumVideos(), 2u);
+  EXPECT_EQ(store.NumUsers(), 2u);
+  EXPECT_EQ(store.GetVideo(0)->vec, Uniform(8, 1.0f));
+  EXPECT_EQ(store.GetVideo(max_id)->bias, 1.5f);
+  EXPECT_EQ(store.GetUser(0)->vec, Uniform(8, 3.0f));
+  EXPECT_EQ(store.GetUser(max_id)->bias, 3.5f);
+
+  std::vector<float> row(8);
+  float bias = 0.0f;
+  ASSERT_TRUE(store.GetUserInto(max_id, row, bias));
+  EXPECT_EQ(row, Uniform(8, 4.0f));
+  EXPECT_EQ(bias, 3.5f);
+  EXPECT_FALSE(store.GetUserInto(1, row, bias));
+
+  const BatchRead batch = ReadBatch(store, {max_id, 1, 0});
+  EXPECT_EQ(batch.hits, 2u);
+  EXPECT_TRUE(batch.found[0]);
+  EXPECT_FALSE(batch.found[1]);
+  EXPECT_TRUE(batch.found[2]);
+  EXPECT_EQ(batch.rows[0], 2.0f);
+  EXPECT_EQ(batch.rows[16], 1.0f);
+  EXPECT_EQ(batch.biases[0], 1.5f);
+  EXPECT_EQ(batch.biases[2], 0.5f);
+}
+
+TEST(FlatFactorTableTest, ApproxFactorBytesStaysExactAcrossGrowth) {
+  // One record per stored entry, whatever the table's load: the figure
+  // counts entries, not slots, at every size the tables pass through.
+  for (const FactorPrecision precision :
+       {FactorPrecision::kFloat32, FactorPrecision::kFloat16}) {
+    FactorStore::Options options;
+    options.num_factors = 32;
+    options.precision = precision;
+    FactorStore store(options);
+    const std::size_t record =
+        precision == FactorPrecision::kFloat32 ? 144u : 80u;
+    EXPECT_EQ(store.BytesPerEntry(), record);
+    for (UserId id = 1; id <= 3000; ++id) {
+      store.GetOrInitUser(id);
+      if (id % 3 == 0) store.GetOrInitVideo(id);
+      if (id % 250 == 0) {
+        EXPECT_EQ(store.ApproxFactorBytes(), (id + id / 3) * record) << id;
+      }
+    }
+  }
+}
+
+TEST(FlatFactorTableTest, ConcurrentPutAndBatchReadsOnOneStripe) {
+  // Every id hashes to stripe 0, so writers (overwrites and inserts that
+  // rehash the stripe) and batch readers all meet on one lock. A reader
+  // must only ever see whole records: a uniform row whose bias matches.
+  std::vector<VideoId> ids;
+  for (VideoId id = 0; ids.size() < 400; ++id) {
+    if ((MixHash64(id) & (FactorStore::kStripes - 1)) == 0) ids.push_back(id);
+  }
+  FactorStore store(SmallOptions());
+  const std::vector<VideoId> seeded(ids.begin(), ids.begin() + 20);
+  for (VideoId id : seeded) store.PutVideo(id, Uniform(8, 0.0f), 0.0f);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  std::atomic<int> missing{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const BatchRead batch = ReadBatch(store, ids);
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          if (!batch.found[k]) {
+            if (k < seeded.size()) missing.fetch_add(1);
+            continue;
+          }
+          const float value = batch.rows[k * 8];
+          for (std::size_t j = 1; j < 8; ++j) {
+            if (batch.rows[k * 8 + j] != value) torn.fetch_add(1);
+          }
+          if (batch.biases[k] != value) torn.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (int round = 1; round <= 200; ++round) {
+      const float value = static_cast<float>(round);
+      // Overwrite the seeded ids, then insert two more (growing, and so
+      // rehashing, the stripe as readers probe it).
+      for (VideoId id : seeded) store.PutVideo(id, Uniform(8, value), value);
+      for (int k = 0; k < 2; ++k) {
+        const VideoId id = ids[seeded.size() + (2 * round + k) % 380];
+        store.PutVideo(id, Uniform(8, value), value);
+      }
+    }
+  });
+  writer.join();
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(missing.load(), 0);
+  EXPECT_EQ(store.NumVideos(), 400u);
 }
 
 }  // namespace

@@ -798,6 +798,35 @@ TEST(RecServerTest, PipelineNeedsNoHello) {
   EXPECT_EQ(live.metrics.GetCounter("net.v2.hellos")->value(), 0);
 }
 
+TEST(RecServerTest, PipelinedBurstLargerThanTheReadBufferGetsEveryReply) {
+  // One write carries more frames than the server's 64 KiB read buffer
+  // holds, so the server's first read is full and it must read again; a
+  // short read ends a pass, and bytes still in flight re-arm the socket.
+  LiveServer live;
+  RawPeer peer(live.server->port());
+  constexpr std::uint64_t kFrames = 6000;  // 14 bytes each: 84,000 bytes.
+  std::string burst;
+  for (std::uint64_t id = 1; id <= kFrames; ++id) {
+    burst += EncodePingRequest(id);
+  }
+  ASSERT_GT(burst.size(), 64u * 1024u);
+  std::size_t sent = 0;
+  while (sent < burst.size()) {
+    ASSERT_TRUE(WaitReady(peer.fd.get(), /*for_read=*/false, 2000).ok());
+    const ssize_t n =
+        write(peer.fd.get(), burst.data() + sent, burst.size() - sent);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  for (std::uint64_t id = 1; id <= kFrames; ++id) {
+    StatusOr<Frame> frame = peer.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << "reply " << id << ": "
+                            << frame.status().ToString();
+    EXPECT_EQ(frame->type, MessageType::kPongResponse);
+    ASSERT_EQ(frame->request_id, id);  // In order, none lost.
+  }
+}
+
 TEST(RecServerTest, RetiredBatchTypeGetsUnknownTypeAndConnectionSurvives) {
   // 0x07 (once the batched Recommend) is not a message type: a well-formed
   // batch of one Recommend body is answered like any other unknown type,

@@ -2,13 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "data/event_generator.h"
 #include "demographic/group_checkpoint.h"
+#include "eval/experiment_runner.h"
 
 namespace rtrec {
 namespace {
+
+constexpr std::size_t kPinnedServed = 20000;
+constexpr std::uint64_t kPinnedDigest = 1872611148989194159ull;
 
 UserAction Play(UserId u, VideoId v, Timestamp t) {
   UserAction a;
@@ -247,6 +256,58 @@ TEST(RecommendationServiceTest, ProfilesRouteToGroupEngines) {
   service.Observe(Play(1, 10, 100));   // Male group engine.
   service.Observe(Play(99, 20, 100));  // Unregistered -> global only.
   EXPECT_EQ(service.trainer()->ActiveGroups().size(), 1u);
+}
+
+/// 64-bit FNV-1a step over one value's bytes.
+std::uint64_t FnvMix(std::uint64_t h, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (value >> (8 * i)) & 0xFFu;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(RecommendationServiceTest, ServedPagesMatchPinnedDigest) {
+  // 2,000 pages of both Fig. 6 scenarios over the small world, served
+  // through the whole stack (group engines, demographic filter, quality
+  // monitor). Every page's length, videos and score bits go into one
+  // FNV-1a digest, so any change to candidate generation, the multiget,
+  // Eq. 2 scoring, the top-N order or the hot-video blend shows here.
+  const SyntheticWorld world(SmallWorldConfig());
+  MetricsRegistry registry;
+  RecommendationService::Options options;
+  options.metrics = &registry;
+  RecommendationService service(world.TypeResolver(), options);
+  world.RegisterProfiles(service.grouper());
+  std::vector<std::pair<UserId, VideoId>> engaged;
+  for (const UserAction& action : world.GenerateDays(0, 3)) {
+    service.Observe(action);
+    if (action.type != ActionType::kImpress) {
+      engaged.emplace_back(action.user, action.video);
+    }
+  }
+  ASSERT_FALSE(engaged.empty());
+
+  std::uint64_t digest = 0xCBF29CE484222325ull;
+  std::size_t served = 0;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const auto& [user, video] = engaged[(i * 7919) % engaged.size()];
+    RecRequest request;
+    // Every 50th request comes from a user the service has never seen.
+    request.user = i % 50 == 49 ? UserId{100'000'000 + i} : user;
+    request.now = 3 * kMillisPerDay + static_cast<Timestamp>(i) * 1000;
+    if (i % 2 == 0) request.seed_videos = {video};  // Related videos.
+    StatusOr<std::vector<ScoredVideo>> page = service.Recommend(request);
+    ASSERT_TRUE(page.ok());
+    digest = FnvMix(digest, page->size());
+    for (const ScoredVideo& v : *page) {
+      digest = FnvMix(digest, v.video);
+      digest = FnvMix(digest, std::bit_cast<std::uint64_t>(v.score));
+    }
+    served += page->size();
+  }
+  EXPECT_EQ(served, kPinnedServed);
+  EXPECT_EQ(digest, kPinnedDigest);
 }
 
 }  // namespace
